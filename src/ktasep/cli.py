@@ -186,8 +186,7 @@ def cmd_sample(args) -> int:
         pos = sim.run_continuous(
             args.ell, args.t, [args.rate] * args.ell, rng, push=args.push
         )
-        rows = [[0] + list(Partition(sorted(pos, reverse=True)).padded(args.ell))]
-        rows[0] = [args.t] + pos
+        rows = [[args.t] + pos]
     else:
         config = sim.SimConfig(
             case=case,
@@ -203,7 +202,8 @@ def cmd_sample(args) -> int:
     text = "\n".join(",".join(str(v) for v in row) for row in rows)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write("step," + ",".join(f"p{j}" for j in range(1, args.ell + 1)) + "\n")
+            clock = "time" if args.continuous else "step"
+            fh.write(clock + "," + ",".join(f"p{j}" for j in range(1, args.ell + 1)) + "\n")
             fh.write(text + "\n")
         emit(envelope("sample", args.seed, {"out": args.out, "rows": len(rows)}))
     else:
@@ -232,18 +232,19 @@ def cmd_validate(args) -> int:
         ns = (1, 2)
         cases = tuple(CaseId)
     failures = []
-    checked = 0
+    checked = skipped = 0
     for case in cases:
         for n in ns:
             for mu in mus:
                 b = ParamBinding(binding.x[:n], binding.rates, binding.alpha, binding.beta_pos)
                 rep = val.route_agreement(case, mu, n, b, 3, lams, cap=3)
                 checked += len(rep.rows)
+                skipped += len(rep.skipped())
                 failures.extend(
                     {"case": case.value, "mu": mu.to_json(), "lam": r.lam.to_json()}
                     for r in rep.failures()
                 )
-    payload = {"grid": args.grid, "checked": checked, "failures": failures}
+    payload = {"grid": args.grid, "checked": checked, "skipped": skipped, "failures": failures}
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
@@ -300,7 +301,9 @@ def cmd_tableaux(args) -> int:
     else:
         payload["terms"] = _rational_json(poly)
     if args.count:
-        fam = {"g": "rpp", "j": "ssyt", "G": "set", "Gds": "set"}.get(family, "rpp")
+        fam = {"g": "rpp", "j": "ssyt", "G": "set", "Gds": "set"}.get(family)
+        if fam is None:
+            raise UsageError(f"no tableau count for family {family!r}")
         if shape.size() <= 12:
             payload["count"] = tab.count_tableaux(shape, args.n, fam)
     if args.list:
@@ -332,7 +335,7 @@ def _list_tableaux(shape: SkewShape, n: int, family: str) -> list:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ktasep")
     p.add_argument("--version", action="version", version=f"ktasep {__version__} [{PINNED_CONVENTIONS.fingerprint()}]")
-    p.add_argument("--threads", type=int, default=1, help="worker pool cap (output is independent of it)")
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     k = sub.add_parser("kernel", help="exact transition probabilities")

@@ -734,7 +734,7 @@ def schur_poly(lam_parts: tuple, n: int) -> LaurentPoly:
     total = LaurentPoly.zero()
     idx = range(ell)
     for perm in itertools.permutations(idx):
-        sign = _perm_sign(perm)
+        sign = perm_sign(perm)
         prod = ONE
         for i in idx:
             j = perm[i]
@@ -745,7 +745,8 @@ def schur_poly(lam_parts: tuple, n: int) -> LaurentPoly:
     return total
 
 
-def _perm_sign(perm) -> int:
+def perm_sign(perm) -> int:
+    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
     sign = 1
     seen = [False] * len(perm)
     for i in range(len(perm)):
@@ -775,7 +776,7 @@ class SchurExpansion:
     a stated total x-degree cap."""
 
     def __init__(self, coeffs: dict, n: int, degree_cap: int):
-        self.coeffs = {k: v for k, v in coeffs.items() if not _scalar_is_zero(v)}
+        self.coeffs = {k: v for k, v in coeffs.items() if not is_zero_scalar(v)}
         self.n = n
         self.degree_cap = degree_cap
 
@@ -802,10 +803,18 @@ class SchurExpansion:
         return total
 
 
-def _scalar_is_zero(v) -> bool:
-    if isinstance(v, (int, Frac)):
+def is_zero_scalar(v) -> bool:
+    """Zero test for numbers and for LaurentPoly/RationalFn values."""
+    if isinstance(v, (int, Frac, float)):
         return v == 0
     return v.is_zero()
+
+
+def reciprocal(v):
+    """1/v, exact: a Fraction for rationals, else a RationalFn."""
+    if isinstance(v, (int, Frac)):
+        return Frac(1) / Frac(v)
+    return rf(1) / rf(v)
 
 
 def _scalars_equal(a, b) -> bool:

@@ -30,13 +30,14 @@ from .exactalg import (
     Scalar,
     VarId,
     evaluate,
+    is_zero_scalar,
+    reciprocal,
     rf,
 )
 from .operators import (
     OpParams,
     PartitionVector,
     apply_U,
-    is_zero_scalar,
 )
 from .partitions import Partition, conjugate, is_vertical_strip, SkewShape, push_closure
 from . import tableaux
@@ -329,18 +330,12 @@ def single_step_closed_form(
             p = p * binding.rate(j)
         p = p * xi ** (total_moved - len(pairs))
         for c in pairs:
-            p = p * (xi + _inv(binding.rate(c)))
+            p = p * (xi + reciprocal(binding.rate(c)))
         for j in range(1, ell + 1):
             p = p * _inv_1p(binding.rate(j) * xi)
         return p
 
     raise ValueError(f"no closed form for case {case}")
-
-
-def _inv(v):
-    if isinstance(v, (int, Frac)):
-        return Frac(1) / Frac(v)
-    return rf(1) / rf(v)
 
 
 def is_vertical_strip_pair(lam: Partition, mu: Partition) -> bool:
@@ -464,7 +459,7 @@ def _op_params_for(case: CaseId, binding: ParamBinding, ell: int) -> OpParams:
         return binding.rate(j) if j <= ell else Frac(0)
 
     if case is CaseId.A or case is CaseId.D:
-        return OpParams.bound(None, lambda j: _inv(rate(j)))
+        return OpParams.bound(None, lambda j: reciprocal(rate(j)))
     if case is CaseId.C or case is CaseId.B:
         return OpParams.bound(None, lambda j: rate(j + 1))
     if case is CaseId.CANONICAL_C:
@@ -747,7 +742,7 @@ def _binding_map(case: CaseId, value, binding: ParamBinding, ell: int) -> dict:
             out[v] = binding.x_of(idx)
         elif fam == "B":
             if case is CaseId.A:
-                out[v] = _inv(rate(idx))
+                out[v] = reciprocal(rate(idx))
             elif case in (CaseId.C, CaseId.CANONICAL_C):
                 out[v] = rate(idx + 1)
             elif case is CaseId.CANONICAL_B:
@@ -756,7 +751,7 @@ def _binding_map(case: CaseId, value, binding: ParamBinding, ell: int) -> dict:
                 raise ValueError(f"unexpected beta variable for case {case}")
         elif fam == "A":
             if case is CaseId.D:
-                out[v] = _inv(rate(idx))
+                out[v] = reciprocal(rate(idx))
             elif case in (CaseId.B, CaseId.CANONICAL_B):
                 out[v] = rate(idx + 1)
             elif case is CaseId.CANONICAL_C:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .exactalg import supersym_e, supersym_h, theta_e_pair, theta_h_pair
+from .exactalg import perm_sign, reciprocal, supersym_e, supersym_h, theta_e_pair, theta_h_pair
 from .kernels import CaseId, KernelTable, ParamBinding, chain
 from .partitions import Partition
 
@@ -58,29 +58,13 @@ def det_exact(rows: list[list]) -> object:
     ell = len(rows)
     total = None
     for perm in permutations(range(ell)):
-        sign = _perm_sign(perm)
+        sign = perm_sign(perm)
         prod = rows[0][perm[0]]
         for i in range(1, ell):
             prod = prod * rows[i][perm[i]]
         term = prod if sign > 0 else -prod
         total = term if total is None else total + term
     return total if total is not None else Frac(1)
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +91,12 @@ def mp_pushing(query: MultiPointQuery):
         for j in range(1, ell + 1):
             m = lam.part(i) - nu.part(j) + j - i
             if case is CaseId.A:
-                top = xs + [_inv(b.rate(k)) for k in range(1, i + 1)]
-                bot = [_inv(b.rate(k)) for k in range(1, j)]
+                top = xs + [reciprocal(b.rate(k)) for k in range(1, i + 1)]
+                bot = [reciprocal(b.rate(k)) for k in range(1, j)]
                 row.append(supersym_h(m, top, bot))
             else:
-                top = xs + [-_inv(b.rate(k)) for k in range(1, j)]
-                bot = [-_inv(b.rate(k)) for k in range(1, i + 1)]
+                top = xs + [-reciprocal(b.rate(k)) for k in range(1, j)]
+                bot = [-reciprocal(b.rate(k)) for k in range(1, i + 1)]
                 row.append(supersym_e(m, top, bot))
         rows.append(row)
     det = det_exact(rows)
@@ -125,10 +109,6 @@ def mp_pushing(query: MultiPointQuery):
             else:
                 pref = pref / (1 + b.rate(i) * xi)
     return pref * det
-
-
-def _inv(v):
-    return Frac(1) / Frac(v) if isinstance(v, (int, Frac)) else 1 / v
 
 
 # ---------------------------------------------------------------------------

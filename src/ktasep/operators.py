@@ -11,14 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .exactalg import A, B, Frac, LaurentPoly, Scalar
+from .exactalg import A, B, Frac, LaurentPoly, Scalar, is_zero_scalar
 from .partitions import Partition, push_closure
-
-
-def is_zero_scalar(v) -> bool:
-    if isinstance(v, (int, Frac, float)):
-        return v == 0
-    return v.is_zero()
 
 
 class PartitionVector:

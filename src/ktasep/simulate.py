@@ -3,8 +3,11 @@ inhomogeneous (canonical) processes, and the continuous-time limit.
 
 Randomness comes from numpy's counter-based Philox generator.  Stream
 derivation rule: run ``r`` of a simulation with seed ``s`` uses
-``SeedSequence(s, spawn_key=(r,))``, so results are independent of thread
-count and of how many runs execute.
+``SeedSequence(s, spawn_key=(r,))``, so results are independent of how
+many runs execute.
+
+Every sampler and the brute-force oracle in ``validate`` share one update
+rule: particles move in ``update_order`` and each move is ``move``.
 """
 
 from __future__ import annotations
@@ -38,10 +41,8 @@ class SimConfig:
     alpha: Callable[[int], float] | None = None
     beta_pos: Callable[[int], float] | None = None
     seed: int = 0
-    picture: str = "bosonic"  # or "fermionic" (display transform only)
     update: UpdateOrder = PINNED_CONVENTIONS.update
     start: Partition = field(default_factory=Partition)
-    fermionic_shift: bool = False  # canonical draw positions shifted by row
 
     def rate(self, j: int) -> float:
         if callable(self.rates):
@@ -134,6 +135,33 @@ def inhom_geometric_pmf(
     return out
 
 
+def update_order(case: CaseId, ell: int, update: UpdateOrder) -> range:
+    """Particle order of one synchronous round.  Under the pinned order
+    geometric cases run ell, ..., 1, so a blocked particle (C, CanonicalC)
+    sees its left neighbour before that neighbour moves, and Bernoulli
+    cases run 1, ..., ell, so a blocked particle (B, CanonicalB) sees it
+    after.  The other order swaps both."""
+    if case.geometric == (update is UpdateOrder.GEOMETRIC_DESCENDING):
+        return range(ell, 0, -1)
+    return range(1, ell + 1)
+
+
+def move(pos: list, j: int, w, pushing: bool) -> None:
+    """Move particle j of the bosonic positions ``pos`` by w in place.  A
+    pushing particle carries every particle ahead of it that it passes; a
+    blocked one stops at its left neighbour's current position.  w may be
+    ``math.inf``."""
+    new = pos[j - 1] + w
+    pos[j - 1] = new
+    if pushing:
+        i = j - 2
+        while i >= 0 and pos[i] < new:
+            pos[i] = new
+            i -= 1
+    elif j > 1 and new > pos[j - 2]:
+        pos[j - 1] = pos[j - 2]
+
+
 def step_discrete(
     case: CaseId,
     state: Partition,
@@ -141,65 +169,26 @@ def step_discrete(
     config: SimConfig,
     rng: np.random.Generator,
 ) -> Partition:
-    """One synchronous round under the frozen update conventions."""
-    ell = config.ell
-    pos = list(state.padded(ell))
+    """One synchronous round: each particle in ``update_order`` draws its
+    jump and ``move``s."""
+    pos = list(state.padded(config.ell))
     xi = config.x_of(time_index)
-    descending = config.update is UpdateOrder.GEOMETRIC_DESCENDING
-
-    if case.geometric:
-        order = range(ell, 0, -1) if descending else range(1, ell + 1)
-    else:
-        order = range(1, ell + 1) if descending else range(ell, 0, -1)
-
-    for j in order:
-        if case is CaseId.A:
+    pushing = case.pushing
+    plain_geometric = case is CaseId.A or case is CaseId.C
+    for j in update_order(case, config.ell, config.update):
+        if plain_geometric:
             w = sample_geometric(config.rate(j) * xi, rng.random())
-            new = pos[j - 1] + w
-            pos[j - 1] = new
-            for i in range(j - 1, 0, -1):
-                if pos[i - 1] < new:
-                    pos[i - 1] = new
-                else:
-                    break
-        elif case is CaseId.C or case is CaseId.CANONICAL_C:
-            if case is CaseId.C:
-                w = sample_geometric(config.rate(j) * xi, rng.random())
-            else:
-                shift = j - 1 if config.fermionic_shift else 0
-                w = sample_inhom_geometric(
-                    lambda k: config.alpha_of(k),
-                    config.rate(j),
-                    xi,
-                    pos[j - 1] + shift,
-                    rng,
-                )
-            cap = pos[j - 2] if j > 1 else None
-            new = pos[j - 1] + w
-            if cap is not None:
-                new = min(new, cap)
-            pos[j - 1] = new
-        elif case is CaseId.D:
-            v = config.rate(j) * xi
-            if rng.random() < v / (1.0 + v):
-                new = pos[j - 1] + 1
-                pos[j - 1] = new
-                for i in range(j - 1, 0, -1):
-                    if pos[i - 1] < new:
-                        pos[i - 1] = new
-                    else:
-                        break
-        elif case is CaseId.B or case is CaseId.CANONICAL_B:
+        elif case is CaseId.CANONICAL_C:
+            w = sample_inhom_geometric(config.alpha_of, config.rate(j), xi, pos[j - 1], rng)
+        else:
             v = config.rate(j) * xi
             if case is CaseId.CANONICAL_B:
-                succ = (config.rate(j) + config.beta_pos_of(pos[j - 1])) * xi / (1.0 + v)
+                v_succ = (config.rate(j) + config.beta_pos_of(pos[j - 1])) * xi
             else:
-                succ = v / (1.0 + v)
-            moved = rng.random() < succ
-            if moved and (j == 1 or pos[j - 1] < pos[j - 2]):
-                pos[j - 1] += 1
-        else:
-            raise ValueError(case)
+                v_succ = v
+            w = rng.random() < v_succ / (1.0 + v)
+        if w:
+            move(pos, j, w, pushing)
     return Partition(pos)
 
 
@@ -211,70 +200,48 @@ def step_batch(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Vectorized synchronous round over a batch (rows are independent
-    copies).  Used by the statistics harness."""
-    ell = config.ell
+    copies), column by column in ``update_order``.  Used by the statistics
+    harness."""
     xi = config.x_of(time_index)
     pos = positions
-    descending = config.update is UpdateOrder.GEOMETRIC_DESCENDING
-    if case.geometric:
-        order = range(ell, 0, -1) if descending else range(1, ell + 1)
-    else:
-        order = range(1, ell + 1) if descending else range(ell, 0, -1)
-
-    for j in order:
+    size = pos.shape[0]
+    for j in update_order(case, config.ell, config.update):
         col = j - 1
-        if case is CaseId.A:
+        if case is CaseId.A or case is CaseId.C:
             q = config.rate(j) * xi
-            w = rng.geometric(1.0 - q, size=pos.shape[0]) - 1 if q > 0 else np.zeros(pos.shape[0], dtype=np.int64)
-            pos[:, col] = pos[:, col] + w
-            if col > 0:
-                np.maximum(pos[:, :col], pos[:, col:col + 1], out=pos[:, :col])
-        elif case is CaseId.C:
-            q = config.rate(j) * xi
-            w = rng.geometric(1.0 - q, size=pos.shape[0]) - 1 if q > 0 else np.zeros(pos.shape[0], dtype=np.int64)
-            new = pos[:, col] + w
-            if col > 0:
-                new = np.minimum(new, pos[:, col - 1])
-            pos[:, col] = new
+            w = rng.geometric(1.0 - q, size=size) - 1 if q > 0 else np.zeros(size, dtype=np.int64)
         elif case is CaseId.CANONICAL_C:
-            new = _batch_inhom_jump(pos[:, col], config, j, xi, rng)
-            if col > 0:
-                new = np.minimum(new, pos[:, col - 1])
-            pos[:, col] = new
-        elif case is CaseId.D:
-            v = config.rate(j) * xi
-            d = rng.random(pos.shape[0]) < v / (1.0 + v)
-            pos[:, col] = pos[:, col] + d
-            if col > 0:
-                np.maximum(pos[:, :col], pos[:, col:col + 1], out=pos[:, :col])
-        elif case is CaseId.B or case is CaseId.CANONICAL_B:
+            w = _batch_inhom_jump(pos[:, col], config, j, xi, rng)
+        else:
             v = config.rate(j) * xi
             if case is CaseId.CANONICAL_B:
                 beta_here = np.array([config.beta_pos_of(int(m)) for m in pos[:, col]])
-                succ = (config.rate(j) + beta_here) * xi / (1.0 + v)
+                v_succ = (config.rate(j) + beta_here) * xi
             else:
-                succ = v / (1.0 + v)
-            d = rng.random(pos.shape[0]) < succ
-            if col > 0:
-                d = d & (pos[:, col] < pos[:, col - 1])
-            pos[:, col] = pos[:, col] + d
+                v_succ = v
+            w = rng.random(size) < v_succ / (1.0 + v)
+        new = pos[:, col] + w
+        if case.pushing:
+            pos[:, col] = new
+            np.maximum(pos[:, :col], pos[:, col:col + 1], out=pos[:, :col])
         else:
-            raise ValueError(case)
+            pos[:, col] = np.minimum(new, pos[:, col - 1]) if col > 0 else new
     return pos
 
 
 def _batch_inhom_jump(start: np.ndarray, config: SimConfig, j: int, xi: float, rng) -> np.ndarray:
+    """Per-row inhomogeneous geometric jumps of particle j from ``start``."""
     cur = start.copy()
     active = np.ones(cur.shape[0], dtype=bool)
     pi = config.rate(j)
     while active.any():
         a = np.array([config.alpha_of(int(k)) for k in cur[active]])
         p_succ = (a + pi) * xi / (1.0 + a * xi)
-        move = rng.random(int(active.sum())) < p_succ
+        step = rng.random(int(active.sum())) < p_succ
         idx = np.flatnonzero(active)
-        cur[idx[move]] += 1
-        active[idx[~move]] = False
-    return cur
+        cur[idx[step]] += 1
+        active[idx[~step]] = False
+    return cur - start
 
 
 def run(config: SimConfig, run_index: int = 0) -> Trajectory:
@@ -287,36 +254,6 @@ def run(config: SimConfig, run_index: int = 0) -> Trajectory:
         state = step_discrete(config.case, state, i, config, rng)
         snaps.append((i, state))
     return Trajectory(snaps)
-
-
-def run_many(config: SimConfig, count: int, threads: int = 1) -> dict:
-    """Final-state summary over ``count`` runs with per-run substreams;
-    the result is independent of ``threads``."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    def one(r: int):
-        return run(config, run_index=r).final()
-
-    if threads <= 1:
-        finals = [one(r) for r in range(count)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            finals = list(ex.map(one, range(count)))
-    counts: dict = {}
-    for f in finals:
-        counts[f] = counts.get(f, 0) + 1
-    mean_positions = None
-    if finals:
-        ell = config.ell
-        acc = np.zeros(ell)
-        for f in finals:
-            acc += np.array(f.padded(ell), dtype=float)
-        mean_positions = (acc / count).tolist()
-    return {
-        "count": count,
-        "state_counts": {str(k): v for k, v in sorted(counts.items())},
-        "mean_positions": mean_positions,
-    }
 
 
 def sample_batch_final(
@@ -365,17 +302,7 @@ def run_continuous(
         when, j = heapq.heappop(heap)
         if when >= t:
             break
-        if push:
-            new = pos[j - 1] + 1
-            pos[j - 1] = new
-            for i in range(j - 1, 0, -1):
-                if pos[i - 1] < new:
-                    pos[i - 1] = new
-                else:
-                    break
-        else:
-            if j == 1 or pos[j - 1] < pos[j - 2]:
-                pos[j - 1] += 1
+        move(pos, j, 1, push)
         r = rate(j)
         heapq.heappush(heap, (when - math.log1p(-rng.random()) / r, j))
     return pos

@@ -6,6 +6,7 @@ tableau <-> trajectory correspondences.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 
@@ -27,9 +28,9 @@ from .kernels import (
     single_step_closed_form,
 )
 from .partitions import Partition, partitions_in_box, subpartitions
-from .simulate import SimConfig, sample_batch_final
+from .simulate import SimConfig, move, sample_batch_final, update_order
 
-OVERFLOW = None  # jump symbol for "more than the enumeration window"
+OVERFLOW = math.inf  # jump symbol for "more than the enumeration window"
 
 
 # ---------------------------------------------------------------------------
@@ -70,44 +71,6 @@ def _outcome_list(case: CaseId, binding: ParamBinding, j: int, time_index: int,
     raise ValueError(case)
 
 
-def _apply_jumps(case: CaseId, mu: Partition, jumps: list, ell: int,
-                 update: UpdateOrder):
-    """Deterministic state map given raw jump lengths (OVERFLOW = +inf).
-    Returns the final position list or None when a pushing overflow makes
-    the state leave every cap."""
-    pos: list = list(mu.padded(ell))
-    descending = update is UpdateOrder.GEOMETRIC_DESCENDING
-    if case.geometric:
-        order = range(ell, 0, -1) if descending else range(1, ell + 1)
-    else:
-        order = range(1, ell + 1) if descending else range(ell, 0, -1)
-    for j in order:
-        w = jumps[j - 1]
-        if case.pushing:
-            if w is OVERFLOW:
-                return None
-            new = pos[j - 1] + w
-            pos[j - 1] = new
-            for i in range(j - 1, 0, -1):
-                if pos[i - 1] < new:
-                    pos[i - 1] = new
-                else:
-                    break
-        elif case.geometric:  # blocking with unbounded jumps
-            cap = pos[j - 2] if j > 1 else None
-            if w is OVERFLOW:
-                if cap is None:
-                    return None
-                pos[j - 1] = cap
-            else:
-                new = pos[j - 1] + w
-                pos[j - 1] = min(new, cap) if cap is not None else new
-        else:  # Bernoulli blocking
-            if w and (j == 1 or pos[j - 1] < pos[j - 2]):
-                pos[j - 1] += 1
-    return pos
-
-
 def brute_force_single_step(
     case: CaseId,
     mu: Partition,
@@ -117,9 +80,11 @@ def brute_force_single_step(
     time_index: int = 1,
     update: UpdateOrder = PINNED_CONVENTIONS.update,
 ) -> KernelTable:
-    """Enumerate all jump-outcome combinations, apply the configured
-    update order, and sum exact masses per resulting state.  Geometric
-    overflow (beyond the cap window) is pooled into the tail."""
+    """Enumerate all jump-outcome combinations, apply them with the
+    samplers' ``move`` in ``update_order``, and sum exact masses per
+    resulting state.  A geometric overflow (an infinite jump) lands at the
+    cap when blocked and otherwise takes particle 1 past the cap, into the
+    pooled tail."""
     if cap < mu.part(1):
         raise ValueError(f"cap {cap} too small to contain mu")
     window = cap  # single-step jumps beyond cap always leave the box
@@ -127,17 +92,20 @@ def brute_force_single_step(
         _outcome_list(case, binding, j, time_index, mu.part(j), window)
         for j in range(1, ell + 1)
     ]
+    order = update_order(case, ell, update)
+    pushing = case.pushing
     probs: dict = {}
     tail = Frac(0)
     for combo in itertools.product(*lists):
-        jumps = [c[0] for c in combo]
         mass = Frac(1)
         for c in combo:
             mass = mass * c[1]
         if mass == 0:
             continue
-        pos = _apply_jumps(case, mu, jumps, ell, update)
-        if pos is None or pos[0] > cap:
+        pos = list(mu.padded(ell))
+        for j in order:
+            move(pos, j, combo[j - 1][0], pushing)
+        if pos[0] > cap:
             tail = tail + mass
             continue
         lam = Partition(pos)
@@ -178,12 +146,16 @@ class OracleRow:
     lam: Partition
     oracle: Frac
     closed: Frac
-    operator: Frac
-    tableau: Frac
+    operator: Frac | None  # None: the route raised, so the row is skipped
+    tableau: Frac | None
+
+    @property
+    def skipped(self) -> bool:
+        return self.operator is None or self.tableau is None
 
     @property
     def equal(self) -> bool:
-        return self.oracle == self.closed == self.operator == self.tableau
+        return not self.skipped and self.oracle == self.closed == self.operator == self.tableau
 
 
 @dataclass
@@ -197,10 +169,15 @@ class OracleReport:
 
     @property
     def all_equal(self) -> bool:
+        """Every row was compared, and all four values agree."""
         return all(r.equal for r in self.rows)
 
+    def skipped(self):
+        return [r for r in self.rows if r.skipped]
+
     def failures(self):
-        return [r for r in self.rows if not r.equal]
+        """Compared rows whose values disagree."""
+        return [r for r in self.rows if not r.skipped and not r.equal]
 
 
 def route_agreement(
@@ -214,7 +191,9 @@ def route_agreement(
     conventions: Conventions = PINNED_CONVENTIONS,
 ) -> OracleReport:
     """Compare oracle, closed-form chain, operator, and tableau values for
-    every target partition; exact rational comparisons."""
+    every target partition; exact rational comparisons.  A route that
+    raises ``ValueError`` leaves ``None`` in its slot and the row is
+    skipped, never counted as agreeing."""
     oracle = brute_force_table(case, n, mu, binding, ell, cap, conventions.update)
     closed = chain(case, n, mu, binding, ell, cap)
     report = OracleReport(case, mu, n, conventions, tail=oracle.tail)
@@ -231,9 +210,7 @@ def route_agreement(
             t = kernel_tableau_route(case, n, mu, lam, binding, ell, conventions.index)
         except ValueError:
             t = None
-        report.rows.append(
-            OracleRow(lam, o, c, p if p is not None else o, t if t is not None else o)
-        )
+        report.rows.append(OracleRow(lam, o, c, p, t))
     return report
 
 

@@ -96,11 +96,18 @@ def test_tableaux_list_matches_count(family):
 
 
 @pytest.mark.parametrize(
-    "family,shape", [("g", "[5,4,4]"), ("flagged", "[2,1]")]
+    "family,shape,flag",
+    [
+        pytest.param("g", "[5,4,4]", "--list", id="g-[5,4,4]"),
+        pytest.param("flagged", "[2,1]", "--list", id="flagged-[2,1]"),
+        # count_tableaux has no flagged family; the count must be refused,
+        # not taken from another family
+        pytest.param("flagged", "[2,1]", "--count", id="flagged-[2,1]-count"),
+    ],
 )
-def test_tableaux_list_usage_errors(family, shape):
+def test_tableaux_list_usage_errors(family, shape, flag):
     proc = run_cli(
-        "tableaux", "--family", family, "--shape", shape, "--n", "2", "--list", check=False
+        "tableaux", "--family", family, "--shape", shape, "--n", "2", flag, check=False
     )
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"] == "usage"
@@ -127,6 +134,13 @@ def test_sample_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "step,p1,p2,p3,p4,p5"
     assert len(lines) == 6
+    run_cli(
+        "sample", "--continuous", "--ell", "3", "--t", "2.5", "--seed", "1",
+        "--out", str(out),
+    )
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "time,p1,p2,p3"
+    assert len(lines) == 2 and lines[1].startswith("2.5,")
 
 
 def test_validate_smoke_exit_zero():

@@ -1,9 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from ktasep.conventions import UpdateOrder
 from ktasep.kernels import CaseId
 from ktasep.partitions import Partition
 from ktasep.simulate import (
@@ -13,7 +15,6 @@ from ktasep.simulate import (
     rng_for,
     run,
     run_continuous,
-    run_many,
     sample_batch_final,
     sample_inhom_geometric,
     step_batch,
@@ -28,13 +29,6 @@ def test_fixed_seed_determinism():
     t1 = run(cfg)
     t2 = run(cfg)
     assert [s for s in t1.snapshots] == [s for s in t2.snapshots]
-
-
-def test_run_many_thread_independence():
-    cfg = SimConfig(case=CaseId.C, ell=3, steps=3, rates=[0.5, 0.4, 0.3], x=[0.5], seed=3)
-    s1 = run_many(cfg, 40, threads=1)
-    s8 = run_many(cfg, 40, threads=8)
-    assert s1 == s8
 
 
 def test_states_stay_partitions():
@@ -87,16 +81,19 @@ def test_blocking_cap_respected():
         state = new
 
 
+class Forced:
+    """Stand-in generator that replays fixed uniforms."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
 def test_forced_draw_blocking_example():
     # Case C, state (1,1), draws w1=1, w2=5, w3=0 -> (2,1): particle 2
     # fully blocked at the pre-update position of particle 1
-    class Forced:
-        def __init__(self, draws):
-            self.draws = list(draws)
-
-        def random(self):
-            return self.draws.pop(0)
-
     cfg = SimConfig(case=CaseId.C, ell=3, steps=1, rates=[0.5, 0.5, 0.5], x=[0.5], seed=0)
     # inverse transform: w = k for u in [1-q^k, 1-q^{k+1}); q = 0.25.
     # Update order is descending, so draws land on particles 3, 2, 1.
@@ -111,17 +108,57 @@ def test_forced_draw_blocking_example():
 
 def test_pushing_example_case_a():
     # particle 4 jumps 1 from (4,1,1,1): two pushes -> (4,2,2,2)
-    class Forced:
-        def __init__(self, draws):
-            self.draws = list(draws)
-
-        def random(self):
-            return self.draws.pop(0)
-
     cfg = SimConfig(case=CaseId.A, ell=4, steps=1, rates=[0.5] * 4, x=[0.5], seed=0)
     rngf = Forced([0.8, 0.0, 0.0, 0.0])  # w4=1, others 0 (descending order)
     out = step_discrete(CaseId.A, P_([4, 1, 1, 1]), 1, cfg, rngf)
     assert out == P_([4, 2, 2, 2])
+
+
+def test_blocking_example_case_b():
+    # Bernoulli cases move particles 1, ..., ell, so a blocked particle is
+    # capped by its left neighbour's post-move position.  succ = 0.2 here:
+    # a uniform of 0.0 moves, 0.9 does not.
+    cfg = SimConfig(case=CaseId.B, ell=3, steps=1, rates=[0.5] * 3, x=[0.5], seed=0)
+    # all three try: particle 2 follows particle 1 from (1,1) to (2,2)
+    assert step_discrete(CaseId.B, P_([1, 1]), 1, cfg, Forced([0.0, 0.0, 0.0])) == P_([2, 2, 1])
+    # particle 1 stays, so particle 2, sitting at it, stays too
+    assert step_discrete(CaseId.B, P_([1, 1]), 1, cfg, Forced([0.9, 0.0, 0.0])) == P_([1, 1, 1])
+
+
+def test_pushing_example_case_d():
+    # only particle 4 moves (ascending order 1..4): it steps from 2 to 3 and
+    # carries particles 3 and 2, which it passes; particle 1 at 4 stays
+    cfg = SimConfig(case=CaseId.D, ell=4, steps=1, rates=[0.5] * 4, x=[0.5], seed=0)
+    out = step_discrete(CaseId.D, P_([4, 2, 2, 2]), 1, cfg, Forced([0.9, 0.9, 0.9, 0.0]))
+    assert out == P_([4, 3, 3, 3])
+
+
+# sha256 of the integer outputs of _stream_outputs() at fixed seeds.  A
+# change that reorders, adds or drops random draws, or alters the update
+# rule, changes it and must update it on purpose.
+STREAM_DIGEST = "9514cec5c589425ebec25f8c2bd6dd038b8a0831c56ea79cf6b294e95d006372"
+
+
+def _stream_outputs():
+    out = []
+    for update in UpdateOrder:
+        for k, case in enumerate(CaseId):
+            cfg = SimConfig(
+                case=case, ell=5, steps=12, rates=[0.6, 0.5, 0.45, 0.4, 0.3], x=[0.5, 0.7],
+                alpha=lambda m: 0.1 + 0.05 * (m % 3), beta_pos=lambda m: 0.1 if m >= 1 else 0.0,
+                seed=40 + k, update=update, start=P_([3, 1, 1]),
+            )
+            out.append([list(p.padded(5)) for _, p in run(cfg).snapshots])
+            out.append(sample_batch_final(cfg, 64, 50 + k).tolist())
+    for push in (False, True):
+        out.append(run_continuous(6, 4.0, [1.0, 0.8, 1.2, 0.9, 1.1, 0.7], rng_for(60, int(push)),
+                                  push=push, start=P_([2, 1])))
+    return out
+
+
+def test_sampler_streams_pinned():
+    digest = hashlib.sha256(repr(_stream_outputs()).encode()).hexdigest()
+    assert digest == STREAM_DIGEST
 
 
 def test_all_zero_jumps_keep_state():

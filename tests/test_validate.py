@@ -1,8 +1,9 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
-from ktasep.conventions import PINNED_CONVENTIONS
+from ktasep.conventions import PINNED_CONVENTIONS, UpdateOrder
 from ktasep.kernels import CaseId, ParamBinding
 from ktasep.partitions import Partition, partitions_in_box
 from ktasep.simulate import SimConfig, run
@@ -68,6 +69,47 @@ def test_zero_rates_point_mass():
     for case in (CaseId.A, CaseId.B, CaseId.C, CaseId.D):
         t = brute_force_single_step(case, P_([2, 1]), b, 3, cap=5)
         assert t.probs == {P_([2, 1]): F(1)}
+
+
+def test_oracle_overflow_lands_at_left_neighbour():
+    # Case C from (3): particle 2 moves first and is capped at 3, so every
+    # jump >= 3, the overflow beyond the cap window included, lands on (3,3)
+    b = binding()
+    t = brute_force_single_step(CaseId.C, P_([3]), b, 2, cap=3)
+    q1, q2 = RATES[0] * F(1, 5), RATES[1] * F(1, 5)
+    assert t.probs[P_([3, 3])] == (1 - q1) * q2**3
+
+
+# sha256 of brute_force_table for every case and both update orders: the
+# oracle's exact tables, tails included, must not move when its code does
+ORACLE_DIGEST = "de537833e726bb3af83d4690bc1102786f881ab51e7e31993258b94d2eb8aab3"
+
+
+def test_oracle_tables_pinned():
+    b = ParamBinding.numeric(
+        x=[F(1, 5), F(1, 7)], rates=[F(1, 2), F(1, 3), F(2, 7)],
+        alpha=lambda k: F(1, 4 + k) if k >= 1 else F(0),
+        beta_pos=lambda k: F(1, 6 + k) if k >= 1 else F(0),
+    )
+    out = []
+    for update in UpdateOrder:
+        for case in CaseId:
+            t = brute_force_table(case, 2, P_([1]), b, 3, 3, update)
+            out.append((sorted((lam.parts, str(p)) for lam, p in t.probs.items()), str(t.tail)))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == ORACLE_DIGEST
+
+
+def test_route_that_raises_is_skipped():
+    # the operator and tableau routes refuse CanonicalC with n > 1 and
+    # alpha(0) != 0; such rows are skipped, never counted as equal
+    b = ParamBinding.numeric(x=[F(1, 5), F(1, 4)], rates=RATES, alpha=lambda k: F(1, 4 + k))
+    rep = route_agreement(CaseId.CANONICAL_C, P_([1]), 2, b, 3, [P_([1]), P_([2, 1])], cap=3)
+    assert len(rep.rows) == 2
+    assert all(r.skipped and not r.equal for r in rep.rows)
+    assert all(r.tableau is None for r in rep.rows)
+    assert rep.skipped() == rep.rows
+    assert rep.failures() == []
+    assert not rep.all_equal
 
 
 def test_route_agreement_all_cases():
