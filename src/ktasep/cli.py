@@ -154,6 +154,13 @@ def cmd_multipoint(args) -> int:
     case = parse_case(args.case)
     thr = _parse_partition(args.thresholds)
     start = _parse_partition(args.start)
+    contour = None
+    if args.contour is not None:
+        if case is not CaseId.C:
+            raise UsageError(f"--contour needs case C; case {case.value} has no contour form")
+        contour = _parse_contour(args.contour, args.mode or "residue")
+    elif args.mode is not None:
+        raise UsageError("--mode selects how a --contour is evaluated; give --contour r=<radius>")
     binding = load_params(args.params, args.n, args.ell)
     q = mpmod.MultiPointQuery(case, args.dir, args.n, thr, start, args.ell, binding)
     if case.pushing:
@@ -161,14 +168,6 @@ def cmd_multipoint(args) -> int:
     elif case is CaseId.CANONICAL_C:
         value, bound = mpmod.mp_canonical(q, trunc=args.trunc)
     else:
-        contour = None
-        if args.contour:
-            r, _, pts = args.contour.partition(",")
-            contour = mpmod.ContourSpec(
-                radius=Frac(r.split("=")[1]),
-                points=int(pts.split("=")[1]) if pts else 256,
-                mode=args.mode,
-            )
         value, bound = mpmod.mp_blocking(q, contour, trunc=args.trunc)
     payload = {
         "value": _rational_json(value),
@@ -179,8 +178,28 @@ def cmd_multipoint(args) -> int:
     return 0
 
 
+def _parse_contour(text: str, mode: str) -> mpmod.ContourSpec:
+    """``r=<radius>[,q=<points>]`` as a ContourSpec."""
+    try:
+        fields = dict(item.split("=") for item in text.split(","))
+        points = int(fields.pop("q", 256))
+        radius = Frac(fields.pop("r"))
+        if fields or not 1 <= points <= mpmod.MAX_QUADRATURE_POINTS:
+            raise ValueError(text)
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
+        raise UsageError(
+            f"bad --contour {text!r}: expected r=<radius>[,q=<points>], "
+            f"1 <= points <= {mpmod.MAX_QUADRATURE_POINTS}"
+        ) from exc
+    return mpmod.ContourSpec(radius=radius, points=points, mode=mode)
+
+
 def cmd_sample(args) -> int:
     case = parse_case(args.case) if not args.continuous else CaseId.C
+    if args.alpha and case is not CaseId.CANONICAL_C:
+        raise UsageError("--alpha is read only by the discrete --case CanonicalC")
+    if case is CaseId.CANONICAL_B:
+        raise UsageError("sample cannot set beta, so --case CanonicalB would run case B")
     if args.continuous:
         rng = sim.rng_for(args.seed, 0)
         pos = sim.run_continuous(
@@ -357,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n", type=int, required=True)
     m.add_argument("--ell", type=int, required=True)
     m.add_argument("--params", required=True)
-    m.add_argument("--contour", default=None, help="r=<radius>,q=<points>")
-    m.add_argument("--mode", default="residue", choices=["residue", "series", "quadrature"])
+    m.add_argument("--contour", default=None, help="r=<radius>[,q=<points>], case C only")
+    m.add_argument("--mode", default=None, choices=["residue", "series", "quadrature"],
+                   help="how to evaluate --contour (default residue)")
     m.add_argument("--trunc", type=int, default=60)
     m.set_defaults(func=cmd_multipoint)
 

@@ -602,22 +602,21 @@ def rf(value: Scalar) -> RationalFn:
 # ---------------------------------------------------------------------------
 
 
-def h_prefix(k: int, alphabet: Sequence[Scalar]) -> list:
-    """[h_0, ..., h_k] of a finite alphabet (complete homogeneous)."""
+def h_prefix(k: int, xs: Sequence[Scalar], ys: Sequence[Scalar] = ()) -> list:
+    """[h_0(x/y), ..., h_k(x/y)] of the two-alphabet pair x/y.
+
+    The generating function is prod_y (1 - y t) / prod_x (1 - x t): the
+    complete homogeneous prefix of ``xs``, multiplied in place by
+    (1 - y t) for each y.  With ``ys`` empty these are the plain h_i(x).
+    """
     h = [1] + [0] * k
-    for a in alphabet:
+    for x in xs:
         for i in range(1, k + 1):
-            h[i] = h[i] + a * h[i - 1]
+            h[i] = h[i] + x * h[i - 1]
+    for y in ys:
+        for i in range(k, 0, -1):
+            h[i] = h[i] - y * h[i - 1]
     return h
-
-
-def e_prefix(k: int, alphabet: Sequence[Scalar]) -> list:
-    """[e_0, ..., e_k] of a finite alphabet (elementary)."""
-    e = [1] + [0] * k
-    for a in alphabet:
-        for i in range(min(k, len(alphabet)), 0, -1):
-            e[i] = e[i] + a * e[i - 1]
-    return e
 
 
 def supersym_h(m: int, xs: Sequence[Scalar], ys: Sequence[Scalar]):
@@ -625,82 +624,29 @@ def supersym_h(m: int, xs: Sequence[Scalar], ys: Sequence[Scalar]):
 
     Zero for m < 0, one for m = 0.
     """
-    if m < 0:
-        return 0
-    if m == 0:
-        return 1
-    hs = h_prefix(m, xs)
-    es = e_prefix(m, ys)
-    total = 0
-    for k in range(m + 1):
-        term = hs[k] * es[m - k]
-        total = total + (term if (m - k) % 2 == 0 else -term)
-    return total
+    return h_prefix(m, xs, ys)[m] if m >= 0 else 0
 
 
 def supersym_e(m: int, xs: Sequence[Scalar], ys: Sequence[Scalar]):
-    """e_m of the pair x/y: sum (-1)^{m-k} e_k(x) h_{m-k}(y)."""
-    if m < 0:
-        return 0
-    if m == 0:
-        return 1
-    es = e_prefix(m, xs)
-    hs = h_prefix(m, ys)
-    total = 0
-    for k in range(m + 1):
-        term = es[k] * hs[m - k]
-        total = total + (term if (m - k) % 2 == 0 else -term)
-    return total
+    """e_m of the pair x/y: sum (-1)^{m-k} e_k(x) h_{m-k}(y).
 
-
-class ThetaSum(NamedTuple):
-    value: object
-    trunc: int
-
-
-def theta_h(m: int, xs: Sequence[Scalar], ys: Sequence[Scalar], trunc: int) -> ThetaSum:
-    """Difference-indexed convolution sum_{a-b=m} h_a(xs) h_b(ys), both
-    indices capped at ``trunc``.  These sums can have infinitely many
-    nonzero terms, so the truncation level is part of the result.
-    """
-    if trunc < max(m, 0):
-        raise ValueError(f"trunc={trunc} below max(m,0)={max(m, 0)}")
-    value = theta_h_pair(m, (xs, ()), (ys, ()), trunc)
-    return ThetaSum(value, trunc)
+    By the involution omega, e_m(x/y) = h_m((-y)/(-x)): both have the
+    generating function prod_x (1 + x t) / prod_y (1 + y t)."""
+    return supersym_h(m, [-y for y in ys], [-x for x in xs])
 
 
 def theta_h_pair(m: int, top: tuple, bottom: tuple, trunc: int):
     """sum_{a-b=m, max(a,b)<=trunc} h_a(x1/y1) h_b(x2/y2) with supersym
-    pairs in both slots."""
-    xs1, ys1 = top
-    xs2, ys2 = bottom
+    pairs ``top`` = (x1, y1) and ``bottom`` = (x2, y2).  These sums can
+    have infinitely many nonzero terms, so ``trunc`` caps both indices."""
+    if abs(m) > trunc:
+        return 0
+    ht = h_prefix(min(trunc, trunc + m), *top)
+    hb = h_prefix(min(trunc, trunc - m), *bottom)
     total = 0
-    a0 = max(m, 0)
-    for a in range(a0, trunc + 1):
-        b = a - m
-        if b > trunc:
-            break
-        total = total + supersym_h(a, xs1, ys1) * supersym_h(b, xs2, ys2)
+    for a in range(max(m, 0), len(ht)):
+        total = total + ht[a] * hb[a - m]
     return total
-
-
-def theta_e_pair(m: int, top: tuple, bottom: tuple, trunc: int):
-    xs1, ys1 = top
-    xs2, ys2 = bottom
-    total = 0
-    a0 = max(m, 0)
-    for a in range(a0, trunc + 1):
-        b = a - m
-        if b > trunc:
-            break
-        total = total + supersym_e(a, xs1, ys1) * supersym_e(b, xs2, ys2)
-    return total
-
-
-def theta_e(m: int, xs: Sequence[Scalar], ys: Sequence[Scalar], trunc: int) -> ThetaSum:
-    if trunc < max(m, 0):
-        raise ValueError(f"trunc={trunc} below max(m,0)={max(m, 0)}")
-    return ThetaSum(theta_e_pair(m, (xs, ()), (ys, ()), trunc), trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ are exact.  Blocking cases (C, canonical) use difference-indexed theta
 sums (series mode, truncated with a geometric tail bound) and an
 alternative contour form whose entries are evaluated exactly by residues;
 trapezoidal quadrature on the circle is the failure-independent
-cross-check.  Case B's theta-e entries terminate and are exact.
+cross-check.  Case B's entries are the same theta sums with top alphabet
+0/(-x): h_a(0/(-x)) = e_a(x) vanishes for a > n, so they terminate and
+are exact.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .exactalg import perm_sign, reciprocal, supersym_e, supersym_h, theta_e_pair, theta_h_pair
+from .exactalg import h_prefix, perm_sign, reciprocal, supersym_e, supersym_h, theta_h_pair
 from .kernels import CaseId, KernelTable, ParamBinding, chain
 from .partitions import Partition
 
@@ -38,6 +40,9 @@ class MultiPointQuery:
         want = "le" if self.case.pushing else "ge"
         if self.direction != want:
             raise ValueError(f"case {self.case} uses direction {want!r}")
+
+
+MAX_QUADRATURE_POINTS = 2**14
 
 
 @dataclass
@@ -125,7 +130,7 @@ def mp_blocking_series(query: MultiPointQuery, trunc: int = 60):
 
     Entries are the annulus Laurent expansions of the contour form: the
     first row carries the first particle's geometric factor, the others
-    supersymmetric beta prefixes.  Case B's e-sums terminate (exact);
+    supersymmetric beta prefixes.  Case B's sums terminate (exact);
     geometric cases truncate at ``trunc`` with a geometric tail bound.
     The canonical process inserts the position window of -alpha letters.
     Returns (value, tail_bound)."""
@@ -138,38 +143,28 @@ def mp_blocking_series(query: MultiPointQuery, trunc: int = 60):
     )
     n = query.n
     xs = [b.x_of(i) for i in range(1, n + 1)]
+    if case not in (CaseId.B, CaseId.C, CaseId.CANONICAL_C):
+        raise ValueError(case)
+    # case B's top alphabet is 0/(-x): h_a(0/(-x)) = e_a(x) vanishes beyond
+    # a = n, so its sums terminate and the cap below keeps every nonzero term
+    top = ((), [-x for x in xs]) if case is CaseId.B else (xs, ())
     rows = []
     for i in range(1, ell + 1):
         row = []
         for j in range(1, ell + 1):
             m = nu.part(i) - mu.part(j) - i + j
-            if case in (CaseId.C, CaseId.CANONICAL_C):
-                window = []
-                if case is CaseId.CANONICAL_C:
-                    window = [-b.alpha_of(k) for k in range(mu.part(j), nu.part(i))]
-                if i == 1:
-                    bot = (
-                        window + [b.rate(1)] + [_beta_of(b, k) for k in range(1, j)],
-                        (),
-                    )
-                else:
-                    bot = (
-                        window + [_beta_of(b, k) for k in range(1, j)],
-                        [_beta_of(b, k) for k in range(1, i - 1)],
-                    )
-                row.append(theta_h_pair(m, (xs, ()), bot, trunc))
-            elif case is CaseId.B:
-                alpha_of = lambda k: b.rate(k + 1)
-                if i == 1:
-                    bot = ([b.rate(1)] + [alpha_of(k) for k in range(1, j)], ())
-                else:
-                    bot = (
-                        [alpha_of(k) for k in range(1, j)],
-                        [alpha_of(k) for k in range(1, i - 1)],
-                    )
-                row.append(_theta_e_h_pair(m, xs, bot, trunc))
+            window = []
+            if case is CaseId.CANONICAL_C:
+                window = [-b.alpha_of(k) for k in range(mu.part(j), nu.part(i))]
+            if i == 1:
+                bot = (window + [b.rate(1)] + [_beta_of(b, k) for k in range(1, j)], ())
             else:
-                raise ValueError(case)
+                bot = (
+                    window + [_beta_of(b, k) for k in range(1, j)],
+                    [_beta_of(b, k) for k in range(1, i - 1)],
+                )
+            cap = n - min(m, 0) if case is CaseId.B else trunc
+            row.append(theta_h_pair(m, top, bot, cap))
         rows.append(row)
     det = det_exact(rows)
     pref = Frac(1)
@@ -203,22 +198,6 @@ def mp_blocking_series(query: MultiPointQuery, trunc: int = 60):
     return value, bound
 
 
-def _theta_e_h_pair(m: int, xs, bot: tuple, trunc: int):
-    """sum_{a-b=m} e_a(xs) h_b(top/bottom): the Bernoulli analog, which
-    terminates because e_a vanishes beyond the alphabet size."""
-    top_b, bot_b = bot
-    total = 0
-    a0 = max(m, 0)
-    for a in range(a0, max(trunc, len(xs)) + 1):
-        if a > len(xs):
-            break
-        b_idx = a - m
-        if b_idx < 0:
-            continue
-        total = total + supersym_e(a, xs, ()) * supersym_h(b_idx, top_b, bot_b)
-    return total
-
-
 def mp_event_sum(query: MultiPointQuery, cap: int = 12):
     """Brute-force reference: sum exact kernels over the event set.
     Returns (value, tail_bound); the bound is the kernel mass outside the
@@ -249,37 +228,6 @@ class SingularParameterError(ValueError):
     pass
 
 
-def _series_inverse_prod(roots: Sequence[Frac], xs: Sequence[Frac], order: int):
-    """Power series coefficients of 1/(prod_k (1 - w/c_k) * prod_m (1 - x_m w))
-    through w^order, exact."""
-    coeffs = [Frac(1)] + [Frac(0)] * order
-    for c in roots:
-        inv = Frac(1) / c
-        # multiply by 1/(1 - w/c) = sum (w/c)^s
-        new = [Frac(0)] * (order + 1)
-        acc = Frac(0)
-        for s in range(order + 1):
-            acc = coeffs[s] + acc * inv
-            new[s] = acc
-        coeffs = new
-    for x in xs:
-        new = [Frac(0)] * (order + 1)
-        acc = Frac(0)
-        for s in range(order + 1):
-            acc = coeffs[s] + acc * Frac(x)
-            new[s] = acc
-        coeffs = new
-    return coeffs
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [Frac(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def contour_entry_residue(
     num_roots: Sequence[Frac],
     den_roots: Sequence[Frac],
@@ -296,16 +244,13 @@ def contour_entry_residue(
         if c in den:
             num.remove(c)
             den.remove(c)
-    # (1 - c/w) = (w - c)/w; zero roots fold into the power of w
-    zero_num = sum(1 for c in num if c == 0)
-    zero_den = sum(1 for c in den if c == 0)
+    # (1 - c/w) = (w - c)/w, and a zero root gives the factor 1
     num = [c for c in num if c != 0]
     den = [c for c in den if c != 0]
-    E = power + 1 + (len(num) + zero_num) - (len(den) + zero_den) - zero_num + zero_den
-    # w-polynomial for the numerator product
-    P = [Frac(1)]
-    for c in num:
-        P = _poly_mul(P, [-c, Frac(1)])
+    E = power + 1 + len(num) - len(den)
+    # prod(w - c: num) by ascending powers of w: its coefficients are
+    # those of prod(1 - c t) = h(0/num) reversed
+    P = h_prefix(len(num), (), num)[::-1]
     if len(set(den)) != len(den):
         raise SingularParameterError("coinciding denominator roots")
     total = Frac(0)
@@ -326,12 +271,11 @@ def contour_entry_residue(
     # [w^{E-1}] P(w) / (prod(w - c) * prod(1 - x w)), with
     # prod(w - c) = prod(-c) * prod(1 - w/c)
     if E > 0:
-        inv = _series_inverse_prod(den, xs, E - 1)
+        # [w^s] 1/(prod(1 - w/c) * prod(1 - x w)) is h_s of {1/c} and {x}
+        inv = h_prefix(E - 1, [Frac(1) / c for c in den] + [Frac(x) for x in xs])
         coeff = Frac(0)
-        for s, p in enumerate(P):
-            idx = E - 1 - s
-            if 0 <= idx <= E - 1:
-                coeff += p * inv[idx]
+        for s, p in enumerate(P[:E]):
+            coeff += p * inv[E - 1 - s]
         scale = Frac(1)
         for c in den:
             scale = scale * (-c)
@@ -416,7 +360,7 @@ def _contour_quadrature(num, den, xs, power, contour: ContourSpec):
 
     points = contour.points
     prev = None
-    while points <= 2**14:
+    while points <= MAX_QUADRATURE_POINTS:
         acc = 0j
         for s in range(points):
             w = r * cmath.exp(2j * cmath.pi * s / points)
@@ -525,28 +469,14 @@ def _exp_contour_residue(num, den, power, t, form: str):
             num.remove(c)
             den.remove(c)
     if form == "lin":
-        order = power
-        if order < 0:
+        if power < 0:
             return mp.mpf(0)
-        # coefficient of w^order in e^{tw} prod(1 - cw: num)/prod(1 - cw: den)
-        series = [t**s / mp.factorial(s) for s in range(order + 1)]
-        for c in num:
-            new = [mp.mpf(0)] * (order + 1)
-            for s in range(order + 1):
-                new[s] = series[s] - (c * series[s - 1] if s >= 1 else 0)
-            series = new
-        for c in den:
-            new = [mp.mpf(0)] * (order + 1)
-            acc = mp.mpf(0)
-            for s in range(order + 1):
-                acc = series[s] + acc * c
-                new[s] = acc
-            series = new
-        return series[order]
+        # [w^power] e^{tw} prod(1 - cw: num)/prod(1 - cw: den); the product
+        # is the h series of the pair den/num
+        hs = h_prefix(power, den, num)
+        return sum(t**s / mp.factorial(s) * hs[power - s] for s in range(power + 1))
 
-    zero_den = sum(1 for c in den if c == 0)
     den = [c for c in den if c != 0]
-    zero_num = sum(1 for c in num if c == 0)
     num = [c for c in num if c != 0]
     E = power + 1 + len(num) - len(den)
     total = mp.mpf(0)
@@ -559,24 +489,11 @@ def _exp_contour_residue(num, den, power, t, form: str):
                 val /= c - c2
         total += val / c**E
     if E > 0:
-        # coefficient of w^{E-1} in e^{tw} * prod(w - c: num) / prod(w - c: den)
-        order = E - 1
-        series = [t**s / mp.factorial(s) for s in range(order + 1)]
-        for c in num:
-            new = [mp.mpf(0)] * (order + 1)
-            for s in range(order + 1):
-                new[s] = -c * series[s] + (series[s - 1] if s >= 1 else 0)
-            series = new
-        for c in den:
-            # divide by (w - c) = -c (1 - w/c)
-            new = [mp.mpf(0)] * (order + 1)
-            acc = mp.mpf(0)
-            inv = 1 / c
-            for s in range(order + 1):
-                acc = series[s] + acc * inv
-                new[s] = acc
-            series = [v * (-inv) for v in new]
-        total += series[order]
+        # [w^{E-1}] e^{tw} prod(w - c: num)/prod(w - c: den); the product is
+        # prod(-c: num)/prod(-c: den) times the h series of {1/c: den}/{1/c: num}
+        hs = h_prefix(E - 1, [1 / c for c in den], [1 / c for c in num])
+        scale = mp.fprod(-c for c in num) / mp.fprod(-c for c in den)
+        total += scale * sum(t**s / mp.factorial(s) * hs[E - 1 - s] for s in range(E))
     return total
 
 

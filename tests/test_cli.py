@@ -158,6 +158,62 @@ def test_multipoint_cli(params_file):
     assert 0 <= out["payload"]["value_float"] <= 1
 
 
+MP_C = ["--case", "C", "--dir", "ge"]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        pytest.param(MP_C + ["--contour", "3"], id="contour-without-r"),
+        pytest.param(MP_C + ["--contour", "r=abc"], id="contour-bad-radius"),
+        pytest.param(MP_C + ["--contour", "r=3,q=0"], id="contour-zero-points"),
+        pytest.param(MP_C + ["--contour", "r=3,s=8"], id="contour-unknown-field"),
+        pytest.param(["--case", "A", "--dir", "le", "--contour", "r=3"], id="contour-case-A"),
+        pytest.param(["--case", "B", "--dir", "ge", "--contour", "r=3"], id="contour-case-B"),
+        pytest.param(["--case", "D", "--dir", "le", "--contour", "r=3"], id="contour-case-D"),
+        pytest.param(["--case", "CanonicalC", "--dir", "ge", "--contour", "r=3"],
+                     id="contour-case-CanonicalC"),
+        pytest.param(MP_C + ["--mode", "residue"], id="mode-without-contour"),
+    ],
+)
+def test_multipoint_usage_errors(params_file, extra):
+    proc = run_cli(
+        "multipoint", *extra, "--thresholds", "[2,1]", "--start", "[]", "--n", "2",
+        "--ell", "2", "--params", params_file, check=False,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "usage"
+
+
+def test_multipoint_contour_defaults_to_residue(params_file):
+    base = ["multipoint", *MP_C, "--thresholds", "[2,1]", "--start", "[]", "--n", "2",
+            "--ell", "2", "--params", params_file]
+    series = json.loads(run_cli(*base).stdout)["payload"]
+    residue = json.loads(run_cli(*base, "--contour", "r=3").stdout)["payload"]
+    assert residue["error_bound"] == 0.0
+    assert abs(residue["value_float"] - series["value_float"]) <= series["error_bound"] + 1e-12
+
+
+ALPHA = '{"form": "constant", "value": "1/10"}'
+
+
+@pytest.mark.parametrize(
+    "extra,code",
+    [
+        pytest.param(["--case", "CanonicalC", "--alpha", ALPHA], 0, id="alpha-CanonicalC"),
+        # sample has no way to set beta: CanonicalB would silently run case B
+        pytest.param(["--case", "CanonicalB"], 1, id="CanonicalB"),
+        pytest.param(["--case", "C", "--alpha", ALPHA], 1, id="alpha-case-C"),
+        pytest.param(["--continuous", "--t", "1", "--alpha", ALPHA], 1, id="alpha-continuous"),
+    ],
+)
+def test_sample_inputs_it_cannot_read(extra, code):
+    proc = run_cli("sample", "--ell", "3", "--n", "2", "--seed", "1", *extra, check=False)
+    assert proc.returncode == code
+    if code:
+        assert json.loads(proc.stderr)["error"] == "usage"
+
+
 def test_version_prints_convention_fingerprint():
     proc = run_cli("--version", check=False)
     assert "alpha_by_column+geometric_descending" in proc.stdout

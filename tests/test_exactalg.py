@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction as F
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,11 @@ from ktasep.exactalg import (
     NotSymmetricError,
     omega_on_expansion,
     schur_expand,
+    h_prefix,
     schur_poly,
     supersym_e,
     supersym_h,
-    theta_h,
+    theta_h_pair,
 )
 from ktasep.partitions import Partition
 
@@ -84,6 +87,7 @@ def test_supersym_examples():
     x1, x2, y1 = X(1), X(2), P(1)
     assert supersym_h(0, [x1], [y1]) == 1
     assert supersym_h(-2, [x1], [y1]) == 0
+    assert supersym_e(-1, [x1], [y1]) == 0
     assert supersym_h(1, [x1], [y1]) == x1 - y1
     assert supersym_e(2, [x1, x2], [y1]) == x1 * x2 - (x1 + x2) * y1 + y1 * y1
 
@@ -98,14 +102,40 @@ def test_supersym_cancellation():
 def test_theta_examples():
     x, y = X(1), P(1)
     # empty Y collapses to plain h
-    t = theta_h(2, [x], [], 5)
-    assert t.value == x * x
-    t0 = theta_h(0, [], [y], 3)
-    assert t0.value == 1
-    t = theta_h(-1, [x], [y], 4)
-    assert t.value == y + x * y**2 + x**2 * y**3 + x**3 * y**4
-    with pytest.raises(ValueError):
-        theta_h(3, [x], [y], 2)
+    assert theta_h_pair(2, ([x], ()), ([], ()), 5) == x * x
+    assert theta_h_pair(0, ([], ()), ([y], ()), 3) == 1
+    assert theta_h_pair(-1, ([x], ()), ([y], ()), 4) == y + x * y**2 + x**2 * y**3 + x**3 * y**4
+
+
+# Brute-force symmetric functions, independent of the prefix recurrence:
+# h_k sums over multisets of k letters, e_k over k-subsets.
+def _h(k, xs):
+    return sum((math.prod(c) for c in combinations_with_replacement(xs, k)), F(0))
+
+
+def _e(k, xs):
+    return sum((math.prod(c) for c in combinations(xs, k)), F(0))
+
+
+alphabet = st.lists(st.fractions(-3, 3, max_denominator=5), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alphabet, alphabet, st.integers(0, 5), st.integers(-5, 5))
+def test_prefix_builder_against_brute_force(xs, ys, m, d):
+    textbook_h = [
+        sum((-1) ** j * _h(k - j, xs) * _e(j, ys) for j in range(k + 1)) for k in range(m + 1)
+    ]
+    assert h_prefix(m, xs, ys) == textbook_h
+    assert h_prefix(m, xs) == [_h(k, xs) for k in range(m + 1)]
+    assert supersym_h(m, xs, ys) == textbook_h[m]
+    assert supersym_e(m, xs, ys) == sum(
+        (-1) ** j * _e(m - j, xs) * _h(j, ys) for j in range(m + 1)
+    )
+    # theta sum: both indices capped at 4
+    assert theta_h_pair(d, (xs, ()), (ys, ()), 4) == sum(
+        _h(a, xs) * _h(a - d, ys) for a in range(max(d, 0), min(4, 4 + d) + 1)
+    )
 
 
 def test_schur_expand_examples():

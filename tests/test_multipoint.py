@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -120,6 +121,36 @@ def test_blocking_event_sums():
                         assert v == ev
                     else:
                         assert abs(float(v - ev)) <= float(tail) + float(bound) + 1e-25
+
+
+# sha256 of repr() of the exact values of _pinned_values().  Every entry of
+# these determinants is exact, so a rewrite of the h/e prefixes, theta sums
+# and contour residues behind them must leave it unchanged; the blocking
+# values are otherwise only compared within tail bounds.
+VALUES_DIGEST = "19b97e619ab3a969fb39236a117b4e40325fc1f76a8a6edc672f270d9829054f"
+
+
+def _pinned_values():
+    alpha = lambda k: F(1, 4 + k) if k >= 1 else F(0)
+    out = []
+    for n in (1, 2):
+        b = ParamBinding.numeric(x=[F(1, 10), F(1, 12)][:n], rates=RATES, alpha=alpha)
+        for ell in (2, 3):
+            for start in (P_([]), P_([1])):
+                for thr in (P_([1]), P_([2, 1]), P_([2, 2, 1])):
+                    q = lambda case, d: MultiPointQuery(case, d, n, thr, start, ell, b)
+                    out.append(mp_pushing(q(CaseId.A, "le")))
+                    out.append(mp_pushing(q(CaseId.D, "le")))
+                    out.append(mp_blocking_series(q(CaseId.B, "ge"), 20)[0])
+                    out.append(mp_blocking_series(q(CaseId.C, "ge"), 20)[0])
+                    out.append(mp_canonical(q(CaseId.CANONICAL_C, "ge"), 20)[0])
+                    out.append(mp_blocking_contour(q(CaseId.C, "ge")))
+    return out
+
+
+def test_multipoint_values_pinned():
+    digest = hashlib.sha256(repr(_pinned_values()).encode()).hexdigest()
+    assert digest == VALUES_DIGEST
 
 
 def test_blocking_series_vs_contour_modes():
