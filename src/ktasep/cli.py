@@ -48,6 +48,13 @@ def _parse_partition(text: str) -> Partition:
         raise UsageError(f"bad partition {text!r}: {exc}") from exc
 
 
+def _parse_case(text: str) -> CaseId:
+    try:
+        return parse_case(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _parse_rational(v) -> Frac:
     if isinstance(v, str):
         return Frac(v)
@@ -128,7 +135,7 @@ def emit(obj) -> None:
 
 
 def cmd_kernel(args) -> int:
-    case = parse_case(args.case)
+    case = _parse_case(args.case)
     mu = _parse_partition(args.mu)
     binding = load_params(args.params, args.n, args.ell)
     binding.check_admissible(case, args.ell)
@@ -151,7 +158,9 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_multipoint(args) -> int:
-    case = parse_case(args.case)
+    case = _parse_case(args.case)
+    if case is CaseId.CANONICAL_B:
+        raise UsageError("multipoint has no determinant formula for case CanonicalB")
     thr = _parse_partition(args.thresholds)
     start = _parse_partition(args.start)
     contour = None
@@ -195,7 +204,7 @@ def _parse_contour(text: str, mode: str) -> mpmod.ContourSpec:
 
 
 def cmd_sample(args) -> int:
-    case = parse_case(args.case) if not args.continuous else CaseId.C
+    case = _parse_case(args.case) if not args.continuous else CaseId.C
     if args.alpha and case is not CaseId.CANONICAL_C:
         raise UsageError("--alpha is read only by the discrete --case CanonicalC")
     if case is CaseId.CANONICAL_B:

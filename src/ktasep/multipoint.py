@@ -45,6 +45,15 @@ class MultiPointQuery:
 MAX_QUADRATURE_POINTS = 2**14
 
 
+def _check_quadrature_points(points: int) -> None:
+    """The trapezoidal rules start at ``points`` and double it up to the cap."""
+    if not 1 <= points <= MAX_QUADRATURE_POINTS:
+        raise ValueError(
+            f"quadrature needs 1 <= points <= MAX_QUADRATURE_POINTS "
+            f"({MAX_QUADRATURE_POINTS}), got {points}"
+        )
+
+
 @dataclass
 class ContourSpec:
     radius: Frac
@@ -299,6 +308,8 @@ def mp_blocking_contour(query: MultiPointQuery, contour: ContourSpec | None = No
     xs = [b.x_of(i) for i in range(1, n + 1)]
     if contour is not None:
         _validate_radius(contour, b, ell, n)
+        if contour.mode == "quadrature":
+            _check_quadrature_points(contour.points)
     betas = [_beta_of(b, k) for k in range(1, ell)]
     rows = []
     for i in range(1, ell + 1):
@@ -422,6 +433,8 @@ def continuous_kernel(
     evaluate the determinant at shifted, non-partition sequences."""
     if case not in (CaseId.A, CaseId.C):
         raise ValueError("continuous limit implemented for cases A and C")
+    if mode == "quadrature":
+        _check_quadrature_points(quad_points)
     lam_seq = list(lam.padded(ell)) if isinstance(lam, Partition) else list(lam) + [0] * (ell - len(lam))
     with mp.workdps(dps):
         tt = mp.mpf(str(t))
@@ -505,7 +518,7 @@ def _exp_contour_quadrature(num, den, power, t, points, form: str):
         radius = (mp.mpf(1) / max(nonzero)) / 2 if nonzero else mp.mpf(1)
     prev = None
     pts = points
-    while pts <= 2**14:
+    while pts <= MAX_QUADRATURE_POINTS:
         acc = mp.mpc(0)
         for s in range(pts):
             w = radius * mp.e ** (2j * mp.pi * s / pts)

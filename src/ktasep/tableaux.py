@@ -19,6 +19,7 @@ formal power series.  Two exact treatments are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator
 
@@ -86,6 +87,44 @@ def _beta_var(row: int, col: int, convention: IndexConvention) -> VarId:
     return VarId("B", col)
 
 
+def _corner_floor(tops: dict, r: int, c: int) -> int:
+    """Least corner value for cell (r, c), given the largest entry of each
+    filled cell: rows are weak past the left neighbour, columns strict
+    past the cell above."""
+    return max(1, tops.get((r, c - 1), 1), tops.get((r - 1, c), 0) + 1)
+
+
+def hook_entries(
+    lo: int,
+    n: int,
+    arm_mode: str,
+    legs_on: bool,
+    budget: int | None = None,
+) -> Iterator[HookEntry]:
+    """Every one-cell hook filling with corner >= lo and entries <= n.
+
+    ``off``: no arm; ``resummed``: arms are support sets in [corner, n];
+    ``series``: arms are multisets, and the filling holds at most
+    ``budget`` entries in all."""
+    for v in range(lo, n + 1):
+        leg_pool = range(v + 1, n + 1) if legs_on else range(0)
+        for legsize in range(0, n - v + 1 if legs_on else 1):
+            for leg in combinations(leg_pool, legsize):
+                if arm_mode == "off":
+                    yield HookEntry(v, (), leg)
+                elif arm_mode == "resummed":
+                    pool = list(range(v, n + 1))
+                    for supsize in range(0, len(pool) + 1):
+                        for sup in combinations(pool, supsize):
+                            yield HookEntry(v, sup, leg)
+                else:
+                    room = budget - 1 - legsize
+                    if room < 0:
+                        continue
+                    for arm in _multisets_up_to(v, n, room):
+                        yield HookEntry(v, arm, leg)
+
+
 def iter_hook_tableaux(
     shape: SkewShape,
     n: int,
@@ -104,50 +143,23 @@ def iter_hook_tableaux(
     if arm_mode == "series" and cutoff is None:
         raise ValueError("series arm_mode requires an explicit cutoff")
     cells = shape.cells()
-    if not cells:
-        yield HookTableau(shape, ())
-        return
-
     filled: dict = {}
-
-    def entries_budget() -> int:
-        return sum(h.size() for h in filled.values())
-
-    def cell_choices(r: int, c: int) -> Iterator[HookEntry]:
-        left = filled.get((r, c - 1))
-        up = filled.get((r - 1, c))
-        lo = 1
-        if left is not None:
-            lo = max(lo, left.max_entry())
-        if up is not None:
-            lo = max(lo, up.max_entry() + 1)
-        for v in range(lo, n + 1):
-            leg_pool = range(v + 1, n + 1) if legs_on else range(0)
-            for legsize in range(0, n - v + 1 if legs_on else 1):
-                for leg in combinations(leg_pool, legsize):
-                    if arm_mode == "off":
-                        yield HookEntry(v, (), leg)
-                    elif arm_mode == "resummed":
-                        pool = list(range(v, n + 1))
-                        for supsize in range(0, len(pool) + 1):
-                            for sup in combinations(pool, supsize):
-                                yield HookEntry(v, sup, leg)
-                    else:
-                        room = cutoff - entries_budget() - 1 - legsize
-                        if room < 0:
-                            continue
-                        for arm in _multisets_up_to(v, n, room):
-                            yield HookEntry(v, arm, leg)
+    tops: dict = {}
 
     def rec(i: int) -> Iterator[HookTableau]:
         if i == len(cells):
             yield HookTableau(shape, tuple(sorted(filled.items())))
             return
         r, c = cells[i]
-        for entry in cell_choices(r, c):
+        budget = None
+        if arm_mode == "series":
+            budget = cutoff - sum(h.size() for h in filled.values())
+        for entry in hook_entries(_corner_floor(tops, r, c), n, arm_mode, legs_on, budget):
             filled[(r, c)] = entry
+            tops[(r, c)] = entry.max_entry()
             yield from rec(i + 1)
-            del filled[(r, c)]
+        filled.pop((r, c), None)
+        tops.pop((r, c), None)
 
     yield from rec(0)
 
@@ -167,29 +179,73 @@ def _multisets_up_to(lo: int, hi: int, maxlen: int) -> Iterator[tuple[int, ...]]
     yield from rec(lo, maxlen, [])
 
 
+def hook_entry_weight(entry: HookEntry, avar: VarId, bvar: VarId, arm_mode: str) -> Scalar:
+    """Weight of one cell's filling: x per entry, (-beta) per leg entry,
+    (-alpha) per arm copy; resummed arms contribute -a*x/(1+a*x) per
+    support element."""
+    weight: Scalar = X(entry.corner)
+    for l in entry.leg:
+        weight = weight * (-LaurentPoly.var(bvar)) * X(l)
+    for a in entry.arm:
+        ax = LaurentPoly.var(avar) * X(a)
+        if arm_mode == "resummed":
+            weight = weight * RationalFn.from_den_factor(1 + ax) * (-ax)
+        else:
+            weight = weight * (-ax)
+    return weight
+
+
 def hook_tableau_weight(
     t: HookTableau,
     convention: IndexConvention,
     arm_mode: str,
 ) -> Scalar:
-    """Weight of one hook tableau: x per entry, (-alpha) per arm copy,
-    (-beta) per leg entry; resummed arms contribute -a*x/(1+a*x) per
-    support element."""
+    """Weight of one hook tableau: the product of its cells' weights."""
     weight: Scalar = LaurentPoly.const(1)
     for (r, c), entry in t.cells:
-        weight = weight * X(entry.corner)
-        bvar = _beta_var(r, c, convention)
-        for l in entry.leg:
-            weight = weight * (-LaurentPoly.var(bvar)) * X(l)
-        avar = _alpha_var(r, c, convention)
-        if arm_mode == "resummed":
-            for a in entry.arm:
-                ax = LaurentPoly.var(avar) * X(a)
-                weight = weight * RationalFn.from_den_factor(1 + ax) * (-ax)
-        else:
-            for a in entry.arm:
-                weight = weight * (-LaurentPoly.var(avar)) * X(a)
+        avar, bvar = _alpha_var(r, c, convention), _beta_var(r, c, convention)
+        weight = weight * hook_entry_weight(entry, avar, bvar, arm_mode)
     return weight
+
+
+@lru_cache(maxsize=None)
+def _class_weights(
+    avar: VarId, bvar: VarId, lo: int, n: int, arm_mode: str, legs_on: bool
+) -> tuple:
+    """(m, W) pairs: W sums the weights of the cell fillings with corner
+    >= lo and largest entry m.  A neighbouring cell sees only m."""
+    classes: dict = {}
+    for entry in hook_entries(lo, n, arm_mode, legs_on):
+        m = entry.max_entry()
+        w = hook_entry_weight(entry, avar, bvar, arm_mode)
+        classes[m] = w + classes[m] if m in classes else w
+    return tuple(sorted(classes.items()))
+
+
+def _class_sum(
+    shape: SkewShape, n: int, arm_mode: str, legs_on: bool, convention: IndexConvention
+) -> Scalar:
+    """Sum of hook tableau weights, branching per cell on the largest entry
+    only: at most n^cells products of class weights."""
+    cells = shape.cells()
+    tops: dict = {}
+    total: Scalar = LaurentPoly.zero()
+
+    def rec(i: int, prefix: Scalar) -> None:
+        nonlocal total
+        if i == len(cells):
+            total = prefix + total
+            return
+        r, c = cells[i]
+        avar, bvar = _alpha_var(r, c, convention), _beta_var(r, c, convention)
+        lo = _corner_floor(tops, r, c)
+        for m, w in _class_weights(avar, bvar, lo, n, arm_mode, legs_on):
+            tops[(r, c)] = m
+            rec(i + 1, prefix * w)
+        tops.pop((r, c), None)
+
+    rec(0, LaurentPoly.const(1))
+    return total
 
 
 def gen_G(
@@ -204,14 +260,17 @@ def gen_G(
     """Canonical Grothendieck generating function of a skew shape in
     x_1..x_n.  With alpha_on=False this is the set-valued G; with
     beta_on=False the multiset-valued J (a power series: exact only in
-    resummed mode or through the series cutoff)."""
+    resummed mode or through the series cutoff).
+
+    Exact modes sum per-cell classes keyed by largest entry; series mode
+    sums tableau by tableau, because its cutoff caps the whole tableau."""
     if not alpha_on:
-        arm_mode = "off"
-    else:
-        arm_mode = "resummed" if resummed else "series"
+        return _class_sum(shape, n, "off", beta_on, convention)
+    if resummed:
+        return _class_sum(shape, n, "resummed", beta_on, convention)
     total: Scalar = LaurentPoly.zero()
-    for t in iter_hook_tableaux(shape, n, arm_mode=arm_mode, legs_on=beta_on, cutoff=cutoff):
-        total = hook_tableau_weight(t, convention, arm_mode) + total
+    for t in iter_hook_tableaux(shape, n, arm_mode="series", legs_on=beta_on, cutoff=cutoff):
+        total = hook_tableau_weight(t, convention, "series") + total
     return total
 
 

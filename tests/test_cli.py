@@ -60,6 +60,15 @@ def test_usage_error_exit_code(params_file):
     assert err["error"] == "usage"
 
 
+def test_unknown_case_is_usage_error(params_file):
+    proc = run_cli(
+        "kernel", "--case", "Z", "--n", "1", "--mu", "[]", "--lambda", "[1]",
+        "--params", params_file, check=False,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr) == {"error": "usage", "message": "unknown case 'Z'"}
+
+
 def test_constraint_error_exit_code(tmp_path, params_file):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"x": ["3"], "pi": ["1/2", "1/2", "1/2", "1/2"]}))
@@ -174,6 +183,8 @@ MP_C = ["--case", "C", "--dir", "ge"]
         pytest.param(["--case", "CanonicalC", "--dir", "ge", "--contour", "r=3"],
                      id="contour-case-CanonicalC"),
         pytest.param(MP_C + ["--mode", "residue"], id="mode-without-contour"),
+        pytest.param(["--case", "Z", "--dir", "ge"], id="unknown-case"),
+        pytest.param(["--case", "CanonicalB", "--dir", "ge"], id="case-CanonicalB"),
     ],
 )
 def test_multipoint_usage_errors(params_file, extra):

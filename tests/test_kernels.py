@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -229,3 +230,27 @@ def test_admissibility_check(b1):
     bad = ParamBinding.numeric(x=[F(3)], rates=[F(1, 2)])
     with pytest.raises(ValueError):
         bad.check_admissible(CaseId.A, 1)
+
+
+# sha256 of repr() of kernel_tableau_route over the desk grid of
+# `ktasep validate --grid desk` (its binding, every case, n in {1, 2}, mu in
+# the 2x2 box, lam in the 3x3 box, ell = 3): the exact values must not move
+# when the tableau sums behind them are reorganised
+TABLEAU_ROUTE_DIGEST = "943d79a88c9f5073fbca1bf2e1f0b1cd57b245e642bf2110cfdb110650f98441"
+
+
+def test_tableau_route_values_pinned():
+    out = []
+    for case in CaseId:
+        for n in (1, 2):
+            b = ParamBinding.numeric(
+                x=[F(1, 10), F(1, 12)][:n],
+                rates=[F(1, 2), F(1, 3), F(1, 7), F(1, 5)],
+                alpha=lambda k: F(1, 4 + k) if k >= 1 else F(0),
+                beta_pos=lambda k: F(1, 6 + k) if k >= 1 else F(0),
+            )
+            for mu in partitions_in_box(2, 2):
+                for lam in partitions_in_box(3, 3):
+                    out.append(kernel_tableau_route(case, n, mu, lam, b, 3))
+    assert len(out) == 1440
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == TABLEAU_ROUTE_DIGEST

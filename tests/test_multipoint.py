@@ -6,6 +6,7 @@ import pytest
 from ktasep.exactalg import P, X, rf, schur_poly
 from ktasep.kernels import CaseId, ParamBinding, single_step_closed_form
 from ktasep.multipoint import (
+    MAX_QUADRATURE_POINTS,
     ContourSpec,
     MultiPointQuery,
     SingularParameterError,
@@ -237,3 +238,13 @@ def test_continuous_residue_vs_quadrature():
         v1 = continuous_kernel(case, 0.8, P_([]), P_([2, 1]), 2, [F(1), F(2, 3)], mode="residue")
         v2 = continuous_kernel(case, 0.8, P_([]), P_([2, 1]), 2, [F(1), F(2, 3)], mode="quadrature")
         assert abs(v1 - v2) < 1e-10
+
+
+def test_quadrature_points_above_cap():
+    # the doubling loops stop at the cap; a start above it is refused
+    with pytest.raises(ValueError, match=str(MAX_QUADRATURE_POINTS)):
+        continuous_kernel(CaseId.C, 0.8, P_([]), P_([1]), 1, [F(1)],
+                          mode="quadrature", quad_points=2**15)
+    q = MultiPointQuery(CaseId.C, "ge", 1, P_([1]), P_([]), 2, small_binding(1))
+    with pytest.raises(ValueError, match=str(MAX_QUADRATURE_POINTS)):
+        mp_blocking_contour(q, ContourSpec(radius=F(3), points=2**15, mode="quadrature"))

@@ -23,6 +23,7 @@ from ktasep.tableaux import (
     gen_flagged_schur,
     gen_g,
     gen_j,
+    hook_tableau_weight,
     iter_hook_tableaux,
 )
 
@@ -162,6 +163,31 @@ def test_branching_G_doubleslash():
                 inner_piece = gen_G_doubleslash(nu, mu, 1, False, True, CONV)
                 rhs = rhs + as_poly(outer_piece) * as_poly(inner_piece)
             assert as_poly(lhs) == rhs, (lam, mu)
+
+
+def _per_tableau_sum(shape, n, alpha_on, beta_on, convention):
+    """Reference for gen_G's class sum: one weight per enumerated tableau."""
+    arm_mode = "resummed" if alpha_on else "off"
+    total = LaurentPoly.zero()
+    for t in iter_hook_tableaux(shape, n, arm_mode=arm_mode, legs_on=beta_on):
+        total = hook_tableau_weight(t, convention, arm_mode) + total
+    return total
+
+
+@pytest.mark.parametrize("convention", list(IndexConvention), ids=lambda c: c.name)
+def test_class_sum_matches_per_tableau_sum(convention):
+    # each shape has a cell with both a left neighbour and a cell above it
+    shapes = [((2, 1), ()), ((2, 2), ()), ((3, 2), (1,)), ((3, 3), (2,)), ((2, 2, 1), (1,))]
+    for outer, inner in shapes:
+        shape = SkewShape(P_(outer), P_(inner))
+        for n in (1, 2):
+            for alpha_on in (False, True):
+                for beta_on in (False, True):
+                    want = _per_tableau_sum(shape, n, alpha_on, beta_on, convention)
+                    got = gen_G(shape, n, alpha_on, beta_on, convention)
+                    key = (outer, inner, n, alpha_on, beta_on)
+                    assert type(got) is type(want), key
+                    assert rf(got) == rf(want), key
 
 
 def test_series_mode_requires_cutoff():
