@@ -161,6 +161,9 @@ def cmd_multipoint(args) -> int:
     case = _parse_case(args.case)
     if case is CaseId.CANONICAL_B:
         raise UsageError("multipoint has no determinant formula for case CanonicalB")
+    want = mpmod.direction_of(case)
+    if args.dir != want:
+        raise UsageError(f"--dir {args.dir} contradicts case {case.value}, which uses --dir {want}")
     thr = _parse_partition(args.thresholds)
     start = _parse_partition(args.start)
     contour = None

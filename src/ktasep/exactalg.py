@@ -232,13 +232,6 @@ class LaurentPoly:
     def constant_term(self) -> Frac:
         return self.terms.get(_EMPTY_MONO, Frac(0))
 
-    def degree_in_family(self, family: str) -> int:
-        best = 0
-        for m in self.terms:
-            d = sum(e for v, e in m if v.family == family)
-            best = max(best, d)
-        return best
-
     def truncate_family_degree(self, family: str, cap: int) -> "LaurentPoly":
         """Drop terms whose total degree in ``family`` exceeds ``cap``."""
         out = {
@@ -781,10 +774,6 @@ def _x_exponents(mono: Monomial, n: int) -> tuple | None:
                 return None
             exps[v.index - 1] = e
     return tuple(exps)
-
-
-def _x_degree(mono: Monomial) -> int:
-    return sum(e for v, e in mono if v.family == "X")
 
 
 def schur_expand(f: LaurentPoly, n: int, degree_cap: int) -> SchurExpansion:

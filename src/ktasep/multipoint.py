@@ -26,6 +26,11 @@ from .kernels import CaseId, KernelTable, ParamBinding, chain
 from .partitions import Partition
 
 
+def direction_of(case: CaseId) -> str:
+    """The threshold direction a case's multi-point formula answers."""
+    return "le" if case.pushing else "ge"
+
+
 @dataclass
 class MultiPointQuery:
     case: CaseId
@@ -37,7 +42,7 @@ class MultiPointQuery:
     binding: ParamBinding
 
     def __post_init__(self):
-        want = "le" if self.case.pushing else "ge"
+        want = direction_of(self.case)
         if self.direction != want:
             raise ValueError(f"case {self.case} uses direction {want!r}")
 

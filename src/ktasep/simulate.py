@@ -215,7 +215,7 @@ def step_batch(
         else:
             v = config.rate(j) * xi
             if case is CaseId.CANONICAL_B:
-                beta_here = np.array([config.beta_pos_of(int(m)) for m in pos[:, col]])
+                beta_here = _at_positions(config.beta_pos_of, pos[:, col])
                 v_succ = (config.rate(j) + beta_here) * xi
             else:
                 v_succ = v
@@ -229,13 +229,23 @@ def step_batch(
     return pos
 
 
+def _at_positions(rate: Callable[[int], float], positions: np.ndarray) -> np.ndarray:
+    """``rate(k)`` for every entry k of the integer array ``positions``,
+    calling ``rate`` once per integer in [min, max], not once per entry."""
+    if positions.size == 0:
+        return np.zeros(0)
+    lo, hi = int(positions.min()), int(positions.max())
+    table = np.array([rate(k) for k in range(lo, hi + 1)], dtype=float)
+    return table[positions - lo]
+
+
 def _batch_inhom_jump(start: np.ndarray, config: SimConfig, j: int, xi: float, rng) -> np.ndarray:
     """Per-row inhomogeneous geometric jumps of particle j from ``start``."""
     cur = start.copy()
     active = np.ones(cur.shape[0], dtype=bool)
     pi = config.rate(j)
     while active.any():
-        a = np.array([config.alpha_of(int(k)) for k in cur[active]])
+        a = _at_positions(config.alpha_of, cur[active])
         p_succ = (a + pi) * xi / (1.0 + a * xi)
         step = rng.random(int(active.sum())) < p_succ
         idx = np.flatnonzero(active)

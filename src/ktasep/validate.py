@@ -5,7 +5,6 @@ tableau <-> trajectory correspondences.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
@@ -80,36 +79,39 @@ def brute_force_single_step(
     time_index: int = 1,
     update: UpdateOrder = PINNED_CONVENTIONS.update,
 ) -> KernelTable:
-    """Enumerate all jump-outcome combinations, apply them with the
-    samplers' ``move`` in ``update_order``, and sum exact masses per
-    resulting state.  A geometric overflow (an infinite jump) lands at the
-    cap when blocked and otherwise takes particle 1 past the cap, into the
-    pooled tail."""
+    """Apply every jump outcome of each particle in ``update_order`` with
+    the samplers' ``move``, carrying the exact mass of each position tuple
+    reached so far; equal tuples merge, so the work grows with the states
+    rather than with the jump combinations.  A geometric overflow (an
+    infinite jump) lands at the cap when blocked and otherwise takes
+    particle 1 past the cap, into the pooled tail."""
     if cap < mu.part(1):
         raise ValueError(f"cap {cap} too small to contain mu")
     window = cap  # single-step jumps beyond cap always leave the box
-    lists = [
-        _outcome_list(case, binding, j, time_index, mu.part(j), window)
-        for j in range(1, ell + 1)
-    ]
-    order = update_order(case, ell, update)
     pushing = case.pushing
+    states = {tuple(mu.padded(ell)): Frac(1)}
+    for j in update_order(case, ell, update):
+        outcomes = [
+            (w, p)
+            for w, p in _outcome_list(case, binding, j, time_index, mu.part(j), window)
+            if p != 0
+        ]
+        merged: dict = {}
+        for pos, mass in states.items():
+            for w, p in outcomes:
+                new = list(pos)
+                move(new, j, w, pushing)
+                key = tuple(new)
+                m = mass * p
+                merged[key] = merged[key] + m if key in merged else m
+        states = merged
     probs: dict = {}
     tail = Frac(0)
-    for combo in itertools.product(*lists):
-        mass = Frac(1)
-        for c in combo:
-            mass = mass * c[1]
-        if mass == 0:
-            continue
-        pos = list(mu.padded(ell))
-        for j in order:
-            move(pos, j, combo[j - 1][0], pushing)
+    for pos, mass in states.items():
         if pos[0] > cap:
             tail = tail + mass
-            continue
-        lam = Partition(pos)
-        probs[lam] = probs.get(lam, Frac(0)) + mass
+        else:
+            probs[Partition(pos)] = mass
     return KernelTable(case, 1, mu, ell, probs, tail)
 
 
@@ -327,10 +329,7 @@ def mc_vs_exact(
         finals = sample_batch_final(config, samples, seed)
     else:
         finals = _sample_biased(config, samples, seed, rng_bias)
-    counts: dict = {}
-    for row in finals:
-        key = Partition([int(v) for v in row])
-        counts[key] = counts.get(key, 0) + 1
+    counts = _histogram(finals)
 
     states = sorted(set(exact.probs) | set(counts))
     table = {}
@@ -364,10 +363,24 @@ def mc_vs_exact(
         if e > 0:
             stat += (o - e) ** 2 / e
     dof = max(len(pooled_obs) - 1, 1)
-    from scipy.stats import chi2
+    return StatReport(samples, table, stat, dof, chi2_sf(stat, dof), tv)
 
-    p_value = float(chi2.sf(stat, dof))
-    return StatReport(samples, table, stat, dof, p_value, tv)
+
+def _histogram(finals: np.ndarray) -> dict:
+    """Partition -> count over the rows of ``finals``: one lexicographic
+    sort of the rows, then one Partition per run of equal rows."""
+    rows = finals[np.lexsort(finals.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    sizes = np.diff(np.r_[starts, len(rows)])
+    return {Partition(rows[i].tolist()): int(c) for i, c in zip(starts, sizes)}
+
+
+def chi2_sf(stat: float, dof: int) -> float:
+    """Chi-square survival function: the regularized upper incomplete
+    gamma function Q(dof/2, stat/2)."""
+    import mpmath
+
+    return float(mpmath.gammainc(dof / 2, stat / 2, regularized=True))
 
 
 def _sample_biased(config: SimConfig, samples: int, seed: int, power: float):

@@ -185,6 +185,7 @@ MP_C = ["--case", "C", "--dir", "ge"]
         pytest.param(MP_C + ["--mode", "residue"], id="mode-without-contour"),
         pytest.param(["--case", "Z", "--dir", "ge"], id="unknown-case"),
         pytest.param(["--case", "CanonicalB", "--dir", "ge"], id="case-CanonicalB"),
+        pytest.param(["--case", "A", "--dir", "ge"], id="dir-contradicts-case"),
     ],
 )
 def test_multipoint_usage_errors(params_file, extra):

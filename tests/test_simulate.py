@@ -222,6 +222,27 @@ def test_batch_matches_exact_single_step():
             assert abs(counts.get(lam, 0) / 60000 - float(p)) < 0.01, lam
 
 
+def test_batch_rate_calls_bounded_by_positions():
+    # the position-dependent rates are looked up once per position a
+    # column spans, not once per sample
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return 0.1 + 0.05 * (m % 3)
+
+    samples, steps, ell = 20000, 2, 3
+    for case in (CaseId.CANONICAL_C, CaseId.CANONICAL_B):
+        calls.clear()
+        cfg = SimConfig(case=case, ell=ell, steps=steps, rates=[0.6, 0.5, 0.4], x=[0.5],
+                        alpha=counting, beta_pos=counting, start=P_([1]))
+        finals = sample_batch_final(cfg, samples, 3)
+        reach = int(finals.max()) + 1
+        # CanonicalC draws one more round per position a jump passes
+        rounds = reach if case is CaseId.CANONICAL_C else 1
+        assert 0 < len(calls) <= steps * ell * (4 + rounds * reach) < samples // 10, case
+
+
 def test_continuous_time_zero():
     rng = rng_for(1, 0)
     assert run_continuous(4, 0.0, 1.0, rng) == [0, 0, 0, 0]

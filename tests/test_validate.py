@@ -1,17 +1,28 @@
 import hashlib
+import itertools
+import math
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ktasep.conventions import PINNED_CONVENTIONS, UpdateOrder
 from ktasep.kernels import CaseId, ParamBinding
 from ktasep.partitions import Partition, partitions_in_box
-from ktasep.simulate import SimConfig, run
+from ktasep.simulate import SimConfig, move, run, update_order
 from ktasep.validate import (
+    _histogram,
+    _outcome_list,
     arbitrate_conventions,
     brute_force_single_step,
     brute_force_table,
     check_pinned_conventions,
+    chi2_sf,
     decode_trajectory,
     encode_trajectory,
     mc_vs_exact,
@@ -97,6 +108,96 @@ def test_oracle_tables_pinned():
             t = brute_force_table(case, 2, P_([1]), b, 3, 3, update)
             out.append((sorted((lam.parts, str(p)) for lam, p in t.probs.items()), str(t.tail)))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == ORACLE_DIGEST
+
+
+def _product_oracle(case, mu, b, ell, cap, update):
+    """The oracle as a walk over every combination of jump outcomes, one
+    leaf at a time, with no merging of states."""
+    lists = [_outcome_list(case, b, j, 1, mu.part(j), cap) for j in range(1, ell + 1)]
+    probs, tail = {}, F(0)
+    for combo in itertools.product(*lists):
+        mass = math.prod((p for _, p in combo), start=F(1))
+        if mass == 0:
+            continue
+        pos = list(mu.padded(ell))
+        for j in update_order(case, ell, update):
+            move(pos, j, combo[j - 1][0], case.pushing)
+        if pos[0] > cap:
+            tail += mass
+        else:
+            probs[P_(pos)] = probs.get(P_(pos), F(0)) + mass
+    return probs, tail
+
+
+def test_merged_oracle_matches_product_walk():
+    b = binding()
+    for update in UpdateOrder:
+        for case in CaseId:
+            for ell in (1, 2, 3):
+                for mu in partitions_in_box(2, 2):
+                    if mu.length() > ell:
+                        continue
+                    t = brute_force_single_step(case, mu, b, ell, 3, update=update)
+                    probs, tail = _product_oracle(case, mu, b, ell, 3, update)
+                    assert (t.probs, t.tail) == (probs, tail), (update, case, ell, mu)
+
+
+# sha256 of (case, sorted (parts, count) histogram, repr(chi_square), dof,
+# repr(tv_distance)) for the six cases and the rng_bias=0.8 run at 20k
+# samples, seed 7; the p-values, computed from the same statistics, are
+# checked to 1e-12 relative instead
+MC_DIGEST = "4dfe5f10bd0ee24d18b47050c3be082f2f88aa9b13aa951a74c773ea2721d8ea"
+MC_P_VALUES = [0.8676735724499806, 0.9555831480803448, 0.7326723371641224, 0.5263404867393037,
+               0.7401623217430597, 0.6898207983231672, 1.036377927241333e-31]
+
+
+def test_mc_reports_pinned():
+    out, p_values = [], []
+    for case, bias in [(c, None) for c in CaseId] + [(CaseId.C, 0.8)]:
+        rep = mc_vs_exact(case, P_([1, 1]), 1, binding(), 3, samples=20000, seed=7,
+                          rng_bias=bias)
+        hist = sorted((s.parts, round(emp * rep.samples))
+                      for s, (emp, _) in rep.table.items() if emp)
+        out.append((case.value, hist, repr(rep.chi_square), rep.dof, repr(rep.tv_distance)))
+        p_values.append(rep.p_value)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == MC_DIGEST
+    for got, want in zip(p_values, MC_P_VALUES):
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_histogram_long_rows():
+    # 30 particles at positions up to 50: rows as keys, no packed integer
+    rng = np.random.default_rng(3)
+    states = -np.sort(-rng.integers(0, 51, size=(40, 30)), axis=1)
+    finals = states[rng.integers(0, 40, size=5000)]
+    want = Counter(P_(row.tolist()) for row in finals)
+    assert _histogram(finals) == dict(want)
+    assert sum(_histogram(finals[:1]).values()) == 1
+
+
+def test_chi2_sf_closed_form():
+    # two degrees of freedom: the survival function is exp(-x/2)
+    for x in (0.0, 0.3, 1.0, 7.5, 40.0, 300.0):
+        assert chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-14, abs=0)
+
+
+def test_mc_vs_exact_needs_no_scipy():
+    code = (
+        "import sys\n"
+        "from fractions import Fraction as F\n"
+        "from ktasep.kernels import CaseId, ParamBinding\n"
+        "from ktasep.partitions import Partition\n"
+        "from ktasep.validate import mc_vs_exact\n"
+        "b = ParamBinding.numeric(x=[F(1, 5)], rates=[F(1, 2), F(1, 3)])\n"
+        "rep = mc_vs_exact(CaseId.C, Partition([1]), 1, b, 2, samples=2000, seed=1)\n"
+        "assert 0 <= rep.p_value <= 1\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_route_that_raises_is_skipped():
