@@ -10,6 +10,7 @@ substitutes one for the other.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction as Frac
 from functools import lru_cache
@@ -668,19 +669,25 @@ def schur_poly(lam_parts: tuple, n: int) -> LaurentPoly:
         return ONE
     if ell > n:
         return LaurentPoly.zero()
-    import itertools
+    return det_exact([[_h_poly(lam.part(i) - i + j, n) for j in range(1, ell + 1)]
+                      for i in range(1, ell + 1)])
 
-    total = LaurentPoly.zero()
-    idx = range(ell)
-    for perm in itertools.permutations(idx):
-        sign = perm_sign(perm)
-        prod = ONE
-        for i in idx:
-            j = perm[i]
-            prod = prod * _h_poly(lam.part(i + 1) - (i + 1) + (j + 1), n)
+
+def det_exact(rows: list[list]):
+    """Leibniz expansion over all permutations: exact for entries in any
+    commutative ring (Fraction, LaurentPoly, RationalFn, mpmath numbers).
+    A product stops multiplying once it is zero."""
+    if not rows:
+        return Frac(1)
+    total = None
+    for perm in itertools.permutations(range(len(rows))):
+        prod = rows[0][perm[0]]
+        for i in range(1, len(rows)):
             if not prod:
                 break
-        total = total + (prod if sign > 0 else -prod)
+            prod = prod * rows[i][perm[i]]
+        term = prod if perm_sign(perm) > 0 else -prod
+        total = term if total is None else total + term
     return total
 
 

@@ -17,29 +17,15 @@ rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .conventions import IndexConvention, PINNED_CONVENTIONS, UpdateOrder
-from .exactalg import (
-    Frac,
-    LaurentPoly,
-    RationalFn,
-    Scalar,
-    VarId,
-    evaluate,
-    is_zero_scalar,
-    reciprocal,
-    rf,
-)
-from .operators import (
-    OpParams,
-    PartitionVector,
-    apply_U,
-)
-from .partitions import Partition, conjugate, is_vertical_strip, SkewShape, push_closure
+from .conventions import IndexConvention, PINNED_CONVENTIONS
+from .exactalg import Frac, LaurentPoly, RationalFn, Scalar, is_zero_scalar, reciprocal
+from .operators import OpParams, PartitionVector, apply_U
+from .partitions import Partition, conjugate, SkewShape, push_closure
 from . import tableaux
 
 
@@ -195,9 +181,9 @@ def _inhom_jump_mass(binding: ParamBinding, j: int, xi, m: int, g: int):
     num: Scalar = Frac(1)
     for k in range(m, m + g):
         a = binding.alpha_of(k)
-        num = num * ((a + pi) * xi) * _inv_1p(a * xi)
+        num = num * ((a + pi) * xi) * reciprocal(1 + a * xi)
     a_end = binding.alpha_of(m + g)
-    return num * (1 - pi * xi) * _inv_1p(a_end * xi)
+    return num * (1 - pi * xi) * reciprocal(1 + a_end * xi)
 
 
 def _inhom_tail_mass(binding: ParamBinding, j: int, xi, m: int, g: int):
@@ -206,17 +192,8 @@ def _inhom_tail_mass(binding: ParamBinding, j: int, xi, m: int, g: int):
     num: Scalar = Frac(1)
     for k in range(m, m + g):
         a = binding.alpha_of(k)
-        num = num * ((a + pi) * xi) * _inv_1p(a * xi)
+        num = num * ((a + pi) * xi) * reciprocal(1 + a * xi)
     return num
-
-
-def _inv_1p(v):
-    """1/(1+v) for exact scalars or symbolic polynomial values."""
-    if isinstance(v, (int, Frac)):
-        return Frac(1) / (1 + Frac(v))
-    if isinstance(v, LaurentPoly):
-        return RationalFn.from_den_factor(1 + v)
-    return rf(1) / rf(1 + v)
 
 
 def single_step_closed_form(
@@ -301,9 +278,9 @@ def single_step_closed_form(
                     return Frac(0)
                 continue
             if case is CaseId.CANONICAL_B:
-                succ = (rho + binding.beta_pos_of(start)) * xi * _inv_1p(rho * xi)
+                succ = (rho + binding.beta_pos_of(start)) * xi * reciprocal(1 + rho * xi)
             else:
-                succ = rho * xi * _inv_1p(rho * xi)
+                succ = rho * xi * reciprocal(1 + rho * xi)
             if target == start + 1:
                 p = p * succ
             elif target == start:
@@ -332,7 +309,7 @@ def single_step_closed_form(
         for c in pairs:
             p = p * (xi + reciprocal(binding.rate(c)))
         for j in range(1, ell + 1):
-            p = p * _inv_1p(binding.rate(j) * xi)
+            p = p * reciprocal(1 + binding.rate(j) * xi)
         return p
 
     raise ValueError(f"no closed form for case {case}")
@@ -493,10 +470,10 @@ def _resolvent_U(
             blocked = above is not None and here == above
             if blocked:
                 b = params.beta(j - 1)
-                out.add_term(cur, w * _inv_den(1 - b * xi))
+                out.add_term(cur, w * reciprocal(1 - b * xi))
                 break
             a = params.alpha(here)
-            w_here = w * _inv_den(1 + a * xi) if not is_zero_scalar(a) else w
+            w_here = w * reciprocal(1 + a * xi) if not is_zero_scalar(a) else w
             out.add_term(cur, w_here)
             parts = list(cur.padded(max(len(cur.parts), j)))
             parts[j - 1] += 1
@@ -528,14 +505,6 @@ def _resolvent_u(
             w = w * step
             cur = nxt
     return out
-
-
-def _inv_den(v):
-    if isinstance(v, (int, Frac)):
-        if v == 0:
-            raise ZeroDivisionError("resolvent pole")
-        return Frac(1) / Frac(v)
-    return rf(1) / rf(v)
 
 
 def _bernoulli_factor_U(
@@ -600,26 +569,34 @@ def operator_table(
     size_cap: int,
 ) -> dict:
     """All transition probabilities from mu with |lambda| <= size_cap by a
-    single operator evolution (the per-target route repeated in bulk)."""
+    single operator evolution, times the overall factor."""
+    if case is CaseId.CANONICAL_C and not is_zero_scalar(binding.alpha_of(0)):
+        raise ValueError("operator route for CanonicalC requires alpha(0) = 0")
+    if case is CaseId.CANONICAL_B and not is_zero_scalar(binding.beta_pos_of(0)):
+        raise ValueError("operator route for CanonicalB requires beta_pos(0) = 0")
+    xs = [binding.x_of(i) for i in range(1, n + 1)]
     conj = case is CaseId.CANONICAL_B
     if conj:
-        start = conjugate(mu)
-        rows = size_cap + 1
+        # CanonicalB evolves conjugate shapes.  One row beyond the widest
+        # target keeps every untracked row uniformly blocked, so the finite
+        # product of (1 - beta_j x) over the tracked rows is exact.
+        start, rows = conjugate(mu), size_cap + 1
+        factor = time_factor(case, binding, (1,), xs)
+        for j in range(1, rows):
+            for x in xs:
+                factor = factor * (1 - binding.beta_pos_of(j) * x)
     else:
-        start = mu
-        rows = ell
+        start, rows = mu, ell
+        factor = time_factor(case, binding, range(1, ell + 1), xs)
     params = _op_params_for(case, binding, ell)
     vec = PartitionVector.basis(start)
-    for i in range(1, n + 1):
-        vec = _apply_time_step(case, vec, binding.x_of(i), params, rows, size_cap)
+    for x in xs:
+        vec = _apply_time_step(case, vec, x, params, rows, size_cap)
     out = {}
     for target, coeff in vec.terms.items():
         lam = conjugate(target) if conj else target
-        if lam.length() > ell:
-            continue
-        out[lam] = _normalize_operator_coeff(
-            case, coeff, mu, lam, binding, ell, rows, n
-        )
+        if lam.length() <= ell:
+            out[lam] = coeff * factor * rate_monomial(case, mu, lam, binding, ell)
     return out
 
 
@@ -631,75 +608,42 @@ def kernel_operator_route(
     binding: ParamBinding,
     ell: int,
 ):
-    """Kernel via the noncommutative-operator time evolution."""
-    conj = case is CaseId.CANONICAL_B
-    if conj:
-        start, target = conjugate(mu), conjugate(lam)
-        # one extra row so every untracked row is uniformly blocked, making
-        # the finite (1 - beta_j x) normalizer exact
-        rows = max(lam.part(1), mu.part(1)) + 1
-        if binding.beta_pos is not None and not is_zero_scalar(binding.beta_pos_of(0)):
-            raise ValueError("operator route for CanonicalB requires beta_pos(0) = 0")
-    else:
-        start, target = mu, lam
-        rows = ell
-    if case is CaseId.CANONICAL_C and binding.alpha is not None:
-        if not is_zero_scalar(binding.alpha_of(0)):
-            raise ValueError("operator route for CanonicalC requires alpha(0) = 0")
-    params = _op_params_for(case, binding, ell)
-    size_cap = max(target.size(), start.size())
-    vec = PartitionVector.basis(start)
-    for i in range(1, n + 1):
-        vec = _apply_time_step(case, vec, binding.x_of(i), params, rows, size_cap)
-    coeff = vec.coeff(target)
-    return _normalize_operator_coeff(case, coeff, mu, lam, binding, ell, rows, n)
+    """Kernel via the noncommutative-operator time evolution: one entry of
+    the smallest ``operator_table`` that holds lam."""
+    table = operator_table(case, n, mu, binding, ell, max(lam.size(), mu.size()))
+    return table.get(lam, Frac(0))
 
 
-def _normalize_operator_coeff(case, coeff, mu, lam, binding, ell, rows, n):
-    if is_zero_scalar(coeff):
-        return Frac(0)
-    out = coeff
-    for i in range(1, n + 1):
-        xi = binding.x_of(i)
-        if case is CaseId.A:
-            for j in range(1, ell + 1):
-                out = out * (1 - binding.rate(j) * xi)
-        elif case is CaseId.C:
-            for j in range(1, ell + 1):
-                out = out * (1 - binding.rate(j) * xi)
-        elif case is CaseId.D:
-            for j in range(1, ell + 1):
-                out = out * _inv_1p(binding.rate(j) * xi)
-        elif case is CaseId.B:
-            for j in range(1, ell + 1):
-                out = out * _inv_1p(binding.rate(j) * xi)
-        elif case is CaseId.CANONICAL_C:
-            for j in range(1, ell + 1):
-                out = out * (1 - binding.rate(j) * xi)
-        elif case is CaseId.CANONICAL_B:
-            # G = prod_{j<rows}(1 - beta_j x) * coeff, then the Bernoulli
-            # normalizer 1/(1 + rho_1 x)
-            out = out * _inv_1p(binding.rate(1) * xi)
-            for j in range(1, rows):
-                out = out * (1 - binding.beta_pos_of(j) * xi)
-    out = out * _rate_monomial(case, mu, lam, binding)
+# ---------------------------------------------------------------------------
+# the overall factor shared by the operator, tableau and multipoint formulas
+# ---------------------------------------------------------------------------
+
+
+def rate_monomial(case: CaseId, mu: Partition, lam: Partition, binding: ParamBinding, ell: int):
+    """pi^{lam/mu} (rho^{lam/mu} for Bernoulli cases) over rows 1..ell.  The
+    canonical cases shift each box's rate by the position rate of its
+    column: (alpha_{c-1} + pi_r) for CanonicalC, (beta_{c-1} + rho_r) for
+    CanonicalB."""
+    shift = {CaseId.CANONICAL_C: binding.alpha_of, CaseId.CANONICAL_B: binding.beta_pos_of}.get(case)
+    out: Scalar = Frac(1)
+    for r in range(1, ell + 1):
+        rate, lo, hi = binding.rate(r), mu.part(r), lam.part(r)
+        if shift is not None:
+            for c in range(lo, hi):
+                out = out * (shift(c) + rate)
+        elif hi > lo:
+            out = out * rate**(hi - lo)
     return out
 
 
-def _rate_monomial(case: CaseId, mu: Partition, lam: Partition, binding: ParamBinding):
-    """pi^{lam/mu} (rho for Bernoulli), or the (alpha+pi)/(beta+rho) box
-    products for the canonical cases."""
+def time_factor(case: CaseId, binding: ParamBinding, js, xs):
+    """prod_{j in js, x in xs} (1 - r_j x) for the geometric cases, and
+    prod 1/(1 + r_j x) for the Bernoulli cases."""
     out: Scalar = Frac(1)
-    if case.canonical:
-        for r in range(1, lam.length() + 1):
-            for c in range(mu.part(r) + 1, lam.part(r) + 1):
-                if case is CaseId.CANONICAL_C:
-                    out = out * (binding.alpha_of(c - 1) + binding.rate(r))
-                else:
-                    out = out * (binding.beta_pos_of(c - 1) + binding.rate(r))
-        return out
-    for r in range(1, lam.length() + 1):
-        out = out * binding.rate(r) ** (lam.part(r) - mu.part(r))
+    for j in js:
+        r = binding.rate(j)
+        for x in xs:
+            out = out * (1 - r * x) if case.geometric else out * reciprocal(1 + r * x)
     return out
 
 
@@ -773,74 +717,36 @@ def kernel_tableau_route(
     convention: IndexConvention = PINNED_CONVENTIONS.index,
 ):
     """Kernel via the Grothendieck-type generating functions of Thm-1.1
-    shape: symbolic tableau sums specialized at the binding."""
+    shape: the case's tableau sum (on conjugate shapes for B, D and
+    CanonicalB) specialized at the binding, times the overall factor."""
     xs = [binding.x_of(i) for i in range(1, n + 1)]
-
-    def bind(value):
-        if isinstance(value, (int, Frac)):
-            return Frac(value)
-        return value.eval(_binding_map(case, value, binding, ell))
-
+    alpha0 = binding.alpha_of(0) if case is CaseId.CANONICAL_C else Frac(0)
+    if n > 1 and not is_zero_scalar(alpha0):
+        raise ValueError("tableau route for CanonicalC with n>1 needs alpha(0)=0")
+    if case is CaseId.CANONICAL_B and not is_zero_scalar(binding.beta_pos_of(0)):
+        raise ValueError("tableau route for CanonicalB needs beta_pos(0)=0")
+    if case.pushing and not lam.contains(mu):
+        return Frac(0)
+    if case in (CaseId.B, CaseId.D, CaseId.CANONICAL_B):
+        outer, inner = conjugate(lam), conjugate(mu)
+    else:
+        outer, inner = lam, mu
     if case is CaseId.A:
-        if not lam.contains(mu):
-            return Frac(0)
-        g = _cached_gen_g(lam.parts, mu.parts, n)
-        val = bind(g) * _rate_monomial(case, mu, lam, binding)
-        for j in range(1, ell + 1):
-            for xi in xs:
-                val = val * (1 - binding.rate(j) * xi)
-        return val
-
-    if case is CaseId.C:
-        g = _cached_gdoubleslash(lam.parts, mu.parts, n, False, True, convention)
-        val = bind(g) * _rate_monomial(case, mu, lam, binding)
-        for xi in xs:
-            val = val * (1 - binding.rate(1) * xi)
-        return val
-
-    if case is CaseId.B:
-        lamc, muc = conjugate(lam), conjugate(mu)
-        g = _cached_gdoubleslash(lamc.parts, muc.parts, n, True, False, convention)
-        val = bind(g) * _rate_monomial(case, mu, lam, binding)
-        for xi in xs:
-            val = val * _inv_1p(binding.rate(1) * xi)
-        return val
-
-    if case is CaseId.D:
-        if not lam.contains(mu):
-            return Frac(0)
-        lamc, muc = conjugate(lam), conjugate(mu)
-        g = _cached_gen_j(lamc.parts, muc.parts, n)
-        val = bind(g) * _rate_monomial(case, mu, lam, binding)
-        for j in range(1, ell + 1):
-            for xi in xs:
-                val = val * _inv_1p(binding.rate(j) * xi)
-        return val
-
-    if case is CaseId.CANONICAL_C:
-        alpha0 = binding.alpha_of(0)
-        if n > 1 and not is_zero_scalar(alpha0):
-            raise ValueError("tableau route for CanonicalC with n>1 needs alpha(0)=0")
-        g = _cached_gdoubleslash(lam.parts, mu.parts, n, True, True, convention)
-        val = bind(g) * _rate_monomial(case, mu, lam, binding)
-        for xi in xs:
-            val = val * (1 - binding.rate(1) * xi)
-        if not is_zero_scalar(alpha0) and mu.length() < ell:
-            val = val * _inv_1p(alpha0 * xs[0])
-        return val
-
-    if case is CaseId.CANONICAL_B:
-        beta0 = binding.beta_pos_of(0)
-        if not is_zero_scalar(beta0):
-            raise ValueError("tableau route for CanonicalB needs beta_pos(0)=0")
-        lamc, muc = conjugate(lam), conjugate(mu)
-        g = _cached_gdoubleslash(lamc.parts, muc.parts, n, True, True, convention)
-        val = bind(g) * _rate_monomial(case, mu, lam, binding)
-        for xi in xs:
-            val = val * _inv_1p(binding.rate(1) * xi)
-        return val
-
-    raise ValueError(case)
+        g = _cached_gen_g(outer.parts, inner.parts, n)
+    elif case is CaseId.D:
+        g = _cached_gen_j(outer.parts, inner.parts, n)
+    else:
+        alpha_on, beta_on = case is not CaseId.C, case is not CaseId.B
+        g = _cached_gdoubleslash(outer.parts, inner.parts, n, alpha_on, beta_on, convention)
+    if not isinstance(g, (int, Frac)):
+        g = g.eval(_binding_map(case, g, binding, ell))
+    js = range(1, ell + 1) if case.pushing else (1,)
+    val = g * rate_monomial(case, mu, lam, binding, ell) * time_factor(case, binding, js, xs)
+    if not is_zero_scalar(alpha0) and mu.length() < ell:
+        # the leading particle at position 0 (row len(mu) + 1) carries the
+        # 1/(1 + alpha_0 x) of its start, which G// leaves out
+        val = val * reciprocal(1 + alpha0 * xs[0])
+    return val
 
 
 # ---------------------------------------------------------------------------

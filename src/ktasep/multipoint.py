@@ -16,13 +16,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from itertools import permutations
 from typing import Sequence
 
 import mpmath as mp
 
-from .exactalg import h_prefix, perm_sign, reciprocal, supersym_e, supersym_h, theta_h_pair
-from .kernels import CaseId, KernelTable, ParamBinding, chain
+from .exactalg import det_exact, h_prefix, reciprocal, supersym_e, supersym_h, theta_h_pair
+from .kernels import CaseId, ParamBinding, chain, rate_monomial, time_factor
 from .partitions import Partition
 
 
@@ -73,19 +72,6 @@ def _join(a: Partition, b: Partition) -> Partition:
     return Partition([max(a.part(i), b.part(i)) for i in range(1, n + 1)])
 
 
-def det_exact(rows: list[list]) -> object:
-    ell = len(rows)
-    total = None
-    for perm in permutations(range(ell)):
-        sign = perm_sign(perm)
-        prod = rows[0][perm[0]]
-        for i in range(1, ell):
-            prod = prod * rows[i][perm[i]]
-        term = prod if sign > 0 else -prod
-        total = term if total is None else total + term
-    return total if total is not None else Frac(1)
-
-
 # ---------------------------------------------------------------------------
 # pushing: exact supersymmetric determinants
 # ---------------------------------------------------------------------------
@@ -118,16 +104,8 @@ def mp_pushing(query: MultiPointQuery):
                 bot = [-reciprocal(b.rate(k)) for k in range(1, i + 1)]
                 row.append(supersym_e(m, top, bot))
         rows.append(row)
-    det = det_exact(rows)
-    pref = Frac(1)
-    for i in range(1, ell + 1):
-        pref = pref * b.rate(i) ** (lam.part(i) - nu.part(i))
-        for xi in xs:
-            if case is CaseId.A:
-                pref = pref * (1 - b.rate(i) * xi)
-            else:
-                pref = pref / (1 + b.rate(i) * xi)
-    return pref * det
+    factor = rate_monomial(case, nu, lam, b, ell) * time_factor(case, b, range(1, ell + 1), xs)
+    return factor * det_exact(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -180,22 +158,8 @@ def mp_blocking_series(query: MultiPointQuery, trunc: int = 60):
             cap = n - min(m, 0) if case is CaseId.B else trunc
             row.append(theta_h_pair(m, top, bot, cap))
         rows.append(row)
-    det = det_exact(rows)
-    pref = Frac(1)
-    if case is CaseId.CANONICAL_C:
-        for r in range(1, nu.length() + 1):
-            for c in range(mu.part(r) + 1, nu.part(r) + 1):
-                pref = pref * (b.alpha_of(c - 1) + b.rate(r))
-    else:
-        for i in range(1, ell + 1):
-            pref = pref * b.rate(i) ** (nu.part(i) - mu.part(i))
-    for i in range(1, ell + 1):
-        for xi in xs:
-            if case is CaseId.B:
-                pref = pref / (1 + b.rate(i) * xi)
-            else:
-                pref = pref * (1 - b.rate(i) * xi)
-    value = pref * det
+    factor = rate_monomial(case, mu, nu, b, ell) * time_factor(case, b, range(1, ell + 1), xs)
+    value = factor * det_exact(rows)
     if case is CaseId.B:
         return value, Frac(0)
     # geometric tail bound for the truncated h-sums: the largest ratio is
@@ -334,13 +298,8 @@ def mp_blocking_contour(query: MultiPointQuery, contour: ContourSpec | None = No
             else:
                 row.append(contour_entry_residue(num, den, xs, power))
         rows.append(row)
-    det = det_exact(rows)
-    pref = Frac(1) if not isinstance(det, (float, complex)) else 1.0
-    for i in range(1, ell + 1):
-        pref = pref * b.rate(i) ** (nu.part(i) - mu.part(i))
-        for xi in xs:
-            pref = pref * (1 - b.rate(i) * xi)
-    return pref * det
+    factor = rate_monomial(case, mu, nu, b, ell) * time_factor(case, b, range(1, ell + 1), xs)
+    return factor * det_exact(rows)
 
 
 def _validate_radius(contour: ContourSpec, b: ParamBinding, ell: int, n: int):

@@ -22,11 +22,11 @@ from .kernels import (
     KernelTable,
     ParamBinding,
     chain,
-    kernel_operator_route,
+    kernel_operator_route,  # noqa: F401 - perfbench/child.py traces validate.kernel_operator_route
     kernel_tableau_route,
-    single_step_closed_form,
+    operator_table,
 )
-from .partitions import Partition, partitions_in_box, subpartitions
+from .partitions import Partition, partitions_in_box
 from .simulate import SimConfig, move, sample_batch_final, update_order
 
 OVERFLOW = math.inf  # jump symbol for "more than the enumeration window"
@@ -84,12 +84,14 @@ def brute_force_single_step(
     reached so far; equal tuples merge, so the work grows with the states
     rather than with the jump combinations.  A geometric overflow (an
     infinite jump) lands at the cap when blocked and otherwise takes
-    particle 1 past the cap, into the pooled tail."""
+    particle 1 past the cap.  Positions never decrease, so a state whose
+    particle 1 is past the cap goes to the pooled tail at once."""
     if cap < mu.part(1):
         raise ValueError(f"cap {cap} too small to contain mu")
     window = cap  # single-step jumps beyond cap always leave the box
     pushing = case.pushing
     states = {tuple(mu.padded(ell)): Frac(1)}
+    tail = Frac(0)
     for j in update_order(case, ell, update):
         outcomes = [
             (w, p)
@@ -101,17 +103,14 @@ def brute_force_single_step(
             for w, p in outcomes:
                 new = list(pos)
                 move(new, j, w, pushing)
-                key = tuple(new)
                 m = mass * p
+                if new[0] > cap:
+                    tail = tail + m
+                    continue
+                key = tuple(new)
                 merged[key] = merged[key] + m if key in merged else m
         states = merged
-    probs: dict = {}
-    tail = Frac(0)
-    for pos, mass in states.items():
-        if pos[0] > cap:
-            tail = tail + mass
-        else:
-            probs[Partition(pos)] = mass
+    probs = {Partition(pos): mass for pos, mass in states.items()}
     return KernelTable(case, 1, mu, ell, probs, tail)
 
 
@@ -193,26 +192,26 @@ def route_agreement(
     conventions: Conventions = PINNED_CONVENTIONS,
 ) -> OracleReport:
     """Compare oracle, closed-form chain, operator, and tableau values for
-    every target partition; exact rational comparisons.  A route that
-    raises ``ValueError`` leaves ``None`` in its slot and the row is
-    skipped, never counted as agreeing."""
+    every target partition; exact rational comparisons.  The operator
+    values come from one ``operator_table`` that holds every target.  A
+    route that raises ``ValueError`` leaves ``None`` in its slot and the
+    row is skipped, never counted as agreeing."""
+    targets = [lam for lam in targets if lam.length() <= ell and lam.part(1) <= ell]
     oracle = brute_force_table(case, n, mu, binding, ell, cap, conventions.update)
     closed = chain(case, n, mu, binding, ell, cap)
+    size_cap = max([mu.size()] + [lam.size() for lam in targets])
+    try:
+        operator = operator_table(case, n, mu, binding, ell, size_cap)
+    except ValueError:
+        operator = None
     report = OracleReport(case, mu, n, conventions, tail=oracle.tail)
     for lam in targets:
-        if lam.length() > ell or lam.part(1) > ell:
-            continue
-        o = oracle.prob(lam)
-        c = closed.prob(lam)
-        try:
-            p = kernel_operator_route(case, n, mu, lam, binding, ell)
-        except ValueError:
-            p = None
+        p = None if operator is None else operator.get(lam, Frac(0))
         try:
             t = kernel_tableau_route(case, n, mu, lam, binding, ell, conventions.index)
         except ValueError:
             t = None
-        report.rows.append(OracleRow(lam, o, c, p, t))
+        report.rows.append(OracleRow(lam, oracle.prob(lam), closed.prob(lam), p, t))
     return report
 
 

@@ -16,6 +16,7 @@ from ktasep.exactalg import (
     VarId,
     X,
     NotSymmetricError,
+    det_exact,
     omega_on_expansion,
     schur_expand,
     h_prefix,
@@ -136,6 +137,37 @@ def test_prefix_builder_against_brute_force(xs, ys, m, d):
     assert theta_h_pair(d, (xs, ()), (ys, ()), 4) == sum(
         _h(a, xs) * _h(a - d, ys) for a in range(max(d, 0), min(4, 4 + d) + 1)
     )
+
+
+def _det_by_elimination(rows):
+    m = [list(r) for r in rows]
+    det = F(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+def test_det_exact_against_elimination():
+    import random
+
+    rnd = random.Random(3)
+    for dim in range(5):
+        for _ in range(4):
+            # many zero entries, so products that stop early are exercised
+            rows = [[F(rnd.randint(-3, 3) * rnd.randint(0, 1), rnd.randint(1, 4))
+                     for _ in range(dim)] for _ in range(dim)]
+            assert det_exact(rows) == _det_by_elimination(rows)
+    # polynomial entries: the Jacobi-Trudi determinant of s_(1,1) in 2 variables
+    assert schur_poly((1, 1), 2) == X(1) * X(2)
 
 
 def test_schur_expand_examples():

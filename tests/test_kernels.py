@@ -232,15 +232,17 @@ def test_admissibility_check(b1):
         bad.check_admissible(CaseId.A, 1)
 
 
-# sha256 of repr() of kernel_tableau_route over the desk grid of
-# `ktasep validate --grid desk` (its binding, every case, n in {1, 2}, mu in
-# the 2x2 box, lam in the 3x3 box, ell = 3): the exact values must not move
-# when the tableau sums behind them are reorganised
+# sha256 of repr() of kernel_tableau_route, and separately of
+# kernel_operator_route, over the desk grid of `ktasep validate --grid desk`
+# (its binding, every case, n in {1, 2}, mu in the 2x2 box, lam in the 3x3
+# box, ell = 3): the two routes agree exactly there, and their values must
+# not move when the tableau sums, the operator evolution or the overall
+# factor behind them are reorganised
 TABLEAU_ROUTE_DIGEST = "943d79a88c9f5073fbca1bf2e1f0b1cd57b245e642bf2110cfdb110650f98441"
 
 
 def test_tableau_route_values_pinned():
-    out = []
+    tableau, operator = [], []
     for case in CaseId:
         for n in (1, 2):
             b = ParamBinding.numeric(
@@ -251,6 +253,20 @@ def test_tableau_route_values_pinned():
             )
             for mu in partitions_in_box(2, 2):
                 for lam in partitions_in_box(3, 3):
-                    out.append(kernel_tableau_route(case, n, mu, lam, b, 3))
-    assert len(out) == 1440
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == TABLEAU_ROUTE_DIGEST
+                    tableau.append(kernel_tableau_route(case, n, mu, lam, b, 3))
+                    operator.append(kernel_operator_route(case, n, mu, lam, b, 3))
+    assert len(tableau) == 1440
+    for values in (tableau, operator):
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == TABLEAU_ROUTE_DIGEST
+
+
+def test_operator_table_rejects_nonzero_rate_at_position_zero():
+    # the operator evolution has no alpha(0) / beta_pos(0) weight; with one
+    # set it would disagree with chain, so it must raise instead
+    rates = [F(1, 2), F(1, 3), F(1, 7)]
+    for case, extra in ((CaseId.CANONICAL_C, {"alpha": lambda k: F(1, 4 + k)}),
+                        (CaseId.CANONICAL_B, {"beta_pos": lambda k: F(1, 6 + k)})):
+        b = ParamBinding.numeric(x=[F(1, 5)], rates=rates, **extra)
+        for mu in (P_([]), P_([1])):
+            with pytest.raises(ValueError, match="requires"):
+                operator_table(case, 1, mu, b, 3, size_cap=4)

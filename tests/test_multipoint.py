@@ -124,11 +124,34 @@ def test_blocking_event_sums():
                         assert abs(float(v - ev)) <= float(tail) + float(bound) + 1e-25
 
 
+def test_thresholds_longer_than_ell():
+    # rows beyond ell hold no particle: the event and the overall factor
+    # read rows 1..ell only, in every case
+    alpha = lambda k: F(1, 4 + k) if k >= 1 else F(0)
+    for n in (1, 2):
+        b = ParamBinding.numeric(x=[F(1, 10), F(1, 12)][:n], rates=RATES, alpha=alpha)
+        for start in (P_([]), P_([1])):
+            for thr, ell in ((P_([2, 1]), 1), (P_([2, 2, 1]), 2)):
+                q = lambda case, d: MultiPointQuery(case, d, n, thr, start, ell, b)
+                for case in (CaseId.A, CaseId.D):
+                    ev, _ = mp_event_sum(q(case, "le"), cap=10)
+                    assert mp_pushing(q(case, "le")) == ev, (case, n, start, thr)
+                ev, _ = mp_event_sum(q(CaseId.B, "ge"), cap=10)
+                assert mp_blocking_series(q(CaseId.B, "ge"))[0] == ev, (n, start, thr)
+                for case in (CaseId.C, CaseId.CANONICAL_C):
+                    ev, tail = mp_event_sum(q(case, "ge"), cap=10)
+                    v, bound = mp_blocking_series(q(case, "ge"), 30)
+                    assert abs(float(v - ev)) <= float(tail) + bound + 1e-25, (case, n, start, thr)
+                ev, tail = mp_event_sum(q(CaseId.C, "ge"), cap=10)
+                v = mp_blocking_contour(q(CaseId.C, "ge"))
+                assert abs(float(v - ev)) <= float(tail) + 1e-25, (n, start, thr)
+
+
 # sha256 of repr() of the exact values of _pinned_values().  Every entry of
 # these determinants is exact, so a rewrite of the h/e prefixes, theta sums
 # and contour residues behind them must leave it unchanged; the blocking
 # values are otherwise only compared within tail bounds.
-VALUES_DIGEST = "19b97e619ab3a969fb39236a117b4e40325fc1f76a8a6edc672f270d9829054f"
+VALUES_DIGEST = "55503157411cebeb1cc7435907944e99d7d9b72ea54b0b0df33f8378c90c6100"
 
 
 def _pinned_values():

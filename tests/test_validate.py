@@ -142,6 +142,27 @@ def test_merged_oracle_matches_product_walk():
                     assert (t.probs, t.tail) == (probs, tail), (update, case, ell, mu)
 
 
+def test_oracle_stops_moving_tail_states(monkeypatch):
+    # once particle 1 is past the cap the state's mass is tail, so no later
+    # particle moves it; summed over every mu in the 3x3 box (ell 3, cap 3)
+    from ktasep import validate
+
+    calls = Counter()
+
+    def counting_move(pos, j, w, pushing):
+        calls[case] += 1
+        move(pos, j, w, pushing)
+
+    monkeypatch.setattr(validate, "move", counting_move)
+    b = binding()
+    for case in CaseId:
+        for mu in partitions_in_box(3, 3):
+            brute_force_single_step(case, mu, b, 3, 3)
+    want = {CaseId.A: 1050, CaseId.C: 555, CaseId.CANONICAL_C: 555,
+            CaseId.B: 200, CaseId.D: 200, CaseId.CANONICAL_B: 200}
+    assert calls == want
+
+
 # sha256 of (case, sorted (parts, count) histogram, repr(chi_square), dof,
 # repr(tv_distance)) for the six cases and the rng_bias=0.8 run at 20k
 # samples, seed 7; the p-values, computed from the same statistics, are
