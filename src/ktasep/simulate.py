@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -84,18 +85,18 @@ class SimConfig:
 @dataclass
 class Trajectory:
     snapshots: list  # list of (time, Partition)
+    ell: int = 0  # particle count; 0 means the most parts of any snapshot
 
     def final(self) -> Partition:
         return self.snapshots[-1][1]
 
     def positions(self, picture: str = "bosonic") -> list:
+        """Per snapshot, the ell particle positions: bosonic parts, or
+        fermionic part(j) - j."""
+        ell = self.ell or max(len(p.parts) for _, p in self.snapshots) or 1
         if picture == "bosonic":
-            return [(t, list(p.padded(len(self.snapshots[-1][1].parts) or 1))) for t, p in self.snapshots]
-        out = []
-        for t, p in self.snapshots:
-            ell = max(len(p.parts), 1)
-            out.append((t, [p.part(j) - j for j in range(1, ell + 1)]))
-        return out
+            return [(t, list(p.padded(ell))) for t, p in self.snapshots]
+        return [(t, [p.part(j) - j for j in range(1, ell + 1)]) for t, p in self.snapshots]
 
 
 def sample_geometric(q: float, u: float) -> int:
@@ -103,6 +104,17 @@ def sample_geometric(q: float, u: float) -> int:
     if q <= 0.0:
         return 0
     return int(math.floor(math.log1p(-u) / math.log(q)))
+
+
+def _site_success(case: CaseId, site, rate, x):
+    """Success probability of one try at a site of rate ``site`` (alpha
+    for CanonicalC, beta_pos for CanonicalB): CanonicalC's
+    (alpha + pi) x / (1 + alpha x) per site passed, CanonicalB's
+    (rho + beta) x / (1 + rho x) jump.  Elementwise on arrays, with the
+    same operations in the same order as on floats."""
+    if case is CaseId.CANONICAL_C:
+        return (site + rate) * x / (1.0 + site * x)
+    return (rate + site) * x / (1.0 + rate * x)
 
 
 def sample_inhom_geometric(
@@ -117,9 +129,7 @@ def sample_inhom_geometric(
     position k.  Exact, no rejection."""
     k = start
     while True:
-        a = alpha(k)
-        p_succ = (a + pi) * x / (1.0 + a * x)
-        if rng.random() >= p_succ:
+        if rng.random() >= _site_success(CaseId.CANONICAL_C, alpha(k), pi, x):
             return k - start
         k += 1
 
@@ -162,6 +172,83 @@ def move(pos: list, j: int, w, pushing: bool) -> None:
         pos[j - 1] = pos[j - 2]
 
 
+class _RoundTables:
+    """What ``step_discrete`` reads per particle, built once per run rather
+    than once per particle per round: the update order and the rates in
+    that order, per-x_i thresholds (rebuilt when x_i changes), and alpha
+    (CanonicalC) or beta_pos (CanonicalB) by integer position from 0, in a
+    table that grows as the particles advance."""
+
+    def __init__(self, case: CaseId, config: SimConfig):
+        self.case = case
+        self.source = self._source(case, config)
+        self.order = list(update_order(case, config.ell, config.update))
+        self.rates = np.array([config.rate(j) for j in self.order])
+        self.rate_list = self.rates.tolist()
+        self.site_of = config.alpha_of if case is CaseId.CANONICAL_C else config.beta_pos_of
+        self.sites: list = []
+        self.xi = None
+
+    @staticmethod
+    def _source(case: CaseId, config: SimConfig) -> tuple:
+        return (case, config.ell, config.update, config.rates, config.alpha, config.beta_pos)
+
+    def fits(self, case: CaseId, config: SimConfig) -> bool:
+        """Whether every input the tables were built from is still the
+        same object (by identity: rates may be an array)."""
+        return all(map(operator.is_, self.source, self._source(case, config)))
+
+    def at_x(self, xi: float) -> None:
+        """Per-x_i thresholds.  Geometric: particle i can jump only if
+        u >= floor[i]; the exact rule u >= 1 - q rounds within a few ulps
+        of |log q| <= 745 in ``sample_geometric``, far inside the 1e-9
+        relative and 1e-15 absolute slack, so the floor never excludes a
+        jump.  Bernoulli (B, D): particle i jumps iff u < p_succ[i]."""
+        if xi == self.xi:
+            return
+        self.xi = xi
+        v = self.rates * xi
+        if self.case.geometric:
+            self.q_list = v.tolist()
+            self.floor = 1.0 - v * (1.0 + 1e-9) - 1e-15
+        else:
+            self.p_succ = v / (1.0 + v)
+        self.top, self.top_upto = -math.inf, 0
+
+    def site(self, k: int) -> float:
+        if k >= len(self.sites):
+            self.sites.extend(self.site_of(i) for i in range(len(self.sites), k + 1))
+        return self.sites[k]
+
+    def success(self, i: int, start: tuple, xi: float) -> float:
+        """Particle i's (in update order) site success probability at its
+        position in ``start``."""
+        k = start[self.order[i] - 1]
+        return _site_success(self.case, self.site(k), self.rate_list[i], xi)
+
+    def success_bound(self, hi: int) -> float:
+        """The largest site success probability at x_i over positions
+        0..hi and all rates: no draw at or above it is a success."""
+        self.site(hi)
+        if self.top_upto < len(self.sites):
+            new = np.array(self.sites[self.top_upto:])[:, None]
+            rates = np.array(sorted(set(self.rate_list)))  # np.unique would import numpy.ma
+            top = _site_success(self.case, new, rates, self.xi).max()
+            self.top, self.top_upto = max(self.top, float(top)), len(self.sites)
+        return self.top
+
+
+def _round_tables(case: CaseId, config: SimConfig) -> _RoundTables:
+    """The config's ``_RoundTables``, rebuilt when the case, ell, update
+    order, rates, alpha or beta_pos of the config is replaced.  ``run``
+    builds them afresh for every run; a caller that edits a rate list in
+    place between its own rounds must do the same."""
+    tables = getattr(config, "_round_tables", None)
+    if tables is None or not tables.fits(case, config):
+        tables = config._round_tables = _RoundTables(case, config)
+    return tables
+
+
 def step_discrete(
     case: CaseId,
     state: Partition,
@@ -170,26 +257,88 @@ def step_discrete(
     rng: np.random.Generator,
 ) -> Partition:
     """One synchronous round: each particle in ``update_order`` draws its
-    jump and ``move``s."""
-    pos = list(state.padded(config.ell))
+    jump and ``move``s.
+
+    The round consumes the random stream exactly as one scalar draw per
+    particle in update order would (CanonicalC: one more per site a jump
+    passes), but draws in bulk.  One numpy comparison per round picks the
+    particles that can jump; Python decides those exactly, with the scalar
+    formulas, and ``move``s the ones that jump, in update order.  Jump laws
+    read the positions from before the round, which is exact: the
+    position-dependent cases block, and a blocking move changes only the
+    particle that moves.  A round in which nothing moves returns ``state``."""
+    start = state.padded(config.ell)
+    if not start:
+        return state
+    tables = _round_tables(case, config)
     xi = config.x_of(time_index)
-    pushing = case.pushing
-    plain_geometric = case is CaseId.A or case is CaseId.C
-    for j in update_order(case, config.ell, config.update):
-        if plain_geometric:
-            w = sample_geometric(config.rate(j) * xi, rng.random())
-        elif case is CaseId.CANONICAL_C:
-            w = sample_inhom_geometric(config.alpha_of, config.rate(j), xi, pos[j - 1], rng)
+    tables.at_x(xi)
+    if case is CaseId.CANONICAL_C:
+        jumps = _canonical_c_jumps(tables, start, xi, rng)
+    else:
+        u = rng.random(config.ell)
+        if case.geometric:
+            jumps = [(i, sample_geometric(tables.q_list[i], float(u[i])))
+                     for i in (u >= tables.floor).nonzero()[0].tolist()]
+        elif case is CaseId.CANONICAL_B:
+            cands = (u < tables.success_bound(start[0])).nonzero()[0].tolist()
+            jumps = [(i, 1) for i in cands if u[i] < tables.success(i, start, xi)]
         else:
-            v = config.rate(j) * xi
-            if case is CaseId.CANONICAL_B:
-                v_succ = (config.rate(j) + config.beta_pos_of(pos[j - 1])) * xi
-            else:
-                v_succ = v
-            w = rng.random() < v_succ / (1.0 + v)
+            jumps = [(i, 1) for i in (u < tables.p_succ).nonzero()[0].tolist()]
+    pos, pushing = None, case.pushing
+    for i, w in jumps:
         if w:
-            move(pos, j, w, pushing)
-    return Partition(pos)
+            if pos is None:
+                pos = list(start)
+            move(pos, tables.order[i], w, pushing)
+    return state if pos is None else Partition(pos)
+
+
+def _canonical_c_jumps(tables: _RoundTables, start: tuple, xi: float, rng) -> list:
+    """(update index, jump) of every CanonicalC particle that jumps.
+
+    Particle i's first draw is draws[i + shift], where ``shift`` counts the
+    extra draws of the jumps before it: one per site passed, then the
+    failure, which are the next values of the stream.  Only a draw below
+    the success bound can be a success, so numpy picks those out and
+    Python checks them in order.  ``draws`` never holds more than one value
+    per particle still to come, the least the scalar rule consumes, so the
+    generator ends the round where that rule leaves it."""
+    top = tables.success_bound(start[0])
+    m = len(tables.order)
+    draws, cands = [], []
+
+    def top_up(n: int) -> None:
+        new = rng.random(n)
+        base = len(draws)
+        cands.extend(base + p for p in (new < top).nonzero()[0].tolist())
+        draws.extend(new.tolist())
+
+    top_up(m)
+    jumps, shift, i, c = [], 0, 0, 0
+    while True:
+        if c == len(cands):
+            if len(draws) == m + shift:
+                return jumps
+            top_up(m + shift - len(draws))
+            continue
+        p = cands[c]
+        c += 1
+        idx = p - shift
+        if idx < i or draws[p] >= tables.success(idx, start, xi):
+            continue
+        pi = tables.rate_list[idx]
+        k0 = start[tables.order[idx] - 1]
+        k = k0 + 1
+        while True:
+            shift += 1
+            if idx + shift == len(draws):
+                draws.append(rng.random())
+            if draws[idx + shift] >= _site_success(CaseId.CANONICAL_C, tables.site(k), pi, xi):
+                break
+            k += 1
+        jumps.append((idx, k - k0))
+        i = idx + 1
 
 
 def step_batch(
@@ -212,14 +361,12 @@ def step_batch(
             w = rng.geometric(1.0 - q, size=size) - 1 if q > 0 else np.zeros(size, dtype=np.int64)
         elif case is CaseId.CANONICAL_C:
             w = _batch_inhom_jump(pos[:, col], config, j, xi, rng)
+        elif case is CaseId.CANONICAL_B:
+            beta_here = _at_positions(config.beta_pos_of, pos[:, col])
+            w = rng.random(size) < _site_success(case, beta_here, config.rate(j), xi)
         else:
             v = config.rate(j) * xi
-            if case is CaseId.CANONICAL_B:
-                beta_here = _at_positions(config.beta_pos_of, pos[:, col])
-                v_succ = (config.rate(j) + beta_here) * xi
-            else:
-                v_succ = v
-            w = rng.random(size) < v_succ / (1.0 + v)
+            w = rng.random(size) < v / (1.0 + v)
         new = pos[:, col] + w
         if case.pushing:
             pos[:, col] = new
@@ -246,8 +393,7 @@ def _batch_inhom_jump(start: np.ndarray, config: SimConfig, j: int, xi: float, r
     pi = config.rate(j)
     while active.any():
         a = _at_positions(config.alpha_of, cur[active])
-        p_succ = (a + pi) * xi / (1.0 + a * xi)
-        step = rng.random(int(active.sum())) < p_succ
+        step = rng.random(int(active.sum())) < _site_success(CaseId.CANONICAL_C, a, pi, xi)
         idx = np.flatnonzero(active)
         cur[idx[step]] += 1
         active[idx[~step]] = False
@@ -258,12 +404,13 @@ def run(config: SimConfig, run_index: int = 0) -> Trajectory:
     """Deterministic given (seed, run_index)."""
     config.validate()
     rng = rng_for(config.seed, run_index)
+    config._round_tables = _RoundTables(config.case, config)
     state = config.start
     snaps = [(0, state)]
     for i in range(1, config.steps + 1):
         state = step_discrete(config.case, state, i, config, rng)
         snaps.append((i, state))
-    return Trajectory(snaps)
+    return Trajectory(snaps, config.ell)
 
 
 def sample_batch_final(
@@ -294,18 +441,15 @@ def run_continuous(
     the full list).  Returns bosonic positions."""
     if t < 0:
         raise ValueError("time horizon must be >= 0")
-
-    def rate(j: int) -> float:
-        if callable(rates):
-            return float(rates(j))
-        if isinstance(rates, (int, float)):
-            return float(rates)
-        return float(rates[j - 1]) if j - 1 < len(rates) else 0.0
-
+    if callable(rates):
+        rate = [float(rates(j)) for j in range(1, ell + 1)]
+    elif isinstance(rates, (int, float)):
+        rate = [float(rates)] * ell
+    else:
+        rate = [float(r) for r in rates[:ell]] + [0.0] * (ell - len(rates))
     pos = list((start or Partition()).padded(ell))
     heap = []
-    for j in range(1, ell + 1):
-        r = rate(j)
+    for j, r in enumerate(rate, start=1):
         if r > 0:
             heapq.heappush(heap, (-math.log1p(-rng.random()) / r, j))
     while heap:
@@ -313,6 +457,5 @@ def run_continuous(
         if when >= t:
             break
         move(pos, j, 1, push)
-        r = rate(j)
-        heapq.heappush(heap, (when - math.log1p(-rng.random()) / r, j))
+        heapq.heappush(heap, (when - math.log1p(-rng.random()) / rate[j - 1], j))
     return pos

@@ -12,13 +12,16 @@ from ktasep.simulate import (
     SimConfig,
     Trajectory,
     inhom_geometric_pmf,
+    move,
     rng_for,
     run,
     run_continuous,
     sample_batch_final,
+    sample_geometric,
     sample_inhom_geometric,
     step_batch,
     step_discrete,
+    update_order,
 )
 
 P_ = Partition
@@ -82,13 +85,16 @@ def test_blocking_cap_respected():
 
 
 class Forced:
-    """Stand-in generator that replays fixed uniforms."""
+    """Stand-in generator that replays fixed uniforms, one at a time or
+    ``size`` at once."""
 
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def random(self):
-        return self.draws.pop(0)
+    def random(self, size=None):
+        if size is None:
+            return self.draws.pop(0)
+        return np.array([self.draws.pop(0) for _ in range(size)])
 
 
 def test_forced_draw_blocking_example():
@@ -161,14 +167,137 @@ def test_sampler_streams_pinned():
     assert digest == STREAM_DIGEST
 
 
+def _sine(k):
+    return 0.5 * math.sin(k / 50.0) ** 6
+
+
+# (case, rate, x, alpha, beta_pos): the long-trajectory physics of the
+# benchmark's trajectory workload, at figure scale (few particles move in a
+# round, unlike the ell=5 runs of STREAM_DIGEST)
+LONG_PHYSICS = (
+    (CaseId.A, 1.0, 0.01, None, None),
+    (CaseId.B, 1.0, 0.01, None, None),
+    (CaseId.C, 1.0, 0.01, None, None),
+    (CaseId.D, 1.0, 0.01, None, None),
+    (CaseId.CANONICAL_C, 1.0, 0.01, lambda k: -0.5, None),
+    (CaseId.CANONICAL_C, 0.5, 0.2, _sine, None),
+    (CaseId.CANONICAL_B, 1.0, 0.01, None, _sine),
+)
+
+# sha256 of every snapshot of _long_trajectories()
+LONG_DIGEST = "87529a2afc0cd8970e08d6cee37bc62dff324210e2b135410135b543b478549b"
+
+
+def _fan_start(ell):
+    """The rarefaction fan at free-particle displacement ell / 2."""
+    d = ell / 2
+    return P_(int((math.sqrt(d) - math.sqrt(k)) ** 2) if k < d else 0 for k in range(1, ell + 1))
+
+
+def _long_trajectories():
+    out = []
+    for k, (case, rate, x, alpha, beta) in enumerate(LONG_PHYSICS):
+        for ell, steps in ((10, 300), (100, 60)):
+            cfg = SimConfig(
+                case=case, ell=ell, steps=steps, rates=lambda j, r=rate: r, x=[x],
+                alpha=alpha, beta_pos=beta, seed=70 + k,
+                start=P_([]) if case.pushing else _fan_start(ell),
+            )
+            out.append([p.parts for _, p in run(cfg).snapshots])
+    return out
+
+
+def test_long_trajectories_pinned():
+    digest = hashlib.sha256(repr(_long_trajectories()).encode()).hexdigest()
+    assert digest == LONG_DIGEST
+
+
+def _scalar_round(case, state, time_index, config, rng):
+    """The per-particle round: one scalar draw per particle (CanonicalC:
+    one per site passed, then the failure) and one ``move`` per particle
+    in update order.  Reference for ``step_discrete``."""
+    pos = list(state.padded(config.ell))
+    xi = config.x_of(time_index)
+    pushing = case.pushing
+    plain_geometric = case is CaseId.A or case is CaseId.C
+    for j in update_order(case, config.ell, config.update):
+        if plain_geometric:
+            w = sample_geometric(config.rate(j) * xi, rng.random())
+        elif case is CaseId.CANONICAL_C:
+            k = pos[j - 1]
+            while True:
+                a = config.alpha_of(k)
+                if rng.random() >= (a + config.rate(j)) * xi / (1.0 + a * xi):
+                    break
+                k += 1
+            w = k - pos[j - 1]
+        else:
+            v = config.rate(j) * xi
+            if case is CaseId.CANONICAL_B:
+                v_succ = (config.rate(j) + config.beta_pos_of(pos[j - 1])) * xi
+            else:
+                v_succ = v
+            w = rng.random() < v_succ / (1.0 + v)
+        if w:
+            move(pos, j, w, pushing)
+    return Partition(pos)
+
+
+def test_round_matches_scalar_round():
+    # Every case, both update orders, 0 <= ell <= 12, jump probabilities from
+    # rare to near-certain (CanonicalC first-site success up to 0.6).  After
+    # each round both generators give the same next draw, so the round
+    # consumed exactly the scalar rule's draws.
+    rounds = moved = 0
+    for update in UpdateOrder:
+        for k, case in enumerate(CaseId):
+            for x in (0.02, 0.3, 0.7, 0.95):
+                for ell in (0, 1, 5, 12):
+                    seed = 1000 * k + int(100 * x) + ell
+                    rates = [0.3 + 0.05 * (j % 5) for j in range(ell)]
+                    if case is CaseId.CANONICAL_C:
+                        rates = [0.5] * ell  # success (alpha + pi) x / (1 + alpha x) <= 0.59
+                    cfg = SimConfig(
+                        case=case, ell=ell, rates=rates, x=[x, 0.5 * x], update=update,
+                        alpha=lambda m: 0.15 * (m % 3), beta_pos=lambda m: 0.2 * (m % 4),
+                    )
+                    state = P_([3, 1, 1][:ell])
+                    fast, slow = rng_for(seed), rng_for(seed)
+                    for i in range(1, 61):
+                        new = step_discrete(case, state, i, cfg, fast)
+                        assert new == _scalar_round(case, state, i, cfg, slow), (case, x, ell, i)
+                        assert fast.random() == slow.random(), (case, x, ell, i)
+                        moved += new != state
+                        rounds += 1
+                        state = new
+    assert rounds == 2 * len(CaseId) * 4 * 4 * 60
+    assert rounds // 4 < moved < rounds
+
+
+def test_round_returns_state_when_nothing_moves():
+    cfg = SimConfig(case=CaseId.C, ell=3, rates=[0.5] * 3, x=[0.5])
+    state = P_([2, 1])
+    assert step_discrete(CaseId.C, state, 1, cfg, Forced([0.1, 0.1, 0.1])) is state
+
+
+def test_positions_give_ell_entries():
+    # particles sitting at 0 keep their entries in both pictures
+    traj = run(SimConfig(case=CaseId.A, ell=4, steps=3, rates=[0.5] * 4, x=[0.9], seed=3))
+    for picture in ("bosonic", "fermionic"):
+        assert all(len(p) == 4 for _, p in traj.positions(picture))
+    assert traj.positions("fermionic")[0] == (0, [-1, -2, -3, -4])
+    assert traj.positions("bosonic")[0] == (0, [0, 0, 0, 0])
+
+
 def test_all_zero_jumps_keep_state():
     # uniforms chosen so every sampled jump is zero
     class Still:
         def __init__(self, geometric):
             self.geometric = geometric
 
-        def random(self):
-            return 0.0 if self.geometric else 0.999
+        def random(self, size=None):
+            u = 0.0 if self.geometric else 0.999
+            return u if size is None else np.full(size, u)
 
     for case in (CaseId.A, CaseId.C):
         cfg = SimConfig(case=case, ell=3, steps=1, rates=[0.5] * 3, x=[0.5], seed=0)
