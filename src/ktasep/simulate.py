@@ -242,7 +242,8 @@ def _round_tables(case: CaseId, config: SimConfig) -> _RoundTables:
     """The config's ``_RoundTables``, rebuilt when the case, ell, update
     order, rates, alpha or beta_pos of the config is replaced.  ``run``
     builds them afresh for every run; a caller that edits a rate list in
-    place between its own rounds must do the same."""
+    place between its own rounds must do the same.  The tables change as a
+    run goes on, so two threads must not run rounds of one config at once."""
     tables = getattr(config, "_round_tables", None)
     if tables is None or not tables.fits(case, config):
         tables = config._round_tables = _RoundTables(case, config)
