@@ -299,12 +299,12 @@ def _canonical_c_jumps(tables: _RoundTables, start: tuple, xi: float, rng) -> li
     """(update index, jump) of every CanonicalC particle that jumps.
 
     Particle i's first draw is draws[i + shift], where ``shift`` counts the
-    extra draws of the jumps before it: one per site passed, then the
-    failure, which are the next values of the stream.  Only a draw below
-    the success bound can be a success, so numpy picks those out and
-    Python checks them in order.  ``draws`` never holds more than one value
-    per particle still to come, the least the scalar rule consumes, so the
-    generator ends the round where that rule leaves it."""
+    extra draws of the jumps before it: a jump of w tries w + 1 sites, one
+    draw each, so it takes the w stream values after its first.  Only a
+    draw below the success bound can be a success, so numpy picks those
+    out and Python checks them in order.  ``draws`` never holds more than
+    one value per particle still to come, the least the scalar rule
+    consumes, so the generator ends the round where that rule leaves it."""
     top = tables.success_bound(start[0])
     m = len(tables.order)
     draws, cands = [], []
