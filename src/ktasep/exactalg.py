@@ -580,10 +580,6 @@ def _coerce_rf(value):
     return NotImplemented
 
 
-RF_ONE = RationalFn(ONE)
-RF_ZERO = RationalFn(LaurentPoly.zero())
-
-
 def rf(value: Scalar) -> RationalFn:
     out = _coerce_rf(value)
     if out is NotImplemented:
@@ -830,10 +826,3 @@ def omega_on_expansion(exp: SchurExpansion) -> SchurExpansion:
     return SchurExpansion(
         {conjugate(k): v for k, v in exp.coeffs.items()}, exp.n, exp.degree_cap
     )
-
-
-def evaluate(value, binding: dict):
-    """Evaluate any scalar at a binding VarId -> Fraction/float."""
-    if isinstance(value, (int, Frac, float)):
-        return value
-    return value.eval(binding)

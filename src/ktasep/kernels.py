@@ -17,15 +17,18 @@ rates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 from .conventions import IndexConvention, PINNED_CONVENTIONS
 from .exactalg import Frac, LaurentPoly, RationalFn, Scalar, is_zero_scalar, reciprocal
 from .operators import OpParams, PartitionVector, apply_U
-from .partitions import Partition, conjugate, SkewShape, push_closure
+from .partitions import (
+    Partition, SkewShape, conjugate, is_vertical_strip, partitions_between, push_closure,
+)
 from . import tableaux
 
 
@@ -108,7 +111,7 @@ class ParamBinding:
         for i in range(1, self.n + 1):
             for j in range(1, ell + 1):
                 v = self.rate(j) * self.x_of(i)
-                if case.geometric or case is CaseId.C:
+                if case.geometric:
                     if not (0 <= v < 1):
                         raise ValueError(
                             f"constraint pi_{j}*x_{i} in [0,1) violated: {v}"
@@ -174,26 +177,21 @@ def _geom_mass(q, k: int):
     return (1 - q) * q**k
 
 
-def _inhom_jump_mass(binding: ParamBinding, j: int, xi, m: int, g: int):
-    """Inhomogeneous geometric: probability of jump g from position m for
-    particle j at time value xi (Bernoulli-chain closed form)."""
-    pi = binding.rate(j)
-    num: Scalar = Frac(1)
-    for k in range(m, m + g):
-        a = binding.alpha_of(k)
-        num = num * ((a + pi) * xi) * reciprocal(1 + a * xi)
-    a_end = binding.alpha_of(m + g)
-    return num * (1 - pi * xi) * reciprocal(1 + a_end * xi)
-
-
 def _inhom_tail_mass(binding: ParamBinding, j: int, xi, m: int, g: int):
-    """Probability of jumping at least g: the first g trials all succeed."""
+    """Inhomogeneous geometric: probability that particle j at time value
+    xi jumps at least g from position m, i.e. its first g trials succeed."""
     pi = binding.rate(j)
     num: Scalar = Frac(1)
     for k in range(m, m + g):
         a = binding.alpha_of(k)
         num = num * ((a + pi) * xi) * reciprocal(1 + a * xi)
     return num
+
+
+def _inhom_jump_mass(binding: ParamBinding, j: int, xi, m: int, g: int):
+    """Probability of jump exactly g: g successes, then a failure at m + g."""
+    reach = _inhom_tail_mass(binding, j, xi, m, g)
+    return reach * (1 - binding.rate(j) * xi) * reciprocal(1 + binding.alpha_of(m + g) * xi)
 
 
 def single_step_closed_form(
@@ -222,51 +220,31 @@ def single_step_closed_form(
             p = p * _geom_mass(q, w)
         return p
 
-    if case is CaseId.C:
+    if case is CaseId.C or case is CaseId.CANONICAL_C:
+        # particle j > 1 stops at mu_{j-1}: it lands short of that cap with
+        # its jump mass, and on it with the mass of reaching it
         if not lam.contains(mu):
             return Frac(0)
-        p = Frac(1)
-        for j in range(1, ell + 1):
-            q = binding.rate(j) * xi
-            if j == 1:
-                p = p * _geom_mass(q, lam.part(1) - mu.part(1))
-                continue
-            cap = mu.part(j - 1)
-            target, start = lam.part(j), mu.part(j)
-            if target > cap:
-                return Frac(0)
-            if start == cap:
-                if target != start:
-                    return Frac(0)
-            elif target < cap:
-                p = p * _geom_mass(q, target - start)
-            else:
-                p = p * q ** (cap - start)
-        return p
-
-    if case is CaseId.CANONICAL_C:
-        if not lam.contains(mu):
-            return Frac(0)
+        if case is CaseId.C:
+            jump = lambda j, m, g: _geom_mass(binding.rate(j) * xi, g)
+            reach = lambda j, m, g: (binding.rate(j) * xi) ** g
+        else:
+            jump = lambda j, m, g: _inhom_jump_mass(binding, j, xi, m, g)
+            reach = lambda j, m, g: _inhom_tail_mass(binding, j, xi, m, g)
         p = Frac(1)
         for j in range(1, ell + 1):
             target, start = lam.part(j), mu.part(j)
-            if j == 1:
-                p = p * _inhom_jump_mass(binding, j, xi, start, target - start)
-                continue
-            cap = mu.part(j - 1)
-            if target > cap:
+            cap = mu.part(j - 1) if j > 1 else math.inf
+            if target > cap or (start == cap and target != start):
                 return Frac(0)
-            if start == cap:
-                if target != start:
-                    return Frac(0)
-            elif target < cap:
-                p = p * _inhom_jump_mass(binding, j, xi, start, target - start)
-            else:
-                p = p * _inhom_tail_mass(binding, j, xi, start, cap - start)
+            if target < cap:
+                p = p * jump(j, start, target - start)
+            elif start < cap:
+                p = p * reach(j, start, cap - start)
         return p
 
     if case is CaseId.B or case is CaseId.CANONICAL_B:
-        if not lam.contains(mu) or not is_vertical_strip_pair(lam, mu):
+        if not lam.contains(mu) or not is_vertical_strip(SkewShape(lam, mu)):
             return Frac(0)
         p = Frac(1)
         for j in range(1, ell + 1):
@@ -290,7 +268,7 @@ def single_step_closed_form(
         return p
 
     if case is CaseId.D:
-        if not lam.contains(mu) or not is_vertical_strip_pair(lam, mu):
+        if not lam.contains(mu) or not is_vertical_strip(SkewShape(lam, mu)):
             return Frac(0)
         moved = [j for j in range(1, max(lam.length(), mu.length()) + 1)
                  if lam.part(j) == mu.part(j) + 1]
@@ -315,57 +293,9 @@ def single_step_closed_form(
     raise ValueError(f"no closed form for case {case}")
 
 
-def is_vertical_strip_pair(lam: Partition, mu: Partition) -> bool:
-    return all(
-        lam.part(i) - mu.part(i) in (0, 1) for i in range(1, lam.length() + 1)
-    )
-
-
 # ---------------------------------------------------------------------------
 # single-step tables and Markov chaining
 # ---------------------------------------------------------------------------
-
-
-def _targets_pushing(mu: Partition, ell: int, cap: int) -> Iterator[Partition]:
-    """All lam >= mu with lam_1 <= cap and at most ell rows."""
-
-    def rec(j: int, prefix: list[int]):
-        if j > ell:
-            yield Partition(prefix)
-            return
-        hi = cap if j == 1 else prefix[-1]
-        for v in range(mu.part(j), hi + 1):
-            yield from rec(j + 1, prefix + [v])
-
-    yield from rec(1, [])
-
-
-def _targets_blocking(mu: Partition, ell: int, cap: int) -> Iterator[Partition]:
-    """One blocking step: mu_j <= lam_j <= mu_{j-1} (cap for j=1)."""
-
-    def rec(j: int, prefix: list[int]):
-        if j > ell:
-            yield Partition(prefix)
-            return
-        hi = cap if j == 1 else min(mu.part(j - 1), prefix[-1])
-        for v in range(mu.part(j), hi + 1):
-            yield from rec(j + 1, prefix + [v])
-
-    yield from rec(1, [])
-
-
-def _targets_bernoulli(mu: Partition, ell: int) -> Iterator[Partition]:
-    def rec(j: int, prefix: list[int]):
-        if j > ell:
-            yield Partition(prefix)
-            return
-        for d in (0, 1):
-            v = mu.part(j) + d
-            if j > 1 and v > prefix[-1]:
-                continue
-            yield from rec(j + 1, prefix + [v])
-
-    yield from rec(1, [])
 
 
 def single_step_table(
@@ -378,12 +308,17 @@ def single_step_table(
 ) -> KernelTable:
     if cap < mu.part(1):
         raise ValueError(f"cap {cap} smaller than mu_1 = {mu.part(1)}")
-    if case.geometric:
-        gen = _targets_pushing(mu, ell, cap) if case.pushing else _targets_blocking(mu, ell, cap)
+    # the partitions one step can reach: a pushing jump is bounded only by
+    # the cap, a blocked one by the row above's start, a Bernoulli one by 1
+    low = [mu.part(j) for j in range(1, ell + 1)]
+    if not case.geometric:
+        high = [v + 1 for v in low]
+    elif case.pushing:
+        high = [cap] * ell
     else:
-        gen = _targets_bernoulli(mu, ell)
+        high = [cap] + low[:-1]
     probs = {}
-    for lam in gen:
+    for lam in partitions_between(low, high):
         p = single_step_closed_form(case, mu, lam, time_index, binding, ell)
         if not is_zero_scalar(p):
             probs[lam] = p
@@ -783,10 +718,11 @@ def normalization_identity(mu: Partition, n: int, degree_cap: int):
     through the cap)."""
     from .exactalg import P as Pvar, X as Xvar, as_poly
 
-    subs = {}
     lhs = LaurentPoly.zero()
-    max_rows = mu.length() + n
-    for lam in _partitions_dominated(mu, degree_cap + mu.size(), max_rows):
+    rows, size = mu.length() + n, degree_cap + mu.size()
+    for lam in partitions_between([mu.part(j) for j in range(1, rows + 1)], [size] * rows):
+        if lam.size() > size:
+            continue
         g = tableaux.gen_G_doubleslash(lam, mu, n, False, True, PINNED_CONVENTIONS.index)
         g = as_poly(g) if isinstance(g, (int, Frac)) else g
         if isinstance(g, RationalFn):
@@ -811,21 +747,3 @@ def normalization_identity(mu: Partition, n: int, degree_cap: int):
     rhs = rhs * geo
     return (lhs - rhs).truncate_family_degree("X", degree_cap)
 
-
-def _partitions_dominated(mu: Partition, max_size: int, max_rows: int):
-    """All lam >= mu componentwise with |lam| <= max_size, <= max_rows rows."""
-    out = []
-
-    def rec(j: int, prefix: list[int], used: int):
-        if j > max_rows:
-            out.append(Partition(prefix))
-            return
-        hi = (max_size - used) if j == 1 else min(prefix[-1], max_size - used)
-        lo = mu.part(j)
-        if lo > hi:
-            return
-        for v in range(lo, hi + 1):
-            rec(j + 1, prefix + [v], used + v)
-
-    rec(1, [], 0)
-    return [p for p in out if p.size() <= max_size]

@@ -7,8 +7,9 @@ position of the ``i``-th particle.  All public indexing is 1-based.
 
 from __future__ import annotations
 
+import math
 from functools import total_ordering
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 @total_ordering
@@ -196,34 +197,32 @@ def push_closure(p: Partition, j: int) -> tuple[Partition, list[int]]:
     return Partition(parts), list(range(k, j))
 
 
+def partitions_between(lower: Sequence[int], upper: Sequence[int]) -> list[Partition]:
+    """Every lam with len(lower) rows (zeros allowed) and
+    lower[j-1] <= lam_j <= min(upper[j-1], lam_{j-1}), in ascending
+    lexicographic order.  The kernels enumerate the targets of a step with
+    it, and the box and subpartition listings are its special cases."""
+    rows = len(lower)
+    out: list[Partition] = []
+
+    def rec(j: int, prefix: list[int], prev: int) -> None:
+        if j == rows:
+            out.append(Partition(prefix))
+            return
+        for v in range(lower[j], min(upper[j], prev) + 1):
+            rec(j + 1, prefix + [v], v)
+
+    rec(0, [], math.inf)
+    return out
+
+
 def partitions_in_box(max_len: int, max_part: int) -> list[Partition]:
     """All partitions with at most ``max_len`` parts, each <= ``max_part``,
     in ascending lexicographic order.
     """
-    out: list[Partition] = []
-
-    def rec(prefix: list[int], bound: int):
-        out.append(Partition(prefix))
-        if len(prefix) < max_len:
-            for part in range(1, bound + 1):
-                rec(prefix + [part], part)
-
-    rec([], max_part)
-    return sorted(set(out))
+    return partitions_between([0] * max_len, [max_part] * max_len)
 
 
 def subpartitions(p: Partition) -> list[Partition]:
     """All mu with mu ⊆ p, ascending order."""
-    rows = p.length()
-    out: list[Partition] = []
-
-    def rec(i: int, prefix: list[int]):
-        if i > rows:
-            out.append(Partition(prefix))
-            return
-        hi = min(p.part(i), prefix[-1] if prefix else p.part(i))
-        for v in range(0, hi + 1):
-            rec(i + 1, prefix + [v])
-
-    rec(1, [])
-    return sorted(set(out))
+    return partitions_between([0] * p.length(), p.parts)

@@ -61,25 +61,46 @@ class SimConfig:
     def beta_pos_of(self, k: int) -> float:
         return float(self.beta_pos(k)) if self.beta_pos is not None else 0.0
 
+    def _probes(self) -> tuple[list, list]:
+        """(i, x_i) at the probed steps (the first eight) and (j, pi_j) for
+        every particle."""
+        steps = range(1, min(self.steps, 8) + 1) if self.steps else [1]
+        return ([(i, self.x_of(i)) for i in steps],
+                [(j, self.rate(j)) for j in range(1, self.ell + 1)])
+
     def validate(self) -> None:
-        """Raise ValueError naming the violated constraint."""
-        probe_steps = range(1, min(self.steps, 8) + 1) if self.steps else [1]
-        for i in probe_steps:
-            xi = self.x_of(i)
-            for j in range(1, self.ell + 1):
-                v = self.rate(j) * xi
-                if self.case.geometric:
+        """Raise ValueError naming the violated constraint.  CanonicalC's
+        alpha is checked position by position where a run first reads it
+        (``_checked_alpha``): no finite probe covers every position."""
+        xs, rates = self._probes()
+        geometric = self.case.geometric
+        for i, xi in xs:
+            for j, r in rates:
+                v = r * xi
+                if geometric:
                     if not (0.0 <= v < 1.0):
                         raise ValueError(f"pi_{j}*x_{i} = {v} outside [0, 1)")
                 elif v < 0:
                     raise ValueError(f"rho_{j}*x_{i} = {v} negative")
-                if self.case is CaseId.CANONICAL_C:
-                    for k in range(0, 4):
-                        a = self.alpha_of(k)
-                        if a * xi <= -1:
-                            raise ValueError(f"alpha_{k}*x_{i} = {a * xi} <= -1")
-                        if a + self.rate(j) < 0:
-                            raise ValueError(f"alpha_{k}+pi_{j} = {a + self.rate(j)} < 0")
+
+
+def _checked_alpha(config: SimConfig) -> Callable[[int], float]:
+    """``config.alpha_of``, raising ValueError for a position k whose
+    alpha_k breaks alpha_k x_i > -1 at a probed x_i or alpha_k + pi_j >= 0
+    at some rate."""
+    xs, rates = config._probes()
+    j_low, low = min(rates, key=lambda jr: jr[1], default=(0, 0.0))
+
+    def alpha(k: int) -> float:
+        a = config.alpha_of(k)
+        for i, xi in xs:
+            if a * xi <= -1:
+                raise ValueError(f"alpha_{k}*x_{i} = {a * xi} <= -1")
+        if a + low < 0:
+            raise ValueError(f"alpha_{k}+pi_{j_low} = {a + low} < 0")
+        return a
+
+    return alpha
 
 
 @dataclass
@@ -185,7 +206,7 @@ class _RoundTables:
         self.order = list(update_order(case, config.ell, config.update))
         self.rates = np.array([config.rate(j) for j in self.order])
         self.rate_list = self.rates.tolist()
-        self.site_of = config.alpha_of if case is CaseId.CANONICAL_C else config.beta_pos_of
+        self.site_of = _checked_alpha(config) if case is CaseId.CANONICAL_C else config.beta_pos_of
         self.sites: list = []
         self.xi = None
 
@@ -355,13 +376,14 @@ def step_batch(
     xi = config.x_of(time_index)
     pos = positions
     size = pos.shape[0]
+    alpha = _checked_alpha(config) if case is CaseId.CANONICAL_C else None
     for j in update_order(case, config.ell, config.update):
         col = j - 1
         if case is CaseId.A or case is CaseId.C:
             q = config.rate(j) * xi
             w = rng.geometric(1.0 - q, size=size) - 1 if q > 0 else np.zeros(size, dtype=np.int64)
         elif case is CaseId.CANONICAL_C:
-            w = _batch_inhom_jump(pos[:, col], config, j, xi, rng)
+            w = _batch_inhom_jump(pos[:, col], alpha, config.rate(j), xi, rng)
         elif case is CaseId.CANONICAL_B:
             beta_here = _at_positions(config.beta_pos_of, pos[:, col])
             w = rng.random(size) < _site_success(case, beta_here, config.rate(j), xi)
@@ -387,13 +409,13 @@ def _at_positions(rate: Callable[[int], float], positions: np.ndarray) -> np.nda
     return table[positions - lo]
 
 
-def _batch_inhom_jump(start: np.ndarray, config: SimConfig, j: int, xi: float, rng) -> np.ndarray:
-    """Per-row inhomogeneous geometric jumps of particle j from ``start``."""
+def _batch_inhom_jump(start: np.ndarray, alpha: Callable[[int], float], pi: float, xi: float,
+                      rng) -> np.ndarray:
+    """Per-row inhomogeneous geometric jumps at rate pi from ``start``."""
     cur = start.copy()
     active = np.ones(cur.shape[0], dtype=bool)
-    pi = config.rate(j)
     while active.any():
-        a = _at_positions(config.alpha_of, cur[active])
+        a = _at_positions(alpha, cur[active])
         step = rng.random(int(active.sum())) < _site_success(CaseId.CANONICAL_C, a, pi, xi)
         idx = np.flatnonzero(active)
         cur[idx[step]] += 1

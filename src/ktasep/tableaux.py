@@ -359,27 +359,33 @@ def gen_G_doubleslash(
 # ---------------------------------------------------------------------------
 
 
-def iter_rpp(shape: SkewShape, n: int) -> Iterator[dict]:
-    """Reverse plane partitions: entries 1..n weakly increasing along rows
-    and columns (classical form; column repeats encode merges)."""
+def _fillings(shape: SkewShape, hi: list[int], strict_columns: bool) -> Iterator[dict]:
+    """Every filling of the cells by integers 1..hi[r - 1] in row r, weakly
+    increasing along rows and down columns (strictly down columns with
+    ``strict_columns``).  Dicts from cell to entry, cells in reading
+    order."""
     cells = shape.cells()
+    step = 1 if strict_columns else 0
+    filled: dict = {}
 
-    def rec(i: int, filled: dict) -> Iterator[dict]:
+    def rec(i: int) -> Iterator[dict]:
         if i == len(cells):
             yield dict(filled)
             return
         r, c = cells[i]
-        lo = 1
-        if (r, c - 1) in filled:
-            lo = max(lo, filled[(r, c - 1)])
-        if (r - 1, c) in filled:
-            lo = max(lo, filled[(r - 1, c)])
-        for v in range(lo, n + 1):
+        lo = max(1, filled.get((r, c - 1), 1), filled.get((r - 1, c), 0) + step)
+        for v in range(lo, hi[r - 1] + 1):
             filled[(r, c)] = v
-            yield from rec(i + 1, filled)
+            yield from rec(i + 1)
             del filled[(r, c)]
 
-    yield from rec(0, {})
+    yield from rec(0)
+
+
+def iter_rpp(shape: SkewShape, n: int) -> Iterator[dict]:
+    """Reverse plane partitions: entries 1..n weakly increasing along rows
+    and columns (classical form; column repeats encode merges)."""
+    return _fillings(shape, [n] * shape.outer.length(), strict_columns=False)
 
 
 def rpp_weight(shape: SkewShape, filling: dict, refined: bool) -> LaurentPoly:
@@ -406,24 +412,7 @@ def gen_g(shape: SkewShape, n: int, refined: bool = True) -> LaurentPoly:
 def iter_ssyt(shape: SkewShape, n: int) -> Iterator[dict]:
     """Semistandard tableaux: weakly increasing rows, strictly increasing
     columns, entries 1..n."""
-    cells = shape.cells()
-
-    def rec(i: int, filled: dict) -> Iterator[dict]:
-        if i == len(cells):
-            yield dict(filled)
-            return
-        r, c = cells[i]
-        lo = 1
-        if (r, c - 1) in filled:
-            lo = max(lo, filled[(r, c - 1)])
-        if (r - 1, c) in filled:
-            lo = max(lo, filled[(r - 1, c)] + 1)
-        for v in range(lo, n + 1):
-            filled[(r, c)] = v
-            yield from rec(i + 1, filled)
-            del filled[(r, c)]
-
-    yield from rec(0, {})
+    return _fillings(shape, [n] * shape.outer.length(), strict_columns=True)
 
 
 def vst_weight(shape: SkewShape, filling: dict, refined: bool = True) -> LaurentPoly:
@@ -476,31 +465,13 @@ def gen_flagged_schur(
         raise ValueError("need one flag per row")
     if any(flags[i] > flags[i + 1] for i in range(ell - 1)):
         raise ValueError("flags must be weakly increasing")
-    shape = SkewShape(lam)
-    cells = shape.cells()
+    hi = [n + f for f in flags[:ell]]
     total = LaurentPoly.zero()
-
-    def letter_var(v: int) -> LaurentPoly:
-        return X(v) if v <= n else B(v - n)
-
-    def rec(i: int, filled: dict, weight: LaurentPoly):
-        nonlocal total
-        if i == len(cells):
-            total = total + weight
-            return
-        r, c = cells[i]
-        lo = 1
-        if (r, c - 1) in filled:
-            lo = max(lo, filled[(r, c - 1)])
-        if (r - 1, c) in filled:
-            lo = max(lo, filled[(r - 1, c)] + 1)
-        hi = n + flags[r - 1]
-        for v in range(lo, hi + 1):
-            filled[(r, c)] = v
-            rec(i + 1, filled, weight * letter_var(v))
-            del filled[(r, c)]
-
-    rec(0, {}, LaurentPoly.const(1))
+    for filling in _fillings(SkewShape(lam), hi, strict_columns=True):
+        weight = LaurentPoly.const(1)
+        for v in filling.values():
+            weight = weight * (X(v) if v <= n else B(v - n))
+        total = total + weight
     return total
 
 

@@ -241,16 +241,21 @@ def test_admissibility_check(b1):
 TABLEAU_ROUTE_DIGEST = "943d79a88c9f5073fbca1bf2e1f0b1cd57b245e642bf2110cfdb110650f98441"
 
 
+def _desk_binding(n):
+    """The binding of `ktasep validate --grid desk` at its first n times."""
+    return ParamBinding.numeric(
+        x=[F(1, 10), F(1, 12)][:n],
+        rates=[F(1, 2), F(1, 3), F(1, 7), F(1, 5)],
+        alpha=lambda k: F(1, 4 + k) if k >= 1 else F(0),
+        beta_pos=lambda k: F(1, 6 + k) if k >= 1 else F(0),
+    )
+
+
 def test_tableau_route_values_pinned():
     tableau, operator = [], []
     for case in CaseId:
         for n in (1, 2):
-            b = ParamBinding.numeric(
-                x=[F(1, 10), F(1, 12)][:n],
-                rates=[F(1, 2), F(1, 3), F(1, 7), F(1, 5)],
-                alpha=lambda k: F(1, 4 + k) if k >= 1 else F(0),
-                beta_pos=lambda k: F(1, 6 + k) if k >= 1 else F(0),
-            )
+            b = _desk_binding(n)
             for mu in partitions_in_box(2, 2):
                 for lam in partitions_in_box(3, 3):
                     tableau.append(kernel_tableau_route(case, n, mu, lam, b, 3))
@@ -258,6 +263,24 @@ def test_tableau_route_values_pinned():
     assert len(tableau) == 1440
     for values in (tableau, operator):
         assert hashlib.sha256(repr(values).encode()).hexdigest() == TABLEAU_ROUTE_DIGEST
+
+
+# sha256 of repr() of every chain table of the desk grid's binding (every
+# case, n in {1, 2}, mu in the 2x2 box, ell = 3, cap = 3): its sorted
+# (lam, repr(p)) items and repr(tail).  Pins the closed route through any
+# change to how its targets are enumerated or its per-row masses written.
+CLOSED_ROUTE_DIGEST = "ae51e183489bb3b6dc48ecc6896dd778b3264a27294c8f053a074c051522042c"
+
+
+def test_closed_route_values_pinned():
+    out = []
+    for case in CaseId:
+        for n in (1, 2):
+            for mu in partitions_in_box(2, 2):
+                t = chain(case, n, mu, _desk_binding(n), 3, 3)
+                out.append((sorted((lam, repr(p)) for lam, p in t.probs.items()), repr(t.tail)))
+    assert len(out) == 72
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == CLOSED_ROUTE_DIGEST
 
 
 def test_operator_table_rejects_nonzero_rate_at_position_zero():

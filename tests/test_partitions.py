@@ -1,3 +1,6 @@
+import itertools
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +12,7 @@ from ktasep.partitions import (
     corners,
     is_horizontal_strip,
     is_vertical_strip,
+    partitions_between,
     partitions_in_box,
     push_closure,
 )
@@ -100,6 +104,32 @@ def test_box_enumeration():
     box = partitions_in_box(3, 3)
     assert len(box) == 20
     assert Partition([]) in box and Partition([3, 3, 3]) in box
+
+
+def _between_brute_force(lower, upper):
+    return [
+        Partition(t)
+        for t in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lower, upper)))
+        if all(t[j] <= t[j - 1] for j in range(1, len(t)))
+    ]
+
+
+def test_partitions_between_against_brute_force():
+    rng = random.Random(7)
+    cases = [([], []), ([2], [1]), ([0, 3], [4, 4]), ([1, 1, 1, 1], [3, 0, 3, 3])]
+    for _ in range(300):
+        rows = rng.randint(0, 4)
+        cases.append(([rng.randint(0, 3) for _ in range(rows)],
+                      [rng.randint(0, 5) for _ in range(rows)]))
+    empty = 0
+    for lower, upper in cases:
+        got = partitions_between(lower, upper)
+        assert got == sorted(_between_brute_force(lower, upper)), (lower, upper)
+        assert all(a < b for a, b in zip(got, got[1:])), (lower, upper)
+        empty += not got
+    assert partitions_between([], []) == [Partition([])]
+    assert partitions_between([2], [1]) == [] and partitions_between([0, 3], [4, 4]) != []
+    assert empty > 10  # lower above the bounds empties the range
 
 
 def test_invalid_partition():

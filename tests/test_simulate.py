@@ -403,6 +403,23 @@ def test_config_validation_errors():
         cfg.validate()
 
 
+def test_canonical_c_alpha_checked_at_every_position():
+    # alpha_k + pi_j < 0 only from k = 4 on, where the particles start: a
+    # check of the first few positions passes, so each sampler must check
+    # alpha at every position it reads
+    cfg = SimConfig(case=CaseId.CANONICAL_C, ell=2, steps=5, rates=[0.5, 0.5], x=[0.5],
+                    alpha=lambda k: -0.9 if k >= 4 else 0.0, start=P_([5, 5]))
+    cfg.validate()
+    with pytest.raises(ValueError, match=r"alpha_4\+pi_1 = .* < 0"):
+        run(cfg)
+    with pytest.raises(ValueError, match=r"alpha_5\+pi_1 = .* < 0"):
+        sample_batch_final(cfg, 10, 1)
+    cfg = SimConfig(case=CaseId.CANONICAL_C, ell=2, steps=5, rates=[0.5, 0.5], x=[1.8],
+                    alpha=lambda k: -0.6 if k >= 4 else 0.0, start=P_([5, 5]))
+    with pytest.raises(ValueError, match=r"alpha_5\*x_1 = .* <= -1"):
+        sample_batch_final(cfg, 10, 1)
+
+
 def test_fermionic_picture_transform():
     traj = Trajectory([(0, P_([])), (1, P_([2, 1]))])
     ferm = traj.positions("fermionic")

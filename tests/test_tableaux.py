@@ -1,6 +1,9 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
+
+from ktasep.cli import _list_tableaux
 
 from ktasep.conventions import IndexConvention
 from ktasep.exactalg import (
@@ -204,3 +207,23 @@ def test_multiset_series_matches_resummed():
     sv = series.eval(bind)
     rv = resummed.eval(bind)
     assert abs(sv - rv) < F(1, 10**4)
+
+
+# sha256 of repr() of the `tableaux --list` output (families g, j and G) and,
+# separately, of repr(gen_flagged_schur), on the shapes [2,1], [2,2] and
+# [3,1] with n = 1, 2, 3: the listings keep their entries and order, and
+# the flagged sums their terms, however the fillings are enumerated
+LISTING_DIGEST = "e5fc3f0d88d2f34524b90f3e4c0699107ccef283c0139eaa82728edf78f3f733"
+FLAGGED_DIGEST = "fa77fcbb2382f874fc7f7b7ebaf8ccd4c3e628b14d44457a35129d59d524e6cc"
+
+
+def test_listings_and_flagged_sums_pinned():
+    listings, flagged = [], []
+    for lam in (Partition([2, 1]), Partition([2, 2]), Partition([3, 1])):
+        for n in (1, 2, 3):
+            for family in ("g", "j", "G"):
+                listings.append(_list_tableaux(SkewShape(lam), n, family))
+            flagged.append(repr(gen_flagged_schur(lam, n)))
+    assert sum(len(x) for x in listings) == 225
+    assert hashlib.sha256(repr(listings).encode()).hexdigest() == LISTING_DIGEST
+    assert hashlib.sha256(repr(flagged).encode()).hexdigest() == FLAGGED_DIGEST
