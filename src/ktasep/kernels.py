@@ -25,10 +25,8 @@ from typing import Callable
 
 from .conventions import IndexConvention, PINNED_CONVENTIONS
 from .exactalg import Frac, LaurentPoly, RationalFn, Scalar, is_zero_scalar, reciprocal
-from .operators import OpParams, PartitionVector, apply_U
-from .partitions import (
-    Partition, SkewShape, conjugate, is_vertical_strip, partitions_between, push_closure,
-)
+from .operators import OpParams, PartitionVector, U_step, affine, resolvent, u_step
+from .partitions import Partition, SkewShape, conjugate, is_vertical_strip, partitions_between
 from . import tableaux
 
 
@@ -389,110 +387,28 @@ def _op_params_for(case: CaseId, binding: ParamBinding, ell: int) -> OpParams:
     raise ValueError(case)
 
 
-def _resolvent_U(
-    j: int, vec: PartitionVector, xi, params: OpParams, size_cap: int
-) -> PartitionVector:
-    """(1 - x U_j)^{-1} applied exactly: walk the add-a-box chain with
-    self-loop factors 1/(1+alpha x) resummed, and the blocked terminal's
-    geometric tail 1/(1-beta x)."""
-    out = PartitionVector()
-    for lam, coeff in vec.terms.items():
-        cur = lam
-        w = coeff
-        while True:
-            above = cur.part(j - 1) if j > 1 else None
-            here = cur.part(j)
-            blocked = above is not None and here == above
-            if blocked:
-                b = params.beta(j - 1)
-                out.add_term(cur, w * reciprocal(1 - b * xi))
-                break
-            a = params.alpha(here)
-            w_here = w * reciprocal(1 + a * xi) if not is_zero_scalar(a) else w
-            out.add_term(cur, w_here)
-            parts = list(cur.padded(max(len(cur.parts), j)))
-            parts[j - 1] += 1
-            nxt = Partition(parts)
-            if nxt.size() > size_cap:
-                break
-            w = w_here * xi
-            cur = nxt
-    return out
-
-
-def _resolvent_u(
-    j: int, vec: PartitionVector, xi, params: OpParams, size_cap: int
-) -> PartitionVector:
-    """(1 - x u_j)^{-1} for the alpha=0 pushing operators: iterate the
-    push closure, accumulating one beta per pushed row per step."""
-    out = PartitionVector()
-    for lam, coeff in vec.terms.items():
-        cur = lam
-        w = coeff
-        while True:
-            out.add_term(cur, w)
-            nxt, pushed = push_closure(cur, j)
-            if nxt.size() > size_cap:
-                break
-            step = xi
-            for r in pushed:
-                step = step * params.beta(r)
-            w = w * step
-            cur = nxt
-    return out
-
-
-def _bernoulli_factor_U(
-    j: int, vec: PartitionVector, xi, params: OpParams
-) -> PartitionVector:
-    return vec + apply_U(j, vec, params).scale(xi)
-
-
-def _bernoulli_factor_u(
-    j: int, vec: PartitionVector, xi, params: OpParams, size_cap: int
-) -> PartitionVector:
-    out = PartitionVector(dict(vec.terms))
-    for lam, coeff in vec.terms.items():
-        nxt, pushed = push_closure(lam, j)
-        if nxt.size() > size_cap:
-            continue
-        w = coeff * xi
-        for r in pushed:
-            w = w * params.beta(r)
-        out.add_term(nxt, w)
-    return out
-
-
 def _apply_time_step(
     case: CaseId,
     vec: PartitionVector,
     xi,
     params: OpParams,
-    ell: int,
+    rows: int,
     size_cap: int,
+    ell: int,
 ) -> PartitionVector:
     """One time-evolution operator: sum_k x^k h_k (geometric) or e_k
     (Bernoulli) of the case's operator family, resummed as an ordered
-    product of resolvents/affine factors."""
-    if case is CaseId.A:
-        for j in range(ell, 0, -1):
-            vec = _resolvent_u(j, vec, xi, params, size_cap)
-        return vec
-    if case in (CaseId.C, CaseId.CANONICAL_C, CaseId.CANONICAL_B):
-        # CANONICAL_B evaluates G_{lam'\\mu'} through the e^H pairing on
-        # conjugate shapes, which is the same h_k resolvent product.
-        for j in range(ell, 0, -1):
-            vec = _resolvent_U(j, vec, xi, params, size_cap)
-        return vec
-    if case is CaseId.D:
-        for j in range(1, ell + 1):
-            vec = _bernoulli_factor_u(j, vec, xi, params, size_cap)
-        return vec
-    if case is CaseId.B:
-        for j in range(1, ell + 1):
-            vec = _bernoulli_factor_U(j, vec, xi, params)
-        return vec
-    raise ValueError(case)
+    product of resolvents (descending j) or affine factors (ascending j).
+    CANONICAL_B evaluates G_{lam'\\mu'} through the e^H pairing on
+    conjugate shapes, which is the same h_k resolvent product."""
+    step = u_step if case.pushing else U_step
+    if case.geometric or case is CaseId.CANONICAL_B:
+        for j in range(rows, 0, -1):
+            vec = resolvent(step, j, vec, xi, params, size_cap, ell)
+    else:
+        for j in range(1, rows + 1):
+            vec = affine(step, j, vec, xi, params, size_cap, ell)
+    return vec
 
 
 def operator_table(
@@ -503,8 +419,12 @@ def operator_table(
     ell: int,
     size_cap: int,
 ) -> dict:
-    """All transition probabilities from mu with |lambda| <= size_cap by a
-    single operator evolution, times the overall factor."""
+    """All transition probabilities from mu to lambda with |lambda| <=
+    size_cap and lambda_1, len(lambda) <= ell, by a single operator
+    evolution, times the overall factor.  The evolution stops every chain
+    past size_cap or past ell in row 1 of the evolved shape (lambda' for
+    CanonicalB): sizes grow and row 1 never shrinks, so no dropped term
+    returns."""
     if case is CaseId.CANONICAL_C and not is_zero_scalar(binding.alpha_of(0)):
         raise ValueError("operator route for CanonicalC requires alpha(0) = 0")
     if case is CaseId.CANONICAL_B and not is_zero_scalar(binding.beta_pos_of(0)):
@@ -526,11 +446,11 @@ def operator_table(
     params = _op_params_for(case, binding, ell)
     vec = PartitionVector.basis(start)
     for x in xs:
-        vec = _apply_time_step(case, vec, x, params, rows, size_cap)
+        vec = _apply_time_step(case, vec, x, params, rows, size_cap, ell)
     out = {}
     for target, coeff in vec.terms.items():
         lam = conjugate(target) if conj else target
-        if lam.length() <= ell:
+        if lam.length() <= ell and lam.part(1) <= ell:
             out[lam] = coeff * factor * rate_monomial(case, mu, lam, binding, ell)
     return out
 

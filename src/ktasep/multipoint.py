@@ -49,6 +49,21 @@ class MultiPointQuery:
 MAX_QUADRATURE_POINTS = 2**14
 
 
+def _trapezoid(mean, points: int, tol):
+    """The trapezoidal rule's shared loop: ``mean(m)`` is the rule's value
+    on m points.  Double m from ``points`` up to MAX_QUADRATURE_POINTS
+    until two successive values agree to ``tol``; return the real part of
+    the last value."""
+    prev = None
+    while points <= MAX_QUADRATURE_POINTS:
+        val = mean(points)
+        if prev is not None and abs(val - prev) < tol:
+            return val.real
+        prev = val
+        points *= 2
+    return prev.real
+
+
 def _check_quadrature_points(points: int) -> None:
     """The trapezoidal rules start at ``points`` and double it up to the cap."""
     if not 1 <= points <= MAX_QUADRATURE_POINTS:
@@ -319,8 +334,9 @@ def _validate_radius(contour: ContourSpec, b: ParamBinding, ell: int, n: int):
 
 
 def _contour_quadrature(num, den, xs, power, contour: ContourSpec):
-    """Trapezoidal rule on the circle; spectrally convergent, doubling the
-    point count until two successive evaluations agree to 1e-12."""
+    """Trapezoidal rule on the circle in complex floats; spectrally
+    convergent, so ``_trapezoid`` doubles the point count until two
+    successive evaluations agree to 1e-12."""
     r = float(contour.radius)
 
     def f(w: complex) -> complex:
@@ -333,19 +349,14 @@ def _contour_quadrature(num, den, xs, power, contour: ContourSpec):
             val /= 1.0 - float(x) * w
         return val / w**power
 
-    points = contour.points
-    prev = None
-    while points <= MAX_QUADRATURE_POINTS:
+    def mean(points: int) -> complex:
         acc = 0j
         for s in range(points):
             w = r * cmath.exp(2j * cmath.pi * s / points)
             acc += f(w)
-        val = acc / points
-        if prev is not None and abs(val - prev) < 1e-12:
-            return val.real
-        prev = val
-        points *= 2
-    return prev.real
+        return acc / points
+
+    return _trapezoid(mean, contour.points, 1e-12)
 
 
 def mp_blocking(
@@ -480,9 +491,8 @@ def _exp_contour_quadrature(num, den, power, t, points, form: str):
     else:
         nonzero = [abs(c) for c in den if c != 0]
         radius = (mp.mpf(1) / max(nonzero)) / 2 if nonzero else mp.mpf(1)
-    prev = None
-    pts = points
-    while pts <= MAX_QUADRATURE_POINTS:
+
+    def mean(pts: int):
         acc = mp.mpc(0)
         for s in range(pts):
             w = radius * mp.e ** (2j * mp.pi * s / pts)
@@ -492,12 +502,9 @@ def _exp_contour_quadrature(num, den, power, t, points, form: str):
             for c in den:
                 val /= (1 - c / w) if form == "inv" else (1 - c * w)
             acc += val / w**power
-        val = acc / pts
-        if prev is not None and abs(val - prev) < mp.mpf(10) ** (-12):
-            return val.real
-        prev = val
-        pts *= 2
-    return prev.real
+        return acc / pts
+
+    return _trapezoid(mean, points, mp.mpf(10) ** (-12))
 
 
 def master_equation_residual(

@@ -4,6 +4,9 @@ Blocking operators U_i add a box to row i when legal and otherwise pick up
 a beta factor; pushing operators u_j add a box to row j, pushing the rows
 above when needed, with an alpha-indexed recursion for longer waits.
 Noncommutative e_k/h_k words encode one Bernoulli/geometric update round.
+Each family's action on one partition is one step (``U_step``, and
+``u_step`` for alpha = 0); ``apply_U``, ``PushEvaluator`` and the
+``resolvent``/``affine`` factors of a time step are built on it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .exactalg import A, B, Frac, LaurentPoly, Scalar, is_zero_scalar
+from .exactalg import A, B, Frac, Scalar, is_zero_scalar, reciprocal
 from .partitions import Partition, push_closure
 
 
@@ -108,26 +111,83 @@ class OpParams:
         return cls(alpha=mk(alpha_vals, Frac(0)), beta=mk(beta_vals, Frac(0)))
 
 
+def U_step(i: int, lam: Partition, params: OpParams) -> tuple:
+    """U_i e_lam = d e_lam + c e_next as (d, next, c): an addable box gives
+    d = -alpha_{lam_i}, next = lam + e_i and c = 1; a row blocked by row
+    i-1 gives d = beta_{i-1} and no next."""
+    if i < 1:
+        raise ValueError("row index must be >= 1")
+    here = lam.part(i)
+    if i > 1 and here == lam.part(i - 1):
+        return params.beta(i - 1), None, None
+    parts = list(lam.padded(max(len(lam.parts), i)))
+    parts[i - 1] += 1
+    return -params.alpha(here), Partition(parts), Frac(1)
+
+
+def u_step(j: int, lam: Partition, params: OpParams) -> tuple:
+    """The alpha = 0 pushing operator as (d, next, c): d = 0, next the push
+    closure of lam + e_j, c the product of beta over the pushed rows."""
+    nxt, pushed = push_closure(lam, j)
+    c: Scalar = Frac(1)
+    for r in pushed:
+        c = c * params.beta(r)
+    return Frac(0), nxt, c
+
+
+Step = Callable[[int, Partition, OpParams], tuple]
+
+
 def apply_U(i: int, vec: PartitionVector, params: OpParams) -> PartitionVector:
     """Blocking operator U_i: kappa_i + Theta_i, where Theta picks up
     -alpha_{lambda_i} when the box is addable and beta_{i-1} when row i is
     blocked by row i-1."""
-    if i < 1:
-        raise ValueError("row index must be >= 1")
     out = PartitionVector()
     for lam, c in vec.terms.items():
-        above = lam.part(i - 1) if i > 1 else None  # None means infinity
-        here = lam.part(i)
-        addable = above is None or here < above
-        if addable:
-            parts = list(lam.padded(max(len(lam.parts), i)))
-            parts[i - 1] += 1
-            out.add_term(Partition(parts), c)
-            a = params.alpha(here)
-            if not is_zero_scalar(a):
-                out.add_term(lam, c * (-a))
-        else:
-            out.add_term(lam, c * params.beta(i - 1))
+        d, nxt, cc = U_step(i, lam, params)
+        if nxt is not None:
+            out.add_term(nxt, c * cc)
+        if not is_zero_scalar(d):
+            out.add_term(lam, c * d)
+    return out
+
+
+def _keeps(nxt: Partition | None, size_cap: int, width: int) -> bool:
+    """Whether a successor lies inside both caps.  Sizes grow and row 1
+    never shrinks along a chain, so nothing past a cap comes back."""
+    return nxt is not None and nxt.size() <= size_cap and nxt.part(1) <= width
+
+
+def resolvent(
+    step: Step, j: int, vec: PartitionVector, x, params: OpParams, size_cap: int, width: int
+) -> PartitionVector:
+    """(1 - x T_j)^{-1} vec for the operator T_j given by ``step``: walk
+    each successor chain, resumming every diagonal d into 1/(1 - d x).
+    Exact on partitions with |lam| <= size_cap and lam_1 <= width."""
+    out = PartitionVector()
+    for lam, w in vec.terms.items():
+        while True:
+            d, nxt, c = step(j, lam, params)
+            if not is_zero_scalar(d):
+                w = w * reciprocal(1 - d * x)
+            out.add_term(lam, w)
+            if not _keeps(nxt, size_cap, width):
+                break
+            lam, w = nxt, w * x * c
+    return out
+
+
+def affine(
+    step: Step, j: int, vec: PartitionVector, x, params: OpParams, size_cap: int, width: int
+) -> PartitionVector:
+    """(1 + x T_j) vec for the operator T_j given by ``step``, on
+    partitions with |lam| <= size_cap and lam_1 <= width."""
+    out = PartitionVector()
+    for lam, w in vec.terms.items():
+        d, nxt, c = step(j, lam, params)
+        out.add_term(lam, w if is_zero_scalar(d) else w * (1 + d * x))
+        if _keeps(nxt, size_cap, width):
+            out.add_term(nxt, w * x * c)
     return out
 
 
@@ -145,16 +205,14 @@ class PushEvaluator:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        nu, pushed = push_closure(mu, j)
+        _, nu, coeff = u_step(j, mu, self.params)
         out: dict = {}
         if nu.size() <= self.cap:
-            coeff: Scalar = Frac(1)
-            for a in pushed:
-                coeff = coeff * self.params.beta(a)
             out[nu] = coeff
             a_val = self.params.alpha(mu.part(j) + 1)
             if not is_zero_scalar(a_val):
-                k = pushed[0] if pushed else j
+                # the push closure raised rows k..j
+                k = next(i for i in range(1, j + 1) if nu.part(i) != mu.part(i))
                 for i in range(k, j + 1):
                     c: Scalar = a_val
                     for a in range(k, i):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -69,19 +68,28 @@ class SimConfig:
                 [(j, self.rate(j)) for j in range(1, self.ell + 1)])
 
     def validate(self) -> None:
-        """Raise ValueError naming the violated constraint.  CanonicalC's
-        alpha is checked position by position where a run first reads it
-        (``_checked_alpha``): no finite probe covers every position."""
+        """Raise ValueError naming the violated constraint.  pi_j x_i is
+        checked here at the probed steps and again wherever a run reads a
+        new x_i (``_check_rate_x``); CanonicalC's alpha position by
+        position where a run first reads it (``_checked_alpha``): no
+        finite probe covers every step or position."""
         xs, rates = self._probes()
-        geometric = self.case.geometric
         for i, xi in xs:
-            for j, r in rates:
-                v = r * xi
-                if geometric:
-                    if not (0.0 <= v < 1.0):
-                        raise ValueError(f"pi_{j}*x_{i} = {v} outside [0, 1)")
-                elif v < 0:
-                    raise ValueError(f"rho_{j}*x_{i} = {v} negative")
+            _check_rate_x(self.case, i, xi, rates)
+
+
+def _check_rate_x(case: CaseId, i: int, xi: float, rates) -> None:
+    """Raise ValueError naming the first (j, pi_j) of ``rates`` whose
+    pi_j x_i leaves [0, 1) in a geometric case, or whose rho_j x_i is
+    negative in a Bernoulli one."""
+    geometric = case.geometric
+    for j, r in rates:
+        v = r * xi
+        if geometric:
+            if not (0.0 <= v < 1.0):
+                raise ValueError(f"pi_{j}*x_{i} = {v} outside [0, 1)")
+        elif v < 0:
+            raise ValueError(f"rho_{j}*x_{i} = {v} negative")
 
 
 def _checked_alpha(config: SimConfig) -> Callable[[int], float]:
@@ -198,11 +206,11 @@ class _RoundTables:
     than once per particle per round: the update order and the rates in
     that order, per-x_i thresholds (rebuilt when x_i changes), and alpha
     (CanonicalC) or beta_pos (CanonicalB) by integer position from 0, in a
-    table that grows as the particles advance."""
+    table that grows as the particles advance.  The tables change as a run
+    goes on, so two threads must not run rounds with one of them at once."""
 
     def __init__(self, case: CaseId, config: SimConfig):
         self.case = case
-        self.source = self._source(case, config)
         self.order = list(update_order(case, config.ell, config.update))
         self.rates = np.array([config.rate(j) for j in self.order])
         self.rate_list = self.rates.tolist()
@@ -210,23 +218,16 @@ class _RoundTables:
         self.sites: list = []
         self.xi = None
 
-    @staticmethod
-    def _source(case: CaseId, config: SimConfig) -> tuple:
-        return (case, config.ell, config.update, config.rates, config.alpha, config.beta_pos)
-
-    def fits(self, case: CaseId, config: SimConfig) -> bool:
-        """Whether every input the tables were built from is still the
-        same object (by identity: rates may be an array)."""
-        return all(map(operator.is_, self.source, self._source(case, config)))
-
-    def at_x(self, xi: float) -> None:
-        """Per-x_i thresholds.  Geometric: particle i can jump only if
+    def at_x(self, i: int, xi: float) -> None:
+        """Per-x_i thresholds, after checking pi_j x_i for every particle.
+        Geometric: particle i can jump only if
         u >= floor[i]; the exact rule u >= 1 - q rounds within a few ulps
         of |log q| <= 745 in ``sample_geometric``, far inside the 1e-9
         relative and 1e-15 absolute slack, so the floor never excludes a
         jump.  Bernoulli (B, D): particle i jumps iff u < p_succ[i]."""
         if xi == self.xi:
             return
+        _check_rate_x(self.case, i, xi, zip(self.order, self.rate_list))
         self.xi = xi
         v = self.rates * xi
         if self.case.geometric:
@@ -259,27 +260,17 @@ class _RoundTables:
         return self.top
 
 
-def _round_tables(case: CaseId, config: SimConfig) -> _RoundTables:
-    """The config's ``_RoundTables``, rebuilt when the case, ell, update
-    order, rates, alpha or beta_pos of the config is replaced.  ``run``
-    builds them afresh for every run; a caller that edits a rate list in
-    place between its own rounds must do the same.  The tables change as a
-    run goes on, so two threads must not run rounds of one config at once."""
-    tables = getattr(config, "_round_tables", None)
-    if tables is None or not tables.fits(case, config):
-        tables = config._round_tables = _RoundTables(case, config)
-    return tables
-
-
 def step_discrete(
     case: CaseId,
     state: Partition,
     time_index: int,
     config: SimConfig,
     rng: np.random.Generator,
+    tables: _RoundTables | None = None,
 ) -> Partition:
     """One synchronous round: each particle in ``update_order`` draws its
-    jump and ``move``s.
+    jump and ``move``s.  ``tables`` are the run's ``_RoundTables``, built
+    from ``case`` and ``config``; without them the round builds its own.
 
     The round consumes the random stream exactly as one scalar draw per
     particle in update order would (CanonicalC: one more per site a jump
@@ -292,9 +283,10 @@ def step_discrete(
     start = state.padded(config.ell)
     if not start:
         return state
-    tables = _round_tables(case, config)
+    if tables is None:
+        tables = _RoundTables(case, config)
     xi = config.x_of(time_index)
-    tables.at_x(xi)
+    tables.at_x(time_index, xi)
     if case is CaseId.CANONICAL_C:
         jumps = _canonical_c_jumps(tables, start, xi, rng)
     else:
@@ -374,21 +366,23 @@ def step_batch(
     copies), column by column in ``update_order``.  Used by the statistics
     harness."""
     xi = config.x_of(time_index)
+    rates = [(j, config.rate(j)) for j in update_order(case, config.ell, config.update)]
+    _check_rate_x(case, time_index, xi, rates)
     pos = positions
     size = pos.shape[0]
     alpha = _checked_alpha(config) if case is CaseId.CANONICAL_C else None
-    for j in update_order(case, config.ell, config.update):
+    for j, rate in rates:
         col = j - 1
         if case is CaseId.A or case is CaseId.C:
-            q = config.rate(j) * xi
+            q = rate * xi
             w = rng.geometric(1.0 - q, size=size) - 1 if q > 0 else np.zeros(size, dtype=np.int64)
         elif case is CaseId.CANONICAL_C:
-            w = _batch_inhom_jump(pos[:, col], alpha, config.rate(j), xi, rng)
+            w = _batch_inhom_jump(pos[:, col], alpha, rate, xi, rng)
         elif case is CaseId.CANONICAL_B:
             beta_here = _at_positions(config.beta_pos_of, pos[:, col])
-            w = rng.random(size) < _site_success(case, beta_here, config.rate(j), xi)
+            w = rng.random(size) < _site_success(case, beta_here, rate, xi)
         else:
-            v = config.rate(j) * xi
+            v = rate * xi
             w = rng.random(size) < v / (1.0 + v)
         new = pos[:, col] + w
         if case.pushing:
@@ -427,11 +421,11 @@ def run(config: SimConfig, run_index: int = 0) -> Trajectory:
     """Deterministic given (seed, run_index)."""
     config.validate()
     rng = rng_for(config.seed, run_index)
-    config._round_tables = _RoundTables(config.case, config)
+    tables = _RoundTables(config.case, config)
     state = config.start
     snaps = [(0, state)]
     for i in range(1, config.steps + 1):
-        state = step_discrete(config.case, state, i, config, rng)
+        state = step_discrete(config.case, state, i, config, rng, tables=tables)
         snaps.append((i, state))
     return Trajectory(snaps, config.ell)
 

@@ -7,13 +7,17 @@ from ktasep.operators import (
     OpParams,
     PartitionVector,
     U_family,
+    U_step,
+    affine,
     apply_U,
     apply_u,
     apply_word,
     check_weak_knuth,
     noncomm_e,
     noncomm_h,
+    resolvent,
     u_family,
+    u_step,
 )
 from ktasep.partitions import Partition, partitions_in_box
 
@@ -215,3 +219,41 @@ def test_symbolic_vs_bound_metamorphic():
 def test_weak_knuth_u_alpha_beta_fails():
     rep = check_weak_knuth(u_family(SYM, 6), "u_ab", [P_([])], max_index=3)
     assert not rep.holds
+
+
+# exact parameters with every alpha and beta nonzero; the pushing family
+# is the alpha = 0 one that ``u_step`` describes
+ALPHA_BETA = OpParams.bound(lambda k: F(1, 3 + k), lambda j: F(2, 5 + j))
+BETA_ONLY_BOUND = OpParams.bound(None, lambda j: F(2, 5 + j))
+SIZE_CAP, WIDTH, XI = 7, 4, F(1, 4)
+STEP_FAMILIES = [
+    (U_step, ALPHA_BETA, lambda j, v: apply_U(j, v, ALPHA_BETA)),
+    (u_step, BETA_ONLY_BOUND, u_family(BETA_ONLY_BOUND, SIZE_CAP)),
+]
+
+
+def test_resolvent_inverts_one_minus_xT():
+    # (1 - x T_j) resolvent(vec) = vec on every partition one step inside
+    # both caps; a resolvent without the 1/(1 - d x) resummation fails
+    inside = lambda p: p.size() < SIZE_CAP and p.part(1) < WIDTH  # noqa: E731
+    checked = 0
+    for step, params, T in STEP_FAMILIES:
+        for j in (1, 2, 3):
+            for mu in partitions_in_box(2, 2):
+                vec = PartitionVector.basis(mu)
+                r = resolvent(step, j, vec, XI, params, SIZE_CAP, WIDTH)
+                back = r - T(j, r).scale(XI)
+                for p in set(r.terms) | set(back.terms):
+                    if inside(p):
+                        assert back.coeff(p) == vec.coeff(p), (step.__name__, j, mu, p)
+                        checked += 1
+    assert checked == 90
+
+
+def test_affine_is_one_plus_xT():
+    for step, params, T in STEP_FAMILIES:
+        for j in (1, 2, 3):
+            for mu in partitions_in_box(2, 2):
+                vec = PartitionVector.basis(mu)
+                got = affine(step, j, vec, XI, params, SIZE_CAP, WIDTH)
+                assert got == vec + T(j, vec).scale(XI), (step.__name__, j, mu)

@@ -403,6 +403,18 @@ def test_config_validation_errors():
         cfg.validate()
 
 
+def test_rate_x_checked_at_every_step():
+    # pi x = 1.5 only from step 10 on, past the steps validate probes, so
+    # each sampler must check pi_j x_i where it reads a new x_i
+    cfg = SimConfig(case=CaseId.A, ell=2, steps=20, rates=[0.5, 0.5],
+                    x=lambda i: 0.5 if i < 10 else 3.0, seed=1)
+    cfg.validate()
+    with pytest.raises(ValueError, match=r"pi_2\*x_10 = 1.5 outside \[0, 1\)"):
+        run(cfg)
+    with pytest.raises(ValueError, match=r"pi_2\*x_10 = 1.5 outside \[0, 1\)"):
+        sample_batch_final(cfg, 10, 1)
+
+
 def test_canonical_c_alpha_checked_at_every_position():
     # alpha_k + pi_j < 0 only from k = 4 on, where the particles start: a
     # check of the first few positions passes, so each sampler must check
