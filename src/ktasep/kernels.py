@@ -394,7 +394,6 @@ def _apply_time_step(
     params: OpParams,
     rows: int,
     size_cap: int,
-    ell: int,
 ) -> PartitionVector:
     """One time-evolution operator: sum_k x^k h_k (geometric) or e_k
     (Bernoulli) of the case's operator family, resummed as an ordered
@@ -404,10 +403,10 @@ def _apply_time_step(
     step = u_step if case.pushing else U_step
     if case.geometric or case is CaseId.CANONICAL_B:
         for j in range(rows, 0, -1):
-            vec = resolvent(step, j, vec, xi, params, size_cap, ell)
+            vec = resolvent(step, j, vec, xi, params, size_cap)
     else:
         for j in range(1, rows + 1):
-            vec = affine(step, j, vec, xi, params, size_cap, ell)
+            vec = affine(step, j, vec, xi, params, size_cap)
     return vec
 
 
@@ -420,11 +419,9 @@ def operator_table(
     size_cap: int,
 ) -> dict:
     """All transition probabilities from mu to lambda with |lambda| <=
-    size_cap and lambda_1, len(lambda) <= ell, by a single operator
-    evolution, times the overall factor.  The evolution stops every chain
-    past size_cap or past ell in row 1 of the evolved shape (lambda' for
-    CanonicalB): sizes grow and row 1 never shrinks, so no dropped term
-    returns."""
+    size_cap and len(lambda) <= ell, by a single operator evolution, times
+    the overall factor.  The evolution stops every chain past size_cap:
+    sizes only grow, so no dropped term returns."""
     if case is CaseId.CANONICAL_C and not is_zero_scalar(binding.alpha_of(0)):
         raise ValueError("operator route for CanonicalC requires alpha(0) = 0")
     if case is CaseId.CANONICAL_B and not is_zero_scalar(binding.beta_pos_of(0)):
@@ -446,11 +443,11 @@ def operator_table(
     params = _op_params_for(case, binding, ell)
     vec = PartitionVector.basis(start)
     for x in xs:
-        vec = _apply_time_step(case, vec, x, params, rows, size_cap, ell)
+        vec = _apply_time_step(case, vec, x, params, rows, size_cap)
     out = {}
     for target, coeff in vec.terms.items():
         lam = conjugate(target) if conj else target
-        if lam.length() <= ell and lam.part(1) <= ell:
+        if lam.length() <= ell:
             out[lam] = coeff * factor * rate_monomial(case, mu, lam, binding, ell)
     return out
 

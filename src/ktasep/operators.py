@@ -111,6 +111,9 @@ class OpParams:
         return cls(alpha=mk(alpha_vals, Frac(0)), beta=mk(beta_vals, Frac(0)))
 
 
+_ZERO, _ONE = Frac(0), Frac(1)
+
+
 def U_step(i: int, lam: Partition, params: OpParams) -> tuple:
     """U_i e_lam = d e_lam + c e_next as (d, next, c): an addable box gives
     d = -alpha_{lam_i}, next = lam + e_i and c = 1; a row blocked by row
@@ -122,17 +125,24 @@ def U_step(i: int, lam: Partition, params: OpParams) -> tuple:
         return params.beta(i - 1), None, None
     parts = list(lam.padded(max(len(lam.parts), i)))
     parts[i - 1] += 1
-    return -params.alpha(here), Partition(parts), Frac(1)
+    return -params.alpha(here), Partition(parts), _ONE
+
+
+def _push(j: int, lam: Partition, params: OpParams) -> tuple:
+    """The push closure of lam + e_j, the product of beta over the pushed
+    rows, and the lowest raised row k (rows k..j gain a box)."""
+    nxt, pushed = push_closure(lam, j)
+    c: Scalar = _ONE
+    for r in pushed:
+        c = c * params.beta(r)
+    return nxt, c, pushed[0] if pushed else j
 
 
 def u_step(j: int, lam: Partition, params: OpParams) -> tuple:
     """The alpha = 0 pushing operator as (d, next, c): d = 0, next the push
     closure of lam + e_j, c the product of beta over the pushed rows."""
-    nxt, pushed = push_closure(lam, j)
-    c: Scalar = Frac(1)
-    for r in pushed:
-        c = c * params.beta(r)
-    return Frac(0), nxt, c
+    nxt, c, _ = _push(j, lam, params)
+    return _ZERO, nxt, c
 
 
 Step = Callable[[int, Partition, OpParams], tuple]
@@ -152,18 +162,13 @@ def apply_U(i: int, vec: PartitionVector, params: OpParams) -> PartitionVector:
     return out
 
 
-def _keeps(nxt: Partition | None, size_cap: int, width: int) -> bool:
-    """Whether a successor lies inside both caps.  Sizes grow and row 1
-    never shrinks along a chain, so nothing past a cap comes back."""
-    return nxt is not None and nxt.size() <= size_cap and nxt.part(1) <= width
-
-
 def resolvent(
-    step: Step, j: int, vec: PartitionVector, x, params: OpParams, size_cap: int, width: int
+    step: Step, j: int, vec: PartitionVector, x, params: OpParams, size_cap: int
 ) -> PartitionVector:
     """(1 - x T_j)^{-1} vec for the operator T_j given by ``step``: walk
     each successor chain, resumming every diagonal d into 1/(1 - d x).
-    Exact on partitions with |lam| <= size_cap and lam_1 <= width."""
+    Exact on partitions with |lam| <= size_cap: sizes grow along a chain,
+    so nothing past the cap comes back."""
     out = PartitionVector()
     for lam, w in vec.terms.items():
         while True:
@@ -171,22 +176,22 @@ def resolvent(
             if not is_zero_scalar(d):
                 w = w * reciprocal(1 - d * x)
             out.add_term(lam, w)
-            if not _keeps(nxt, size_cap, width):
+            if nxt is None or nxt.size() > size_cap:
                 break
             lam, w = nxt, w * x * c
     return out
 
 
 def affine(
-    step: Step, j: int, vec: PartitionVector, x, params: OpParams, size_cap: int, width: int
+    step: Step, j: int, vec: PartitionVector, x, params: OpParams, size_cap: int
 ) -> PartitionVector:
     """(1 + x T_j) vec for the operator T_j given by ``step``, on
-    partitions with |lam| <= size_cap and lam_1 <= width."""
+    partitions with |lam| <= size_cap."""
     out = PartitionVector()
     for lam, w in vec.terms.items():
         d, nxt, c = step(j, lam, params)
         out.add_term(lam, w if is_zero_scalar(d) else w * (1 + d * x))
-        if _keeps(nxt, size_cap, width):
+        if nxt is not None and nxt.size() <= size_cap:
             out.add_term(nxt, w * x * c)
     return out
 
@@ -205,14 +210,12 @@ class PushEvaluator:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        _, nu, coeff = u_step(j, mu, self.params)
+        nu, coeff, k = _push(j, mu, self.params)
         out: dict = {}
         if nu.size() <= self.cap:
             out[nu] = coeff
             a_val = self.params.alpha(mu.part(j) + 1)
             if not is_zero_scalar(a_val):
-                # the push closure raised rows k..j
-                k = next(i for i in range(1, j + 1) if nu.part(i) != mu.part(i))
                 for i in range(k, j + 1):
                     c: Scalar = a_val
                     for a in range(k, i):

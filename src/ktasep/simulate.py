@@ -227,9 +227,12 @@ class _RoundTables:
         jump.  Bernoulli (B, D): particle i jumps iff u < p_succ[i]."""
         if xi == self.xi:
             return
-        _check_rate_x(self.case, i, xi, zip(self.order, self.rate_list))
-        self.xi = xi
         v = self.rates * xi
+        bad = ~((v >= 0) & (v < 1)) if self.case.geometric else v < 0
+        if bad.any():
+            k = int(np.argmax(bad))
+            _check_rate_x(self.case, i, xi, [(self.order[k], self.rate_list[k])])
+        self.xi = xi
         if self.case.geometric:
             self.q_list = v.tolist()
             self.floor = 1.0 - v * (1.0 + 1e-9) - 1e-15

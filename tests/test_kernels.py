@@ -164,6 +164,29 @@ def test_route_agreement_small_grid(b2):
                 assert closed.prob(lam) == op.get(lam, F(0)) == tv, (case, mu, lam)
 
 
+def test_operator_route_past_ell_in_row_one():
+    # ell bounds the number of particles, not the first one's position:
+    # targets with lam_1 > ell must match the closed route
+    b = ParamBinding.numeric(
+        x=[F(1, 5), F(1, 4)],
+        rates=[F(1, 2), F(1, 3)],
+        alpha=lambda k: F(1, 4 + k) if k >= 1 else F(0),
+        beta_pos=lambda k: F(1, 6 + k) if k >= 1 else F(0),
+    )
+    ell = 2
+    for case in CaseId:
+        nonzero = 0
+        for n in (1, 2):
+            bn = ParamBinding(b.x[:n], b.rates, b.alpha, b.beta_pos)
+            for mu in [P_([]), P_([1]), P_([2]), P_([2, 1])]:
+                for lam in [P_([3]), P_([4]), P_([3, 1]), P_([4, 2])]:
+                    want = chain(case, n, mu, bn, ell, cap=lam.part(1)).prob(lam)
+                    got = kernel_operator_route(case, n, mu, lam, bn, ell)
+                    assert got == want, (case, n, mu, lam)
+                    nonzero += want != 0
+        assert nonzero >= 4, case
+
+
 def test_canonical_example_7x_symbolic():
     xb = ParamBinding(
         x=[X(1)],

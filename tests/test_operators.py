@@ -225,7 +225,7 @@ def test_weak_knuth_u_alpha_beta_fails():
 # is the alpha = 0 one that ``u_step`` describes
 ALPHA_BETA = OpParams.bound(lambda k: F(1, 3 + k), lambda j: F(2, 5 + j))
 BETA_ONLY_BOUND = OpParams.bound(None, lambda j: F(2, 5 + j))
-SIZE_CAP, WIDTH, XI = 7, 4, F(1, 4)
+SIZE_CAP, XI = 7, F(1, 4)
 STEP_FAMILIES = [
     (U_step, ALPHA_BETA, lambda j, v: apply_U(j, v, ALPHA_BETA)),
     (u_step, BETA_ONLY_BOUND, u_family(BETA_ONLY_BOUND, SIZE_CAP)),
@@ -234,20 +234,19 @@ STEP_FAMILIES = [
 
 def test_resolvent_inverts_one_minus_xT():
     # (1 - x T_j) resolvent(vec) = vec on every partition one step inside
-    # both caps; a resolvent without the 1/(1 - d x) resummation fails
-    inside = lambda p: p.size() < SIZE_CAP and p.part(1) < WIDTH  # noqa: E731
+    # the size cap; a resolvent without the 1/(1 - d x) resummation fails
     checked = 0
     for step, params, T in STEP_FAMILIES:
         for j in (1, 2, 3):
             for mu in partitions_in_box(2, 2):
                 vec = PartitionVector.basis(mu)
-                r = resolvent(step, j, vec, XI, params, SIZE_CAP, WIDTH)
+                r = resolvent(step, j, vec, XI, params, SIZE_CAP)
                 back = r - T(j, r).scale(XI)
                 for p in set(r.terms) | set(back.terms):
-                    if inside(p):
+                    if p.size() < SIZE_CAP:
                         assert back.coeff(p) == vec.coeff(p), (step.__name__, j, mu, p)
                         checked += 1
-    assert checked == 90
+    assert checked == 118
 
 
 def test_affine_is_one_plus_xT():
@@ -255,5 +254,5 @@ def test_affine_is_one_plus_xT():
         for j in (1, 2, 3):
             for mu in partitions_in_box(2, 2):
                 vec = PartitionVector.basis(mu)
-                got = affine(step, j, vec, XI, params, SIZE_CAP, WIDTH)
+                got = affine(step, j, vec, XI, params, SIZE_CAP)
                 assert got == vec + T(j, vec).scale(XI), (step.__name__, j, mu)
