@@ -625,17 +625,18 @@ def supersym_e(m: int, xs: Sequence[Scalar], ys: Sequence[Scalar]):
     return supersym_h(m, [-y for y in ys], [-x for x in xs])
 
 
-def theta_h_pair(m: int, top: tuple, bottom: tuple, trunc: int):
+def theta_h_pair(m: int, top_h: Sequence, bottom: tuple, trunc: int):
     """sum_{a-b=m, max(a,b)<=trunc} h_a(x1/y1) h_b(x2/y2) with supersym
-    pairs ``top`` = (x1, y1) and ``bottom`` = (x2, y2).  These sums can
-    have infinitely many nonzero terms, so ``trunc`` caps both indices."""
+    pairs (x1, y1) on top and ``bottom`` = (x2, y2).  ``top_h`` is the top
+    pair's prefix ``h_prefix(k, x1, y1)`` for any k >= min(trunc, trunc + m),
+    so callers with one top pair build it once.  These sums can have
+    infinitely many nonzero terms, so ``trunc`` caps both indices."""
     if abs(m) > trunc:
         return 0
-    ht = h_prefix(min(trunc, trunc + m), *top)
     hb = h_prefix(min(trunc, trunc - m), *bottom)
     total = 0
-    for a in range(max(m, 0), len(ht)):
-        total = total + ht[a] * hb[a - m]
+    for a in range(max(m, 0), min(trunc, trunc + m) + 1):
+        total = total + top_h[a] * hb[a - m]
     return total
 
 
@@ -669,12 +670,71 @@ def schur_poly(lam_parts: tuple, n: int) -> LaurentPoly:
                       for i in range(1, ell + 1)])
 
 
+LEIBNIZ_MAX_DIM = 8  # 8! = 40320 products; one size more is a hang, not a result
+
+
 def det_exact(rows: list[list]):
-    """Leibniz expansion over all permutations: exact for entries in any
-    commutative ring (Fraction, LaurentPoly, RationalFn, mpmath numbers).
-    A product stops multiplying once it is zero."""
+    """Exact determinant of a square matrix.  Rational entries (int and
+    Fraction) go through fraction-free elimination; entries of any other
+    commutative ring (LaurentPoly, RationalFn, mpmath numbers) through the
+    Leibniz expansion, which refuses dimensions above LEIBNIZ_MAX_DIM.
+    Both return an int when every entry is an int, a Fraction for other
+    rational entries, and the entry itself for a 1x1 matrix."""
     if not rows:
         return Frac(1)
+    if len(rows) == 1:
+        return rows[0][0]
+    if all(type(e) is int or type(e) is Frac for row in rows for e in row):
+        return _det_bareiss(rows)
+    return _det_leibniz(rows)
+
+
+def _det_bareiss(rows: list[list]):
+    """Bareiss elimination (Math. Comp. 22, 1968) over the integers, after
+    scaling each row by the lcm of its denominators; every division is
+    exact, so no intermediate Fraction is built."""
+    scale = 1
+    m = []
+    rational = False
+    for row in rows:
+        den = 1
+        for e in row:
+            if type(e) is Frac:
+                rational = True
+                den = math.lcm(den, e.denominator)
+        m.append([e * den if type(e) is int else e.numerator * (den // e.denominator)
+                  for e in row])
+        scale *= den
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return Frac(0) if rational else 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        rk = m[k]
+        pivot = rk[k]
+        for i in range(k + 1, n):
+            ri = m[i]
+            a = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (pivot * ri[j] - a * rk[j]) // prev
+        prev = pivot
+    det = sign * m[n - 1][n - 1]
+    return Frac(det, scale) if rational else det
+
+
+def _det_leibniz(rows: list[list]):
+    """Leibniz expansion over all permutations: exact for entries in any
+    commutative ring.  A product stops multiplying once it is zero."""
+    if len(rows) > LEIBNIZ_MAX_DIM:
+        raise ValueError(
+            f"Leibniz determinant of dimension {len(rows)} exceeds "
+            f"LEIBNIZ_MAX_DIM ({LEIBNIZ_MAX_DIM}); only rational entries "
+            f"are eliminated at any size"
+        )
     total = None
     for perm in itertools.permutations(range(len(rows))):
         prod = rows[0][perm[0]]

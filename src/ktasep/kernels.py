@@ -369,7 +369,8 @@ def _op_params_for(case: CaseId, binding: ParamBinding, ell: int) -> OpParams:
         return binding.rate(j) if j <= ell else Frac(0)
 
     if case is CaseId.A or case is CaseId.D:
-        return OpParams.bound(None, lambda j: reciprocal(rate(j)))
+        # one reciprocal per row, however many pushes read it
+        return OpParams.bound(None, lru_cache(maxsize=None)(lambda j: reciprocal(rate(j))))
     if case is CaseId.C or case is CaseId.B:
         return OpParams.bound(None, lambda j: rate(j + 1))
     if case is CaseId.CANONICAL_C:

@@ -155,6 +155,9 @@ def mp_blocking_series(query: MultiPointQuery, trunc: int = 60):
     # case B's top alphabet is 0/(-x): h_a(0/(-x)) = e_a(x) vanishes beyond
     # a = n, so its sums terminate and the cap below keeps every nonzero term
     top = ((), [-x for x in xs]) if case is CaseId.B else (xs, ())
+    # every entry reads h_a of the same top pair with a <= n (case B) or
+    # a <= trunc: build that prefix once for all ell^2 entries
+    top_h = h_prefix(n if case is CaseId.B else trunc, *top)
     rows = []
     for i in range(1, ell + 1):
         row = []
@@ -171,7 +174,7 @@ def mp_blocking_series(query: MultiPointQuery, trunc: int = 60):
                     [_beta_of(b, k) for k in range(1, i - 1)],
                 )
             cap = n - min(m, 0) if case is CaseId.B else trunc
-            row.append(theta_h_pair(m, top, bot, cap))
+            row.append(theta_h_pair(m, top_h, bot, cap))
         rows.append(row)
     factor = rate_monomial(case, mu, nu, b, ell) * time_factor(case, b, range(1, ell + 1), xs)
     value = factor * det_exact(rows)
@@ -194,7 +197,9 @@ def mp_blocking_series(query: MultiPointQuery, trunc: int = 60):
 def mp_event_sum(query: MultiPointQuery, cap: int = 12):
     """Brute-force reference: sum exact kernels over the event set.
     Returns (value, tail_bound); the bound is the kernel mass outside the
-    lambda_1 cap (zero for <=-direction and Bernoulli cases)."""
+    lambda_1 cap.  It is zero for the <= direction when the cap reaches
+    thresholds_1, since the event set then lies inside the cap, and for
+    the Bernoulli cases."""
     case, thr, start, ell, b = (
         query.case,
         query.thresholds,
@@ -211,6 +216,8 @@ def mp_event_sum(query: MultiPointQuery, cap: int = 12):
             ok = all(lam.part(i) >= thr.part(i) for i in range(1, ell + 1))
         if ok:
             total = total + p
+    if query.direction == "le" and cap >= thr.part(1):
+        return total, Frac(0)
     return total, table.tail
 
 
@@ -338,15 +345,18 @@ def _contour_quadrature(num, den, xs, power, contour: ContourSpec):
     convergent, so ``_trapezoid`` doubles the point count until two
     successive evaluations agree to 1e-12."""
     r = float(contour.radius)
+    num = [float(c) for c in num]
+    den = [float(c) for c in den]
+    xs = [float(x) for x in xs]
 
     def f(w: complex) -> complex:
         val = 1.0 + 0j
         for c in num:
-            val *= 1.0 - float(c) / w
+            val *= 1.0 - c / w
         for c in den:
-            val /= 1.0 - float(c) / w
+            val /= 1.0 - c / w
         for x in xs:
-            val /= 1.0 - float(x) * w
+            val /= 1.0 - x * w
         return val / w**power
 
     def mean(points: int) -> complex:

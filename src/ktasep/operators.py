@@ -85,6 +85,15 @@ class OpParams:
 
     alpha: Callable[[int], Scalar]
     beta: Callable[[int], Scalar]
+    _neg_alpha: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def neg_alpha(self, k: int) -> Scalar:
+        """-alpha_k, negated once per k however many steps read it."""
+        d = self._neg_alpha.get(k)
+        if d is None:
+            a = self.alpha(k)
+            d = self._neg_alpha[k] = a if is_zero_scalar(a) else -a
+        return d
 
     @classmethod
     def symbolic(cls) -> "OpParams":
@@ -114,6 +123,13 @@ class OpParams:
 _ZERO, _ONE = Frac(0), Frac(1)
 
 
+def _times(w, c):
+    """w * c for a step's successor coefficient c, which is the shared
+    ``_ONE`` for every blocking step and every single-row push: that
+    product is skipped."""
+    return w if c is _ONE else w * c
+
+
 def U_step(i: int, lam: Partition, params: OpParams) -> tuple:
     """U_i e_lam = d e_lam + c e_next as (d, next, c): an addable box gives
     d = -alpha_{lam_i}, next = lam + e_i and c = 1; a row blocked by row
@@ -125,7 +141,7 @@ def U_step(i: int, lam: Partition, params: OpParams) -> tuple:
         return params.beta(i - 1), None, None
     parts = list(lam.padded(max(len(lam.parts), i)))
     parts[i - 1] += 1
-    return -params.alpha(here), Partition(parts), _ONE
+    return params.neg_alpha(here), Partition(parts), _ONE
 
 
 def _push(j: int, lam: Partition, params: OpParams) -> tuple:
@@ -134,7 +150,8 @@ def _push(j: int, lam: Partition, params: OpParams) -> tuple:
     nxt, pushed = push_closure(lam, j)
     c: Scalar = _ONE
     for r in pushed:
-        c = c * params.beta(r)
+        b = params.beta(r)
+        c = b if c is _ONE else c * b
     return nxt, c, pushed[0] if pushed else j
 
 
@@ -156,7 +173,7 @@ def apply_U(i: int, vec: PartitionVector, params: OpParams) -> PartitionVector:
     for lam, c in vec.terms.items():
         d, nxt, cc = U_step(i, lam, params)
         if nxt is not None:
-            out.add_term(nxt, c * cc)
+            out.add_term(nxt, _times(c, cc))
         if not is_zero_scalar(d):
             out.add_term(lam, c * d)
     return out
@@ -178,7 +195,7 @@ def resolvent(
             out.add_term(lam, w)
             if nxt is None or nxt.size() > size_cap:
                 break
-            lam, w = nxt, w * x * c
+            lam, w = nxt, _times(w * x, c)
     return out
 
 
@@ -192,7 +209,7 @@ def affine(
         d, nxt, c = step(j, lam, params)
         out.add_term(lam, w if is_zero_scalar(d) else w * (1 + d * x))
         if nxt is not None and nxt.size() <= size_cap:
-            out.add_term(nxt, w * x * c)
+            out.add_term(nxt, _times(w * x, c))
     return out
 
 

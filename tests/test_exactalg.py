@@ -2,11 +2,14 @@ import math
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ktasep import exactalg
 from ktasep.exactalg import (
+    LEIBNIZ_MAX_DIM,
     A,
     B,
     LaurentPoly,
@@ -16,6 +19,7 @@ from ktasep.exactalg import (
     VarId,
     X,
     NotSymmetricError,
+    _det_leibniz,
     det_exact,
     omega_on_expansion,
     schur_expand,
@@ -103,9 +107,9 @@ def test_supersym_cancellation():
 def test_theta_examples():
     x, y = X(1), P(1)
     # empty Y collapses to plain h
-    assert theta_h_pair(2, ([x], ()), ([], ()), 5) == x * x
-    assert theta_h_pair(0, ([], ()), ([y], ()), 3) == 1
-    assert theta_h_pair(-1, ([x], ()), ([y], ()), 4) == y + x * y**2 + x**2 * y**3 + x**3 * y**4
+    assert theta_h_pair(2, h_prefix(5, [x]), ([], ()), 5) == x * x
+    assert theta_h_pair(0, h_prefix(3, []), ([y], ()), 3) == 1
+    assert theta_h_pair(-1, h_prefix(4, [x]), ([y], ()), 4) == y + x * y**2 + x**2 * y**3 + x**3 * y**4
 
 
 # Brute-force symmetric functions, independent of the prefix recurrence:
@@ -133,41 +137,73 @@ def test_prefix_builder_against_brute_force(xs, ys, m, d):
     assert supersym_e(m, xs, ys) == sum(
         (-1) ** j * _e(m - j, xs) * _h(j, ys) for j in range(m + 1)
     )
-    # theta sum: both indices capped at 4
-    assert theta_h_pair(d, (xs, ()), (ys, ()), 4) == sum(
-        _h(a, xs) * _h(a - d, ys) for a in range(max(d, 0), min(4, 4 + d) + 1)
-    )
+    # theta sum: both indices capped at 4, from a top prefix of the least
+    # length and from a longer one
+    theta = sum(_h(a, xs) * _h(a - d, ys) for a in range(max(d, 0), min(4, 4 + d) + 1))
+    for k in (min(4, 4 + d), 7):
+        assert theta_h_pair(d, h_prefix(k, xs), (ys, ()), 4) == theta
 
 
-def _det_by_elimination(rows):
-    m = [list(r) for r in rows]
-    det = F(1)
-    for c in range(len(m)):
-        pivot = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
-        if pivot is None:
-            return F(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, len(m)):
-            f = m[r][c] / m[c][c]
-            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
-
-
-def test_det_exact_against_elimination():
+def test_det_exact_elimination_against_leibniz():
     import random
 
     rnd = random.Random(3)
-    for dim in range(5):
-        for _ in range(4):
-            # many zero entries, so products that stop early are exercised
-            rows = [[F(rnd.randint(-3, 3) * rnd.randint(0, 1), rnd.randint(1, 4))
-                     for _ in range(dim)] for _ in range(dim)]
-            assert det_exact(rows) == _det_by_elimination(rows)
-    # polynomial entries: the Jacobi-Trudi determinant of s_(1,1) in 2 variables
-    assert schur_poly((1, 1), 2) == X(1) * X(2)
+    for dim in range(7):
+        for kind in ("int", "frac"):
+            for trial in range(12):
+                # many zero entries: zero pivots force row swaps, and
+                # Leibniz products that stop early are exercised
+                rows = [[rnd.randint(-3, 3) * rnd.randint(0, 1) for _ in range(dim)]
+                        for _ in range(dim)]
+                if kind == "frac":
+                    rows = [[F(v, rnd.randint(1, 4)) for v in row] for row in rows]
+                if dim >= 2 and trial % 4 == 3:  # singular: a repeated row
+                    rows[-1] = list(rows[0])
+                got = det_exact(rows)
+                want = _det_leibniz(rows) if dim else F(1)
+                assert got == want and type(got) is type(want), rows
+    # zero pivots at the first and at a later elimination step, and a
+    # column with no pivot at all
+    for rows, value in (([[0, 1, 2], [3, 4, 5], [6, 7, 9]], -3),
+                        ([[1, 2, 3], [2, 4, 5], [3, 7, 1]], 1),
+                        ([[0, 1], [0, 2]], 0)):
+        thirds = [[F(v, 3) for v in row] for row in rows]
+        assert det_exact(rows) == _det_leibniz(rows) == value
+        assert det_exact(thirds) == _det_leibniz(thirds) == F(value, 3 ** len(rows))
+        assert type(det_exact(rows)) is int and type(det_exact(thirds)) is F
+    # mixed int and Fraction entries give a Fraction
+    assert det_exact([[1, F(1, 2)], [0, F(2, 3)]]) == F(2, 3)
+    assert type(det_exact([[1, F(1, 2)], [0, F(2, 3)]])) is F
+
+
+def test_ring_entries_use_leibniz(monkeypatch):
+    sizes = []
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return _det_leibniz(rows)
+
+    def refuse(rows):
+        raise AssertionError("ring entries reached the rational elimination")
+
+    monkeypatch.setattr(exactalg, "_det_leibniz", counted)
+    monkeypatch.setattr(exactalg, "_det_bareiss", refuse)
+    # the Jacobi-Trudi determinant of s_(1,1) in 2 variables, uncached
+    assert schur_poly.__wrapped__((1, 1), 2) == X(1) * X(2)
+    assert sizes == [2]
+
+
+def test_leibniz_size_guard():
+    n = LEIBNIZ_MAX_DIM
+    ident = lambda one, zero, dim: [[one if i == j else zero for j in range(dim)]
+                                    for i in range(dim)]
+    assert det_exact(ident(LaurentPoly.const(1), LaurentPoly.zero(), n)) == 1
+    for one, zero in ((LaurentPoly.const(1), LaurentPoly.zero()), (mp.mpf(1), mp.mpf(0))):
+        with pytest.raises(ValueError, match=f"dimension {n + 1}"):
+            det_exact(ident(one, zero, n + 1))
+    # rational entries are eliminated at any size
+    assert det_exact(ident(1, 0, 12)) == 1
+    assert det_exact(ident(F(1, 2), F(0), 12)) == F(1, 2**12)
 
 
 def test_schur_expand_examples():

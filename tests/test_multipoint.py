@@ -109,6 +109,35 @@ def test_pushing_event_sums_exact():
                     assert v == ev, (case, n, start, thr)
 
 
+# pairwise-distinct rates for up to ten particles
+PRIME_RATES = [F(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)]
+
+
+def test_pushing_event_sums_at_large_ell():
+    # ell = 10 is 10! = 3.6 M Leibniz products; the elimination is cubic
+    for ell in (8, 10):
+        b = ParamBinding.numeric(x=[F(1, 10), F(1, 12)], rates=PRIME_RATES[:ell])
+        thr = P_([2, 2] + [1] * (ell - 3))
+        for case in (CaseId.A, CaseId.D):
+            q = MultiPointQuery(case, "le", 2, thr, P_([1, 1]), ell, b)
+            ev, tail = mp_event_sum(q, cap=thr.part(1))
+            assert tail == 0 and 0 < ev < 1
+            assert mp_pushing(q) == ev, (ell, case)
+
+
+def test_event_sum_le_bound():
+    # the <= event set lies inside a cap at thresholds_1 or above, so the
+    # sum is exact even though case A's chain drops mass past the cap
+    b = ParamBinding.numeric(x=[F(1, 10)], rates=PRIME_RATES[:8])
+    q = MultiPointQuery(CaseId.A, "le", 1, P_([2, 2, 1]), P_([1]), 8, b)
+    ev, bound = mp_event_sum(q, cap=2)
+    assert bound == 0 and ev == mp_pushing(q)
+    # a cap below thresholds_1 cuts the event set: the chain's tail bounds
+    # what is missing
+    low, low_bound = mp_event_sum(q, cap=1)
+    assert low_bound > 0 and low <= ev <= low + low_bound
+
+
 def test_blocking_event_sums():
     for case in (CaseId.C, CaseId.B):
         for n in (1, 2):
