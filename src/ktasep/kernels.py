@@ -395,6 +395,7 @@ def _apply_time_step(
     params: OpParams,
     rows: int,
     size_cap: int,
+    width: float,
 ) -> PartitionVector:
     """One time-evolution operator: sum_k x^k h_k (geometric) or e_k
     (Bernoulli) of the case's operator family, resummed as an ordered
@@ -404,10 +405,10 @@ def _apply_time_step(
     step = u_step if case.pushing else U_step
     if case.geometric or case is CaseId.CANONICAL_B:
         for j in range(rows, 0, -1):
-            vec = resolvent(step, j, vec, xi, params, size_cap)
+            vec = resolvent(step, j, vec, xi, params, size_cap, width)
     else:
         for j in range(1, rows + 1):
-            vec = affine(step, j, vec, xi, params, size_cap)
+            vec = affine(step, j, vec, xi, params, size_cap, width)
     return vec
 
 
@@ -418,11 +419,14 @@ def operator_table(
     binding: ParamBinding,
     ell: int,
     size_cap: int,
+    width: float = math.inf,
 ) -> dict:
     """All transition probabilities from mu to lambda with |lambda| <=
-    size_cap and len(lambda) <= ell, by a single operator evolution, times
-    the overall factor.  The evolution stops every chain past size_cap:
-    sizes only grow, so no dropped term returns."""
+    size_cap, len(lambda) <= ell and lambda_1 <= width, by a single
+    operator evolution, times the overall factor.  The
+    evolution stops every chain past size_cap and, outside CanonicalB's
+    conjugate picture, past width: sizes and row 1 only grow, so no
+    dropped term returns."""
     if case is CaseId.CANONICAL_C and not is_zero_scalar(binding.alpha_of(0)):
         raise ValueError("operator route for CanonicalC requires alpha(0) = 0")
     if case is CaseId.CANONICAL_B and not is_zero_scalar(binding.beta_pos_of(0)):
@@ -432,23 +436,24 @@ def operator_table(
     if conj:
         # CanonicalB evolves conjugate shapes.  One row beyond the widest
         # target keeps every untracked row uniformly blocked, so the finite
-        # product of (1 - beta_j x) over the tracked rows is exact.
-        start, rows = conjugate(mu), size_cap + 1
+        # product of (1 - beta_j x) over the tracked rows is exact.  Row 1
+        # of a conjugate shape is len(lambda) <= ell, which bounds it.
+        start, rows, row1_cap = conjugate(mu), size_cap + 1, math.inf
         factor = time_factor(case, binding, (1,), xs)
         for j in range(1, rows):
             for x in xs:
                 factor = factor * (1 - binding.beta_pos_of(j) * x)
     else:
-        start, rows = mu, ell
+        start, rows, row1_cap = mu, ell, width
         factor = time_factor(case, binding, range(1, ell + 1), xs)
     params = _op_params_for(case, binding, ell)
     vec = PartitionVector.basis(start)
     for x in xs:
-        vec = _apply_time_step(case, vec, x, params, rows, size_cap)
+        vec = _apply_time_step(case, vec, x, params, rows, size_cap, row1_cap)
     out = {}
     for target, coeff in vec.terms.items():
         lam = conjugate(target) if conj else target
-        if lam.length() <= ell:
+        if lam.length() <= ell and lam.part(1) <= width:
             out[lam] = coeff * factor * rate_monomial(case, mu, lam, binding, ell)
     return out
 
@@ -463,7 +468,7 @@ def kernel_operator_route(
 ):
     """Kernel via the noncommutative-operator time evolution: one entry of
     the smallest ``operator_table`` that holds lam."""
-    table = operator_table(case, n, mu, binding, ell, max(lam.size(), mu.size()))
+    table = operator_table(case, n, mu, binding, ell, max(lam.size(), mu.size()), lam.part(1))
     return table.get(lam, Frac(0))
 
 
@@ -505,59 +510,21 @@ def time_factor(case: CaseId, binding: ParamBinding, js, xs):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _cached_gdoubleslash(outer_parts, inner_parts, n, alpha_on, beta_on, convention):
-    return tableaux.gen_G_doubleslash(
-        Partition(outer_parts),
-        Partition(inner_parts),
-        n,
-        alpha_on,
-        beta_on,
-        convention,
-        resummed=True,
-    )
-
-
-@lru_cache(maxsize=None)
-def _cached_gen_g(outer_parts, inner_parts, n):
-    return tableaux.gen_g(SkewShape(Partition(outer_parts), Partition(inner_parts)), n)
-
-
-@lru_cache(maxsize=None)
-def _cached_gen_j(outer_parts, inner_parts, n):
-    return tableaux.gen_j(SkewShape(Partition(outer_parts), Partition(inner_parts)), n)
-
-
-def _binding_map(case: CaseId, value, binding: ParamBinding, ell: int) -> dict:
-    """Bind the tableau generating function's variables per case.  Rates
-    beyond the particle count read as zero."""
+def _tableau_letters(case: CaseId, binding: ParamBinding, ell: int) -> tableaux.Letters:
+    """The binding's value of each letter the case's tableau sum reads.
+    Rates beyond the particle count read as zero."""
     rate = lambda j: binding.rate(j) if j <= ell else Frac(0)
-    out = {}
-    for v in value.variables() if hasattr(value, "variables") else []:
-        fam, idx = v.family, v.index
-        if fam == "X":
-            out[v] = binding.x_of(idx)
-        elif fam == "B":
-            if case is CaseId.A:
-                out[v] = reciprocal(rate(idx))
-            elif case in (CaseId.C, CaseId.CANONICAL_C):
-                out[v] = rate(idx + 1)
-            elif case is CaseId.CANONICAL_B:
-                out[v] = binding.beta_pos_of(idx)
-            else:
-                raise ValueError(f"unexpected beta variable for case {case}")
-        elif fam == "A":
-            if case is CaseId.D:
-                out[v] = reciprocal(rate(idx))
-            elif case in (CaseId.B, CaseId.CANONICAL_B):
-                out[v] = rate(idx + 1)
-            elif case is CaseId.CANONICAL_C:
-                out[v] = binding.alpha_of(idx)
-            else:
-                raise ValueError(f"unexpected alpha variable for case {case}")
-        else:
-            raise ValueError(f"unexpected variable family {fam}")
-    return out
+    shifted = lambda j: rate(j + 1)
+    inverse = lambda j: reciprocal(rate(j))
+
+    def unread(j: int):
+        raise ValueError(f"case {case} reads no such tableau letter")
+
+    alpha = {CaseId.D: inverse, CaseId.B: shifted, CaseId.CANONICAL_B: shifted,
+             CaseId.CANONICAL_C: binding.alpha_of}.get(case, unread)
+    beta = {CaseId.A: inverse, CaseId.C: shifted, CaseId.CANONICAL_C: shifted,
+            CaseId.CANONICAL_B: binding.beta_pos_of}.get(case, unread)
+    return tableaux.Letters(binding.x_of, alpha, beta)
 
 
 def kernel_tableau_route(
@@ -571,7 +538,8 @@ def kernel_tableau_route(
 ):
     """Kernel via the Grothendieck-type generating functions of Thm-1.1
     shape: the case's tableau sum (on conjugate shapes for B, D and
-    CanonicalB) specialized at the binding, times the overall factor."""
+    CanonicalB), summed at the binding's letter values, times the overall
+    factor."""
     xs = [binding.x_of(i) for i in range(1, n + 1)]
     alpha0 = binding.alpha_of(0) if case is CaseId.CANONICAL_C else Frac(0)
     if n > 1 and not is_zero_scalar(alpha0):
@@ -584,15 +552,16 @@ def kernel_tableau_route(
         outer, inner = conjugate(lam), conjugate(mu)
     else:
         outer, inner = lam, mu
+    letters = _tableau_letters(case, binding, ell)
     if case is CaseId.A:
-        g = _cached_gen_g(outer.parts, inner.parts, n)
+        g = tableaux.gen_g(SkewShape(outer, inner), n, letters=letters)
     elif case is CaseId.D:
-        g = _cached_gen_j(outer.parts, inner.parts, n)
+        g = tableaux.gen_j(SkewShape(outer, inner), n, letters=letters)
     else:
         alpha_on, beta_on = case is not CaseId.C, case is not CaseId.B
-        g = _cached_gdoubleslash(outer.parts, inner.parts, n, alpha_on, beta_on, convention)
-    if not isinstance(g, (int, Frac)):
-        g = g.eval(_binding_map(case, g, binding, ell))
+        g = tableaux.gen_G_doubleslash(
+            outer, inner, n, alpha_on, beta_on, convention, letters=letters
+        )
     js = range(1, ell + 1) if case.pushing else (1,)
     val = g * rate_monomial(case, mu, lam, binding, ell) * time_factor(case, binding, js, xs)
     if not is_zero_scalar(alpha0) and mu.length() < ell:

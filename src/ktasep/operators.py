@@ -11,6 +11,7 @@ Each family's action on one partition is one step (``U_step``, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -180,12 +181,19 @@ def apply_U(i: int, vec: PartitionVector, params: OpParams) -> PartitionVector:
 
 
 def resolvent(
-    step: Step, j: int, vec: PartitionVector, x, params: OpParams, size_cap: int
+    step: Step,
+    j: int,
+    vec: PartitionVector,
+    x,
+    params: OpParams,
+    size_cap: int,
+    width: float = math.inf,
 ) -> PartitionVector:
     """(1 - x T_j)^{-1} vec for the operator T_j given by ``step``: walk
     each successor chain, resumming every diagonal d into 1/(1 - d x).
-    Exact on partitions with |lam| <= size_cap: sizes grow along a chain,
-    so nothing past the cap comes back."""
+    Exact on partitions with |lam| <= size_cap and lam_1 <= width: sizes
+    and row 1 grow along a chain, so nothing past either bound comes
+    back."""
     out = PartitionVector()
     for lam, w in vec.terms.items():
         while True:
@@ -193,22 +201,28 @@ def resolvent(
             if not is_zero_scalar(d):
                 w = w * reciprocal(1 - d * x)
             out.add_term(lam, w)
-            if nxt is None or nxt.size() > size_cap:
+            if nxt is None or nxt.size() > size_cap or nxt.part(1) > width:
                 break
             lam, w = nxt, _times(w * x, c)
     return out
 
 
 def affine(
-    step: Step, j: int, vec: PartitionVector, x, params: OpParams, size_cap: int
+    step: Step,
+    j: int,
+    vec: PartitionVector,
+    x,
+    params: OpParams,
+    size_cap: int,
+    width: float = math.inf,
 ) -> PartitionVector:
     """(1 + x T_j) vec for the operator T_j given by ``step``, on
-    partitions with |lam| <= size_cap."""
+    partitions with |lam| <= size_cap and lam_1 <= width."""
     out = PartitionVector()
     for lam, w in vec.terms.items():
         d, nxt, c = step(j, lam, params)
         out.add_term(lam, w if is_zero_scalar(d) else w * (1 + d * x))
-        if nxt is not None and nxt.size() <= size_cap:
+        if nxt is not None and nxt.size() <= size_cap and nxt.part(1) <= width:
             out.add_term(nxt, _times(w * x, c))
     return out
 

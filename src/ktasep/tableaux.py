@@ -14,27 +14,24 @@ formal power series.  Two exact treatments are provided:
   exact RationalFn;
 * ``arm_mode="series"``  -- raw multisets up to an explicit total-entry
   cutoff (power-series identity testing only).
+
+Every sum takes the value of each letter x_i, alpha_k and beta_j as a
+``Letters`` valuation.  The default, ``SYMBOLIC``, gives the letters
+themselves, so a sum is a polynomial or rational function; a kernel
+binding's numbers give that function's value there.  Each weight is a
+product of letters (and of -a*x/(1 + a*x) for a resummed arm), so
+specialising before summing gives the same value as evaluating the
+symbolic sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator
 
 from .conventions import IndexConvention
-from .exactalg import (
-    B,
-    Frac,
-    LaurentPoly,
-    RationalFn,
-    Scalar,
-    VarId,
-    X,
-    as_poly,
-    rf,
-)
+from .exactalg import A, B, Frac, LaurentPoly, Scalar, X, reciprocal
 from .partitions import Partition, SkewShape, corners
 
 
@@ -75,16 +72,77 @@ class HookTableau:
     cells: tuple  # tuple of ((row, col), HookEntry), reading order
 
 
-def _alpha_var(row: int, col: int, convention: IndexConvention) -> VarId:
-    if convention is IndexConvention.ALPHA_BY_COLUMN:
-        return VarId("A", col)
-    return VarId("A", row)
+class Letters:
+    """The value of each letter a tableau weight reads, ``x(i)``,
+    ``alpha(k)`` and ``beta(j)``, and the one and zero of the ring the
+    values live in."""
+
+    __slots__ = ("x", "alpha", "beta", "one", "zero")
+
+    def __init__(
+        self,
+        x: Callable[[int], Scalar],
+        alpha: Callable[[int], Scalar],
+        beta: Callable[[int], Scalar],
+        one: Scalar = Frac(1),
+        zero: Scalar = Frac(0),
+    ):
+        self.x, self.alpha, self.beta, self.one, self.zero = x, alpha, beta, one, zero
 
 
-def _beta_var(row: int, col: int, convention: IndexConvention) -> VarId:
-    if convention is IndexConvention.ALPHA_BY_COLUMN:
-        return VarId("B", row)
-    return VarId("B", col)
+SYMBOLIC = Letters(X, A, B, LaurentPoly.const(1), LaurentPoly.zero())
+
+_MISS = object()
+_SUMS: dict = {}
+# Keys carry letter values, so every new binding adds entries: acceptance
+# criterion 1 (five bindings, two ells) leaves about 9,000 and the desk
+# grid about 1,700.  A full memo starts over.
+SUMS_MAX = 1 << 15
+
+
+def _memo(key: tuple, compute: Callable[[], Scalar]) -> Scalar:
+    """compute(), kept under key.  Each sum is a function of its shape,
+    flags and letter values alone, so one computation serves every caller
+    that asks with equal values.  A key holding an unhashable value (a
+    RationalFn letter, such as a symbolic 1/pi) is computed afresh."""
+    try:
+        value = _SUMS.get(key, _MISS)
+    except TypeError:
+        return compute()
+    if value is _MISS:
+        value = compute()
+        if len(_SUMS) >= SUMS_MAX:
+            _SUMS.clear()
+        _SUMS[key] = value
+    return value
+
+
+def _letter_indices(r: int, c: int, convention: IndexConvention) -> tuple[int, int]:
+    """(k, j) such that cell (r, c) reads alpha_k and beta_j: alpha by
+    column and beta by row, or the other way round."""
+    return (c, r) if convention is IndexConvention.ALPHA_BY_COLUMN else (r, c)
+
+
+def _cell_letters(
+    letters: Letters, r: int, c: int, convention: IndexConvention, arms: bool, legs: bool
+) -> tuple:
+    """(alpha, beta) of cell (r, c); None for a letter whose flag is off,
+    which the cell never reads."""
+    k, j = _letter_indices(r, c, convention)
+    return (letters.alpha(k) if arms else None, letters.beta(j) if legs else None)
+
+
+def _box_weight(
+    letters: Letters, r: int, c: int, convention: IndexConvention, alpha_on: bool, beta_on: bool
+) -> Scalar:
+    """alpha + beta of box (r, c), each only when its flag is on."""
+    a, b = _cell_letters(letters, r, c, convention, alpha_on, beta_on)
+    box = letters.zero
+    if alpha_on:
+        box = box + a
+    if beta_on:
+        box = box + b
+    return box
 
 
 def _corner_floor(tops: dict, r: int, c: int) -> int:
@@ -179,17 +237,19 @@ def _multisets_up_to(lo: int, hi: int, maxlen: int) -> Iterator[tuple[int, ...]]
     yield from rec(lo, maxlen, [])
 
 
-def hook_entry_weight(entry: HookEntry, avar: VarId, bvar: VarId, arm_mode: str) -> Scalar:
-    """Weight of one cell's filling: x per entry, (-beta) per leg entry,
-    (-alpha) per arm copy; resummed arms contribute -a*x/(1+a*x) per
-    support element."""
-    weight: Scalar = X(entry.corner)
+def hook_entry_weight(
+    entry: HookEntry, a: Scalar, b: Scalar, x: Callable[[int], Scalar], arm_mode: str
+) -> Scalar:
+    """Weight of one cell's filling at alpha = a, beta = b and x_i = x(i):
+    x per entry, (-beta) per leg entry, (-alpha) per arm copy; resummed
+    arms contribute -a*x/(1+a*x) per support element."""
+    weight: Scalar = x(entry.corner)
     for l in entry.leg:
-        weight = weight * (-LaurentPoly.var(bvar)) * X(l)
-    for a in entry.arm:
-        ax = LaurentPoly.var(avar) * X(a)
+        weight = weight * (-b) * x(l)
+    for m in entry.arm:
+        ax = a * x(m)
         if arm_mode == "resummed":
-            weight = weight * RationalFn.from_den_factor(1 + ax) * (-ax)
+            weight = weight * reciprocal(1 + ax) * (-ax)
         else:
             weight = weight * (-ax)
     return weight
@@ -199,53 +259,76 @@ def hook_tableau_weight(
     t: HookTableau,
     convention: IndexConvention,
     arm_mode: str,
+    letters: Letters = SYMBOLIC,
 ) -> Scalar:
     """Weight of one hook tableau: the product of its cells' weights."""
-    weight: Scalar = LaurentPoly.const(1)
+    weight: Scalar = letters.one
     for (r, c), entry in t.cells:
-        avar, bvar = _alpha_var(r, c, convention), _beta_var(r, c, convention)
-        weight = weight * hook_entry_weight(entry, avar, bvar, arm_mode)
+        a, b = _cell_letters(letters, r, c, convention, bool(entry.arm), bool(entry.leg))
+        weight = weight * hook_entry_weight(entry, a, b, letters.x, arm_mode)
     return weight
 
 
-@lru_cache(maxsize=None)
 def _class_weights(
-    avar: VarId, bvar: VarId, lo: int, n: int, arm_mode: str, legs_on: bool
+    a: Scalar, b: Scalar, xs: tuple, lo: int, arm_mode: str, legs_on: bool
 ) -> tuple:
     """(m, W) pairs: W sums the weights of the cell fillings with corner
-    >= lo and largest entry m.  A neighbouring cell sees only m."""
-    classes: dict = {}
-    for entry in hook_entries(lo, n, arm_mode, legs_on):
-        m = entry.max_entry()
-        w = hook_entry_weight(entry, avar, bvar, arm_mode)
-        classes[m] = w + classes[m] if m in classes else w
-    return tuple(sorted(classes.items()))
+    >= lo and largest entry m, at alpha = a, beta = b and x_i = xs[i - 1].
+    A neighbouring cell sees only m."""
+
+    def compute() -> tuple:
+        classes: dict = {}
+        for entry in hook_entries(lo, len(xs), arm_mode, legs_on):
+            m = entry.max_entry()
+            w = hook_entry_weight(entry, a, b, lambda i: xs[i - 1], arm_mode)
+            classes[m] = w + classes[m] if m in classes else w
+        return tuple(sorted(classes.items()))
+
+    return _memo(("classes", a, b, xs, lo, arm_mode, legs_on), compute)
 
 
 def _class_sum(
-    shape: SkewShape, n: int, arm_mode: str, legs_on: bool, convention: IndexConvention
+    shape: SkewShape,
+    n: int,
+    arm_mode: str,
+    legs_on: bool,
+    convention: IndexConvention,
+    letters: Letters,
 ) -> Scalar:
-    """Sum of hook tableau weights, branching per cell on the largest entry
-    only: at most n^cells products of class weights."""
+    """Sum of hook tableau weights at the letter values ``letters``,
+    branching per cell on the largest entry only: at most n^cells products
+    of class weights.  Remembered under the shape, n, flags, convention and
+    the values of the letters its cells read."""
     cells = shape.cells()
-    tops: dict = {}
-    total: Scalar = LaurentPoly.zero()
+    xs = tuple(letters.x(i) for i in range(1, n + 1))
+    index = [_letter_indices(r, c, convention) for r, c in cells]
+    arms = arm_mode != "off"
+    alphas = {k: letters.alpha(k) for k in sorted({k for k, _ in index})} if arms else {}
+    betas = {j: letters.beta(j) for j in sorted({j for _, j in index})} if legs_on else {}
 
-    def rec(i: int, prefix: Scalar) -> None:
-        nonlocal total
-        if i == len(cells):
-            total = prefix + total
-            return
-        r, c = cells[i]
-        avar, bvar = _alpha_var(r, c, convention), _beta_var(r, c, convention)
-        lo = _corner_floor(tops, r, c)
-        for m, w in _class_weights(avar, bvar, lo, n, arm_mode, legs_on):
-            tops[(r, c)] = m
-            rec(i + 1, prefix * w)
-        tops.pop((r, c), None)
+    def compute() -> Scalar:
+        tops: dict = {}
+        total: Scalar = letters.zero
 
-    rec(0, LaurentPoly.const(1))
-    return total
+        def rec(i: int, prefix: Scalar) -> None:
+            nonlocal total
+            if i == len(cells):
+                total = prefix + total
+                return
+            r, c = cells[i]
+            k, j = index[i]
+            lo = _corner_floor(tops, r, c)
+            for m, w in _class_weights(alphas.get(k), betas.get(j), xs, lo, arm_mode, legs_on):
+                tops[(r, c)] = m
+                rec(i + 1, prefix * w)
+            tops.pop((r, c), None)
+
+        rec(0, letters.one)
+        return total
+
+    key = ("G", shape, n, arm_mode, legs_on, convention, xs,
+           tuple(alphas.values()), tuple(betas.values()))
+    return _memo(key, compute)
 
 
 def gen_G(
@@ -256,21 +339,22 @@ def gen_G(
     convention: IndexConvention = IndexConvention.ALPHA_BY_COLUMN,
     cutoff: int | None = None,
     resummed: bool = True,
+    letters: Letters = SYMBOLIC,
 ) -> Scalar:
     """Canonical Grothendieck generating function of a skew shape in
-    x_1..x_n.  With alpha_on=False this is the set-valued G; with
-    beta_on=False the multiset-valued J (a power series: exact only in
-    resummed mode or through the series cutoff).
+    x_1..x_n, at the letter values ``letters``.  With alpha_on=False this
+    is the set-valued G; with beta_on=False the multiset-valued J (a power
+    series: exact only in resummed mode or through the series cutoff).
 
     Exact modes sum per-cell classes keyed by largest entry; series mode
     sums tableau by tableau, because its cutoff caps the whole tableau."""
     if not alpha_on:
-        return _class_sum(shape, n, "off", beta_on, convention)
+        return _class_sum(shape, n, "off", beta_on, convention, letters)
     if resummed:
-        return _class_sum(shape, n, "resummed", beta_on, convention)
-    total: Scalar = LaurentPoly.zero()
+        return _class_sum(shape, n, "resummed", beta_on, convention, letters)
+    total: Scalar = letters.zero
     for t in iter_hook_tableaux(shape, n, arm_mode="series", legs_on=beta_on, cutoff=cutoff):
-        total = hook_tableau_weight(t, convention, "series") + total
+        total = hook_tableau_weight(t, convention, "series", letters) + total
     return total
 
 
@@ -283,6 +367,7 @@ def gen_G_skew(
     convention: IndexConvention = IndexConvention.ALPHA_BY_COLUMN,
     cutoff: int | None = None,
     resummed: bool = True,
+    letters: Letters = SYMBOLIC,
 ) -> Scalar:
     """Skew G extended to inner not contained in outer: boxes of the inner
     shape sticking out of the outer one contribute +(alpha+beta) factors
@@ -290,22 +375,17 @@ def gen_G_skew(
     double-slash corner expansion vanish when inner is not contained."""
     if outer.contains(inner):
         return gen_G(
-            SkewShape(outer, inner), n, alpha_on, beta_on, convention, cutoff, resummed
+            SkewShape(outer, inner), n, alpha_on, beta_on, convention, cutoff, resummed, letters
         )
     meet = Partition(
         [min(outer.part(i), inner.part(i)) for i in range(1, inner.length() + 1)]
     )
-    factor: Scalar = LaurentPoly.const(1)
+    factor: Scalar = letters.one
     for r in range(1, inner.length() + 1):
         for c in range(outer.part(r) + 1, inner.part(r) + 1):
-            box = LaurentPoly.zero()
-            if alpha_on:
-                box = box + LaurentPoly.var(_alpha_var(r, c, convention))
-            if beta_on:
-                box = box + LaurentPoly.var(_beta_var(r, c, convention))
-            factor = factor * box
+            factor = factor * _box_weight(letters, r, c, convention, alpha_on, beta_on)
     return factor * gen_G(
-        SkewShape(outer, meet), n, alpha_on, beta_on, convention, cutoff, resummed
+        SkewShape(outer, meet), n, alpha_on, beta_on, convention, cutoff, resummed, letters
     )
 
 
@@ -318,28 +398,22 @@ def gen_G_doubleslash(
     convention: IndexConvention = IndexConvention.ALPHA_BY_COLUMN,
     cutoff: int | None = None,
     resummed: bool = True,
+    letters: Letters = SYMBOLIC,
 ) -> Scalar:
     """Corner-removal-corrected skew G: sum over partitions nu formed by
     removing corners of ``inner``, with factor -(alpha+beta) per removed
     box.  Vanishes whenever inner is not contained in outer."""
     corner_boxes = corners(inner)
-    total: Scalar = LaurentPoly.zero()
+    total: Scalar = letters.zero
     for k in range(len(corner_boxes) + 1):
         for removed in combinations(corner_boxes, k):
             parts = list(inner.parts)
             for r, _ in removed:
                 parts[r - 1] -= 1
             nu = Partition(sorted(parts, reverse=True))
-            factor: Scalar = LaurentPoly.const(1)
+            factor: Scalar = letters.one
             for r, c in removed:
-                avar = _alpha_var(r, c, convention)
-                bvar = _beta_var(r, c, convention)
-                box = LaurentPoly.zero()
-                if alpha_on:
-                    box = box + LaurentPoly.var(avar)
-                if beta_on:
-                    box = box + LaurentPoly.var(bvar)
-                factor = factor * (-box)
+                factor = factor * (-_box_weight(letters, r, c, convention, alpha_on, beta_on))
             g = gen_G_skew(
                 outer,
                 nu,
@@ -349,6 +423,7 @@ def gen_G_doubleslash(
                 convention,
                 cutoff=cutoff,
                 resummed=resummed,
+                letters=letters,
             )
             total = factor * g + total
     return total
@@ -388,25 +463,37 @@ def iter_rpp(shape: SkewShape, n: int) -> Iterator[dict]:
     return _fillings(shape, [n] * shape.outer.length(), strict_columns=False)
 
 
-def rpp_weight(shape: SkewShape, filling: dict, refined: bool) -> LaurentPoly:
+def rpp_weight(
+    shape: SkewShape, filling: dict, refined: bool, letters: Letters = SYMBOLIC
+) -> Scalar:
     """x per box that is not merged with the box below; beta_row per
     merged box (same entry directly below)."""
-    w = LaurentPoly.const(1)
+    w = letters.one
     for (r, c), v in filling.items():
         below = filling.get((r + 1, c))
         if below is not None and below == v:
-            w = w * B(r if refined else 1)
+            w = w * letters.beta(r if refined else 1)
         else:
-            w = w * X(v)
+            w = w * letters.x(v)
     return w
 
 
-def gen_g(shape: SkewShape, n: int, refined: bool = True) -> LaurentPoly:
-    """Dual Grothendieck generating function (reverse plane partitions)."""
-    total = LaurentPoly.zero()
-    for filling in iter_rpp(shape, n):
-        total = total + rpp_weight(shape, filling, refined)
-    return total
+def gen_g(
+    shape: SkewShape, n: int, refined: bool = True, letters: Letters = SYMBOLIC
+) -> Scalar:
+    """Dual Grothendieck generating function (reverse plane partitions) at
+    the letter values ``letters``."""
+    cells = set(shape.cells())
+    merges = sorted({r if refined else 1 for r, c in cells if (r + 1, c) in cells})
+
+    def compute() -> Scalar:
+        total = letters.zero
+        for filling in iter_rpp(shape, n):
+            total = total + rpp_weight(shape, filling, refined, letters)
+        return total
+
+    xs = tuple(letters.x(i) for i in range(1, n + 1))
+    return _memo(("g", shape, n, refined, xs, tuple(map(letters.beta, merges))), compute)
 
 
 def iter_ssyt(shape: SkewShape, n: int) -> Iterator[dict]:
@@ -415,7 +502,9 @@ def iter_ssyt(shape: SkewShape, n: int) -> Iterator[dict]:
     return _fillings(shape, [n] * shape.outer.length(), strict_columns=True)
 
 
-def vst_weight(shape: SkewShape, filling: dict, refined: bool = True) -> LaurentPoly:
+def vst_weight(
+    shape: SkewShape, filling: dict, refined: bool = True, letters: Letters = SYMBOLIC
+) -> Scalar:
     """Valued-set weight summed over all row-merge choices.
 
     Each horizontally adjacent equal pair may merge or not; a box followed
@@ -423,23 +512,32 @@ def vst_weight(shape: SkewShape, filling: dict, refined: bool = True) -> Laurent
     boxes contribute x.  Summing the binary choices gives the product form
     directly.
     """
-    w = LaurentPoly.const(1)
+    w = letters.one
     for (r, c), v in filling.items():
         right = filling.get((r, c + 1))
         if right is not None and right == v:
-            avar = LaurentPoly.var(VarId("A", c if refined else 1))
-            w = w * (X(v) + avar)
+            w = w * (letters.x(v) + letters.alpha(c if refined else 1))
         else:
-            w = w * X(v)
+            w = w * letters.x(v)
     return w
 
 
-def gen_j(shape: SkewShape, n: int, refined: bool = True) -> LaurentPoly:
-    """Dual weak Grothendieck generating function (valued-set tableaux)."""
-    total = LaurentPoly.zero()
-    for filling in iter_ssyt(shape, n):
-        total = total + vst_weight(shape, filling, refined)
-    return total
+def gen_j(
+    shape: SkewShape, n: int, refined: bool = True, letters: Letters = SYMBOLIC
+) -> Scalar:
+    """Dual weak Grothendieck generating function (valued-set tableaux) at
+    the letter values ``letters``."""
+    cells = set(shape.cells())
+    merges = sorted({c if refined else 1 for r, c in cells if (r, c + 1) in cells})
+
+    def compute() -> Scalar:
+        total = letters.zero
+        for filling in iter_ssyt(shape, n):
+            total = total + vst_weight(shape, filling, refined, letters)
+        return total
+
+    xs = tuple(letters.x(i) for i in range(1, n + 1))
+    return _memo(("j", shape, n, refined, xs, tuple(map(letters.alpha, merges))), compute)
 
 
 # ---------------------------------------------------------------------------

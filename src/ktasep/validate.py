@@ -193,15 +193,16 @@ def route_agreement(
 ) -> OracleReport:
     """Compare oracle, closed-form chain, operator, and tableau values for
     every target partition; exact rational comparisons.  The operator
-    values come from one ``operator_table`` that holds every target.  A
-    route that raises ``ValueError`` leaves ``None`` in its slot and the
-    row is skipped, never counted as agreeing."""
+    values come from one ``operator_table`` just large and wide enough to
+    hold every target.  A route that raises ``ValueError`` leaves ``None``
+    in its slot and the row is skipped, never counted as agreeing."""
     targets = [lam for lam in targets if lam.length() <= ell and lam.part(1) <= ell]
     oracle = brute_force_table(case, n, mu, binding, ell, cap, conventions.update)
     closed = chain(case, n, mu, binding, ell, cap)
     size_cap = max([mu.size()] + [lam.size() for lam in targets])
+    width = max((lam.part(1) for lam in targets), default=0)
     try:
-        operator = operator_table(case, n, mu, binding, ell, size_cap)
+        operator = operator_table(case, n, mu, binding, ell, size_cap, width)
     except ValueError:
         operator = None
     report = OracleReport(case, mu, n, conventions, tail=oracle.tail)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ktasep.exactalg import A, P, X, RationalFn, rf
+from ktasep.exactalg import A, B, P, X, RationalFn, rf
 from ktasep.kernels import (
     CaseId,
     KernelQuery,
@@ -229,6 +229,39 @@ def test_canonical_alpha0_single_step_routes():
             )
     with pytest.raises(ValueError):
         kernel_operator_route(CaseId.CANONICAL_C, 1, P_([]), P_([1]), b, 3)
+
+
+def test_tableau_route_on_symbolic_binding():
+    # the tableau sums run in whatever ring the binding's letters live in:
+    # x, pi, alpha and beta as variables give the closed form's rational
+    # function, including the RationalFn letters 1/pi of cases A and D
+    for case in CaseId:
+        b = ParamBinding(
+            x=[X(1)],
+            rates=[P(1), P(2), P(3)],
+            alpha=A if case is CaseId.CANONICAL_C else None,
+            beta_pos=(lambda k: B(k) if k >= 1 else 0) if case is CaseId.CANONICAL_B else None,
+        )
+        compared = 0
+        for mu in [P_([]), P_([1]), P_([1, 1]), P_([2, 1])]:
+            for lam in [P_([1]), P_([2, 1]), P_([1, 1, 1]), P_([2, 2]), P_([2, 1, 1]), P_([3, 1])]:
+                want = single_step_closed_form(case, mu, lam, 1, b, 3)
+                got = kernel_tableau_route(case, 1, mu, lam, b, 3)
+                assert rf(got) == rf(want), (case, mu, lam)
+                compared += not rf(want).is_zero()
+        assert compared >= 4, case
+
+
+def test_operator_table_width_bound_is_exact():
+    # row 1 never shrinks along the evolution, so stopping every chain past
+    # the width drops exactly the entries wider than it
+    b = _desk_binding(2)
+    for case in CaseId:
+        for mu in [P_([]), P_([1]), P_([2, 1])]:
+            full = operator_table(case, 2, mu, b, 3, size_cap=7)
+            for width in (mu.part(1), 2, 3):
+                want = {lam: p for lam, p in full.items() if lam.part(1) <= width}
+                assert operator_table(case, 2, mu, b, 3, size_cap=7, width=width) == want
 
 
 def test_normalization_identity():

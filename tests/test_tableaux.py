@@ -1,11 +1,14 @@
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from ktasep import tableaux
 from ktasep.cli import _list_tableaux
 
 from ktasep.conventions import IndexConvention
+from ktasep.kernels import CaseId, ParamBinding, _tableau_letters
 from ktasep.exactalg import (
     A,
     B,
@@ -18,7 +21,13 @@ from ktasep.exactalg import (
     rf,
     schur_expand,
 )
-from ktasep.partitions import Partition, SkewShape, partitions_in_box, subpartitions
+from ktasep.partitions import (
+    Partition,
+    SkewShape,
+    conjugate,
+    partitions_in_box,
+    subpartitions,
+)
 from ktasep.tableaux import (
     HookEntry,
     gen_G,
@@ -32,6 +41,16 @@ from ktasep.tableaux import (
 
 CONV = IndexConvention.ALPHA_BY_COLUMN
 P_ = Partition
+
+
+def _desk_binding(n):
+    """The binding of `ktasep validate --grid desk` at its first n times."""
+    return ParamBinding.numeric(
+        x=[F(1, 10), F(1, 12)][:n],
+        rates=[F(1, 2), F(1, 3), F(1, 7), F(1, 5)],
+        alpha=lambda k: F(1, 4 + k) if k >= 1 else F(0),
+        beta_pos=lambda k: F(1, 6 + k) if k >= 1 else F(0),
+    )
 
 
 def test_hook_entry_validation():
@@ -191,6 +210,70 @@ def test_class_sum_matches_per_tableau_sum(convention):
                     key = (outer, inner, n, alpha_on, beta_on)
                     assert type(got) is type(want), key
                     assert rf(got) == rf(want), key
+
+
+def _symbolic_at(value, letters):
+    """A symbolic sum evaluated at the letter values of ``letters``."""
+    read = {"X": letters.x, "A": letters.alpha, "B": letters.beta}
+    return rf(value).eval({v: read[v.family](v.index) for v in rf(value).variables()})
+
+
+@pytest.mark.parametrize("convention", list(IndexConvention), ids=lambda c: c.name)
+def test_sums_at_letter_values_match_symbolic_eval(convention):
+    # summing at the kernel route's letter values gives the value of the
+    # symbolic sum there, on a seeded sample of the desk grid's shapes:
+    # the G cases (conjugate shapes for B and CanonicalB), inner outside
+    # outer (the gen_G_skew box factors) and both index conventions
+    rng = random.Random(12)
+    grid = [
+        (case, n, mu, lam)
+        for case in (CaseId.B, CaseId.C, CaseId.CANONICAL_C, CaseId.CANONICAL_B)
+        for n in (1, 2)
+        for mu in partitions_in_box(2, 2)
+        for lam in partitions_in_box(3, 3)
+    ]
+    seen = set()
+    for case, n, mu, lam in rng.sample(grid, 60):
+        letters = _tableau_letters(case, _desk_binding(n), 3)
+        if case in (CaseId.B, CaseId.CANONICAL_B):
+            lam, mu = conjugate(lam), conjugate(mu)
+        flags = (case is not CaseId.C, case is not CaseId.B)
+        got = gen_G_doubleslash(lam, mu, n, *flags, convention, letters=letters)
+        want = _symbolic_at(gen_G_doubleslash(lam, mu, n, *flags, convention), letters)
+        assert got == want, (case, n, mu, lam)
+        seen.add((case, lam.contains(mu)))
+    assert len(seen) == 8, seen
+    # the duals of cases A and D, on their own shapes
+    for lam in partitions_in_box(3, 3):
+        shape = SkewShape(lam, P_([1]) if lam.contains(P_([1])) else P_([]))
+        letters = _tableau_letters(CaseId.A, _desk_binding(2), 3)
+        assert gen_g(shape, 2, letters=letters) == _symbolic_at(gen_g(shape, 2), letters)
+        letters = _tableau_letters(CaseId.D, _desk_binding(2), 3)
+        assert gen_j(shape, 2, letters=letters) == _symbolic_at(gen_j(shape, 2), letters)
+    # summing at the letters and evaluating share the cell weights, so pin
+    # the resummed arm factor on its own: one cell, no legs, sums to
+    # sum_v x_v prod_{m >= v} 1 / (1 + alpha x_m)
+    for n in (1, 2, 3):
+        want = rf(0)
+        for v in range(1, n + 1):
+            term = rf(X(v))
+            for m in range(v, n + 1):
+                term = term / rf(1 + A(1) * X(m))
+            want = want + term
+        assert rf(gen_G(SkewShape(P_([1])), n, True, False, convention)) == want, n
+
+
+def test_sum_memo_is_bounded(monkeypatch):
+    # the memo is keyed by letter values, so a run over many bindings
+    # would grow it without end: a full memo starts over, and the sums
+    # stay right
+    monkeypatch.setattr(tableaux, "_SUMS", {})
+    monkeypatch.setattr(tableaux, "SUMS_MAX", 8)
+    for k in range(1, 6):
+        letters = tableaux.Letters(lambda i: F(1, 10 + i), lambda k_: F(1, k + 3), lambda j: F(1, 7))
+        got = gen_G(SkewShape(P_([2, 1])), 2, True, True, CONV, letters=letters)
+        assert got == _symbolic_at(gen_G(SkewShape(P_([2, 1])), 2, True, True, CONV), letters)
+        assert len(tableaux._SUMS) <= 8
 
 
 def test_series_mode_requires_cutoff():
