@@ -36,10 +36,6 @@ class UsageError(ValueError):
     pass
 
 
-class ConstraintError(ValueError):
-    pass
-
-
 def _parse_partition(text: str) -> Partition:
     try:
         data = json.loads(text)

@@ -26,7 +26,7 @@ from typing import Callable
 from .conventions import IndexConvention, PINNED_CONVENTIONS
 from .exactalg import Frac, LaurentPoly, RationalFn, Scalar, is_zero_scalar, reciprocal
 from .operators import OpParams, PartitionVector, U_step, affine, resolvent, u_step
-from .partitions import Partition, SkewShape, conjugate, is_vertical_strip, partitions_between
+from .partitions import Partition, SkewShape, conjugate, partitions_between
 from . import tableaux
 
 
@@ -77,6 +77,15 @@ class ParamBinding:
 
     def rate(self, j: int):
         return self.rates[j - 1] if j - 1 < len(self.rates) else Frac(0)
+
+    def inverse_rate(self, j: int):
+        """1/pi_j, the letter that the pushing cases' operator, tableau and
+        determinant formulas read.  pi_j = 0 is admissible (particle j is
+        frozen), but those formulas have no such letter."""
+        r = self.rate(j)
+        if is_zero_scalar(r):
+            raise ValueError(f"pi_{j} = 0: the pushing formulas need 1/pi_{j}")
+        return reciprocal(r)
 
     def alpha_of(self, k: int):
         return self.alpha(k) if self.alpha is not None else Frac(0)
@@ -166,30 +175,96 @@ class KernelTable:
 
 
 # ---------------------------------------------------------------------------
-# single-step closed forms (the defining route)
+# single-step tables (the defining route) and Markov chaining
 # ---------------------------------------------------------------------------
 
 
-def _geom_mass(q, k: int):
-    """(1-q) q^k, the geometric jump mass."""
-    return (1 - q) * q**k
+def _row_options(
+    case: CaseId, mu: Partition, lam: list, j: int, xi, binding: ParamBinding, cap: int
+):
+    """Row j's targets with their masses, given the rows of lam that the
+    case's order has already placed."""
+    start, rate = mu.part(j), binding.rate(j)
+    if case is CaseId.A:
+        # particle j + 1 moves first and pushes particle j up to lam_{j+1}
+        q = rate * xi
+        mass = 1 - q
+        for target in range(max(start, lam[j + 1]), cap + 1):
+            yield target, mass
+            mass = mass * q
+    elif case is CaseId.D:
+        # particle j + 1 moves first; landing on start + 1 it pushes
+        # particle j there with mass 1, else particle j steps by itself
+        if lam[j + 1] > start:
+            yield start + 1, Frac(1)
+            return
+        stay = reciprocal(1 + rate * xi)
+        yield start, stay
+        yield start + 1, rate * xi * stay
+    elif case is CaseId.B or case is CaseId.CANONICAL_B:
+        # particle j - 1 moves first; a particle on its target is blocked
+        if j > 1 and start == lam[j - 1]:
+            yield start, Frac(1)
+            return
+        shift = binding.beta_pos_of(start) if case is CaseId.CANONICAL_B else 0
+        succ = (rate + shift) * xi * reciprocal(1 + rate * xi)
+        yield start, 1 - succ
+        yield start + 1, succ
+    else:
+        # particle j > 1 stops at mu_{j-1}: it lands short of that cap with
+        # its jump mass, and on it with the mass of reaching it
+        top = mu.part(j - 1) if j > 1 else cap
+        reach: Scalar = Frac(1)
+        for k in range(start, top + 1):
+            if k == top and j > 1:
+                yield k, reach
+                return
+            # position k stops particle j, or lets it pass
+            stop, go = 1 - rate * xi, rate * xi
+            if case is CaseId.CANONICAL_C:
+                w = reciprocal(1 + binding.alpha_of(k) * xi)
+                stop, go = stop * w, (binding.alpha_of(k) + rate) * xi * w
+            yield k, reach * stop
+            reach = reach * go
 
 
-def _inhom_tail_mass(binding: ParamBinding, j: int, xi, m: int, g: int):
-    """Inhomogeneous geometric: probability that particle j at time value
-    xi jumps at least g from position m, i.e. its first g trials succeed."""
-    pi = binding.rate(j)
-    num: Scalar = Frac(1)
-    for k in range(m, m + g):
-        a = binding.alpha_of(k)
-        num = num * ((a + pi) * xi) * reciprocal(1 + a * xi)
-    return num
+def single_step_table(
+    case: CaseId,
+    mu: Partition,
+    time_index: int,
+    binding: ParamBinding,
+    ell: int,
+    cap: int,
+) -> KernelTable:
+    """Every target one step reaches from mu, with its exact probability.
 
+    Particles update in sequence and each reads only its neighbour, so a
+    step is a product of per-row masses, placed by one depth-first pass
+    over rows in the case's dependency order: A and D from row ell up (a
+    particle may be pushed by the one behind), the others from row 1 down.
+    The pass carries the prefix product and drops a branch at a zero row
+    mass, so every target it lists is reachable.  Geometric rows stop at
+    the cap, and the tail is the mass beyond it."""
+    if cap < mu.part(1):
+        raise ValueError(f"cap {cap} smaller than mu_1 = {mu.part(1)}")
+    xi, probs = binding.x_of(time_index), {}
+    order = range(ell, 0, -1) if case.pushing else range(1, ell + 1)
+    lam = [0] * (ell + 2)
 
-def _inhom_jump_mass(binding: ParamBinding, j: int, xi, m: int, g: int):
-    """Probability of jump exactly g: g successes, then a failure at m + g."""
-    reach = _inhom_tail_mass(binding, j, xi, m, g)
-    return reach * (1 - binding.rate(j) * xi) * reciprocal(1 + binding.alpha_of(m + g) * xi)
+    def place(k: int, prefix) -> None:
+        if k == ell:
+            probs[Partition(lam[1:-1])] = prefix
+            return
+        j = order[k]
+        for target, mass in _row_options(case, mu, lam, j, xi, binding, cap):
+            if not is_zero_scalar(mass):
+                lam[j] = target
+                place(k + 1, prefix * mass)
+
+    if mu.length() <= ell:  # else mu has a row past the last particle: no target
+        place(0, Frac(1))
+    tail = 1 - sum(probs.values(), Frac(0)) if case.geometric else Frac(0)
+    return KernelTable(case, 1, mu, ell, probs, tail)
 
 
 def single_step_closed_form(
@@ -201,128 +276,10 @@ def single_step_closed_form(
     ell: int,
 ):
     """Exact one-step transition probability from the per-particle update
-    rules.  Unreachable targets give probability 0."""
-    xi = binding.x_of(time_index)
-    if lam.length() > ell:
-        return Frac(0)
-
-    if case is CaseId.A:
-        if not lam.contains(mu):
-            return Frac(0)
-        p: Scalar = Frac(1)
-        for j in range(1, ell + 1):
-            q = binding.rate(j) * xi
-            w = lam.part(j) - max(mu.part(j), lam.part(j + 1))
-            if w < 0:
-                return Frac(0)
-            p = p * _geom_mass(q, w)
-        return p
-
-    if case is CaseId.C or case is CaseId.CANONICAL_C:
-        # particle j > 1 stops at mu_{j-1}: it lands short of that cap with
-        # its jump mass, and on it with the mass of reaching it
-        if not lam.contains(mu):
-            return Frac(0)
-        if case is CaseId.C:
-            jump = lambda j, m, g: _geom_mass(binding.rate(j) * xi, g)
-            reach = lambda j, m, g: (binding.rate(j) * xi) ** g
-        else:
-            jump = lambda j, m, g: _inhom_jump_mass(binding, j, xi, m, g)
-            reach = lambda j, m, g: _inhom_tail_mass(binding, j, xi, m, g)
-        p = Frac(1)
-        for j in range(1, ell + 1):
-            target, start = lam.part(j), mu.part(j)
-            cap = mu.part(j - 1) if j > 1 else math.inf
-            if target > cap or (start == cap and target != start):
-                return Frac(0)
-            if target < cap:
-                p = p * jump(j, start, target - start)
-            elif start < cap:
-                p = p * reach(j, start, cap - start)
-        return p
-
-    if case is CaseId.B or case is CaseId.CANONICAL_B:
-        if not lam.contains(mu) or not is_vertical_strip(SkewShape(lam, mu)):
-            return Frac(0)
-        p = Frac(1)
-        for j in range(1, ell + 1):
-            rho = binding.rate(j)
-            start, target = mu.part(j), lam.part(j)
-            blocked = j > 1 and start == lam.part(j - 1)
-            if blocked:
-                if target != start:
-                    return Frac(0)
-                continue
-            if case is CaseId.CANONICAL_B:
-                succ = (rho + binding.beta_pos_of(start)) * xi * reciprocal(1 + rho * xi)
-            else:
-                succ = rho * xi * reciprocal(1 + rho * xi)
-            if target == start + 1:
-                p = p * succ
-            elif target == start:
-                p = p * (1 - succ)
-            else:
-                return Frac(0)
-        return p
-
-    if case is CaseId.D:
-        if not lam.contains(mu) or not is_vertical_strip(SkewShape(lam, mu)):
-            return Frac(0)
-        moved = [j for j in range(1, max(lam.length(), mu.length()) + 1)
-                 if lam.part(j) == mu.part(j) + 1]
-        mset = set(moved)
-        p = Frac(1)
-        total_moved = len(moved)
-        pairs = [
-            c
-            for c in range(1, ell)
-            if c in mset and (c + 1) in mset and lam.part(c) == lam.part(c + 1)
-        ]
-        # rho^{lam/mu} * x^{m-p} * prod_{c in pairs} (x + 1/rho_c), normalized
-        for j in moved:
-            p = p * binding.rate(j)
-        p = p * xi ** (total_moved - len(pairs))
-        for c in pairs:
-            p = p * (xi + reciprocal(binding.rate(c)))
-        for j in range(1, ell + 1):
-            p = p * reciprocal(1 + binding.rate(j) * xi)
-        return p
-
-    raise ValueError(f"no closed form for case {case}")
-
-
-# ---------------------------------------------------------------------------
-# single-step tables and Markov chaining
-# ---------------------------------------------------------------------------
-
-
-def single_step_table(
-    case: CaseId,
-    mu: Partition,
-    time_index: int,
-    binding: ParamBinding,
-    ell: int,
-    cap: int,
-) -> KernelTable:
-    if cap < mu.part(1):
-        raise ValueError(f"cap {cap} smaller than mu_1 = {mu.part(1)}")
-    # the partitions one step can reach: a pushing jump is bounded only by
-    # the cap, a blocked one by the row above's start, a Bernoulli one by 1
-    low = [mu.part(j) for j in range(1, ell + 1)]
-    if not case.geometric:
-        high = [v + 1 for v in low]
-    elif case.pushing:
-        high = [cap] * ell
-    else:
-        high = [cap] + low[:-1]
-    probs = {}
-    for lam in partitions_between(low, high):
-        p = single_step_closed_form(case, mu, lam, time_index, binding, ell)
-        if not is_zero_scalar(p):
-            probs[lam] = p
-    total = sum(probs.values(), Frac(0))
-    tail = 1 - total if case.geometric else Frac(0)
-    return KernelTable(case, 1, mu, ell, probs, tail)
+    rules: one entry of the smallest ``single_step_table`` that holds lam.
+    Unreachable targets give probability 0."""
+    cap = max(lam.part(1), mu.part(1))
+    return single_step_table(case, mu, time_index, binding, ell, cap).prob(lam)
 
 
 def chain(
@@ -370,7 +327,7 @@ def _op_params_for(case: CaseId, binding: ParamBinding, ell: int) -> OpParams:
 
     if case is CaseId.A or case is CaseId.D:
         # one reciprocal per row, however many pushes read it
-        return OpParams.bound(None, lru_cache(maxsize=None)(lambda j: reciprocal(rate(j))))
+        return OpParams.bound(None, lru_cache(maxsize=None)(binding.inverse_rate))
     if case is CaseId.C or case is CaseId.B:
         return OpParams.bound(None, lambda j: rate(j + 1))
     if case is CaseId.CANONICAL_C:
@@ -515,7 +472,7 @@ def _tableau_letters(case: CaseId, binding: ParamBinding, ell: int) -> tableaux.
     Rates beyond the particle count read as zero."""
     rate = lambda j: binding.rate(j) if j <= ell else Frac(0)
     shifted = lambda j: rate(j + 1)
-    inverse = lambda j: reciprocal(rate(j))
+    inverse = binding.inverse_rate
 
     def unread(j: int):
         raise ValueError(f"case {case} reads no such tableau letter")

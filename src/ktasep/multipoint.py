@@ -20,7 +20,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .exactalg import det_exact, h_prefix, reciprocal, supersym_e, supersym_h, theta_h_pair
+from .exactalg import det_exact, h_prefix, supersym_e, supersym_h, theta_h_pair
 from .kernels import CaseId, ParamBinding, chain, rate_monomial, time_factor
 from .partitions import Partition
 
@@ -105,19 +105,19 @@ def mp_pushing(query: MultiPointQuery):
     xs = [b.x_of(i) for i in range(1, n + 1)]
     if not lam.contains(nu):
         return Frac(0)
+    # the letters 1/pi_k, negated in D's e-determinant
+    inv = [b.inverse_rate(k) for k in range(1, ell + 1)]
+    if case is CaseId.D:
+        inv = [-v for v in inv]
     rows = []
     for i in range(1, ell + 1):
         row = []
         for j in range(1, ell + 1):
             m = lam.part(i) - nu.part(j) + j - i
             if case is CaseId.A:
-                top = xs + [reciprocal(b.rate(k)) for k in range(1, i + 1)]
-                bot = [reciprocal(b.rate(k)) for k in range(1, j)]
-                row.append(supersym_h(m, top, bot))
+                row.append(supersym_h(m, xs + inv[:i], inv[:j - 1]))
             else:
-                top = xs + [-reciprocal(b.rate(k)) for k in range(1, j)]
-                bot = [-reciprocal(b.rate(k)) for k in range(1, i + 1)]
-                row.append(supersym_e(m, top, bot))
+                row.append(supersym_e(m, xs + inv[:j - 1], inv[:i]))
         rows.append(row)
     factor = rate_monomial(case, nu, lam, b, ell) * time_factor(case, b, range(1, ell + 1), xs)
     return factor * det_exact(rows)

@@ -200,8 +200,9 @@ def push_closure(p: Partition, j: int) -> tuple[Partition, list[int]]:
 def partitions_between(lower: Sequence[int], upper: Sequence[int]) -> list[Partition]:
     """Every lam with len(lower) rows (zeros allowed) and
     lower[j-1] <= lam_j <= min(upper[j-1], lam_{j-1}), in ascending
-    lexicographic order.  The kernels enumerate the targets of a step with
-    it, and the box and subpartition listings are its special cases."""
+    lexicographic order.  `kernels.normalization_identity` lists its
+    targets with it, and the box and subpartition listings are its special
+    cases."""
     rows = len(lower)
     out: list[Partition] = []
 

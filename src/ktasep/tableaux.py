@@ -365,8 +365,6 @@ def gen_G_skew(
     alpha_on: bool,
     beta_on: bool,
     convention: IndexConvention = IndexConvention.ALPHA_BY_COLUMN,
-    cutoff: int | None = None,
-    resummed: bool = True,
     letters: Letters = SYMBOLIC,
 ) -> Scalar:
     """Skew G extended to inner not contained in outer: boxes of the inner
@@ -374,9 +372,7 @@ def gen_G_skew(
     against G of outer over the meet.  This extension is what makes the
     double-slash corner expansion vanish when inner is not contained."""
     if outer.contains(inner):
-        return gen_G(
-            SkewShape(outer, inner), n, alpha_on, beta_on, convention, cutoff, resummed, letters
-        )
+        return gen_G(SkewShape(outer, inner), n, alpha_on, beta_on, convention, letters=letters)
     meet = Partition(
         [min(outer.part(i), inner.part(i)) for i in range(1, inner.length() + 1)]
     )
@@ -384,9 +380,7 @@ def gen_G_skew(
     for r in range(1, inner.length() + 1):
         for c in range(outer.part(r) + 1, inner.part(r) + 1):
             factor = factor * _box_weight(letters, r, c, convention, alpha_on, beta_on)
-    return factor * gen_G(
-        SkewShape(outer, meet), n, alpha_on, beta_on, convention, cutoff, resummed, letters
-    )
+    return factor * gen_G(SkewShape(outer, meet), n, alpha_on, beta_on, convention, letters=letters)
 
 
 def gen_G_doubleslash(
@@ -396,8 +390,6 @@ def gen_G_doubleslash(
     alpha_on: bool,
     beta_on: bool,
     convention: IndexConvention = IndexConvention.ALPHA_BY_COLUMN,
-    cutoff: int | None = None,
-    resummed: bool = True,
     letters: Letters = SYMBOLIC,
 ) -> Scalar:
     """Corner-removal-corrected skew G: sum over partitions nu formed by
@@ -414,17 +406,7 @@ def gen_G_doubleslash(
             factor: Scalar = letters.one
             for r, c in removed:
                 factor = factor * (-_box_weight(letters, r, c, convention, alpha_on, beta_on))
-            g = gen_G_skew(
-                outer,
-                nu,
-                n,
-                alpha_on,
-                beta_on,
-                convention,
-                cutoff=cutoff,
-                resummed=resummed,
-                letters=letters,
-            )
+            g = gen_G_skew(outer, nu, n, alpha_on, beta_on, convention, letters)
             total = factor * g + total
     return total
 

@@ -339,6 +339,26 @@ def test_closed_route_values_pinned():
     assert hashlib.sha256(repr(out).encode()).hexdigest() == CLOSED_ROUTE_DIGEST
 
 
+# The same shape of digest over wider tables: every case, n in {1, 2},
+# ell = 4, cap = 5, starts with len(mu) below, at and above ell, and the
+# seeded binding make_binding(n, seed=22).
+WIDE_CLOSED_ROUTE_DIGEST = "51a0f76b2dcc47b85fe0ea4ac837676c2e6d6a9ce6e7c7da7f99e41d86bbad67"
+
+
+def test_wide_closed_route_values_pinned():
+    from conftest import make_binding
+
+    out = []
+    for case in CaseId:
+        for n in (1, 2):
+            b = make_binding(n, seed=22)
+            for mu in (P_([]), P_([1]), P_([2, 1]), P_([2, 2, 1]), P_([1, 1, 1, 1, 1])):
+                t = chain(case, n, mu, b, 4, 5)
+                out.append((sorted((lam, repr(p)) for lam, p in t.probs.items()), repr(t.tail)))
+    assert len(out) == 60
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == WIDE_CLOSED_ROUTE_DIGEST
+
+
 def test_operator_table_rejects_nonzero_rate_at_position_zero():
     # the operator evolution has no alpha(0) / beta_pos(0) weight; with one
     # set it would disagree with chain, so it must raise instead

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from ktasep.conventions import PINNED_CONVENTIONS, UpdateOrder
-from ktasep.kernels import CaseId, ParamBinding
+from ktasep.kernels import CaseId, ParamBinding, chain, kernel_tableau_route, operator_table
+from ktasep.multipoint import MultiPointQuery, mp_pushing
 from ktasep.partitions import Partition, partitions_in_box
 from ktasep.simulate import SimConfig, move, run, update_order
 from ktasep.validate import (
@@ -80,6 +81,36 @@ def test_zero_rates_point_mass():
     for case in (CaseId.A, CaseId.B, CaseId.C, CaseId.D):
         t = brute_force_single_step(case, P_([2, 1]), b, 3, cap=5)
         assert t.probs == {P_([2, 1]): F(1)}
+
+
+def test_zero_rate_in_pushing_cases():
+    # pi_2 = 0 freezes particle 2 and is admissible.  The closed route
+    # matches the oracle; the routes built on the letter 1/pi_j say which
+    # rate they cannot invert, and route_agreement skips their rows.  A
+    # tableau sum that never reads 1/pi_2 still gives the oracle's value
+    b = ParamBinding.numeric(x=[F(1, 5), F(1, 4)], rates=[F(1, 2), 0, F(1, 3)])
+    lams = partitions_in_box(3, 3)
+    for case in (CaseId.A, CaseId.D):
+        b.check_admissible(case, 3)
+        for mu in (P_([]), P_([1]), P_([2, 1])):
+            closed = chain(case, 2, mu, b, 3, 3)
+            oracle = brute_force_table(case, 2, mu, b, 3, 3)
+            assert closed.probs == oracle.probs and closed.tail == oracle.tail, (case, mu)
+            with pytest.raises(ValueError, match="pi_2"):
+                operator_table(case, 2, mu, b, 3, size_cap=9)
+            raised = 0
+            for lam in lams:
+                try:
+                    assert kernel_tableau_route(case, 2, mu, lam, b, 3) == oracle.prob(lam)
+                except ValueError as exc:
+                    assert "pi_2" in str(exc)
+                    raised += 1
+            assert raised, (case, mu)
+            query = MultiPointQuery(case, "le", 2, P_([3, 2, 1]), mu, 3, b)
+            with pytest.raises(ValueError, match="pi_2"):
+                mp_pushing(query)
+            report = route_agreement(case, mu, 2, b, 3, lams, 3)
+            assert report.rows and all(r.skipped and not r.equal for r in report.rows)
 
 
 def test_oracle_overflow_lands_at_left_neighbour():
