@@ -170,6 +170,7 @@ def cmd_multipoint(args) -> int:
     elif args.mode is not None:
         raise UsageError("--mode selects how a --contour is evaluated; give --contour r=<radius>")
     binding = load_params(args.params, args.n, args.ell)
+    binding.check_admissible(case, args.ell)
     q = mpmod.MultiPointQuery(case, args.dir, args.n, thr, start, args.ell, binding)
     if case.pushing:
         value, bound = mpmod.mp_pushing(q), Frac(0)

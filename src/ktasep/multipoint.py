@@ -228,6 +228,46 @@ class SingularParameterError(ValueError):
     pass
 
 
+def _pole_term(k: int, taylor: Sequence, xs: Sequence, ys: Sequence):
+    """[u^k] of F(p + u) * prod(1 - y u: ys) / prod(1 - x u: xs), where
+    ``taylor`` holds F's Taylor coefficients at p up to u^k."""
+    h = h_prefix(k, xs, ys)
+    return sum((taylor[s] * h[k - s] for s in range(k)), taylor[k])
+
+
+def _residue_sum(num: Sequence, den: Sequence, power: int, taylor):
+    """Sum of the residues of  F(w) prod(1 - a/w: num) / prod(1 - b/w: den)
+    / w^(power+1)  at w = 0 and at each distinct root of ``den``, poles of
+    any order included.  ``taylor(p, k)`` returns F's Taylor coefficients
+    at p up to u^k; F must be analytic at those points."""
+    # (1 - c/w) = (w - c)/w, so the integrand is F(w) prod_r (w - r)^-order[r];
+    # a root in both num and den, and a zero root, cancel out of ``order``
+    order = {0: power + 1}
+    for a in num:
+        order[a] = order.get(a, 0) - 1
+        order[0] += 1
+    for b in den:
+        order[b] = order.get(b, 0) + 1
+        order[0] -= 1
+    total = 0
+    for p, m in order.items():
+        if m <= 0:
+            continue
+        # at w = p + u: (w - p)^m = u^m, and for r != p
+        # (w - r)^-e = (p - r)^-e (1 - u/(r - p))^-e; a simple pole reads
+        # only F(p), so its alphabets stay empty
+        others = [(r, e) for r, e in order.items() if e and r != p]
+        xs, ys = [], []
+        if m > 1:
+            for r, e in others:
+                (xs if e > 0 else ys).extend([1 / (r - p)] * abs(e))
+        term = _pole_term(m - 1, taylor(p, m - 1), xs, ys)
+        for r, e in others:
+            term *= (p - r) ** -e
+        total += term
+    return total
+
+
 def contour_entry_residue(
     num_roots: Sequence[Frac],
     den_roots: Sequence[Frac],
@@ -237,50 +277,20 @@ def contour_entry_residue(
     """Exact value of  oint  prod(1 - c/w for num) /
     [prod(1 - c/w for den) * prod(1 - x_m w) * w^power] dw/(2 pi i w)
     over a circle separating {den roots} from {1/x_m}."""
-    num = [c for c in num_roots]
-    den = [c for c in den_roots]
-    # cancel identical root pairs
-    for c in list(num):
-        if c in den:
-            num.remove(c)
-            den.remove(c)
-    # (1 - c/w) = (w - c)/w, and a zero root gives the factor 1
-    num = [c for c in num if c != 0]
-    den = [c for c in den if c != 0]
-    E = power + 1 + len(num) - len(den)
-    # prod(w - c: num) by ascending powers of w: its coefficients are
-    # those of prod(1 - c t) = h(0/num) reversed
-    P = h_prefix(len(num), (), num)[::-1]
-    if len(set(den)) != len(den):
-        raise SingularParameterError("coinciding denominator roots")
-    total = Frac(0)
-    # residues at the denominator roots
-    for c in den:
-        val = Frac(1)
-        for c2 in num:
-            val = val * (c - c2)
-        for c2 in den:
-            if c2 != c:
-                val = val / (c - c2)
-        for x in xs:
-            if Frac(x) * c == 1:
-                raise SingularParameterError("denominator root meets an x pole")
-            val = val / (1 - Frac(x) * c)
-        total = total + val / c**E
-    # residue at w = 0 when the pole order E is positive:
-    # [w^{E-1}] P(w) / (prod(w - c) * prod(1 - x w)), with
-    # prod(w - c) = prod(-c) * prod(1 - w/c)
-    if E > 0:
-        # [w^s] 1/(prod(1 - w/c) * prod(1 - x w)) is h_s of {1/c} and {x}
-        inv = h_prefix(E - 1, [Frac(1) / c for c in den] + [Frac(x) for x in xs])
-        coeff = Frac(0)
-        for s, p in enumerate(P[:E]):
-            coeff += p * inv[E - 1 - s]
+    xs = [Frac(x) for x in xs]
+
+    def taylor(p, k):
+        # 1/prod(1 - x (p + u)) = prod 1/(1 - x p) * sum_s h_s({x/(1 - x p)}) u^s
+        factors = [1 - x * p for x in xs]
+        if 0 in factors:
+            raise SingularParameterError("denominator root meets an x pole")
         scale = Frac(1)
-        for c in den:
-            scale = scale * (-c)
-        total = total + coeff / scale
-    return total
+        for f in factors:
+            scale /= f
+        h = h_prefix(k, [x / f for x, f in zip(xs, factors)] if k else ())
+        return [scale * c for c in h]
+
+    return Frac(_residue_sum(num_roots, den_roots, power, taylor))
 
 
 def mp_blocking_contour(query: MultiPointQuery, contour: ContourSpec | None = None):
@@ -411,7 +421,7 @@ def continuous_kernel(
 ):
     """Continuous-time transition probability via the determinant of
     contour integrals.  Residue mode sums the finite residues at w = 0 and
-    the nonzero poles exactly in the rates, with e^{t w} evaluated in
+    the nonzero poles, of any order, with ``_residue_sum``, e^{t w} in
     extended-precision floats; quadrature mode is the cross-check.
 
     ``lam`` may be a general integer sequence: the boundary conditions
@@ -424,6 +434,14 @@ def continuous_kernel(
     with mp.workdps(dps):
         tt = mp.mpf(str(t))
         rate = lambda j: mp.mpf(str(rates[j - 1])) if j - 1 < len(rates) else mp.mpf(0)
+
+        def taylor(p, k):
+            # e^{t(p + u)} = e^{tp} sum_s t^s/s! u^s
+            out = [mp.e ** (tt * p)]
+            for s in range(1, k + 1):
+                out.append(out[-1] * tt / s)
+            return out
+
         rows = []
         for i in range(1, ell + 1):
             row = []
@@ -439,11 +457,16 @@ def continuous_kernel(
                     num = [1 / rate(k) for k in range(1, j)]
                     den = [1 / rate(k) for k in range(1, i)]
                     form = "lin"
-                if mode == "residue":
-                    row.append(_exp_contour_residue(num, den, power, tt, form))
-                else:
+                if mode == "quadrature":
                     row.append(
                         _exp_contour_quadrature(num, den, power, tt, quad_points, form)
+                    )
+                elif case is CaseId.C:
+                    row.append(_residue_sum(num, den, power, taylor))
+                else:
+                    # [w^power] e^{tw} prod(1 - cw: num)/prod(1 - cw: den)
+                    row.append(
+                        _pole_term(power, taylor(0, power), den, num) if power >= 0 else mp.mpf(0)
                     )
             rows.append(row)
         det = det_exact(rows)
@@ -452,47 +475,6 @@ def continuous_kernel(
             pref *= mp.e ** (-rate(j) * tt)
             pref *= rate(j) ** (lam_seq[j - 1] - mu.part(j))
         return pref * det
-
-
-def _exp_contour_residue(num, den, power, t, form: str):
-    """Entry integral with integrand e^{tw} N(w)/D(w) / w^{power+1}.
-
-    form="inv": N, D products of (1 - c/w); the circle encloses w = 0 and
-    every nonzero root c of D.  form="lin": products of (1 - c w); the
-    circle is small and encloses only w = 0."""
-    num = list(num)
-    den = list(den)
-    for c in list(num):
-        if c in den:
-            num.remove(c)
-            den.remove(c)
-    if form == "lin":
-        if power < 0:
-            return mp.mpf(0)
-        # [w^power] e^{tw} prod(1 - cw: num)/prod(1 - cw: den); the product
-        # is the h series of the pair den/num
-        hs = h_prefix(power, den, num)
-        return sum(t**s / mp.factorial(s) * hs[power - s] for s in range(power + 1))
-
-    den = [c for c in den if c != 0]
-    num = [c for c in num if c != 0]
-    E = power + 1 + len(num) - len(den)
-    total = mp.mpf(0)
-    for c in den:
-        val = mp.e ** (t * c)
-        for c2 in num:
-            val *= c - c2
-        for c2 in den:
-            if c2 != c:
-                val /= c - c2
-        total += val / c**E
-    if E > 0:
-        # [w^{E-1}] e^{tw} prod(w - c: num)/prod(w - c: den); the product is
-        # prod(-c: num)/prod(-c: den) times the h series of {1/c: den}/{1/c: num}
-        hs = h_prefix(E - 1, [1 / c for c in den], [1 / c for c in num])
-        scale = mp.fprod(-c for c in num) / mp.fprod(-c for c in den)
-        total += scale * sum(t**s / mp.factorial(s) * hs[E - 1 - s] for s in range(E))
-    return total
 
 
 def _exp_contour_quadrature(num, den, power, t, points, form: str):

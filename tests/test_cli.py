@@ -206,6 +206,20 @@ def test_multipoint_contour_defaults_to_residue(params_file):
     assert abs(residue["value_float"] - series["value_float"]) <= series["error_bound"] + 1e-12
 
 
+@pytest.mark.parametrize("case,direction", [("A", "le"), ("C", "ge"), ("CanonicalC", "ge")])
+def test_multipoint_checks_admissibility(tmp_path, case, direction):
+    # pi_1 x_1 = 1: the geometric weights do not sum
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"x": ["2"], "pi": ["1/2", "1/3", "1/7"]}))
+    proc = run_cli(
+        "multipoint", "--case", case, "--dir", direction, "--thresholds", "[2,1]",
+        "--start", "[]", "--n", "1", "--ell", "3", "--params", str(bad), check=False,
+    )
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "constraint" and "pi_1*x_1" in err["message"]
+
+
 ALPHA = '{"form": "constant", "value": "1/10"}'
 
 

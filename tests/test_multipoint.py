@@ -139,18 +139,21 @@ def test_event_sum_le_bound():
 
 
 def test_blocking_event_sums():
-    for case in (CaseId.C, CaseId.B):
-        for n in (1, 2):
-            b = small_binding(n)
-            for start in [P_([]), P_([1, 1])]:
-                for thr in [P_([1]), P_([2, 1]), P_([1, 1, 1])]:
-                    q = MultiPointQuery(case, "ge", n, thr, start, 3, b)
-                    ev, tail = mp_event_sum(q, cap=13)
-                    v, bound = mp_blocking(q, trunc=70)
-                    if case is CaseId.B:
-                        assert v == ev
-                    else:
-                        assert abs(float(v - ev)) <= float(tail) + float(bound) + 1e-25
+    # repeated rates give the contour entries poles of order two and three
+    for rates in (RATES, [F(1, 2)] * 3, [F(1, 2), F(1, 3), F(1, 3)]):
+        for case in (CaseId.C, CaseId.B):
+            for n in (1, 2):
+                b = ParamBinding.numeric(x=[F(1, 10), F(1, 12)][:n], rates=rates)
+                for start in [P_([]), P_([1, 1])]:
+                    for thr in [P_([1]), P_([2, 1]), P_([1, 1, 1])]:
+                        q = MultiPointQuery(case, "ge", n, thr, start, 3, b)
+                        ev, tail = mp_event_sum(q, cap=13)
+                        v, bound = mp_blocking(q, trunc=70)
+                        if case is CaseId.B:
+                            assert v == ev
+                        else:
+                            assert abs(float(v - ev)) <= float(tail) + float(bound) + 1e-25
+                            assert ev <= mp_blocking_contour(q) <= ev + tail, (rates, n, start, thr)
 
 
 def test_thresholds_longer_than_ell():
@@ -225,8 +228,11 @@ def test_contour_radius_validation():
 
 
 def test_singular_parameters_error():
+    # a denominator root on an x pole is singular; a repeated root is a
+    # double pole with residue x/(1 - x c)^2 at c = 1/2, x = 1/10
     with pytest.raises(SingularParameterError):
-        contour_entry_residue([], [F(1, 2), F(1, 2)], [F(1, 10)], 1)
+        contour_entry_residue([], [F(1, 2)], [F(2)], 1)
+    assert contour_entry_residue([], [F(1, 2), F(1, 2)], [F(1, 10)], 1) == F(40, 361)
 
 
 def test_canonical_reduction_and_events():
@@ -286,10 +292,13 @@ def test_continuous_boundary_conditions():
 
 
 def test_continuous_residue_vs_quadrature():
-    for case in (CaseId.C, CaseId.A):
-        v1 = continuous_kernel(case, 0.8, P_([]), P_([2, 1]), 2, [F(1), F(2, 3)], mode="residue")
-        v2 = continuous_kernel(case, 0.8, P_([]), P_([2, 1]), 2, [F(1), F(2, 3)], mode="quadrature")
-        assert abs(v1 - v2) < 1e-10
+    # equal rates give case C's entries double poles
+    for rates in ([F(1), F(2, 3)], [F(1)] * 3, [F(1), F(2, 3), F(2, 3)]):
+        for case in (CaseId.C, CaseId.A):
+            args = (case, 0.8, P_([]), P_([2, 1]), len(rates), rates)
+            v1 = continuous_kernel(*args, mode="residue")
+            v2 = continuous_kernel(*args, mode="quadrature", quad_points=32)
+            assert abs(v1 - v2) < 1e-12, (rates, case)
 
 
 def test_quadrature_points_above_cap():
