@@ -430,10 +430,18 @@ def continuous_kernel(
         raise ValueError("continuous limit implemented for cases A and C")
     if mode == "quadrature":
         _check_quadrature_points(quad_points)
+    if len(rates) < ell:
+        raise ValueError(f"pi_{len(rates) + 1} missing: {ell} particles need {ell} rates, "
+                         f"got {len(rates)}")
+    if case is CaseId.A:
+        # the entries read 1/pi_k for k < ell
+        for k in range(1, ell):
+            if rates[k - 1] == 0:
+                raise ValueError(f"pi_{k} = 0: the pushing contour entries need 1/pi_{k}")
     lam_seq = list(lam.padded(ell)) if isinstance(lam, Partition) else list(lam) + [0] * (ell - len(lam))
     with mp.workdps(dps):
         tt = mp.mpf(str(t))
-        rate = lambda j: mp.mpf(str(rates[j - 1])) if j - 1 < len(rates) else mp.mpf(0)
+        rate = lambda j: mp.mpf(str(rates[j - 1]))
 
         def taylor(p, k):
             # e^{t(p + u)} = e^{tp} sum_s t^s/s! u^s

@@ -32,6 +32,20 @@ class Partition:
         self.parts = tuple(p)
         self._hash = hash(self.parts)
 
+    @classmethod
+    def _trusted(cls, pos: Sequence[int]) -> "Partition":
+        """The partition of ``pos``, weakly decreasing and nonnegative by
+        construction (``simulate.move`` keeps it so), without the order
+        check of the constructor."""
+        try:
+            pos = pos[:pos.index(0)]
+        except ValueError:
+            pass
+        self = cls.__new__(cls)
+        self.parts = parts = tuple(pos)
+        self._hash = hash(parts)
+        return self
+
     # -- basic queries ---------------------------------------------------
 
     def part(self, i: int) -> int:

@@ -13,7 +13,9 @@ rule: particles move in ``update_order`` and each move is ``move``.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -201,8 +203,16 @@ def move(pos: list, j: int, w, pushing: bool) -> None:
         pos[j - 1] = pos[j - 2]
 
 
+# Uniforms in one block of rounds, and the largest block of the
+# continuous-time buffer: a few tens of kilobytes, whatever ell is
+_BLOCK_DRAWS = 4096
+# continuous-time events that draw one scalar call at a time before the
+# buffer starts
+_SCALAR_DRAWS = 32
+
+
 class _RoundTables:
-    """What ``step_discrete`` reads per particle, built once per run rather
+    """What a round reads per particle, built once per run rather
     than once per particle per round: the update order and the rates in
     that order, per-x_i thresholds (rebuilt when x_i changes), and alpha
     (CanonicalC) or beta_pos (CanonicalB) by integer position from 0, in a
@@ -245,10 +255,10 @@ class _RoundTables:
             self.sites.extend(self.site_of(i) for i in range(len(self.sites), k + 1))
         return self.sites[k]
 
-    def success(self, i: int, start: tuple, xi: float) -> float:
+    def success(self, i: int, pos: Sequence[int], xi: float) -> float:
         """Particle i's (in update order) site success probability at its
-        position in ``start``."""
-        k = start[self.order[i] - 1]
+        position in ``pos``."""
+        k = pos[self.order[i] - 1]
         return _site_success(self.case, self.site(k), self.rate_list[i], xi)
 
     def success_bound(self, hi: int) -> float:
@@ -277,38 +287,97 @@ def step_discrete(
 
     The round consumes the random stream exactly as one scalar draw per
     particle in update order would (CanonicalC: one more per site a jump
-    passes), but draws in bulk.  One numpy comparison per round picks the
-    particles that can jump; Python decides those exactly, with the scalar
-    formulas, and ``move``s the ones that jump, in update order.  Jump laws
-    read the positions from before the round, which is exact: the
-    position-dependent cases block, and a blocking move changes only the
-    particle that moves.  A round in which nothing moves returns ``state``."""
+    passes), but draws in bulk: it is the one-round block of ``_rounds``,
+    and CanonicalC's draws are ``_canonical_c_jumps``.  A round in which
+    nothing moves returns ``state``."""
+    if tables is None:
+        tables = _RoundTables(case, config)
+    if case is not CaseId.CANONICAL_C:
+        return _rounds(case, state, time_index, 1, config, rng, tables)[0]
     start = state.padded(config.ell)
     if not start:
         return state
-    if tables is None:
-        tables = _RoundTables(case, config)
     xi = config.x_of(time_index)
     tables.at_x(time_index, xi)
-    if case is CaseId.CANONICAL_C:
-        jumps = _canonical_c_jumps(tables, start, xi, rng)
-    else:
-        u = rng.random(config.ell)
-        if case.geometric:
-            jumps = [(i, sample_geometric(tables.q_list[i], float(u[i])))
-                     for i in (u >= tables.floor).nonzero()[0].tolist()]
-        elif case is CaseId.CANONICAL_B:
-            cands = (u < tables.success_bound(start[0])).nonzero()[0].tolist()
-            jumps = [(i, 1) for i in cands if u[i] < tables.success(i, start, xi)]
-        else:
-            jumps = [(i, 1) for i in (u < tables.p_succ).nonzero()[0].tolist()]
-    pos, pushing = None, case.pushing
+    jumps = _canonical_c_jumps(tables, start, xi, rng)
+    if not jumps:
+        return state
+    pos = list(start)
     for i, w in jumps:
-        if w:
-            if pos is None:
-                pos = list(start)
-            move(pos, tables.order[i], w, pushing)
-    return state if pos is None else Partition(pos)
+        move(pos, tables.order[i], w, False)
+    return Partition._trusted(pos)
+
+
+def _rounds(
+    case: CaseId,
+    state: Partition,
+    first: int,
+    n: int,
+    config: SimConfig,
+    rng: np.random.Generator,
+    tables: _RoundTables,
+) -> list:
+    """The states after rounds first, ..., first + n - 1 of any case but
+    CanonicalC, whose draw count depends on its own jumps.
+
+    The block draws ``rng.random(n * ell)``: row r holds round first + r's
+    uniforms in update order, so the block consumes what n rounds of one
+    scalar draw per particle would.  One numpy comparison per stretch of
+    rounds with one x_i picks the (round, particle) pairs that can jump;
+    Python decides those exactly, in order, with the scalar formulas and
+    ``move``s the ones that jump.  Jump laws read a particle's position
+    before its own move, which is its position at the start of the round:
+    the position-dependent case (CanonicalB) blocks, and a blocking move
+    changes only the particle that moves.  CanonicalB's candidates lie
+    below its success bound over every position the block can reach:
+    particle 1 moves at most one site a round, and no particle passes it.
+    A round in which nothing moves keeps the state before it."""
+    m = config.ell
+    start = state.padded(m)
+    if not start:
+        return [state] * n
+    xs = [config.x_of(i) for i in range(first, first + n)]
+    u = rng.random(n * m).reshape(n, m)
+    geometric, canonical_b = case.geometric, case is CaseId.CANONICAL_B
+    cand_r, cand_i, laws = [], [], []
+    r0 = 0
+    for r in range(1, n + 1):
+        if r < n and xs[r] == xs[r0]:
+            continue
+        tables.at_x(first + r0, xs[r0])
+        rows = u[r0:r]
+        if geometric:
+            hit = rows >= tables.floor
+        elif canonical_b:
+            hit = rows < tables.success_bound(start[0] + n)
+        else:
+            hit = rows < tables.p_succ
+        rs, ps = hit.nonzero()
+        cand_r.extend((rs + r0).tolist())
+        cand_i.extend(ps.tolist())
+        laws.extend([tables.q_list if geometric else xs[r0]] * (r - r0))
+        r0 = r
+    cand_u = u[cand_r, cand_i].tolist()
+    order, pushing = tables.order, case.pushing
+    pos, cur, out, c, nc = list(start), state, [], 0, len(cand_r)
+    for r in range(n):
+        moved = False
+        while c < nc and cand_r[c] == r:
+            i, v = cand_i[c], cand_u[c]
+            c += 1
+            if geometric:
+                w = sample_geometric(laws[r][i], v)
+            elif canonical_b:
+                w = v < tables.success(i, pos, laws[r])
+            else:
+                w = 1
+            if w:
+                move(pos, order[i], w, pushing)
+                moved = True
+        if moved:
+            cur = Partition._trusted(pos)
+        out.append(cur)
+    return out
 
 
 def _canonical_c_jumps(tables: _RoundTables, start: tuple, xi: float, rng) -> list:
@@ -421,15 +490,25 @@ def _batch_inhom_jump(start: np.ndarray, alpha: Callable[[int], float], pi: floa
 
 
 def run(config: SimConfig, run_index: int = 0) -> Trajectory:
-    """Deterministic given (seed, run_index)."""
+    """Deterministic given (seed, run_index).  Rounds run in blocks of
+    ``_rounds`` (CanonicalC: one ``step_discrete`` per round), which
+    consume the stream as one round after another would."""
     config.validate()
     rng = rng_for(config.seed, run_index)
-    tables = _RoundTables(config.case, config)
+    case = config.case
+    tables = _RoundTables(case, config)
     state = config.start
     snaps = [(0, state)]
-    for i in range(1, config.steps + 1):
-        state = step_discrete(config.case, state, i, config, rng, tables=tables)
-        snaps.append((i, state))
+    canonical_c = case is CaseId.CANONICAL_C
+    block = 1 if canonical_c else max(1, _BLOCK_DRAWS // max(config.ell, 1))
+    for first in range(1, config.steps + 1, block):
+        n = min(block, config.steps + 1 - first)
+        if canonical_c:
+            states = [step_discrete(case, state, first, config, rng, tables=tables)]
+        else:
+            states = _rounds(case, state, first, n, config, rng, tables)
+        snaps.extend(zip(range(first, first + n), states))
+        state = states[-1]
     return Trajectory(snaps, config.ell)
 
 
@@ -458,7 +537,12 @@ def run_continuous(
     """Event-driven continuous-time TASEP with per-particle exponential
     clocks in a binary heap; only the fired particle's clock is re-drawn
     (memorylessness makes this distributionally identical to re-sorting
-    the full list).  Returns bosonic positions."""
+    the full list).  Returns bosonic positions.
+
+    Each clock takes one uniform, in the order of one scalar draw per
+    initial clock (particles 1, ..., ell) and then per event.  After the
+    first ``_SCALAR_DRAWS`` events they are read from ``_uniforms``, and
+    ``rng`` ends where the scalar draws would leave it."""
     if t < 0:
         raise ValueError("time horizon must be >= 0")
     if callable(rates):
@@ -472,10 +556,54 @@ def run_continuous(
     for j, r in enumerate(rate, start=1):
         if r > 0:
             heapq.heappush(heap, (-math.log1p(-rng.random()) / r, j))
-    while heap:
-        when, j = heapq.heappop(heap)
-        if when >= t:
-            break
-        move(pos, j, 1, push)
-        heapq.heappush(heap, (when - math.log1p(-rng.random()) / rate[j - 1], j))
+    # a run of a few events draws them one scalar call at a time, as a
+    # buffer would cost more than it saves there
+    if heap and not _fire(heap, pos, t, rate, push, rng.random, _SCALAR_DRAWS):
+        last: list = []
+        _fire(heap, pos, t, rate, push, _uniforms(rng, last).__next__, None)
+        _rewind(rng, last)
     return pos
+
+
+def _fire(heap: list, pos: list, t: float, rate: list, push: bool, uniform, events) -> bool:
+    """Fire the earliest clock of ``heap``, ``move`` its particle and
+    re-draw its clock with ``uniform()``, until the earliest clock is at or
+    past t (True) or ``events`` events have fired (False; None is no
+    limit).  The clocks (time, j) are distinct, so replacing the earliest
+    one fires the events in the order a pop and a push would."""
+    log1p = math.log1p  # np.log1p differs in the last ulp on some inputs
+    replace = heapq.heapreplace
+    for _ in itertools.repeat(None) if events is None else range(events):
+        when, j = heap[0]
+        if when >= t:
+            return True
+        move(pos, j, 1, push)
+        replace(heap, (when - log1p(-uniform()) / rate[j - 1], j))
+    return False
+
+
+def _uniforms(rng: np.random.Generator, last: list):
+    """``rng.random()`` values one at a time, from blocks that double in
+    size from ``2 * _SCALAR_DRAWS`` up to ``_BLOCK_DRAWS`` and hold the
+    values the scalar calls would return.  ``last`` holds the generator
+    state before the latest block, its size and its iterator, for
+    ``_rewind``."""
+    size = _SCALAR_DRAWS
+    while True:
+        size = min(2 * size, _BLOCK_DRAWS)
+        state = rng.bit_generator.state
+        it = iter(rng.random(size).tolist())
+        last[:] = (state, size, it)
+        yield from it
+
+
+def _rewind(rng: np.random.Generator, last: list) -> None:
+    """Put ``rng`` where one scalar draw per value taken from
+    ``_uniforms`` leaves it: back before the latest block, then forward by
+    the values taken from it."""
+    if last:
+        state, size, it = last
+        left = operator.length_hint(it)
+        if left:
+            rng.bit_generator.state = state
+            rng.random(size - left)

@@ -301,6 +301,22 @@ def test_continuous_residue_vs_quadrature():
             assert abs(v1 - v2) < 1e-12, (rates, case)
 
 
+def test_continuous_kernel_names_missing_and_zero_rates():
+    # a short rate list is not padded with frozen particles, and case A's
+    # entries have no 1/pi_k letter at pi_k = 0
+    for case in (CaseId.A, CaseId.C):
+        with pytest.raises(ValueError, match=r"pi_1 missing: 3 particles need 3 rates, got 0"):
+            continuous_kernel(case, 1.0, P_([]), [1], 3, [])
+        with pytest.raises(ValueError, match=r"pi_2 missing"):
+            continuous_kernel(case, 1.0, P_([]), [1], 3, [1])
+    for mode in ("residue", "quadrature"):
+        with pytest.raises(ValueError, match=r"pi_2 = 0: .* need 1/pi_2"):
+            continuous_kernel(CaseId.A, 1.0, P_([]), [1], 3, [1, 0, 1], mode=mode)
+    # a frozen last particle reads no 1/pi_3, and case C reads no 1/pi_k
+    assert continuous_kernel(CaseId.A, 1.0, P_([]), [1], 3, [1, 1, 0]) >= 0
+    assert continuous_kernel(CaseId.C, 1.0, P_([]), [1], 3, [1, 0, 1]) >= 0
+
+
 def test_quadrature_points_above_cap():
     # the doubling loops stop at the cap; a start above it is refused
     with pytest.raises(ValueError, match=str(MAX_QUADRATURE_POINTS)):

@@ -22,6 +22,18 @@ parts_strategy = st.lists(st.integers(0, 8), max_size=8).map(
 )
 
 
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 8), max_size=10), st.integers(0, 4))
+def test_trusted_equals_checked_constructor(xs, zeros):
+    # weakly decreasing lists, with trailing zeros, all zeros and empty
+    pos = sorted(xs, reverse=True) + [0] * zeros
+    p = Partition._trusted(pos)
+    assert p == Partition(pos) and hash(p) == hash(Partition(pos))
+    assert p.parts == Partition(pos).parts
+    assert Partition._trusted([0] * zeros) == Partition()
+    assert Partition._trusted(tuple(pos)) == Partition(pos)
+
+
 def test_conjugate_examples():
     assert conjugate(Partition([3, 3, 1])) == Partition([3, 2, 2])
     assert conjugate(Partition([])) == Partition([])

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import math
 from fractions import Fraction as F
 
@@ -212,6 +213,35 @@ def test_long_trajectories_pinned():
     assert digest == LONG_DIGEST
 
 
+# sha256 of _block_outputs(): discrete runs at ell = 400 spanning several
+# blocks of rounds under an x that changes inside a block, and continuous
+# runs of about 5,000 events each, with the draw that follows them
+BLOCK_DIGEST = "d83092778cf46945709ece4824821db69733c04717c96f4d7eee12caa1ed5e80"
+
+
+def _block_outputs():
+    out = []
+    x = lambda i: 0.1 if i % 7 else 0.3
+    for k, case in enumerate(CaseId):
+        cfg = SimConfig(
+            case=case, ell=400, steps=35, rates=lambda j: 0.8 + 0.2 * (j % 3), x=x,
+            alpha=lambda m: 0.5 * math.sin(m / 50.0) ** 6, beta_pos=_sine, seed=80 + k,
+            start=P_([]) if case.pushing else _fan_start(400),
+        )
+        out.append([p.parts for _, p in run(cfg).snapshots])
+    for push in (False, True):
+        rng = rng_for(90, int(push))
+        out.append(run_continuous(100, 50.0, lambda j: 0.9 + 0.1 * (j % 3), rng, push=push,
+                                  start=P_([]) if push else _fan_start(100)))
+        out.append(rng.random())
+    return out
+
+
+def test_block_streams_pinned():
+    digest = hashlib.sha256(repr(_block_outputs()).encode()).hexdigest()
+    assert digest == BLOCK_DIGEST
+
+
 def _scalar_round(case, state, time_index, config, rng):
     """The per-particle round: one scalar draw per particle (CanonicalC:
     one per site passed, then the failure) and one ``move`` per particle
@@ -272,6 +302,70 @@ def test_round_matches_scalar_round():
                         state = new
     assert rounds == 2 * len(CaseId) * 4 * 4 * 60
     assert rounds // 4 < moved < rounds
+
+
+def _scalar_run(config):
+    """``run`` as a loop of ``_scalar_round``s on the run's generator."""
+    rng, state = rng_for(config.seed), config.start
+    snaps = [(0, state)]
+    for i in range(1, config.steps + 1):
+        state = _scalar_round(config.case, state, i, config, rng)
+        snaps.append((i, state))
+    return snaps
+
+
+def test_run_matches_scalar_rounds_across_blocks():
+    # x changes every third round, inside each block of rounds (409 rounds
+    # at ell = 10, 81 at ell = 50), and CanonicalB's candidate bound must
+    # cover the positions a block of 10 rounds at ell = 400 reaches
+    x = lambda i: (0.05, 0.3, 0.6)[(i // 3) % 3]
+    for k, case in enumerate(CaseId):
+        if case is CaseId.CANONICAL_C:
+            continue
+        for ell, steps in ((10, 900), (50, 200)):
+            cfg = SimConfig(case=case, ell=ell, steps=steps, x=x, seed=300 + k,
+                            rates=lambda j: 0.3 + 0.1 * (j % 4),
+                            beta_pos=lambda m: 0.2 * (m % 4))
+            assert run(cfg).snapshots == _scalar_run(cfg), (case, ell)
+    cfg = SimConfig(case=CaseId.CANONICAL_B, ell=400, steps=35, x=[0.5], seed=7,
+                    rates=lambda j: 0.9, beta_pos=_sine, start=_fan_start(400))
+    snaps = run(cfg).snapshots
+    assert snaps == _scalar_run(cfg)
+    assert sum(a != b for (_, a), (_, b) in zip(snaps, snaps[1:])) == 35
+
+
+def _scalar_continuous(ell, t, rates, rng, push=False, start=None):
+    """The event loop with one scalar draw per clock: reference for
+    ``run_continuous``."""
+    rate = [float(rates(j)) for j in range(1, ell + 1)] if callable(rates) else rates
+    pos = list((start or P_()).padded(ell))
+    heap = []
+    for j, r in enumerate(rate, start=1):
+        if r > 0:
+            heapq.heappush(heap, (-math.log1p(-rng.random()) / r, j))
+    while heap:
+        when, j = heapq.heappop(heap)
+        if when >= t:
+            break
+        move(pos, j, 1, push)
+        heapq.heappush(heap, (when - math.log1p(-rng.random()) / rate[j - 1], j))
+    return pos
+
+
+def test_continuous_matches_scalar_events():
+    # a horizon inside the scalar draws (5 draws), and ones that end in
+    # the buffer's second and fourth blocks (147 and 623 draws) and past
+    # its cap (8,646); after each run both generators give the same next
+    # draw
+    rates = lambda j: (1.0, 0.7, 0.0, 1.3)[j % 4]
+    for push in (False, True):
+        for ell, t in ((5, 0.5), (20, 8.0), (20, 40.0), (30, 400.0)):
+            seed = 10 * ell + int(push)
+            fast, slow = rng_for(seed), rng_for(seed)
+            start = P_([]) if push else P_([ell // 2] * (ell // 2))
+            got = run_continuous(ell, t, rates, fast, push=push, start=start)
+            assert got == _scalar_continuous(ell, t, rates, slow, push=push, start=start)
+            assert fast.random() == slow.random(), (push, ell, t)
 
 
 def test_round_returns_state_when_nothing_moves():
