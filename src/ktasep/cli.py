@@ -1,8 +1,9 @@
 """Command-line interface: kernel, multipoint, sample, validate, op, and
 tableaux subcommands with byte-stable JSON output.
 
-Exit codes: 0 success, 1 usage error, 2 constraint violation,
-3 validation failure.  Errors go to stderr as structured JSON.
+Exit codes: 0 success, 1 usage error, 2 a failed parameter constraint
+check (``kernels.ConstraintError``), 3 validation failure.  Errors go to
+stderr as structured JSON.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .conventions import PINNED_CONVENTIONS
 from .exactalg import LaurentPoly, RationalFn
 from .kernels import (
     CaseId,
+    ConstraintError,
     KernelQuery,
     ParamBinding,
     chain,
@@ -42,13 +44,6 @@ def _parse_partition(text: str) -> Partition:
         return Partition(data)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad partition {text!r}: {exc}") from exc
-
-
-def _parse_case(text: str) -> CaseId:
-    try:
-        return parse_case(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _parse_rational(v) -> Frac:
@@ -131,7 +126,7 @@ def emit(obj) -> None:
 
 
 def cmd_kernel(args) -> int:
-    case = _parse_case(args.case)
+    case = parse_case(args.case)
     mu = _parse_partition(args.mu)
     binding = load_params(args.params, args.n, args.ell)
     binding.check_admissible(case, args.ell)
@@ -154,7 +149,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_multipoint(args) -> int:
-    case = _parse_case(args.case)
+    case = parse_case(args.case)
     if case is CaseId.CANONICAL_B:
         raise UsageError("multipoint has no determinant formula for case CanonicalB")
     want = mpmod.direction_of(case)
@@ -174,8 +169,6 @@ def cmd_multipoint(args) -> int:
     q = mpmod.MultiPointQuery(case, args.dir, args.n, thr, start, args.ell, binding)
     if case.pushing:
         value, bound = mpmod.mp_pushing(q), Frac(0)
-    elif case is CaseId.CANONICAL_C:
-        value, bound = mpmod.mp_canonical(q, trunc=args.trunc)
     else:
         value, bound = mpmod.mp_blocking(q, contour, trunc=args.trunc)
     payload = {
@@ -204,7 +197,7 @@ def _parse_contour(text: str, mode: str) -> mpmod.ContourSpec:
 
 
 def cmd_sample(args) -> int:
-    case = _parse_case(args.case) if not args.continuous else CaseId.C
+    case = parse_case(args.case) if not args.continuous else CaseId.C
     if args.alpha and case is not CaseId.CANONICAL_C:
         raise UsageError("--alpha is read only by the discrete --case CanonicalC")
     if case is CaseId.CANONICAL_B:
@@ -436,12 +429,12 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(json.dumps({"error": "usage", "message": str(exc)}) + "\n")
-        return 1
-    except (ValueError, KeyError) as exc:
+    except ConstraintError as exc:
         sys.stderr.write(json.dumps({"error": "constraint", "message": str(exc)}) + "\n")
         return 2
+    except (ValueError, KeyError) as exc:
+        sys.stderr.write(json.dumps({"error": "usage", "message": str(exc)}) + "\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable
 
 from .conventions import IndexConvention, PINNED_CONVENTIONS
@@ -58,6 +59,58 @@ def parse_case(name: str) -> CaseId:
     raise ValueError(f"unknown case {name!r}")
 
 
+# ---------------------------------------------------------------------------
+# parameter rules, for exact bindings and samplers alike: they compare with
+# <, <= and >= only, so one rule reads Fractions and floats
+# ---------------------------------------------------------------------------
+
+
+class ConstraintError(ValueError):
+    """Parameters outside the domain on which a process is defined."""
+
+
+def check_rate_count(ell: int, count: int) -> None:
+    """ell particles need ell rates: a short list is not padded with
+    frozen particles."""
+    if count < ell:
+        raise ConstraintError(f"pi_{count + 1} missing: {ell} particles need {ell} rates, "
+                              f"got {count}")
+
+
+def check_rate_x(case: CaseId, i: int, xi, rates) -> None:
+    """Raise ConstraintError naming the first (j, pi_j) of ``rates`` whose
+    pi_j x_i leaves [0, 1) in a geometric case, or whose rho_j x_i is
+    negative in a Bernoulli one."""
+    geometric = case.geometric
+    for j, r in rates:
+        v = r * xi
+        if geometric:
+            if not (0 <= v < 1):
+                raise ConstraintError(f"pi_{j}*x_{i} = {v} outside [0, 1)")
+        elif v < 0:
+            raise ConstraintError(f"rho_{j}*x_{i} = {v} negative")
+
+
+def check_alpha(k: int, a, xs, low):
+    """alpha_k = a after checking CanonicalC's rule at position k: alpha_k
+    x_i > -1 for every (i, x_i) of ``xs`` and alpha_k + pi_j >= 0 for the
+    smallest rate ``low`` = (j, pi_j)."""
+    for i, xi in xs:
+        if a * xi <= -1:
+            raise ConstraintError(f"alpha_{k}*x_{i} = {a * xi} <= -1")
+    j, r = low
+    if a + r < 0:
+        raise ConstraintError(f"alpha_{k}+pi_{j} = {a + r} < 0")
+    return a
+
+
+def check_inverse_rate(j: int, r) -> None:
+    """The pushing formulas' letter 1/pi_j.  A zero rate is admissible (the
+    particle is frozen), so its error is a ValueError, not a ConstraintError."""
+    if is_zero_scalar(r):
+        raise ValueError(f"pi_{j} = 0: the pushing formulas need 1/pi_{j}")
+
+
 @dataclass
 class ParamBinding:
     """Numeric (exact rational) or symbolic parameter assignment.
@@ -80,11 +133,9 @@ class ParamBinding:
 
     def inverse_rate(self, j: int):
         """1/pi_j, the letter that the pushing cases' operator, tableau and
-        determinant formulas read.  pi_j = 0 is admissible (particle j is
-        frozen), but those formulas have no such letter."""
+        determinant formulas read (``check_inverse_rate``)."""
         r = self.rate(j)
-        if is_zero_scalar(r):
-            raise ValueError(f"pi_{j} = 0: the pushing formulas need 1/pi_{j}")
+        check_inverse_rate(j, r)
         return reciprocal(r)
 
     def alpha_of(self, k: int):
@@ -114,32 +165,17 @@ class ParamBinding:
         )
 
     def check_admissible(self, case: CaseId, ell: int, positions: range | None = None):
-        """Raise ValueError naming the violated inequality."""
-        for i in range(1, self.n + 1):
-            for j in range(1, ell + 1):
-                v = self.rate(j) * self.x_of(i)
-                if case.geometric:
-                    if not (0 <= v < 1):
-                        raise ValueError(
-                            f"constraint pi_{j}*x_{i} in [0,1) violated: {v}"
-                        )
-                else:
-                    if v < 0:
-                        raise ValueError(f"constraint rho_{j}*x_{i} >= 0 violated: {v}")
+        """Raise ConstraintError naming the violated inequality: the
+        parameter rules at every x_i and rate, and CanonicalC's alpha rule
+        at each position of ``positions`` (0..63 by default)."""
+        rates = [(j, self.rate(j)) for j in range(1, ell + 1)]
+        xs = [(i, self.x_of(i)) for i in range(1, self.n + 1)]
+        for i, xi in xs:
+            check_rate_x(case, i, xi, rates)
         if case is CaseId.CANONICAL_C and self.alpha is not None:
-            pos = positions or range(0, 64)
-            for k in pos:
-                a = self.alpha_of(k)
-                for i in range(1, self.n + 1):
-                    if a * self.x_of(i) <= -1:
-                        raise ValueError(
-                            f"constraint alpha_{k}*x_{i} > -1 violated"
-                        )
-                for j in range(1, ell + 1):
-                    if a + self.rate(j) < 0:
-                        raise ValueError(
-                            f"constraint alpha_{k}+pi_{j} >= 0 violated at k={k}"
-                        )
+            low = min(rates, key=itemgetter(1), default=(0, 0))
+            for k in positions or range(0, 64):
+                check_alpha(k, self.alpha_of(k), xs, low)
 
 
 @dataclass

@@ -21,7 +21,8 @@ from typing import Sequence
 import mpmath as mp
 
 from .exactalg import det_exact, h_prefix, supersym_e, supersym_h, theta_h_pair
-from .kernels import CaseId, ParamBinding, chain, rate_monomial, time_factor
+from .kernels import (CaseId, ParamBinding, chain, check_inverse_rate, check_rate_count,
+                      rate_monomial, time_factor)
 from .partitions import Partition
 
 
@@ -385,8 +386,8 @@ def mp_blocking(
     trunc: int = 60,
 ):
     """Blocking-direction multi-point value.  Case B: exact.  Case C:
-    series mode (with reported truncation bound) or the contour form.
-    Returns (value, error_bound)."""
+    series mode (with reported truncation bound) or the contour form;
+    CanonicalC: the series.  Returns (value, error_bound)."""
     if query.case is CaseId.B:
         return mp_blocking_series(query, trunc)
     if contour is None or contour.mode == "series":
@@ -430,14 +431,11 @@ def continuous_kernel(
         raise ValueError("continuous limit implemented for cases A and C")
     if mode == "quadrature":
         _check_quadrature_points(quad_points)
-    if len(rates) < ell:
-        raise ValueError(f"pi_{len(rates) + 1} missing: {ell} particles need {ell} rates, "
-                         f"got {len(rates)}")
+    check_rate_count(ell, len(rates))
     if case is CaseId.A:
         # the entries read 1/pi_k for k < ell
         for k in range(1, ell):
-            if rates[k - 1] == 0:
-                raise ValueError(f"pi_{k} = 0: the pushing contour entries need 1/pi_{k}")
+            check_inverse_rate(k, rates[k - 1])
     lam_seq = list(lam.padded(ell)) if isinstance(lam, Partition) else list(lam) + [0] * (ell - len(lam))
     with mp.workdps(dps):
         tt = mp.mpf(str(t))

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conventions import UpdateOrder, PINNED_CONVENTIONS
-from .kernels import CaseId
+from .kernels import CaseId, check_alpha, check_rate_count, check_rate_x
 from .partitions import Partition
 
 
@@ -49,7 +49,8 @@ class SimConfig:
     def rate(self, j: int) -> float:
         if callable(self.rates):
             return float(self.rates(j))
-        return float(self.rates[j - 1]) if j - 1 < len(self.rates) else 0.0
+        check_rate_count(self.ell, len(self.rates))
+        return float(self.rates[j - 1])
 
     def x_of(self, i: int) -> float:
         if callable(self.x):
@@ -70,47 +71,22 @@ class SimConfig:
                 [(j, self.rate(j)) for j in range(1, self.ell + 1)])
 
     def validate(self) -> None:
-        """Raise ValueError naming the violated constraint.  pi_j x_i is
-        checked here at the probed steps and again wherever a run reads a
-        new x_i (``_check_rate_x``); CanonicalC's alpha position by
-        position where a run first reads it (``_checked_alpha``): no
-        finite probe covers every step or position."""
+        """Raise ConstraintError naming the violated constraint: pi_j x_i at
+        the probed steps.  Runs check it again wherever they read a new x_i,
+        and CanonicalC's alpha where they first read a position
+        (``_checked_alpha``): no finite probe covers every step or position."""
         xs, rates = self._probes()
         for i, xi in xs:
-            _check_rate_x(self.case, i, xi, rates)
-
-
-def _check_rate_x(case: CaseId, i: int, xi: float, rates) -> None:
-    """Raise ValueError naming the first (j, pi_j) of ``rates`` whose
-    pi_j x_i leaves [0, 1) in a geometric case, or whose rho_j x_i is
-    negative in a Bernoulli one."""
-    geometric = case.geometric
-    for j, r in rates:
-        v = r * xi
-        if geometric:
-            if not (0.0 <= v < 1.0):
-                raise ValueError(f"pi_{j}*x_{i} = {v} outside [0, 1)")
-        elif v < 0:
-            raise ValueError(f"rho_{j}*x_{i} = {v} negative")
+            check_rate_x(self.case, i, xi, rates)
 
 
 def _checked_alpha(config: SimConfig) -> Callable[[int], float]:
-    """``config.alpha_of``, raising ValueError for a position k whose
-    alpha_k breaks alpha_k x_i > -1 at a probed x_i or alpha_k + pi_j >= 0
-    at some rate."""
+    """``config.alpha_of``, raising ConstraintError for a position k whose
+    alpha_k breaks ``check_alpha`` at the probed x_i and the smallest
+    rate."""
     xs, rates = config._probes()
-    j_low, low = min(rates, key=lambda jr: jr[1], default=(0, 0.0))
-
-    def alpha(k: int) -> float:
-        a = config.alpha_of(k)
-        for i, xi in xs:
-            if a * xi <= -1:
-                raise ValueError(f"alpha_{k}*x_{i} = {a * xi} <= -1")
-        if a + low < 0:
-            raise ValueError(f"alpha_{k}+pi_{j_low} = {a + low} < 0")
-        return a
-
-    return alpha
+    low = min(rates, key=operator.itemgetter(1), default=(0, 0.0))
+    return lambda k: check_alpha(k, config.alpha_of(k), xs, low)
 
 
 @dataclass
@@ -229,19 +205,18 @@ class _RoundTables:
         self.xi = None
 
     def at_x(self, i: int, xi: float) -> None:
-        """Per-x_i thresholds, after checking pi_j x_i for every particle.
-        Geometric: particle i can jump only if
-        u >= floor[i]; the exact rule u >= 1 - q rounds within a few ulps
-        of |log q| <= 745 in ``sample_geometric``, far inside the 1e-9
-        relative and 1e-15 absolute slack, so the floor never excludes a
-        jump.  Bernoulli (B, D): particle i jumps iff u < p_succ[i]."""
+        """Per-x_i thresholds, after checking pi_j x_i for every particle
+        (numpy finds a violation, ``check_rate_x`` names it).  Geometric:
+        particle i can jump only if u >= floor[i]; the exact rule u >= 1 - q
+        rounds within a few ulps of |log q| <= 745 in ``sample_geometric``,
+        far inside the 1e-9 relative and 1e-15 absolute slack, so the floor
+        never excludes a jump.  Bernoulli (B, D): particle i jumps iff
+        u < p_succ[i]."""
         if xi == self.xi:
             return
         v = self.rates * xi
-        bad = ~((v >= 0) & (v < 1)) if self.case.geometric else v < 0
-        if bad.any():
-            k = int(np.argmax(bad))
-            _check_rate_x(self.case, i, xi, [(self.order[k], self.rate_list[k])])
+        if (~((v >= 0) & (v < 1)) if self.case.geometric else v < 0).any():
+            check_rate_x(self.case, i, xi, zip(self.order, self.rate_list))
         self.xi = xi
         if self.case.geometric:
             self.q_list = v.tolist()
@@ -439,7 +414,7 @@ def step_batch(
     harness."""
     xi = config.x_of(time_index)
     rates = [(j, config.rate(j)) for j in update_order(case, config.ell, config.update)]
-    _check_rate_x(case, time_index, xi, rates)
+    check_rate_x(case, time_index, xi, rates)
     pos = positions
     size = pos.shape[0]
     alpha = _checked_alpha(config) if case is CaseId.CANONICAL_C else None
@@ -516,8 +491,13 @@ def sample_batch_final(
     config: SimConfig, samples: int, seed: int, batch_run_index: int = 0
 ) -> np.ndarray:
     """Vectorized: final positions (samples x ell) after config.steps."""
+    return batch_final(config, samples, rng_for(seed, batch_run_index))
+
+
+def batch_final(config: SimConfig, samples: int, rng) -> np.ndarray:
+    """``sample_batch_final`` drawing from ``rng``: a Generator, or any
+    object with its ``random`` and ``geometric`` methods."""
     config.validate()
-    rng = rng_for(seed, batch_run_index)
     pos = np.tile(
         np.array(config.start.padded(config.ell), dtype=np.int64), (samples, 1)
     )
@@ -550,7 +530,8 @@ def run_continuous(
     elif isinstance(rates, (int, float)):
         rate = [float(rates)] * ell
     else:
-        rate = [float(r) for r in rates[:ell]] + [0.0] * (ell - len(rates))
+        check_rate_count(ell, len(rates))
+        rate = [float(r) for r in rates[:ell]]
     pos = list((start or Partition()).padded(ell))
     heap = []
     for j, r in enumerate(rate, start=1):

@@ -27,7 +27,7 @@ from .kernels import (
     operator_table,
 )
 from .partitions import Partition, partitions_in_box
-from .simulate import SimConfig, move, sample_batch_final, update_order
+from .simulate import SimConfig, batch_final, move, rng_for, sample_batch_final, update_order
 
 OVERFLOW = math.inf  # jump symbol for "more than the enumeration window"
 
@@ -328,7 +328,7 @@ def mc_vs_exact(
     if rng_bias is None:
         finals = sample_batch_final(config, samples, seed)
     else:
-        finals = _sample_biased(config, samples, seed, rng_bias)
+        finals = batch_final(config, samples, _BiasedGenerator(rng_for(seed, 0), rng_bias))
     counts = _histogram(finals)
 
     states = sorted(set(exact.probs) | set(counts))
@@ -383,29 +383,19 @@ def chi2_sf(stat: float, dof: int) -> float:
     return float(mpmath.gammainc(dof / 2, stat / 2, regularized=True))
 
 
-def _sample_biased(config: SimConfig, samples: int, seed: int, power: float):
-    """Fault-injected sampler: skews every uniform draw, which the
-    chi-square harness must detect."""
-    from . import simulate as sim
+class _BiasedGenerator:
+    """Fault injection: a generator whose uniforms are raised to ``power``,
+    which the chi-square harness must detect."""
 
-    class BiasedGenerator:
-        def __init__(self, rng):
-            self._rng = rng
+    def __init__(self, rng: np.random.Generator, power: float):
+        self._rng, self._power = rng, power
 
-        def random(self, *args, **kwargs):
-            return self._rng.random(*args, **kwargs) ** power
+    def random(self, *args, **kwargs):
+        return self._rng.random(*args, **kwargs) ** self._power
 
-        def geometric(self, p, size=None):
-            u = self._rng.random(size) ** power
-            return np.floor(np.log1p(-u) / np.log1p(-p)).astype(np.int64) + 1
-
-    rng = BiasedGenerator(sim.rng_for(seed, 0))
-    pos = np.tile(
-        np.array(config.start.padded(config.ell), dtype=np.int64), (samples, 1)
-    )
-    for i in range(1, config.steps + 1):
-        pos = sim.step_batch(config.case, pos, i, config, rng)
-    return pos
+    def geometric(self, p, size=None):
+        u = self._rng.random(size) ** self._power
+        return np.floor(np.log1p(-u) / np.log1p(-p)).astype(np.int64) + 1
 
 
 # ---------------------------------------------------------------------------

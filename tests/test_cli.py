@@ -79,6 +79,20 @@ def test_constraint_error_exit_code(tmp_path, params_file):
     assert proc.returncode == 2
 
 
+def test_zero_rate_operator_route_is_usage_error(tmp_path):
+    # a zero rate is admissible (the particle is frozen), but the operator
+    # route reads 1/pi_2: that is no constraint violation, so not exit 2
+    params = tmp_path / "zero_rate.json"
+    params.write_text(json.dumps({"x": ["1/10", "1/12"], "rho": ["1/2", "0", "1/3"]}))
+    proc = run_cli(
+        "kernel", "--case", "D", "--n", "2", "--mu", "[]", "--lambda", "[1]", "--ell", "3",
+        "--route", "operator", "--params", str(params), check=False,
+    )
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr)
+    assert err["error"] == "usage" and "pi_2" in err["message"]
+
+
 def test_op_word(params_file):
     proc = run_cli("op", "--word", "U2 U1 U1", "--start", "[1,1]")
     out = json.loads(proc.stdout)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ktasep.conventions import UpdateOrder
-from ktasep.kernels import CaseId
+from ktasep.kernels import CaseId, ConstraintError, ParamBinding
 from ktasep.partitions import Partition
 from ktasep.simulate import (
     SimConfig,
@@ -524,6 +524,63 @@ def test_canonical_c_alpha_checked_at_every_position():
                     alpha=lambda k: -0.6 if k >= 4 else 0.0, start=P_([5, 5]))
     with pytest.raises(ValueError, match=r"alpha_5\*x_1 = .* <= -1"):
         sample_batch_final(cfg, 10, 1)
+
+
+SHORT_RATES = {
+    "run": lambda: run(SimConfig(case=CaseId.A, ell=3, steps=50, rates=[0.5], x=[0.5], seed=1)),
+    "sample_batch_final": lambda: sample_batch_final(
+        SimConfig(case=CaseId.A, ell=3, steps=50, rates=[0.5], x=[0.5]), 10, 1),
+    "run_continuous": lambda: run_continuous(3, 5.0, [1.0], rng_for(1)),
+}
+
+
+@pytest.mark.parametrize("sampler", SHORT_RATES)
+def test_samplers_refuse_a_short_rate_list(sampler):
+    # three particles and one rate: the samplers do not freeze particles 2
+    # and 3 by padding the list with zero rates
+    with pytest.raises(ConstraintError, match=r"pi_2 missing: 3 particles need 3 rates, got 1"):
+        SHORT_RATES[sampler]()
+
+
+# (pi_j, x_1, alpha_k) at the edges of the parameter domain: pi x in
+# {0, 1/2, 1}, rho x = -1/10, alpha x in {-1, -1/2} and alpha + pi in
+# {-1/10, 0}.  Every value is exact in binary floating point, or keeps its
+# sign when rounded.
+BOUNDARY_BINDINGS = [
+    (F(0), F(1, 2), None),
+    (F(1), F(1, 2), None),
+    (F(2), F(1, 2), None),
+    (F(-1, 5), F(1, 2), None),
+    (F(1), F(1, 2), F(-2)),
+    (F(1), F(1, 2), F(-1)),
+    (F(9, 10), F(1, 2), F(-1)),
+]
+
+
+def _violated(check):
+    """The letters of the inequality ``check()`` reports, or None."""
+    try:
+        check()
+    except ConstraintError as exc:
+        return str(exc).split(" = ")[0]
+    return None
+
+
+@pytest.mark.parametrize("case", list(CaseId))
+def test_exact_and_sampler_checks_agree(case):
+    ell = 2
+    for rate, x, a in BOUNDARY_BINDINGS:
+        binding = ParamBinding.numeric(
+            x=[x], rates=[rate] * ell, alpha=None if a is None else (lambda k, a=a: a))
+        config = SimConfig(case=case, ell=ell, steps=1, rates=[float(rate)] * ell, x=[float(x)],
+                           alpha=None if a is None else (lambda k, a=a: float(a)))
+
+        def sampled():
+            config.validate()
+            step_batch(case, np.zeros((4, ell), dtype=np.int64), 1, config, rng_for(1))
+
+        exact = _violated(lambda: binding.check_admissible(case, ell))
+        assert exact == _violated(sampled), (case, rate, x, a)
 
 
 def test_fermionic_picture_transform():
