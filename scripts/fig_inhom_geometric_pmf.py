@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Inhomogeneous geometric jump distribution: empirical histogram of the
-Bernoulli-chain sampler against the closed-form pmf, for the damped-linear
-position profile alpha_k = 1 - k exp(-k/2) with x = 1, pi = 1/2.
+sampler (one uniform per jump by inverse CDF, the rule of CanonicalC's
+rounds) against the closed-form pmf, for the damped-linear position
+profile alpha_k = 1 - k exp(-k/2) with x = 1, pi = 1/2.
 
 Emits CSV columns: position, empirical, exact.  Prints the total-variation
 distance.

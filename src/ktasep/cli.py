@@ -82,7 +82,7 @@ def _alpha_closure(spec):
     raise UsageError(f"bad alpha spec {spec!r}")
 
 
-def load_params(path: str, n: int, ell: int) -> ParamBinding:
+def load_params(path: str, n: int) -> ParamBinding:
     with open(path) as fh:
         data = json.load(fh)
     xs = [_parse_rational(v) for v in data.get("x", [])]
@@ -92,8 +92,6 @@ def load_params(path: str, n: int, ell: int) -> ParamBinding:
     rates = [_parse_rational(v) for v in rates]
     if len(xs) < n:
         raise UsageError(f"param file has {len(xs)} x values, need {n}")
-    if len(rates) < ell:
-        raise UsageError(f"param file has {len(rates)} rates, need {ell}")
     alpha = _alpha_closure(data.get("alpha"))
     beta = _alpha_closure(data.get("beta"))
     return ParamBinding(xs[:n], rates, alpha, beta)
@@ -128,7 +126,7 @@ def emit(obj) -> None:
 def cmd_kernel(args) -> int:
     case = parse_case(args.case)
     mu = _parse_partition(args.mu)
-    binding = load_params(args.params, args.n, args.ell)
+    binding = load_params(args.params, args.n)
     binding.check_admissible(case, args.ell)
     if args.lam is not None:
         lam = _parse_partition(args.lam)
@@ -164,7 +162,7 @@ def cmd_multipoint(args) -> int:
         contour = _parse_contour(args.contour, args.mode or "residue")
     elif args.mode is not None:
         raise UsageError("--mode selects how a --contour is evaluated; give --contour r=<radius>")
-    binding = load_params(args.params, args.n, args.ell)
+    binding = load_params(args.params, args.n)
     binding.check_admissible(case, args.ell)
     q = mpmod.MultiPointQuery(case, args.dir, args.n, thr, start, args.ell, binding)
     if case.pushing:

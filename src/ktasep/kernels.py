@@ -165,9 +165,11 @@ class ParamBinding:
         )
 
     def check_admissible(self, case: CaseId, ell: int, positions: range | None = None):
-        """Raise ConstraintError naming the violated inequality: the
-        parameter rules at every x_i and rate, and CanonicalC's alpha rule
-        at each position of ``positions`` (0..63 by default)."""
+        """Raise ConstraintError naming the violated inequality: ell rates
+        for ell particles, the parameter rules at every x_i and rate, and
+        CanonicalC's alpha rule at each position of ``positions`` (0..63 by
+        default)."""
+        check_rate_count(ell, len(self.rates))
         rates = [(j, self.rate(j)) for j in range(1, ell + 1)]
         xs = [(i, self.x_of(i)) for i in range(1, self.n + 1)]
         for i, xi in xs:

@@ -7,7 +7,10 @@ derivation rule: run ``r`` of a simulation with seed ``s`` uses
 many runs execute.
 
 Every sampler and the brute-force oracle in ``validate`` share one update
-rule: particles move in ``update_order`` and each move is ``move``.
+rule: particles move in ``update_order`` and each move is ``move``.  A
+discrete round takes one uniform per particle in that order, CanonicalC
+included (its jump by inverse CDF, ``_inhom_walk``), so ``run`` draws its
+rounds in blocks (``_rounds``).
 """
 
 from __future__ import annotations
@@ -124,6 +127,35 @@ def _site_success(case: CaseId, site, rate, x):
     return (rate + site) * x / (1.0 + rate * x)
 
 
+class _Lazy(dict):
+    """A dict whose value at a missing key k is ``of(k)``, computed when
+    first read."""
+
+    def __init__(self, of: Callable):
+        super().__init__()
+        self.of = of
+
+    def __missing__(self, k):
+        v = self[k] = self.of(k)
+        return v
+
+
+def _inhom_walk(succ, k: int, u: float, stop=math.inf) -> int:
+    """The site that an inhomogeneous geometric jump from site k lands on,
+    by inverse CDF from the one uniform u.  The jump passes sites k, ...,
+    k + w - 1 with probability p = succ[k] ... succ[k + w - 1], so the walk
+    multiplies the successes into p and stops at the first site where
+    u >= p, or at ``stop`` (the blocking neighbour).  A site of success 0
+    (alpha = -pi) stops every walk."""
+    p = 1.0
+    while k < stop:
+        p *= succ[k]
+        if u >= p:
+            return k
+        k += 1
+    return k
+
+
 def sample_inhom_geometric(
     alpha: Callable[[int], float],
     pi: float,
@@ -131,14 +163,12 @@ def sample_inhom_geometric(
     start: int,
     rng: np.random.Generator,
 ) -> int:
-    """Inhomogeneous geometric jump: waiting time for a failure in a chain
-    of Bernoulli trials with success (alpha_k + pi) x / (1 + alpha_k x) at
-    position k.  Exact, no rejection."""
-    k = start
-    while True:
-        if rng.random() >= _site_success(CaseId.CANONICAL_C, alpha(k), pi, x):
-            return k - start
-        k += 1
+    """Inhomogeneous geometric jump from ``start``: P(w >= k) is the product
+    of the successes (alpha_m + pi) x / (1 + alpha_m x) over sites start,
+    ..., start + k - 1.  One uniform, by ``_inhom_walk``, the rule of
+    CanonicalC's rounds.  Exact, no rejection."""
+    succ = _Lazy(lambda k: _site_success(CaseId.CANONICAL_C, alpha(k), pi, x))
+    return _inhom_walk(succ, start, rng.random()) - start
 
 
 def inhom_geometric_pmf(
@@ -190,10 +220,12 @@ _SCALAR_DRAWS = 32
 class _RoundTables:
     """What a round reads per particle, built once per run rather
     than once per particle per round: the update order and the rates in
-    that order, per-x_i thresholds (rebuilt when x_i changes), and alpha
+    that order, per-x_i thresholds (rebuilt when x_i changes), alpha
     (CanonicalC) or beta_pos (CanonicalB) by integer position from 0, in a
-    table that grows as the particles advance.  The tables change as a run
-    goes on, so two threads must not run rounds with one of them at once."""
+    table that grows as the particles advance, and CanonicalC's site
+    successes per (pi_j, x_i), which grow as its jumps walk further.  The
+    tables change as a run goes on, so two threads must not run rounds
+    with one of them at once."""
 
     def __init__(self, case: CaseId, config: SimConfig):
         self.case = case
@@ -202,15 +234,19 @@ class _RoundTables:
         self.rate_list = self.rates.tolist()
         self.site_of = _checked_alpha(config) if case is CaseId.CANONICAL_C else config.beta_pos_of
         self.sites: list = []
+        # CanonicalC: (pi_j, x_i) -> site k -> success, shared by the
+        # particles of one rate and kept across changes of x_i
+        self.walks = _Lazy(lambda key: _Lazy(lambda k: _site_success(case, self.site(k), *key)))
         self.xi = None
 
     def at_x(self, i: int, xi: float) -> None:
         """Per-x_i thresholds, after checking pi_j x_i for every particle
-        (numpy finds a violation, ``check_rate_x`` names it).  Geometric:
+        (numpy finds a violation, ``check_rate_x`` names it).  A and C:
         particle i can jump only if u >= floor[i]; the exact rule u >= 1 - q
         rounds within a few ulps of |log q| <= 745 in ``sample_geometric``,
         far inside the 1e-9 relative and 1e-15 absolute slack, so the floor
-        never excludes a jump.  Bernoulli (B, D): particle i jumps iff
+        never excludes a jump.  CanonicalC: particle i walks the site
+        successes succ[i].  Bernoulli (B, D): particle i jumps iff
         u < p_succ[i]."""
         if xi == self.xi:
             return
@@ -218,7 +254,9 @@ class _RoundTables:
         if (~((v >= 0) & (v < 1)) if self.case.geometric else v < 0).any():
             check_rate_x(self.case, i, xi, zip(self.order, self.rate_list))
         self.xi = xi
-        if self.case.geometric:
+        if self.case is CaseId.CANONICAL_C:
+            self.succ = [self.walks[rate, xi] for rate in self.rate_list]
+        elif self.case.geometric:
             self.q_list = v.tolist()
             self.floor = 1.0 - v * (1.0 + 1e-9) - 1e-15
         else:
@@ -257,30 +295,15 @@ def step_discrete(
     tables: _RoundTables | None = None,
 ) -> Partition:
     """One synchronous round: each particle in ``update_order`` draws its
-    jump and ``move``s.  ``tables`` are the run's ``_RoundTables``, built
-    from ``case`` and ``config``; without them the round builds its own.
-
-    The round consumes the random stream exactly as one scalar draw per
-    particle in update order would (CanonicalC: one more per site a jump
-    passes), but draws in bulk: it is the one-round block of ``_rounds``,
-    and CanonicalC's draws are ``_canonical_c_jumps``.  A round in which
-    nothing moves returns ``state``."""
+    jump from one uniform and ``move``s.  It is the one-round block of
+    ``_rounds``, so it draws ``rng.random(ell)`` and consumes the stream as
+    one scalar draw per particle in update order would.  ``tables`` are
+    the run's ``_RoundTables``, built from ``case`` and ``config``; without
+    them the round builds its own.  A round in which nothing moves returns
+    ``state``."""
     if tables is None:
         tables = _RoundTables(case, config)
-    if case is not CaseId.CANONICAL_C:
-        return _rounds(case, state, time_index, 1, config, rng, tables)[0]
-    start = state.padded(config.ell)
-    if not start:
-        return state
-    xi = config.x_of(time_index)
-    tables.at_x(time_index, xi)
-    jumps = _canonical_c_jumps(tables, start, xi, rng)
-    if not jumps:
-        return state
-    pos = list(start)
-    for i, w in jumps:
-        move(pos, tables.order[i], w, False)
-    return Partition._trusted(pos)
+    return _rounds(case, state, time_index, 1, config, rng, tables)[0]
 
 
 def _rounds(
@@ -292,56 +315,81 @@ def _rounds(
     rng: np.random.Generator,
     tables: _RoundTables,
 ) -> list:
-    """The states after rounds first, ..., first + n - 1 of any case but
-    CanonicalC, whose draw count depends on its own jumps.
+    """The states after rounds first, ..., first + n - 1.
 
     The block draws ``rng.random(n * ell)``: row r holds round first + r's
-    uniforms in update order, so the block consumes what n rounds of one
-    scalar draw per particle would.  One numpy comparison per stretch of
-    rounds with one x_i picks the (round, particle) pairs that can jump;
-    Python decides those exactly, in order, with the scalar formulas and
-    ``move``s the ones that jump.  Jump laws read a particle's position
-    before its own move, which is its position at the start of the round:
-    the position-dependent case (CanonicalB) blocks, and a blocking move
-    changes only the particle that moves.  CanonicalB's candidates lie
-    below its success bound over every position the block can reach:
-    particle 1 moves at most one site a round, and no particle passes it.
-    A round in which nothing moves keeps the state before it."""
+    uniforms in update order, one per particle, so the block consumes what
+    n rounds of one scalar draw per particle would.  One numpy comparison
+    per stretch of rounds with one x_i picks the (round, particle) pairs
+    that can jump; Python decides those exactly, in order, with the scalar
+    formulas (CanonicalC: ``_inhom_walk``) and ``move``s the ones that
+    jump.  Jump laws read a particle's position before its own move, which
+    is its position at the start of the round: the position-dependent
+    cases (CanonicalB, CanonicalC) block, and a blocking move changes only
+    the particle that moves.
+
+    Their candidates are the draws below the success bound over positions
+    0..hi, which covers every particle while particle 1, which no particle
+    passes, starts a round at or below hi.  hi starts at particle 1's start
+    plus n, which CanonicalB, moving at most one site a round, never
+    passes.  CanonicalC's particle 1 jumps without limit: when it starts a
+    round past hi, hi becomes its position plus the rounds left, and the
+    rounds left are selected again from the same draws.  A round in which
+    nothing moves keeps the state before it."""
     m = config.ell
     start = state.padded(m)
     if not start:
         return [state] * n
     xs = [config.x_of(i) for i in range(first, first + n)]
+    ends = [r for r in range(1, n + 1) if r == n or xs[r] != xs[r - 1]]
     u = rng.random(n * m).reshape(n, m)
-    geometric, canonical_b = case.geometric, case is CaseId.CANONICAL_B
-    cand_r, cand_i, laws = [], [], []
-    r0 = 0
-    for r in range(1, n + 1):
-        if r < n and xs[r] == xs[r0]:
-            continue
-        tables.at_x(first + r0, xs[r0])
-        rows = u[r0:r]
-        if geometric:
-            hit = rows >= tables.floor
-        elif canonical_b:
-            hit = rows < tables.success_bound(start[0] + n)
-        else:
-            hit = rows < tables.p_succ
-        rs, ps = hit.nonzero()
-        cand_r.extend((rs + r0).tolist())
-        cand_i.extend(ps.tolist())
-        laws.extend([tables.q_list if geometric else xs[r0]] * (r - r0))
-        r0 = r
-    cand_u = u[cand_r, cand_i].tolist()
+    canonical_b, canonical_c = case is CaseId.CANONICAL_B, case is CaseId.CANONICAL_C
+    geometric = case.geometric and not canonical_c  # A and C
+    bounded = case.canonical
+    laws = [None] * n
+
+    def select(r0: int, hi: int) -> tuple:
+        """(rounds, update indices, uniforms) of the candidates of rounds
+        r0, ..., n - 1, in order; ``laws`` of those rounds."""
+        cand_r, cand_i = [], []
+        for r1 in ends:
+            if r1 <= r0:
+                continue
+            tables.at_x(first + r0, xs[r0])
+            rows = u[r0:r1]
+            if bounded:
+                hit = rows < tables.success_bound(hi)
+            elif geometric:
+                hit = rows >= tables.floor
+            else:
+                hit = rows < tables.p_succ
+            rs, ps = hit.nonzero()
+            cand_r.extend((rs + r0).tolist())
+            cand_i.extend(ps.tolist())
+            law = tables.q_list if geometric else tables.succ if canonical_c else xs[r0]
+            laws[r0:r1] = [law] * (r1 - r0)
+            r0 = r1
+        return cand_r, cand_i, u[cand_r, cand_i].tolist()
+
+    hi = start[0] + n
+    cand_r, cand_i, cand_u = select(0, hi)
     order, pushing = tables.order, case.pushing
     pos, cur, out, c, nc = list(start), state, [], 0, len(cand_r)
     for r in range(n):
+        if bounded and pos[0] > hi:
+            hi = pos[0] + n - r
+            cand_r, cand_i, cand_u = select(r, hi)
+            c, nc = 0, len(cand_r)
         moved = False
         while c < nc and cand_r[c] == r:
             i, v = cand_i[c], cand_u[c]
             c += 1
             if geometric:
                 w = sample_geometric(laws[r][i], v)
+            elif canonical_c:
+                j = order[i]
+                k = pos[j - 1]
+                w = _inhom_walk(laws[r][i], k, v, pos[j - 2] if j > 1 else math.inf) - k
             elif canonical_b:
                 w = v < tables.success(i, pos, laws[r])
             else:
@@ -353,53 +401,6 @@ def _rounds(
             cur = Partition._trusted(pos)
         out.append(cur)
     return out
-
-
-def _canonical_c_jumps(tables: _RoundTables, start: tuple, xi: float, rng) -> list:
-    """(update index, jump) of every CanonicalC particle that jumps.
-
-    Particle i's first draw is draws[i + shift], where ``shift`` counts the
-    extra draws of the jumps before it: a jump of w tries w + 1 sites, one
-    draw each, so it takes the w stream values after its first.  Only a
-    draw below the success bound can be a success, so numpy picks those
-    out and Python checks them in order.  ``draws`` never holds more than
-    one value per particle still to come, the least the scalar rule
-    consumes, so the generator ends the round where that rule leaves it."""
-    top = tables.success_bound(start[0])
-    m = len(tables.order)
-    draws, cands = [], []
-
-    def top_up(n: int) -> None:
-        new = rng.random(n)
-        base = len(draws)
-        cands.extend(base + p for p in (new < top).nonzero()[0].tolist())
-        draws.extend(new.tolist())
-
-    top_up(m)
-    jumps, shift, i, c = [], 0, 0, 0
-    while True:
-        if c == len(cands):
-            if len(draws) == m + shift:
-                return jumps
-            top_up(m + shift - len(draws))
-            continue
-        p = cands[c]
-        c += 1
-        idx = p - shift
-        if idx < i or draws[p] >= tables.success(idx, start, xi):
-            continue
-        pi = tables.rate_list[idx]
-        k0 = start[tables.order[idx] - 1]
-        k = k0 + 1
-        while True:
-            shift += 1
-            if idx + shift == len(draws):
-                draws.append(rng.random())
-            if draws[idx + shift] >= _site_success(CaseId.CANONICAL_C, tables.site(k), pi, xi):
-                break
-            k += 1
-        jumps.append((idx, k - k0))
-        i = idx + 1
 
 
 def step_batch(
@@ -466,22 +467,17 @@ def _batch_inhom_jump(start: np.ndarray, alpha: Callable[[int], float], pi: floa
 
 def run(config: SimConfig, run_index: int = 0) -> Trajectory:
     """Deterministic given (seed, run_index).  Rounds run in blocks of
-    ``_rounds`` (CanonicalC: one ``step_discrete`` per round), which
-    consume the stream as one round after another would."""
+    ``_rounds``, which consume the stream as one round after another
+    would."""
     config.validate()
     rng = rng_for(config.seed, run_index)
-    case = config.case
-    tables = _RoundTables(case, config)
+    tables = _RoundTables(config.case, config)
     state = config.start
     snaps = [(0, state)]
-    canonical_c = case is CaseId.CANONICAL_C
-    block = 1 if canonical_c else max(1, _BLOCK_DRAWS // max(config.ell, 1))
+    block = max(1, _BLOCK_DRAWS // max(config.ell, 1))
     for first in range(1, config.steps + 1, block):
         n = min(block, config.steps + 1 - first)
-        if canonical_c:
-            states = [step_discrete(case, state, first, config, rng, tables=tables)]
-        else:
-            states = _rounds(case, state, first, n, config, rng, tables)
+        states = _rounds(config.case, state, first, n, config, rng, tables)
         snaps.extend(zip(range(first, first + n), states))
         state = states[-1]
     return Trajectory(snaps, config.ell)

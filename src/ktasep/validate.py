@@ -307,10 +307,10 @@ def mc_vs_exact(
     cap: int = 12,
     rng_bias: float | None = None,
 ) -> StatReport:
-    """Sample the process and compare against the exact kernel table:
-    chi-square over states with expected count >= 5 (rarer states pooled)
-    plus total-variation distance.  ``rng_bias`` is the documented fault
-    injection: uniforms are raised to that power before use."""
+    """Sample the process with the batch sampler and compare against the
+    exact kernel table (``compare_counts``).  ``rng_bias`` is the
+    documented fault injection: uniforms are raised to that power before
+    use."""
     if samples <= 0:
         raise ValueError("samples must be positive")
     exact = chain(case, n, mu, binding, ell, cap)
@@ -329,8 +329,14 @@ def mc_vs_exact(
         finals = sample_batch_final(config, samples, seed)
     else:
         finals = batch_final(config, samples, _BiasedGenerator(rng_for(seed, 0), rng_bias))
-    counts = _histogram(finals)
+    return compare_counts(exact, _histogram(finals), samples)
 
+
+def compare_counts(exact, counts: dict, samples: int) -> StatReport:
+    """``counts`` (Partition -> number of the ``samples`` runs that end
+    there) against the exact table ``exact``: chi-square over states with
+    expected count >= 5 (rarer states pooled) plus total-variation
+    distance."""
     states = sorted(set(exact.probs) | set(counts))
     table = {}
     tv = 0.0

@@ -79,6 +79,20 @@ def test_constraint_error_exit_code(tmp_path, params_file):
     assert proc.returncode == 2
 
 
+def test_short_rate_list_is_constraint_error(tmp_path):
+    # three particles and one rate: a failed constraint check (exit 2),
+    # not particles 2 and 3 frozen at rate 0
+    params = tmp_path / "short.json"
+    params.write_text(json.dumps({"x": ["1/10"], "pi": ["1/2"]}))
+    proc = run_cli(
+        "kernel", "--case", "A", "--n", "1", "--mu", "[]", "--ell", "3", "--cap", "3",
+        "--params", str(params), check=False,
+    )
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "constraint" and "pi_2 missing" in err["message"]
+
+
 def test_zero_rate_operator_route_is_usage_error(tmp_path):
     # a zero rate is admissible (the particle is frozen), but the operator
     # route reads 1/pi_2: that is no constraint violation, so not exit 2

@@ -6,6 +6,7 @@ import pytest
 from ktasep.exactalg import A, B, P, X, RationalFn, rf
 from ktasep.kernels import (
     CaseId,
+    ConstraintError,
     KernelQuery,
     ParamBinding,
     chain,
@@ -286,6 +287,14 @@ def test_admissibility_check(b1):
     bad = ParamBinding.numeric(x=[F(3)], rates=[F(1, 2)])
     with pytest.raises(ValueError):
         bad.check_admissible(CaseId.A, 1)
+
+
+def test_short_rate_list_is_inadmissible():
+    # one rate for three particles is refused, not read as two zero rates
+    short = ParamBinding.numeric(x=[F(1, 2)], rates=[F(1, 2)])
+    with pytest.raises(ConstraintError, match=r"pi_2 missing: 3 particles need 3 rates, got 1"):
+        short.check_admissible(CaseId.A, 3)
+    short.check_admissible(CaseId.A, 1)
 
 
 # sha256 of repr() of kernel_tableau_route, and separately of

@@ -1,3 +1,5 @@
+import collections
+import functools
 import hashlib
 import heapq
 import math
@@ -6,8 +8,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from ktasep import simulate
 from ktasep.conventions import UpdateOrder
-from ktasep.kernels import CaseId, ConstraintError, ParamBinding
+from ktasep.kernels import CaseId, ConstraintError, ParamBinding, chain
 from ktasep.partitions import Partition
 from ktasep.simulate import (
     SimConfig,
@@ -24,6 +27,7 @@ from ktasep.simulate import (
     step_discrete,
     update_order,
 )
+from ktasep.validate import compare_counts
 
 P_ = Partition
 
@@ -143,10 +147,13 @@ def test_pushing_example_case_d():
 # sha256 of the integer outputs of _stream_outputs() at fixed seeds.  A
 # change that reorders, adds or drops random draws, or alters the update
 # rule, changes it and must update it on purpose.
-STREAM_DIGEST = "9514cec5c589425ebec25f8c2bd6dd038b8a0831c56ea79cf6b294e95d006372"
+STREAM_DIGEST = "44740b7ea3467ce3fe6a04228fee93480bc7565f736b1c2faaf7ba185789170d"
 
 
 def _stream_outputs():
+    """(label, output) pairs: per (case, update order) the snapshots of
+    ``run`` and the finals of ``sample_batch_final``, then the continuous
+    runs."""
     out = []
     for update in UpdateOrder:
         for k, case in enumerate(CaseId):
@@ -155,17 +162,18 @@ def _stream_outputs():
                 alpha=lambda m: 0.1 + 0.05 * (m % 3), beta_pos=lambda m: 0.1 if m >= 1 else 0.0,
                 seed=40 + k, update=update, start=P_([3, 1, 1]),
             )
-            out.append([list(p.padded(5)) for _, p in run(cfg).snapshots])
-            out.append(sample_batch_final(cfg, 64, 50 + k).tolist())
+            label = f"{case.value}/{update.name}"
+            out.append((f"stream/run/{label}", [list(p.padded(5)) for _, p in run(cfg).snapshots]))
+            out.append((f"stream/batch/{label}", sample_batch_final(cfg, 64, 50 + k).tolist()))
     for push in (False, True):
-        out.append(run_continuous(6, 4.0, [1.0, 0.8, 1.2, 0.9, 1.1, 0.7], rng_for(60, int(push)),
-                                  push=push, start=P_([2, 1])))
+        out.append((f"stream/continuous/push={push}",
+                    run_continuous(6, 4.0, [1.0, 0.8, 1.2, 0.9, 1.1, 0.7], rng_for(60, int(push)),
+                                   push=push, start=P_([2, 1]))))
     return out
 
 
 def test_sampler_streams_pinned():
-    digest = hashlib.sha256(repr(_stream_outputs()).encode()).hexdigest()
-    assert digest == STREAM_DIGEST
+    assert _digest(_outputs("stream")) == STREAM_DIGEST
 
 
 def _sine(k):
@@ -186,7 +194,7 @@ LONG_PHYSICS = (
 )
 
 # sha256 of every snapshot of _long_trajectories()
-LONG_DIGEST = "87529a2afc0cd8970e08d6cee37bc62dff324210e2b135410135b543b478549b"
+LONG_DIGEST = "b8adfc7e10404573c715538d164daed0ef883c404c46534017b9375571c021cd"
 
 
 def _fan_start(ell):
@@ -196,6 +204,7 @@ def _fan_start(ell):
 
 
 def _long_trajectories():
+    """(label, snapshots) per physics row and ell."""
     out = []
     for k, (case, rate, x, alpha, beta) in enumerate(LONG_PHYSICS):
         for ell, steps in ((10, 300), (100, 60)):
@@ -204,22 +213,23 @@ def _long_trajectories():
                 alpha=alpha, beta_pos=beta, seed=70 + k,
                 start=P_([]) if case.pushing else _fan_start(ell),
             )
-            out.append([p.parts for _, p in run(cfg).snapshots])
+            out.append((f"long/{k}:{case.value}/ell={ell}", [p.parts for _, p in run(cfg).snapshots]))
     return out
 
 
 def test_long_trajectories_pinned():
-    digest = hashlib.sha256(repr(_long_trajectories()).encode()).hexdigest()
-    assert digest == LONG_DIGEST
+    assert _digest(_outputs("long")) == LONG_DIGEST
 
 
 # sha256 of _block_outputs(): discrete runs at ell = 400 spanning several
 # blocks of rounds under an x that changes inside a block, and continuous
 # runs of about 5,000 events each, with the draw that follows them
-BLOCK_DIGEST = "d83092778cf46945709ece4824821db69733c04717c96f4d7eee12caa1ed5e80"
+BLOCK_DIGEST = "166d41a6d4723bc475cc4dc06a773f9e0814392aedd79f3be8147d906aa8eed7"
 
 
 def _block_outputs():
+    """(label, output) per case, then per continuous run its positions and
+    the draw that follows."""
     out = []
     x = lambda i: 0.1 if i % 7 else 0.3
     for k, case in enumerate(CaseId):
@@ -228,24 +238,104 @@ def _block_outputs():
             alpha=lambda m: 0.5 * math.sin(m / 50.0) ** 6, beta_pos=_sine, seed=80 + k,
             start=P_([]) if case.pushing else _fan_start(400),
         )
-        out.append([p.parts for _, p in run(cfg).snapshots])
+        out.append((f"block/{case.value}", [p.parts for _, p in run(cfg).snapshots]))
     for push in (False, True):
         rng = rng_for(90, int(push))
-        out.append(run_continuous(100, 50.0, lambda j: 0.9 + 0.1 * (j % 3), rng, push=push,
-                                  start=P_([]) if push else _fan_start(100)))
-        out.append(rng.random())
+        out.append((f"block/continuous/push={push}",
+                    run_continuous(100, 50.0, lambda j: 0.9 + 0.1 * (j % 3), rng, push=push,
+                                   start=P_([]) if push else _fan_start(100))))
+        out.append((f"block/continuous/push={push}/next", rng.random()))
     return out
 
 
 def test_block_streams_pinned():
-    digest = hashlib.sha256(repr(_block_outputs()).encode()).hexdigest()
-    assert digest == BLOCK_DIGEST
+    assert _digest(_outputs("block")) == BLOCK_DIGEST
+
+
+@functools.lru_cache(maxsize=None)
+def _outputs(source):
+    """The (label, output) pairs of one pinned source, computed once for
+    its combined digest and its per-case digests."""
+    return tuple({"stream": _stream_outputs, "long": _long_trajectories,
+                  "block": _block_outputs}[source]())
+
+
+def _digest(pairs):
+    """sha256 of the outputs of ``pairs`` in order: the combined digests."""
+    return hashlib.sha256(repr([o for _, o in pairs]).encode()).hexdigest()
+
+
+# The first 16 hex digits of the sha256 of each output above, by label, so
+# that a change meant to move one case's stream shows that no other moved
+CASE_DIGESTS = {
+    "stream/run/A/GEOMETRIC_DESCENDING": "461326f18b351d4c",
+    "stream/batch/A/GEOMETRIC_DESCENDING": "4c41546bbf0ad309",
+    "stream/run/B/GEOMETRIC_DESCENDING": "5d2db9b048a69e81",
+    "stream/batch/B/GEOMETRIC_DESCENDING": "550f7c4d872d8862",
+    "stream/run/C/GEOMETRIC_DESCENDING": "13f5d932009e2509",
+    "stream/batch/C/GEOMETRIC_DESCENDING": "259410caa3324006",
+    "stream/run/D/GEOMETRIC_DESCENDING": "091ce4d5ce8f3e8a",
+    "stream/batch/D/GEOMETRIC_DESCENDING": "d555a7b88eea5afb",
+    "stream/run/CanonicalC/GEOMETRIC_DESCENDING": "c1cf9f38dd84c96d",
+    "stream/batch/CanonicalC/GEOMETRIC_DESCENDING": "9ef7594d27b14eb9",
+    "stream/run/CanonicalB/GEOMETRIC_DESCENDING": "2545db710ddf5d11",
+    "stream/batch/CanonicalB/GEOMETRIC_DESCENDING": "fe57d87b2ee8c137",
+    "stream/run/A/GEOMETRIC_ASCENDING": "66bdbfac95f9bcfe",
+    "stream/batch/A/GEOMETRIC_ASCENDING": "d3a16b9b6ccd4f42",
+    "stream/run/B/GEOMETRIC_ASCENDING": "8c2b218a6c56040f",
+    "stream/batch/B/GEOMETRIC_ASCENDING": "0d2a8569aafd28d9",
+    "stream/run/C/GEOMETRIC_ASCENDING": "401d3e5e938d62d2",
+    "stream/batch/C/GEOMETRIC_ASCENDING": "fee52e6702604caf",
+    "stream/run/D/GEOMETRIC_ASCENDING": "2fb29224e4f8f7a5",
+    "stream/batch/D/GEOMETRIC_ASCENDING": "a76268d7bc7d0fd5",
+    "stream/run/CanonicalC/GEOMETRIC_ASCENDING": "efb432726f2b8a51",
+    "stream/batch/CanonicalC/GEOMETRIC_ASCENDING": "950b1c6beabbcd0c",
+    "stream/run/CanonicalB/GEOMETRIC_ASCENDING": "81f88eeb5cadec0b",
+    "stream/batch/CanonicalB/GEOMETRIC_ASCENDING": "e7a288ce1c2ec286",
+    "stream/continuous/push=False": "d096ab28846be77e",
+    "stream/continuous/push=True": "840b1a7589bdc9b0",
+    "long/0:A/ell=10": "0f0dce35f1e23ea6",
+    "long/0:A/ell=100": "ec78a502421519b5",
+    "long/1:B/ell=10": "151ef70f8266234d",
+    "long/1:B/ell=100": "8bea2d248eae0dba",
+    "long/2:C/ell=10": "b6d85fa3ebe1f876",
+    "long/2:C/ell=100": "1401133b8e287d20",
+    "long/3:D/ell=10": "861d3dfad186d313",
+    "long/3:D/ell=100": "af3348908d340af2",
+    "long/4:CanonicalC/ell=10": "dc949eff12a0a183",
+    "long/4:CanonicalC/ell=100": "dcadf0b72e073304",
+    "long/5:CanonicalC/ell=10": "117732f87dcf29b6",
+    "long/5:CanonicalC/ell=100": "284d0d2957d16094",
+    "long/6:CanonicalB/ell=10": "7109618d8b5c5591",
+    "long/6:CanonicalB/ell=100": "cde595cd56581b35",
+    "block/A": "b2b81a06b1a6be40",
+    "block/B": "4ec1f30ae6068a6e",
+    "block/C": "3e8469bcce7a702c",
+    "block/D": "c6314b24b80d7439",
+    "block/CanonicalC": "08a68b97961c1217",
+    "block/CanonicalB": "0c1ec3f334f27822",
+    "block/continuous/push=False": "c31c92da0b367265",
+    "block/continuous/push=False/next": "772f7535e2c07ad6",
+    "block/continuous/push=True": "06c252a5468edf81",
+    "block/continuous/push=True/next": "8e6d6d71a6aed58f",
+}
+
+
+def test_case_digests_cover_every_output():
+    labels = [label for source in ("stream", "long", "block") for label, _ in _outputs(source)]
+    assert sorted(labels) == sorted(CASE_DIGESTS)
+
+
+@pytest.mark.parametrize("label", sorted(CASE_DIGESTS))
+def test_case_streams_pinned(label):
+    output = dict(_outputs(label.split("/")[0]))[label]
+    assert hashlib.sha256(repr(output).encode()).hexdigest()[:16] == CASE_DIGESTS[label]
 
 
 def _scalar_round(case, state, time_index, config, rng):
-    """The per-particle round: one scalar draw per particle (CanonicalC:
-    one per site passed, then the failure) and one ``move`` per particle
-    in update order.  Reference for ``step_discrete``."""
+    """The per-particle round: one scalar draw per particle and one
+    ``move`` per particle in update order.  Reference for
+    ``step_discrete``."""
     pos = list(state.padded(config.ell))
     xi = config.x_of(time_index)
     pushing = case.pushing
@@ -254,10 +344,13 @@ def _scalar_round(case, state, time_index, config, rng):
         if plain_geometric:
             w = sample_geometric(config.rate(j) * xi, rng.random())
         elif case is CaseId.CANONICAL_C:
-            k = pos[j - 1]
+            # inverse CDF: the jump passes site k while u < the product of
+            # the successes at the sites from pos[j - 1] to k
+            u, p, k = rng.random(), 1.0, pos[j - 1]
             while True:
                 a = config.alpha_of(k)
-                if rng.random() >= (a + config.rate(j)) * xi / (1.0 + a * xi):
+                p *= (a + config.rate(j)) * xi / (1.0 + a * xi)
+                if u >= p:
                     break
                 k += 1
             w = k - pos[j - 1]
@@ -314,24 +407,59 @@ def _scalar_run(config):
     return snaps
 
 
-def test_run_matches_scalar_rounds_across_blocks():
+def test_run_matches_scalar_rounds_across_blocks(monkeypatch):
     # x changes every third round, inside each block of rounds (409 rounds
     # at ell = 10, 81 at ell = 50), and CanonicalB's candidate bound must
     # cover the positions a block of 10 rounds at ell = 400 reaches
     x = lambda i: (0.05, 0.3, 0.6)[(i // 3) % 3]
     for k, case in enumerate(CaseId):
-        if case is CaseId.CANONICAL_C:
-            continue
         for ell, steps in ((10, 900), (50, 200)):
             cfg = SimConfig(case=case, ell=ell, steps=steps, x=x, seed=300 + k,
                             rates=lambda j: 0.3 + 0.1 * (j % 4),
-                            beta_pos=lambda m: 0.2 * (m % 4))
+                            alpha=lambda m: 0.15 * (m % 3), beta_pos=lambda m: 0.2 * (m % 4))
             assert run(cfg).snapshots == _scalar_run(cfg), (case, ell)
     cfg = SimConfig(case=CaseId.CANONICAL_B, ell=400, steps=35, x=[0.5], seed=7,
                     rates=lambda j: 0.9, beta_pos=_sine, start=_fan_start(400))
     snaps = run(cfg).snapshots
     assert snaps == _scalar_run(cfg)
     assert sum(a != b for (_, a), (_, b) in zip(snaps, snaps[1:])) == 35
+    # CanonicalC's particle 1 jumps about 5 sites a round here, so it
+    # passes the first bound's reach (its start plus the 409 rounds of a
+    # block) inside the block, and the rounds left are selected again: the
+    # bound is then read at more reaches than there are blocks
+    reaches = []
+    bound = simulate._RoundTables.success_bound
+    monkeypatch.setattr(simulate._RoundTables, "success_bound",
+                        lambda tables, hi: reaches.append(hi) or bound(tables, hi))
+    cfg = SimConfig(case=CaseId.CANONICAL_C, ell=10, steps=900, seed=9,
+                    x=lambda i: (0.8, 0.95, 0.6)[(i // 3) % 3], rates=lambda j: 0.9,
+                    alpha=lambda m: 0.15 * (m % 3) - 0.1, start=P_([5, 2]))
+    snaps = run(cfg).snapshots
+    assert snaps == _scalar_run(cfg)
+    assert snaps[409][1].part(1) > 5 + 409
+    assert len(set(reaches)) > 3
+
+
+# CanonicalC at ell = 3 from mu = (1): a rate above the others, jumps of
+# several sites (x = 3/5) and a hard wall at site 3, where alpha_3 = -pi
+# for particles 1 and 3
+WALL_ALPHA = {0: F(0), 1: F(1, 4), 2: F(1, 10), 3: F(-1, 2)}
+WALL_BINDING = ParamBinding.numeric(x=[F(3, 5)] * 2, rates=[F(1, 2), F(3, 5), F(1, 2)],
+                                    alpha=lambda k: WALL_ALPHA.get(k, F(1, 5)))
+
+
+def test_canonical_c_run_law_matches_chain():
+    # the final states of independent runs against the exact two-step law
+    b, mu, samples = WALL_BINDING, P_([1]), 10000
+    b.check_admissible(CaseId.CANONICAL_C, 3)
+    exact = chain(CaseId.CANONICAL_C, 2, mu, b, 3, cap=6)
+    assert exact.tail == 0 and max(lam.part(1) for lam in exact.probs) == 3
+    cfg = SimConfig(case=CaseId.CANONICAL_C, ell=3, steps=2, seed=17, start=mu,
+                    rates=[float(r) for r in b.rates], x=[float(b.x[0])],
+                    alpha=lambda k: float(b.alpha_of(k)))
+    counts = collections.Counter(run(cfg, r).final() for r in range(samples))
+    report = compare_counts(exact, counts, samples)
+    assert report.dof >= 10 and report.p_value > 0.001, report
 
 
 def _scalar_continuous(ell, t, rates, rng, push=False, start=None):
@@ -427,8 +555,6 @@ def test_inhom_pmf_masses():
 
 
 def test_batch_matches_exact_single_step():
-    from ktasep.kernels import ParamBinding, chain
-
     b = ParamBinding.numeric(x=[F(1, 2)], rates=[F(1, 2), F(2, 5), F(1, 4)])
     exact = chain(CaseId.C, 1, P_([1]), b, 3, cap=10)
     cfg = SimConfig(
