@@ -327,17 +327,28 @@ def chain(
     binding: ParamBinding,
     ell: int,
     cap: int,
+    steps: dict | None = None,
 ) -> KernelTable:
     """n-fold composition of single-step tables, restricted to lam_1 <= cap;
-    geometric cases report the exact dropped tail mass."""
+    geometric cases report the exact dropped tail mass.
+
+    ``steps`` holds the single-step tables under (x_i, cap), then nu:
+    everything a step reads that may vary between calls.  One dict serves
+    one (case, ell, rate list, alpha/beta closures): calls that share it,
+    whatever their start, n or x values, build each step once."""
+    check_rate_count(ell, len(binding.rates))
     if cap < mu.part(1):
         raise ValueError(f"cap {cap} smaller than mu_1 = {mu.part(1)}")
+    steps = {} if steps is None else steps
     current = {mu: Frac(1)}
     tail = Frac(0)
     for i in range(1, n + 1):
+        built = steps.setdefault((binding.x_of(i), cap), {})
         nxt: dict = {}
         for nu, w in current.items():
-            step = single_step_table(case, nu, i, binding, ell, cap)
+            step = built.get(nu)
+            if step is None:
+                step = built[nu] = single_step_table(case, nu, i, binding, ell, cap)
             tail = tail + w * step.tail
             for lam, p in step.probs.items():
                 if lam.part(1) > cap:
@@ -415,18 +426,25 @@ def operator_table(
     ell: int,
     size_cap: int,
     width: float = math.inf,
+    evolved: dict | None = None,
 ) -> dict:
     """All transition probabilities from mu to lambda with |lambda| <=
     size_cap, len(lambda) <= ell and lambda_1 <= width, by a single
     operator evolution, times the overall factor.  The
     evolution stops every chain past size_cap and, outside CanonicalB's
     conjugate picture, past width: sizes and row 1 only grow, so no
-    dropped term returns."""
+    dropped term returns.
+
+    ``evolved`` holds the evolved vectors by (mu, x_1..x_i, size_cap, the
+    row-1 bound), so a table continues from the longest evolution of its x
+    values already in it.  One dict serves one (case, ell, rate list,
+    alpha/beta closures), as ``chain``'s steps do."""
+    check_rate_count(ell, len(binding.rates))
     if case is CaseId.CANONICAL_C and not is_zero_scalar(binding.alpha_of(0)):
         raise ValueError("operator route for CanonicalC requires alpha(0) = 0")
     if case is CaseId.CANONICAL_B and not is_zero_scalar(binding.beta_pos_of(0)):
         raise ValueError("operator route for CanonicalB requires beta_pos(0) = 0")
-    xs = [binding.x_of(i) for i in range(1, n + 1)]
+    xs = tuple(binding.x_of(i) for i in range(1, n + 1))
     conj = case is CaseId.CANONICAL_B
     if conj:
         # CanonicalB evolves conjugate shapes.  One row beyond the widest
@@ -442,14 +460,19 @@ def operator_table(
         start, rows, row1_cap = mu, ell, width
         factor = time_factor(case, binding, range(1, ell + 1), xs)
     params = _op_params_for(case, binding, ell)
-    vec = PartitionVector.basis(start)
-    for x in xs:
-        vec = _apply_time_step(case, vec, x, params, rows, size_cap, row1_cap)
+    evolved = {} if evolved is None else evolved
+    keys = [(mu, xs[:i], size_cap, row1_cap) for i in range(n + 1)]
+    done = next((i for i in range(n, 0, -1) if keys[i] in evolved), 0)
+    vec = evolved[keys[done]] if done else PartitionVector.basis(start)
+    for i in range(done, n):
+        vec = _apply_time_step(case, vec, xs[i], params, rows, size_cap, row1_cap)
+        evolved[keys[i + 1]] = vec
+    monomial = _RateRows(case, mu, binding, ell).monomial
     out = {}
     for target, coeff in vec.terms.items():
         lam = conjugate(target) if conj else target
         if lam.length() <= ell and lam.part(1) <= width:
-            out[lam] = coeff * factor * rate_monomial(case, mu, lam, binding, ell)
+            out[lam] = coeff * factor * monomial(lam)
     return out
 
 
@@ -477,16 +500,35 @@ def rate_monomial(case: CaseId, mu: Partition, lam: Partition, binding: ParamBin
     canonical cases shift each box's rate by the position rate of its
     column: (alpha_{c-1} + pi_r) for CanonicalC, (beta_{c-1} + rho_r) for
     CanonicalB."""
-    shift = {CaseId.CANONICAL_C: binding.alpha_of, CaseId.CANONICAL_B: binding.beta_pos_of}.get(case)
-    out: Scalar = Frac(1)
-    for r in range(1, ell + 1):
-        rate, lo, hi = binding.rate(r), mu.part(r), lam.part(r)
-        if shift is not None:
-            for c in range(lo, hi):
-                out = out * (shift(c) + rate)
-        elif hi > lo:
-            out = out * rate**(hi - lo)
-    return out
+    return _RateRows(case, mu, binding, ell).monomial(lam)
+
+
+class _RateRows:
+    """``rate_monomial`` from one mu to many targets: row r keeps the
+    running products of its factors over columns mu_r, mu_r + 1, ...,
+    extended as far as a target reaches, so that each factor is multiplied
+    in once per table rather than once per target."""
+
+    def __init__(self, case: CaseId, mu: Partition, binding: ParamBinding, ell: int):
+        self.mu = mu
+        self.rates = [binding.rate(r) for r in range(1, ell + 1)]
+        self.shift = {CaseId.CANONICAL_C: binding.alpha_of,
+                      CaseId.CANONICAL_B: binding.beta_pos_of}.get(case)
+        self.rows = [[Frac(1)] for _ in self.rates]
+
+    def monomial(self, lam: Partition):
+        out = None
+        for r, row in enumerate(self.rows, 1):
+            lo = self.mu.part(r)
+            k = lam.part(r) - lo
+            if k <= 0:
+                continue
+            rate = self.rates[r - 1]
+            while len(row) <= k:
+                c = lo + len(row) - 1
+                row.append(row[-1] * (rate if self.shift is None else self.shift(c) + rate))
+            out = row[k] if out is None else out * row[k]
+        return Frac(1) if out is None else out
 
 
 def time_factor(case: CaseId, binding: ParamBinding, js, xs):
@@ -522,6 +564,57 @@ def _tableau_letters(case: CaseId, binding: ParamBinding, ell: int) -> tableaux.
     return tableaux.Letters(binding.x_of, alpha, beta)
 
 
+def tableau_table(
+    case: CaseId,
+    n: int,
+    mu: Partition,
+    targets: list[Partition],
+    binding: ParamBinding,
+    ell: int,
+    convention: IndexConvention = PINNED_CONVENTIONS.index,
+) -> dict:
+    """Kernel from mu to every target via the Grothendieck-type generating
+    functions of Thm-1.1 shape: the case's tableau sum (on conjugate shapes
+    for B, D and CanonicalB), summed at the binding's letter values, times
+    the overall factor.  The letters, the checks, the time factor and
+    CanonicalC's alpha_0 correction are built once per table, and the rate
+    monomials from row factors built once per table."""
+    check_rate_count(ell, len(binding.rates))
+    xs = [binding.x_of(i) for i in range(1, n + 1)]
+    alpha0 = binding.alpha_of(0) if case is CaseId.CANONICAL_C else Frac(0)
+    if n > 1 and not is_zero_scalar(alpha0):
+        raise ValueError("tableau route for CanonicalC with n>1 needs alpha(0)=0")
+    if case is CaseId.CANONICAL_B and not is_zero_scalar(binding.beta_pos_of(0)):
+        raise ValueError("tableau route for CanonicalB needs beta_pos(0)=0")
+    js = range(1, ell + 1) if case.pushing else (1,)
+    factor = time_factor(case, binding, js, xs)
+    if not is_zero_scalar(alpha0) and mu.length() < ell:
+        # the leading particle at position 0 (row len(mu) + 1) carries the
+        # 1/(1 + alpha_0 x) of its start, which G// leaves out
+        factor = factor * reciprocal(1 + alpha0 * xs[0])
+    conj = case in (CaseId.B, CaseId.D, CaseId.CANONICAL_B)
+    inner = conjugate(mu) if conj else mu
+    letters = _tableau_letters(case, binding, ell)
+    monomial = _RateRows(case, mu, binding, ell).monomial
+    alpha_on, beta_on = case is not CaseId.C, case is not CaseId.B
+    out = {}
+    for lam in targets:
+        if case.pushing and not lam.contains(mu):
+            out[lam] = Frac(0)
+            continue
+        outer = conjugate(lam) if conj else lam
+        if case is CaseId.A:
+            g = tableaux.gen_g(SkewShape(outer, inner), n, letters=letters)
+        elif case is CaseId.D:
+            g = tableaux.gen_j(SkewShape(outer, inner), n, letters=letters)
+        else:
+            g = tableaux.gen_G_doubleslash(
+                outer, inner, n, alpha_on, beta_on, convention, letters=letters
+            )
+        out[lam] = g * monomial(lam) * factor
+    return out
+
+
 def kernel_tableau_route(
     case: CaseId,
     n: int,
@@ -531,39 +624,8 @@ def kernel_tableau_route(
     ell: int,
     convention: IndexConvention = PINNED_CONVENTIONS.index,
 ):
-    """Kernel via the Grothendieck-type generating functions of Thm-1.1
-    shape: the case's tableau sum (on conjugate shapes for B, D and
-    CanonicalB), summed at the binding's letter values, times the overall
-    factor."""
-    xs = [binding.x_of(i) for i in range(1, n + 1)]
-    alpha0 = binding.alpha_of(0) if case is CaseId.CANONICAL_C else Frac(0)
-    if n > 1 and not is_zero_scalar(alpha0):
-        raise ValueError("tableau route for CanonicalC with n>1 needs alpha(0)=0")
-    if case is CaseId.CANONICAL_B and not is_zero_scalar(binding.beta_pos_of(0)):
-        raise ValueError("tableau route for CanonicalB needs beta_pos(0)=0")
-    if case.pushing and not lam.contains(mu):
-        return Frac(0)
-    if case in (CaseId.B, CaseId.D, CaseId.CANONICAL_B):
-        outer, inner = conjugate(lam), conjugate(mu)
-    else:
-        outer, inner = lam, mu
-    letters = _tableau_letters(case, binding, ell)
-    if case is CaseId.A:
-        g = tableaux.gen_g(SkewShape(outer, inner), n, letters=letters)
-    elif case is CaseId.D:
-        g = tableaux.gen_j(SkewShape(outer, inner), n, letters=letters)
-    else:
-        alpha_on, beta_on = case is not CaseId.C, case is not CaseId.B
-        g = tableaux.gen_G_doubleslash(
-            outer, inner, n, alpha_on, beta_on, convention, letters=letters
-        )
-    js = range(1, ell + 1) if case.pushing else (1,)
-    val = g * rate_monomial(case, mu, lam, binding, ell) * time_factor(case, binding, js, xs)
-    if not is_zero_scalar(alpha0) and mu.length() < ell:
-        # the leading particle at position 0 (row len(mu) + 1) carries the
-        # 1/(1 + alpha_0 x) of its start, which G// leaves out
-        val = val * reciprocal(1 + alpha0 * xs[0])
-    return val
+    """Kernel via the tableau sums: one entry of ``tableau_table``."""
+    return tableau_table(case, n, mu, [lam], binding, ell, convention)[lam]
 
 
 # ---------------------------------------------------------------------------

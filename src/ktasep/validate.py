@@ -22,9 +22,11 @@ from .kernels import (
     KernelTable,
     ParamBinding,
     chain,
+    check_rate_count,
     kernel_operator_route,  # noqa: F401 - perfbench/child.py traces validate.kernel_operator_route
     kernel_tableau_route,
     operator_table,
+    tableau_table,
 )
 from .partitions import Partition, partitions_in_box
 from .simulate import SimConfig, batch_final, move, rng_for, sample_batch_final, update_order
@@ -122,14 +124,25 @@ def brute_force_table(
     ell: int,
     cap: int,
     update: UpdateOrder = PINNED_CONVENTIONS.update,
+    steps: dict | None = None,
 ) -> KernelTable:
-    """n-step oracle: chain single-step brute-force tables."""
+    """n-step oracle: chain single-step brute-force tables.
+
+    ``steps`` holds the single-step tables under (x_i, cap, update), then
+    nu: everything a step reads that may vary between calls.  One dict
+    serves one (case, ell, rate list, alpha/beta closures): calls that
+    share it, whatever their start, n or x values, build each step once."""
+    check_rate_count(ell, len(binding.rates))
+    steps = {} if steps is None else steps
     current = {mu: Frac(1)}
     tail = Frac(0)
     for i in range(1, n + 1):
+        built = steps.setdefault((binding.x_of(i), cap, update), {})
         nxt: dict = {}
         for nu, w in current.items():
-            step = brute_force_single_step(case, nu, binding, ell, cap, i, update)
+            step = built.get(nu)
+            if step is None:
+                step = built[nu] = brute_force_single_step(case, nu, binding, ell, cap, i, update)
             tail = tail + w * step.tail
             for lam, p in step.probs.items():
                 nxt[lam] = nxt.get(lam, Frac(0)) + w * p
@@ -181,6 +194,19 @@ class OracleReport:
         return [r for r in self.rows if not r.skipped and not r.equal]
 
 
+@dataclass
+class RouteCache:
+    """What a validation grid builds once and every route_agreement call
+    reads: the oracle's and the closed route's single steps, and the
+    operator evolutions.  Each route keeps its own dict, so no route reads
+    another's work.  One cache serves one (case, ell, rate list,
+    alpha/beta closures); the grid's mu, n and x values may vary."""
+
+    oracle: dict = field(default_factory=dict)
+    closed: dict = field(default_factory=dict)
+    operator: dict = field(default_factory=dict)
+
+
 def route_agreement(
     case: CaseId,
     mu: Partition,
@@ -190,28 +216,35 @@ def route_agreement(
     targets: list[Partition],
     cap: int,
     conventions: Conventions = PINNED_CONVENTIONS,
+    cache: RouteCache | None = None,
 ) -> OracleReport:
     """Compare oracle, closed-form chain, operator, and tableau values for
     every target partition; exact rational comparisons.  The operator
     values come from one ``operator_table`` just large and wide enough to
-    hold every target.  A route that raises ``ValueError`` leaves ``None``
-    in its slot and the row is skipped, never counted as agreeing."""
+    hold every target, the tableau values from one ``tableau_table``.  A
+    route table that raises ``ValueError`` leaves ``None`` in its slot of
+    every row, and those rows are skipped, never counted as agreeing.
+    ``cache`` shares steps and evolutions between the calls of one grid
+    (see ``RouteCache`` for its scope); without it, every call starts
+    afresh."""
+    cache = RouteCache() if cache is None else cache
     targets = [lam for lam in targets if lam.length() <= ell and lam.part(1) <= ell]
-    oracle = brute_force_table(case, n, mu, binding, ell, cap, conventions.update)
-    closed = chain(case, n, mu, binding, ell, cap)
+    oracle = brute_force_table(case, n, mu, binding, ell, cap, conventions.update, cache.oracle)
+    closed = chain(case, n, mu, binding, ell, cap, cache.closed)
     size_cap = max([mu.size()] + [lam.size() for lam in targets])
     width = max((lam.part(1) for lam in targets), default=0)
     try:
-        operator = operator_table(case, n, mu, binding, ell, size_cap, width)
+        operator = operator_table(case, n, mu, binding, ell, size_cap, width, cache.operator)
     except ValueError:
         operator = None
+    try:
+        tableau = tableau_table(case, n, mu, targets, binding, ell, conventions.index)
+    except ValueError:
+        tableau = None
     report = OracleReport(case, mu, n, conventions, tail=oracle.tail)
     for lam in targets:
         p = None if operator is None else operator.get(lam, Frac(0))
-        try:
-            t = kernel_tableau_route(case, n, mu, lam, binding, ell, conventions.index)
-        except ValueError:
-            t = None
+        t = None if tableau is None else tableau[lam]
         report.rows.append(OracleRow(lam, oracle.prob(lam), closed.prob(lam), p, t))
     return report
 
@@ -224,7 +257,8 @@ def arbitrate_conventions(
 
     The discriminating observables: Case C and CanonicalC single steps
     (index convention shows up in the corner factors; update order in the
-    blocking caps)."""
+    blocking caps).  Each (case, mu, update) oracle step is built once and
+    read under both index conventions."""
     if binding is None:
         binding = ParamBinding.numeric(
             x=[Frac(1, 5)],
@@ -235,15 +269,17 @@ def arbitrate_conventions(
     survivors = []
     mus = partitions_in_box(2, 2)
     lams = partitions_in_box(3, 3)
+    oracles: dict = {}
     for index in IndexConvention:
         for update in UpdateOrder:
             conv = Conventions(index=index, update=update)
             ok = True
             for case in (CaseId.C, CaseId.CANONICAL_C, CaseId.B, CaseId.D):
                 for mu in mus:
-                    oracle = brute_force_single_step(
-                        case, mu, binding, ell, cap=3, update=update
-                    )
+                    key = (case, mu, update)
+                    if key not in oracles:
+                        oracles[key] = brute_force_single_step(case, mu, binding, ell, 3, 1, update)
+                    oracle = oracles[key]
                     for lam in lams:
                         try:
                             t = kernel_tableau_route(case, 1, mu, lam, binding, ell, index)

@@ -30,10 +30,10 @@ from ktasep.kernels import (
     CaseId,
     ParamBinding,
     chain,
-    kernel_tableau_route,
     normalization_identity,
     operator_table,
     single_step_closed_form,
+    tableau_table,
 )
 from ktasep.multipoint import (
     ContourSpec,
@@ -97,19 +97,20 @@ def test_criterion_1_route_agreement():
         for n in (1, 2):
             for b in seeded_bindings(n):
                 for case in (CaseId.A, CaseId.B, CaseId.C, CaseId.D):
+                    # each route's steps are built once per (ell, n, binding, case)
+                    oracle_steps, closed_steps = {}, {}
                     for mu in BOX:
-                        oracle = brute_force_table(case, n, mu, b, ell, cap=3)
-                        closed = chain(case, n, mu, b, ell, cap=3)
+                        oracle = brute_force_table(case, n, mu, b, ell, 3, steps=oracle_steps)
+                        closed = chain(case, n, mu, b, ell, 3, closed_steps)
                         op = operator_table(case, n, mu, b, ell, size_cap=9)
-                        for lam in BOX:
-                            if not lam.contains(mu):
-                                continue
-                            tv = kernel_tableau_route(case, n, mu, lam, b, ell)
+                        lams = [lam for lam in BOX if lam.contains(mu)]
+                        tableau = tableau_table(case, n, mu, lams, b, ell)
+                        for lam in lams:
                             vals = {
                                 oracle.prob(lam),
                                 closed.prob(lam),
                                 op.get(lam, F(0)),
-                                tv,
+                                tableau[lam],
                             }
                             checked += 1
                             if len(vals) != 1:

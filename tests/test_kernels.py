@@ -18,6 +18,7 @@ from ktasep.kernels import (
     parse_case,
     single_step_closed_form,
     single_step_table,
+    tableau_table,
 )
 from ktasep.partitions import Partition, partitions_in_box, subpartitions
 
@@ -328,6 +329,69 @@ def test_tableau_route_values_pinned():
     assert len(tableau) == 1440
     for values in (tableau, operator):
         assert hashlib.sha256(repr(values).encode()).hexdigest() == TABLEAU_ROUTE_DIGEST
+
+
+def test_tableau_table_is_the_route_at_every_desk_target():
+    # one table per (case, n, mu) over the whole 3x3 box, targets that do
+    # not contain mu included, holds the route's value at every target in
+    # any target order, and the pinned values
+    lams = partitions_in_box(3, 3)
+    values = []
+    for case in CaseId:
+        for n in (1, 2):
+            b = _desk_binding(n)
+            for mu in partitions_in_box(2, 2):
+                table = tableau_table(case, n, mu, lams, b, 3)
+                assert table == tableau_table(case, n, mu, lams[::-1], b, 3)
+                for lam in lams:
+                    assert table[lam] == kernel_tableau_route(case, n, mu, lam, b, 3)
+                values.extend(table[lam] for lam in lams)
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == TABLEAU_ROUTE_DIGEST
+
+
+def test_tableau_table_raises_where_the_route_raises():
+    rates = [F(1, 2), F(1, 3), F(1, 7)]
+    alpha = ParamBinding.numeric(x=[F(1, 5), F(1, 4)], rates=rates, alpha=lambda k: F(1, 4 + k))
+    beta = ParamBinding.numeric(x=[F(1, 5)], rates=rates, beta_pos=lambda k: F(1, 6 + k))
+    lams = [P_([]), P_([1]), P_([2, 1])]
+    for case, b, n, match in ((CaseId.CANONICAL_C, alpha, 2, "alpha"),
+                              (CaseId.CANONICAL_B, beta, 1, "beta_pos")):
+        for targets in (lams, []):
+            with pytest.raises(ValueError, match=match):
+                tableau_table(case, n, P_([1]), targets, b, 3)
+        for lam in lams:
+            with pytest.raises(ValueError, match=match):
+                kernel_tableau_route(case, n, P_([1]), lam, b, 3)
+    # at n = 1 CanonicalC takes alpha(0) != 0, with its start correction
+    # applied once per table
+    for mu in (P_([]), P_([1]), P_([1, 1, 1])):
+        table = tableau_table(CaseId.CANONICAL_C, 1, mu, partitions_in_box(3, 3), alpha, 3)
+        closed = chain(CaseId.CANONICAL_C, 1, mu, alpha, 3, 3)
+        assert table == {lam: closed.prob(lam) for lam in table}, mu
+
+
+def test_operator_evolutions_continue_across_n(monkeypatch):
+    # one dict of evolutions serves n = 1 and n = 2, three (size cap, width)
+    # pairs and two bindings that share x_1: every table equals a fresh
+    # one, a binding's n = 2 table takes one time step past its n = 1
+    # table, and the second binding's n = 1 tables take none.  CanonicalB's
+    # conjugate evolution has no width bound, so its widths share one
+    from ktasep import kernels
+
+    desk = _desk_binding(2)
+    other = ParamBinding([F(1, 10), F(1, 7)], desk.rates, desk.alpha, desk.beta_pos)
+    grid = [(b, caps, mu, n) for b in (desk, other) for caps in ((4, 2), (9, 2), (9, 3))
+            for mu in (P_([]), P_([1, 1])) for n in (1, 2)]
+    steps = []
+    step = kernels._apply_time_step
+    monkeypatch.setattr(kernels, "_apply_time_step", lambda *a: steps.append(a) or step(*a))
+    for case in CaseId:
+        fresh = [operator_table(case, n, mu, b, 3, *caps) for b, caps, mu, n in grid]
+        del steps[:]
+        evolved = {}
+        shared = [operator_table(case, n, mu, b, 3, *caps, evolved) for b, caps, mu, n in grid]
+        assert shared == fresh, case
+        assert len(steps) == (12 if case is CaseId.CANONICAL_B else 18), case
 
 
 # sha256 of repr() of every chain table of the desk grid's binding (every

@@ -12,11 +12,20 @@ import numpy as np
 import pytest
 
 from ktasep.conventions import PINNED_CONVENTIONS, UpdateOrder
-from ktasep.kernels import CaseId, ParamBinding, chain, kernel_tableau_route, operator_table
+from ktasep.kernels import (
+    CaseId,
+    ConstraintError,
+    ParamBinding,
+    chain,
+    kernel_tableau_route,
+    operator_table,
+    tableau_table,
+)
 from ktasep.multipoint import MultiPointQuery, mp_pushing
 from ktasep.partitions import Partition, partitions_in_box
 from ktasep.simulate import SimConfig, move, run, update_order
 from ktasep.validate import (
+    RouteCache,
     _histogram,
     _outcome_list,
     arbitrate_conventions,
@@ -273,6 +282,54 @@ def test_route_agreement_all_cases():
             for mu in [P_([]), P_([1, 1]), P_([2, 1])]:
                 rep = route_agreement(case, mu, n, b, 3, lams, cap=3)
                 assert rep.all_equal, (case, n, mu, rep.failures()[:2])
+
+
+@pytest.mark.parametrize("build", [
+    lambda b: chain(CaseId.A, 1, P_([1, 1, 1]), b, 3, 3),
+    lambda b: brute_force_table(CaseId.A, 1, P_([1, 1, 1]), b, 3, 3),
+    lambda b: operator_table(CaseId.A, 1, P_([1, 1, 1]), b, 3, size_cap=5),
+    lambda b: tableau_table(CaseId.A, 1, P_([1, 1, 1]), [P_([2, 1, 1])], b, 3),
+], ids=["chain", "brute_force_table", "operator_table", "tableau_table"])
+def test_route_tables_refuse_a_short_rate_list(build):
+    # one rate for three particles is refused, not read as two frozen ones
+    short = ParamBinding.numeric(x=[F(1, 2)], rates=[F(1, 2)])
+    with pytest.raises(ConstraintError, match=r"pi_2 missing: 3 particles need 3 rates, got 1"):
+        build(short)
+
+
+def test_shared_steps_match_fresh_tables():
+    # one steps dict per case serves two caps, two bindings whose x values
+    # overlap at different times and, for the oracle, both update orders:
+    # every table equals a fresh call's
+    b = binding(2)
+    other = ParamBinding([F(1, 4), F(1, 9)], b.rates, b.alpha, b.beta_pos)
+    for case in CaseId:
+        closed_steps, oracle_steps = {}, {}
+        for bb in (b, other):
+            for cap in (3, 4):
+                for mu in (P_([]), P_([2, 1])):
+                    for n in (1, 2):
+                        fresh = chain(case, n, mu, bb, 3, cap)
+                        shared = chain(case, n, mu, bb, 3, cap, closed_steps)
+                        assert (shared.probs, shared.tail) == (fresh.probs, fresh.tail)
+                        for update in UpdateOrder:
+                            fresh = brute_force_table(case, n, mu, bb, 3, cap, update)
+                            shared = brute_force_table(case, n, mu, bb, 3, cap, update,
+                                                       oracle_steps)
+                            assert (shared.probs, shared.tail) == (fresh.probs, fresh.tail)
+
+
+def test_route_cache_shares_work_not_values():
+    lams = partitions_in_box(3, 3)
+    for case in (CaseId.C, CaseId.D, CaseId.CANONICAL_B):
+        cache = RouteCache()
+        for n in (1, 2):
+            b = binding(n)
+            for mu in (P_([]), P_([1, 1]), P_([2, 1])):
+                shared = route_agreement(case, mu, n, b, 3, lams, 3, cache=cache)
+                fresh = route_agreement(case, mu, n, b, 3, lams, 3)
+                assert (shared.rows, shared.tail) == (fresh.rows, fresh.tail), (case, n, mu)
+                assert shared.all_equal
 
 
 def test_oracle_cap_error():
