@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Continuous-time TASEP profile data (blocking or pushing) from the
-event-driven sampler.  Full scale: ell=500, t=500; default is reduced.
+"""Continuous-time TASEP profile data (blocking or pushing) from
+``simulate.run_continuous``.  Full scale: ell=500, t=500; default is
+reduced.
 """
 
 import argparse

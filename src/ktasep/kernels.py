@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 from .conventions import IndexConvention, PINNED_CONVENTIONS
 from .exactalg import Frac, LaurentPoly, RationalFn, Scalar, is_zero_scalar, reciprocal
@@ -75,6 +75,15 @@ def check_rate_count(ell: int, count: int) -> None:
     if count < ell:
         raise ConstraintError(f"pi_{count + 1} missing: {ell} particles need {ell} rates, "
                               f"got {count}")
+
+
+def check_clock_rates(ell: int, rates: Sequence) -> None:
+    """Continuous time: ell clocks, each of rate pi_j in [0, inf).  A zero
+    rate is admissible (the particle is frozen)."""
+    check_rate_count(ell, len(rates))
+    for j, r in enumerate(rates[:ell], start=1):
+        if not 0 <= r < math.inf:
+            raise ConstraintError(f"pi_{j} = {r} outside [0, inf)")
 
 
 def check_rate_x(case: CaseId, i: int, xi, rates) -> None:
@@ -285,6 +294,7 @@ def single_step_table(
     the cap, and the tail is the mass beyond it."""
     if cap < mu.part(1):
         raise ValueError(f"cap {cap} smaller than mu_1 = {mu.part(1)}")
+    check_rate_count(ell, len(binding.rates))
     xi, probs = binding.x_of(time_index), {}
     order = range(ell, 0, -1) if case.pushing else range(1, ell + 1)
     lam = [0] * (ell + 2)

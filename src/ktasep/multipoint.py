@@ -21,7 +21,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .exactalg import det_exact, h_prefix, supersym_e, supersym_h, theta_h_pair
-from .kernels import (CaseId, ParamBinding, chain, check_inverse_rate, check_rate_count,
+from .kernels import (CaseId, ParamBinding, chain, check_clock_rates, check_inverse_rate,
                       rate_monomial, time_factor)
 from .partitions import Partition
 
@@ -431,7 +431,7 @@ def continuous_kernel(
         raise ValueError("continuous limit implemented for cases A and C")
     if mode == "quadrature":
         _check_quadrature_points(quad_points)
-    check_rate_count(ell, len(rates))
+    check_clock_rates(ell, rates)
     if case is CaseId.A:
         # the entries read 1/pi_k for k < ell
         for k in range(1, ell):

@@ -6,17 +6,23 @@ derivation rule: run ``r`` of a simulation with seed ``s`` uses
 ``SeedSequence(s, spawn_key=(r,))``, so results are independent of how
 many runs execute.
 
-Every sampler and the brute-force oracle in ``validate`` share one update
-rule: particles move in ``update_order`` and each move is ``move``.  A
-discrete round takes one uniform per particle in that order, CanonicalC
-included (its jump by inverse CDF, ``_inhom_walk``), so ``run`` draws its
-rounds in blocks (``_rounds``).
+The discrete samplers and the brute-force oracle in ``validate`` share
+one update rule: particles move in ``update_order`` and each move is
+``move``.  A discrete round takes one uniform per particle in that order,
+CanonicalC included (its jump by inverse CDF, ``_inhom_walk``), so ``run``
+draws its rounds in blocks (``_rounds``).
+
+In continuous time each particle rings as its own Poisson process, so
+``sample_continuous_final`` draws one particle's ring times at a time
+(``_ring_times``) and applies the blocking or pushing rule to them by a
+last-passage recursion over particles (``_row``), for every sample at
+once; ``run_continuous`` is its one-sample case.  Over the same ring
+times the recursion gives what firing the rings in time order with
+``move`` gives.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -25,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conventions import UpdateOrder, PINNED_CONVENTIONS
-from .kernels import CaseId, check_alpha, check_rate_count, check_rate_x
+from .kernels import CaseId, check_alpha, check_clock_rates, check_rate_count, check_rate_x
 from .partitions import Partition
 
 
@@ -209,12 +215,8 @@ def move(pos: list, j: int, w, pushing: bool) -> None:
         pos[j - 1] = pos[j - 2]
 
 
-# Uniforms in one block of rounds, and the largest block of the
-# continuous-time buffer: a few tens of kilobytes, whatever ell is
+# Uniforms in one block of rounds: a few tens of kilobytes, whatever ell is
 _BLOCK_DRAWS = 4096
-# continuous-time events that draw one scalar call at a time before the
-# buffer starts
-_SCALAR_DRAWS = 32
 
 
 class _RoundTables:
@@ -502,6 +504,148 @@ def batch_final(config: SimConfig, samples: int, rng) -> np.ndarray:
     return pos
 
 
+def _clock_rates(ell: int, rates: Sequence[float] | Callable[[int], float] | float) -> list:
+    """pi_1, ..., pi_ell as floats from a list, a callable of j or one
+    number, after ``check_clock_rates``."""
+    if callable(rates):
+        rate = [float(rates(j)) for j in range(1, ell + 1)]
+    elif isinstance(rates, (int, float)):
+        rate = [float(rates)] * ell
+    else:
+        rate = [float(r) for r in rates]
+    check_clock_rates(ell, rate)
+    return rate[:ell]
+
+
+# A row draws its ring gaps in blocks of its mean ring count before t plus
+# _RING_SIGMAS standard deviations plus _RING_SLACK, so that a second block
+# is rare
+_RING_SIGMAS = 6
+_RING_SLACK = 10
+
+
+def _ring_times(rate: float, t: float, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """One particle's ring times, samples x width, or width alone for one
+    sample: row b holds sample b's in increasing order, and width is the
+    most rings before t of any sample; a ring at t or later never fires.
+    A ring time is a running sum of ``rng.standard_exponential`` gaps
+    divided by ``rate``.  The gaps come in samples x n blocks, n = int(m +
+    _RING_SIGMAS * sqrt(m)) + _RING_SLACK for m = rate * t; while some
+    samples' last ring is before t, those samples (in order) draw one more
+    block.  A row with rate * t = 0 draws nothing."""
+    m = rate * t
+    if m == 0:
+        return np.empty((0,) if samples == 1 else (samples, 0))
+    n = int(m + _RING_SIGMAS * math.sqrt(m)) + _RING_SLACK
+    sums = rng.standard_exponential((samples, n)).cumsum(axis=1)
+    while sums[:, -1].min() / rate < t:
+        short = sums[:, -1] / rate < t
+        more = rng.standard_exponential((int(short.sum()), n))
+        more[:, 0] += sums[short, -1]
+        block = np.full((samples, n), np.inf)
+        block[short] = more.cumsum(axis=1)
+        sums = np.concatenate((sums, block), axis=1)
+    rings = sums / rate
+    # one sample keeps to 1-d arrays, on which numpy's fixed cost per call
+    # is about half that on 1 x width ones; a run makes some 20 calls a row
+    if samples == 1:
+        return rings[0, :rings[0].searchsorted(t)]
+    # up to the last column with a ring before t in some sample
+    return rings[:, :rings.min(axis=0).searchsorted(t)]
+
+
+def _passed(levels: np.ndarray, rings: np.ndarray, side: str) -> np.ndarray:
+    """Per ring, how many of ``levels``' times in its own sample (row) lie
+    before it (side "left") or at or before it ("right").  Complex keys
+    sample + i*time sort as (sample, time) pairs, so one ``searchsorted``
+    serves every sample."""
+    if levels.ndim == 1:
+        return levels.searchsorted(rings, side)
+
+    def keys(times):
+        out = np.empty(times.shape, dtype=complex)
+        out.real = np.arange(len(times))[:, None]
+        out.imag = times
+        return out.ravel()
+
+    found = np.searchsorted(keys(levels), keys(rings), side).reshape(rings.shape)
+    return found - levels.shape[1] * np.arange(len(rings))[:, None]
+
+
+def _row(rings: np.ndarray, t: float, s: int, levels: np.ndarray, prev_s: int, prev_final,
+         push: bool) -> tuple:
+    """Particle j's row of the last-passage recursion, from its rings
+    (``_ring_times``), its start s and the row before it: the level times
+    of particle j - 1 (blocking) or j + 1 (pushing), which started at
+    prev_s and ended at prev_final.  Arrays are per sample along their
+    last axis, as ``_ring_times`` gives them.
+
+    ``levels`` holds the times at which a particle first reaches prev_s +
+    1, prev_s + 2, ..., then inf.  Write P_k for particle j's position
+    after its ring k at time r_k, P_0 = s.  Blocking: ring k moves j unless
+    that takes it past j - 1, which (the lower particle goes first in a
+    tie) is at Q_k = prev_s + #(levels <= r_k), so P_k = min(P_{k-1} + 1,
+    Q_k) and P_k - k is a running minimum.  Pushing: j + 1, at R_k =
+    prev_s + #(levels < r_k), has carried j up to it before ring k, so P_k
+    = max(P_{k-1}, R_k) + 1, a running maximum.  Returns j's level times
+    and final positions.  A level is first reached at the earliest ring
+    that ends on it, or, pushing, when j + 1 carries j there."""
+    k = np.arange(1, rings.shape[-1] + 1)
+    seen = prev_s + _passed(levels, rings, "left" if push else "right")
+    if push:
+        pos = np.maximum(np.maximum.accumulate(seen - k + 1, axis=-1), s) + k
+    else:
+        pos = np.minimum(np.minimum.accumulate(seen - k, axis=-1), s) + k
+    fired = rings < t
+    final = np.maximum.reduce(np.where(fired, pos, s), axis=-1, initial=s)
+    if push:
+        final = np.maximum(final, prev_final)
+    # column 0 is level s, where the rings of a blocked particle that has
+    # not moved yet end
+    out = np.full(rings.shape[:-1] + (int(final.max(initial=s)) - s + 1,), np.inf)
+    if push:
+        carried = levels[..., s - prev_s:]
+        out[..., 1:carried.shape[-1] + 1] = carried
+    at = fired.nonzero()
+    np.minimum.at(out, at[:-1] + (pos[at] - s,), rings[at])
+    return out[..., 1:], final
+
+
+def sample_continuous_final(
+    ell: int,
+    t: float,
+    rates: Sequence[float] | Callable[[int], float] | float,
+    samples: int,
+    rng: np.random.Generator,
+    push: bool = False,
+    start: Partition | None = None,
+) -> np.ndarray:
+    """Final bosonic positions (samples x ell) of continuous-time blocking
+    (or, with ``push``, pushing) TASEP at time t, particle j ringing at rate
+    pi_j.  A particle rings as its own Poisson process whatever the others
+    do, so each row draws its rings first (``_ring_times``) and ``_row``
+    applies the dynamics: particles 1, ..., ell when blocking, each bounded
+    by the one before, and ell, ..., 1 when pushing, each carried by the
+    one behind.  Rows are drawn in that order, and only two live at once."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time horizon t = {t} outside [0, inf)")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rate = _clock_rates(ell, rates)
+    s = (start or Partition()).padded(ell)
+    out = np.empty((samples, ell), dtype=np.int64)
+    levels = np.empty((0,) if samples == 1 else (samples, 0))
+    # the row before particle 1 (blocking) or ell (pushing) never moves:
+    # from far ahead it bounds nothing, from 0 it carries nothing
+    prev_s, final = (0, 0) if push else (1 << 62, 0)
+    for j in range(ell, 0, -1) if push else range(1, ell + 1):
+        rings = _ring_times(rate[j - 1], t, samples, rng)
+        levels, final = _row(rings, t, s[j - 1], levels, prev_s, final, push)
+        out[:, j - 1] = final
+        prev_s = s[j - 1]
+    return out
+
+
 def run_continuous(
     ell: int,
     t: float,
@@ -510,77 +654,6 @@ def run_continuous(
     push: bool = False,
     start: Partition | None = None,
 ) -> list[int]:
-    """Event-driven continuous-time TASEP with per-particle exponential
-    clocks in a binary heap; only the fired particle's clock is re-drawn
-    (memorylessness makes this distributionally identical to re-sorting
-    the full list).  Returns bosonic positions.
-
-    Each clock takes one uniform, in the order of one scalar draw per
-    initial clock (particles 1, ..., ell) and then per event.  After the
-    first ``_SCALAR_DRAWS`` events they are read from ``_uniforms``, and
-    ``rng`` ends where the scalar draws would leave it."""
-    if t < 0:
-        raise ValueError("time horizon must be >= 0")
-    if callable(rates):
-        rate = [float(rates(j)) for j in range(1, ell + 1)]
-    elif isinstance(rates, (int, float)):
-        rate = [float(rates)] * ell
-    else:
-        check_rate_count(ell, len(rates))
-        rate = [float(r) for r in rates[:ell]]
-    pos = list((start or Partition()).padded(ell))
-    heap = []
-    for j, r in enumerate(rate, start=1):
-        if r > 0:
-            heapq.heappush(heap, (-math.log1p(-rng.random()) / r, j))
-    # a run of a few events draws them one scalar call at a time, as a
-    # buffer would cost more than it saves there
-    if heap and not _fire(heap, pos, t, rate, push, rng.random, _SCALAR_DRAWS):
-        last: list = []
-        _fire(heap, pos, t, rate, push, _uniforms(rng, last).__next__, None)
-        _rewind(rng, last)
-    return pos
-
-
-def _fire(heap: list, pos: list, t: float, rate: list, push: bool, uniform, events) -> bool:
-    """Fire the earliest clock of ``heap``, ``move`` its particle and
-    re-draw its clock with ``uniform()``, until the earliest clock is at or
-    past t (True) or ``events`` events have fired (False; None is no
-    limit).  The clocks (time, j) are distinct, so replacing the earliest
-    one fires the events in the order a pop and a push would."""
-    log1p = math.log1p  # np.log1p differs in the last ulp on some inputs
-    replace = heapq.heapreplace
-    for _ in itertools.repeat(None) if events is None else range(events):
-        when, j = heap[0]
-        if when >= t:
-            return True
-        move(pos, j, 1, push)
-        replace(heap, (when - log1p(-uniform()) / rate[j - 1], j))
-    return False
-
-
-def _uniforms(rng: np.random.Generator, last: list):
-    """``rng.random()`` values one at a time, from blocks that double in
-    size from ``2 * _SCALAR_DRAWS`` up to ``_BLOCK_DRAWS`` and hold the
-    values the scalar calls would return.  ``last`` holds the generator
-    state before the latest block, its size and its iterator, for
-    ``_rewind``."""
-    size = _SCALAR_DRAWS
-    while True:
-        size = min(2 * size, _BLOCK_DRAWS)
-        state = rng.bit_generator.state
-        it = iter(rng.random(size).tolist())
-        last[:] = (state, size, it)
-        yield from it
-
-
-def _rewind(rng: np.random.Generator, last: list) -> None:
-    """Put ``rng`` where one scalar draw per value taken from
-    ``_uniforms`` leaves it: back before the latest block, then forward by
-    the values taken from it."""
-    if last:
-        state, size, it = last
-        left = operator.length_hint(it)
-        if left:
-            rng.bit_generator.state = state
-            rng.random(size - left)
+    """Bosonic positions at time t of one continuous-time run: the
+    one-sample case of ``sample_continuous_final``."""
+    return sample_continuous_final(ell, t, rates, 1, rng, push, start)[0].tolist()

@@ -90,6 +90,7 @@ def brute_force_single_step(
     particle 1 is past the cap goes to the pooled tail at once."""
     if cap < mu.part(1):
         raise ValueError(f"cap {cap} too small to contain mu")
+    check_rate_count(ell, len(binding.rates))
     window = cap  # single-step jumps beyond cap always leave the box
     pushing = case.pushing
     states = {tuple(mu.padded(ell)): Frac(1)}

@@ -2,6 +2,7 @@
 line.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import collections
 import json
 import math
 import subprocess
@@ -58,7 +59,7 @@ from ktasep.operators import (
     u_family,
 )
 from ktasep.partitions import Partition, SkewShape, conjugate, partitions_in_box, subpartitions
-from ktasep.simulate import rng_for, run_continuous
+from ktasep.simulate import rng_for, sample_continuous_final
 from ktasep.tableaux import gen_G_doubleslash, gen_flagged_schur, gen_g, gen_j
 from ktasep.validate import brute_force_table, mc_vs_exact
 
@@ -441,12 +442,9 @@ def test_criterion_6_continuous_time():
     ok &= float(gA) <= 1e-12
 
     # sampler vs determinant kernel, TV < 0.02 at 1e5 samples
-    rng = rng_for(42, 0)
     N = 100000
-    counts = {}
-    for _ in range(N):
-        pos = run_continuous(2, 1.0, [1.0, 1.0], rng, push=False)
-        counts[tuple(pos)] = counts.get(tuple(pos), 0) + 1
+    finals = sample_continuous_final(2, 1.0, [1.0, 1.0], N, rng_for(42, 0), push=False)
+    counts = collections.Counter(map(tuple, finals.tolist()))
     tv, covered = 0.0, 0.0
     for a in range(0, 9):
         for bb in range(0, a + 1):

@@ -93,6 +93,16 @@ def test_short_rate_list_is_constraint_error(tmp_path):
     assert err["error"] == "constraint" and "pi_2 missing" in err["message"]
 
 
+def test_negative_continuous_rate_is_constraint_error():
+    # a clock rate below 0 fails the constraint check (exit 2); before,
+    # the run printed positions as if particle 1 had rung twice
+    proc = run_cli("sample", "--continuous", "--ell", "3", "--t", "2", "--rate", "-1",
+                   check=False)
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "constraint" and "pi_1 = -1.0" in err["message"]
+
+
 def test_zero_rate_operator_route_is_usage_error(tmp_path):
     # a zero rate is admissible (the particle is frozen), but the operator
     # route reads 1/pi_2: that is no constraint violation, so not exit 2

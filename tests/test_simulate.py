@@ -1,7 +1,6 @@
 import collections
 import functools
 import hashlib
-import heapq
 import math
 from fractions import Fraction as F
 
@@ -11,6 +10,7 @@ import pytest
 from ktasep import simulate
 from ktasep.conventions import UpdateOrder
 from ktasep.kernels import CaseId, ConstraintError, ParamBinding, chain
+from ktasep.multipoint import continuous_kernel
 from ktasep.partitions import Partition
 from ktasep.simulate import (
     SimConfig,
@@ -21,6 +21,7 @@ from ktasep.simulate import (
     run,
     run_continuous,
     sample_batch_final,
+    sample_continuous_final,
     sample_geometric,
     sample_inhom_geometric,
     step_batch,
@@ -147,7 +148,7 @@ def test_pushing_example_case_d():
 # sha256 of the integer outputs of _stream_outputs() at fixed seeds.  A
 # change that reorders, adds or drops random draws, or alters the update
 # rule, changes it and must update it on purpose.
-STREAM_DIGEST = "44740b7ea3467ce3fe6a04228fee93480bc7565f736b1c2faaf7ba185789170d"
+STREAM_DIGEST = "1234bf3be5abf2d5ac7fe5fc1f8e5edc1abcfb3033f61d313633a733b76677c4"
 
 
 def _stream_outputs():
@@ -223,8 +224,8 @@ def test_long_trajectories_pinned():
 
 # sha256 of _block_outputs(): discrete runs at ell = 400 spanning several
 # blocks of rounds under an x that changes inside a block, and continuous
-# runs of about 5,000 events each, with the draw that follows them
-BLOCK_DIGEST = "166d41a6d4723bc475cc4dc06a773f9e0814392aedd79f3be8147d906aa8eed7"
+# runs of about 5,000 rings each, with the draw that follows them
+BLOCK_DIGEST = "c4f7fec326bea84ae395ec7910f35c545e32fc0e47b535e517f44c1b7c736d06"
 
 
 def _block_outputs():
@@ -292,8 +293,8 @@ CASE_DIGESTS = {
     "stream/batch/CanonicalC/GEOMETRIC_ASCENDING": "950b1c6beabbcd0c",
     "stream/run/CanonicalB/GEOMETRIC_ASCENDING": "81f88eeb5cadec0b",
     "stream/batch/CanonicalB/GEOMETRIC_ASCENDING": "e7a288ce1c2ec286",
-    "stream/continuous/push=False": "d096ab28846be77e",
-    "stream/continuous/push=True": "840b1a7589bdc9b0",
+    "stream/continuous/push=False": "bb3ab5930af3b9d0",
+    "stream/continuous/push=True": "1daa8c8dfed1fa19",
     "long/0:A/ell=10": "0f0dce35f1e23ea6",
     "long/0:A/ell=100": "ec78a502421519b5",
     "long/1:B/ell=10": "151ef70f8266234d",
@@ -314,10 +315,10 @@ CASE_DIGESTS = {
     "block/D": "c6314b24b80d7439",
     "block/CanonicalC": "08a68b97961c1217",
     "block/CanonicalB": "0c1ec3f334f27822",
-    "block/continuous/push=False": "c31c92da0b367265",
-    "block/continuous/push=False/next": "772f7535e2c07ad6",
-    "block/continuous/push=True": "06c252a5468edf81",
-    "block/continuous/push=True/next": "8e6d6d71a6aed58f",
+    "block/continuous/push=False": "9ad5af8783475770",
+    "block/continuous/push=False/next": "974e4ce0df79cc49",
+    "block/continuous/push=True": "0e4569d275c2c43b",
+    "block/continuous/push=True/next": "15221301158fce48",
 }
 
 
@@ -462,38 +463,78 @@ def test_canonical_c_run_law_matches_chain():
     assert report.dof >= 10 and report.p_value > 0.001, report
 
 
-def _scalar_continuous(ell, t, rates, rng, push=False, start=None):
-    """The event loop with one scalar draw per clock: reference for
-    ``run_continuous``."""
-    rate = [float(rates(j)) for j in range(1, ell + 1)] if callable(rates) else rates
-    pos = list((start or P_()).padded(ell))
-    heap = []
-    for j, r in enumerate(rate, start=1):
-        if r > 0:
-            heapq.heappush(heap, (-math.log1p(-rng.random()) / r, j))
-    while heap:
-        when, j = heapq.heappop(heap)
-        if when >= t:
-            break
-        move(pos, j, 1, push)
-        heapq.heappush(heap, (when - math.log1p(-rng.random()) / rate[j - 1], j))
-    return pos
+def _scalar_rings(rate, t, samples, rng):
+    """Per sample, one particle's ring times before t by the documented
+    draw rule, one scalar draw at a time: a block of n gaps per sample,
+    then one more block for each sample whose last ring is before t."""
+    m = rate * t
+    if m == 0:
+        return [[] for _ in range(samples)]
+    n = int(m + simulate._RING_SIGMAS * math.sqrt(m)) + simulate._RING_SLACK
+    sums = [[0.0] for _ in range(samples)]
+    todo = range(samples)
+    while todo:
+        for b in todo:
+            for _ in range(n):
+                sums[b].append(sums[b][-1] + rng.standard_exponential())
+        todo = [b for b in range(samples) if sums[b][-1] / rate < t]
+    return [[x / rate for x in row[1:] if x / rate < t] for row in sums]
 
 
-def test_continuous_matches_scalar_events():
-    # a horizon inside the scalar draws (5 draws), and ones that end in
-    # the buffer's second and fourth blocks (147 and 623 draws) and past
-    # its cap (8,646); after each run both generators give the same next
-    # draw
+def _scalar_continuous(ell, t, rates, samples, rng, push=False, start=None):
+    """Reference for ``sample_continuous_final``: the rings of particles
+    1, ..., ell (blocking) or ell, ..., 1 (pushing) by ``_scalar_rings``,
+    then per sample the event loop: every ring in time order, the lower
+    particle first in a tie, ``move``s its particle by one."""
+    rate = [float(rates(j)) for j in range(1, ell + 1)]
+    order = range(ell, 0, -1) if push else range(1, ell + 1)
+    rings = {j: _scalar_rings(rate[j - 1], t, samples, rng) for j in order}
+    out = []
+    for b in range(samples):
+        pos = list((start or P_()).padded(ell))
+        for _, j in sorted((r, j) for j in rings for r in rings[j][b]):
+            move(pos, j, 1, push)
+        out.append(pos)
+    return out
+
+
+def test_continuous_matches_scalar_events(monkeypatch):
+    # over the same ring times the rows give what the event loop gives,
+    # for one sample and for batches, with a zero rate (a frozen particle)
+    # and a half-full start; then again with blocks of about m - sqrt(m)
+    # gaps, so that most rows draw further blocks.  After each run both
+    # generators give the same next draw.
     rates = lambda j: (1.0, 0.7, 0.0, 1.3)[j % 4]
-    for push in (False, True):
-        for ell, t in ((5, 0.5), (20, 8.0), (20, 40.0), (30, 400.0)):
-            seed = 10 * ell + int(push)
-            fast, slow = rng_for(seed), rng_for(seed)
-            start = P_([]) if push else P_([ell // 2] * (ell // 2))
-            got = run_continuous(ell, t, rates, fast, push=push, start=start)
-            assert got == _scalar_continuous(ell, t, rates, slow, push=push, start=start)
-            assert fast.random() == slow.random(), (push, ell, t)
+    grid = ((5, 0.0, 2), (5, 0.5, 1), (5, 0.5, 6), (20, 8.0, 1), (20, 8.0, 3), (20, 40.0, 1),
+            (30, 400.0, 1))
+    for sigmas, slack in ((simulate._RING_SIGMAS, simulate._RING_SLACK), (-1, 1)):
+        monkeypatch.setattr(simulate, "_RING_SIGMAS", sigmas)
+        monkeypatch.setattr(simulate, "_RING_SLACK", slack)
+        for push in (False, True):
+            for ell, t, samples in grid:
+                seed = 10 * ell + int(push)
+                fast, slow = rng_for(seed), rng_for(seed)
+                start = P_([]) if push else P_([ell // 2] * (ell // 2))
+                got = sample_continuous_final(ell, t, rates, samples, fast, push=push, start=start)
+                want = _scalar_continuous(ell, t, rates, samples, slow, push=push, start=start)
+                assert got.tolist() == want, (sigmas, push, ell, t, samples)
+                assert fast.random() == slow.random(), (sigmas, push, ell, t, samples)
+
+
+def test_continuous_pushing_law_matches_kernel():
+    # the pushing sampler against case A's continuous kernel, as criterion
+    # 6 checks the blocking one against case C's; TV < 0.02
+    n = 40000
+    finals = sample_continuous_final(2, 1.0, [1.0, 0.5], n, rng_for(44), push=True)
+    counts = collections.Counter(map(tuple, finals.tolist()))
+    tv, covered = 0.0, 0.0
+    for a in range(12):
+        for b in range(a + 1):
+            p = float(continuous_kernel(CaseId.A, 1.0, P_([]), P_([a, b]), 2, [F(1), F(1, 2)]))
+            tv += abs(p - counts.pop((a, b), 0) / n)
+            covered += p
+    assert not counts and covered > 1 - 1e-6
+    assert 0.5 * (tv + 1.0 - covered) < 0.02
 
 
 def test_round_returns_state_when_nothing_moves():
@@ -597,11 +638,17 @@ def test_continuous_time_zero():
     assert run_continuous(4, 0.0, 1.0, rng) == [0, 0, 0, 0]
 
 
+def test_continuous_horizon_is_finite():
+    # an infinite horizon would draw without end; it is refused up front
+    for t in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"outside \[0, inf\)"):
+            run_continuous(4, t, 1.0, rng_for(1))
+
+
 def test_continuous_poisson_mean():
     rng = rng_for(2, 0)
     n = 30000
-    total = sum(run_continuous(1, 3.0, 1.0, rng)[0] for _ in range(n))
-    mean = total / n
+    mean = sample_continuous_final(1, 3.0, 1.0, n, rng)[:, 0].sum() / n
     assert abs(mean - 3.0) < 4 * math.sqrt(3.0 / n)
 
 
@@ -657,6 +704,7 @@ SHORT_RATES = {
     "sample_batch_final": lambda: sample_batch_final(
         SimConfig(case=CaseId.A, ell=3, steps=50, rates=[0.5], x=[0.5]), 10, 1),
     "run_continuous": lambda: run_continuous(3, 5.0, [1.0], rng_for(1)),
+    "sample_continuous_final": lambda: sample_continuous_final(3, 5.0, [1.0], 4, rng_for(1)),
 }
 
 
@@ -666,6 +714,18 @@ def test_samplers_refuse_a_short_rate_list(sampler):
     # and 3 by padding the list with zero rates
     with pytest.raises(ConstraintError, match=r"pi_2 missing: 3 particles need 3 rates, got 1"):
         SHORT_RATES[sampler]()
+
+
+def test_continuous_rates_must_be_nonnegative():
+    # a negative clock rate is a constraint violation for both samplers
+    # and the kernel; a zero rate freezes its particle
+    with pytest.raises(ConstraintError, match=r"pi_3 = -1.0 outside \[0, inf\)"):
+        run_continuous(3, 2.0, [1.0, 1.0, -1.0], rng_for(1))
+    with pytest.raises(ConstraintError, match=r"pi_1 = -0.5 outside"):
+        sample_continuous_final(2, 2.0, -0.5, 10, rng_for(1), push=True)
+    with pytest.raises(ConstraintError, match=r"pi_2 = -1 outside"):
+        continuous_kernel(CaseId.C, 1.0, P_([]), [1], 2, [F(1), F(-1)])
+    assert run_continuous(3, 2.0, [1.0, 0.0, 1.0], rng_for(1), start=P_([4, 2, 2]))[1:] == [2, 2]
 
 
 # (pi_j, x_1, alpha_k) at the edges of the parameter domain: pi x in

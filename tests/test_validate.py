@@ -19,6 +19,8 @@ from ktasep.kernels import (
     chain,
     kernel_tableau_route,
     operator_table,
+    single_step_closed_form,
+    single_step_table,
     tableau_table,
 )
 from ktasep.multipoint import MultiPointQuery, mp_pushing
@@ -295,6 +297,19 @@ def test_route_tables_refuse_a_short_rate_list(build):
     short = ParamBinding.numeric(x=[F(1, 2)], rates=[F(1, 2)])
     with pytest.raises(ConstraintError, match=r"pi_2 missing: 3 particles need 3 rates, got 1"):
         build(short)
+
+
+@pytest.mark.parametrize("step", [
+    lambda b: single_step_table(CaseId.A, P_([1, 1, 1]), 1, b, 3, 3),
+    lambda b: single_step_closed_form(CaseId.A, P_([1, 1, 1]), P_([2, 1, 1]), 1, b, 3),
+    lambda b: brute_force_single_step(CaseId.A, P_([1, 1, 1]), b, 3, 3),
+], ids=["single_step_table", "single_step_closed_form", "brute_force_single_step"])
+def test_single_steps_refuse_a_short_rate_list(step):
+    # one step with one rate for three particles is refused too; before,
+    # particles 2 and 3 were frozen and the closed form gave 3/16
+    short = ParamBinding.numeric(x=[F(1, 2)], rates=[F(1, 2)])
+    with pytest.raises(ConstraintError, match=r"pi_2 missing: 3 particles need 3 rates, got 1"):
+        step(short)
 
 
 def test_shared_steps_match_fresh_tables():
