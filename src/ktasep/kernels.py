@@ -520,7 +520,7 @@ class _RateRows:
     in once per table rather than once per target."""
 
     def __init__(self, case: CaseId, mu: Partition, binding: ParamBinding, ell: int):
-        self.mu = mu
+        self.starts = [mu.part(r) for r in range(1, ell + 1)]
         self.rates = [binding.rate(r) for r in range(1, ell + 1)]
         self.shift = {CaseId.CANONICAL_C: binding.alpha_of,
                       CaseId.CANONICAL_B: binding.beta_pos_of}.get(case)
@@ -528,12 +528,11 @@ class _RateRows:
 
     def monomial(self, lam: Partition):
         out = None
-        for r, row in enumerate(self.rows, 1):
-            lo = self.mu.part(r)
-            k = lam.part(r) - lo
+        # zip stops at lam's length: the rows past it have k = -mu_r <= 0
+        for row, lo, rate, end in zip(self.rows, self.starts, self.rates, lam.parts):
+            k = end - lo
             if k <= 0:
                 continue
-            rate = self.rates[r - 1]
             while len(row) <= k:
                 c = lo + len(row) - 1
                 row.append(row[-1] * (rate if self.shift is None else self.shift(c) + rate))
@@ -586,9 +585,10 @@ def tableau_table(
     """Kernel from mu to every target via the Grothendieck-type generating
     functions of Thm-1.1 shape: the case's tableau sum (on conjugate shapes
     for B, D and CanonicalB), summed at the binding's letter values, times
-    the overall factor.  The letters, the checks, the time factor and
-    CanonicalC's alpha_0 correction are built once per table, and the rate
-    monomials from row factors built once per table."""
+    the overall factor.  The letters (each read once), the checks, the
+    time factor, CanonicalC's alpha_0 correction and the G cases' corner
+    expansion of mu are built once per table, and the rate monomials from
+    row factors built once per table."""
     check_rate_count(ell, len(binding.rates))
     xs = [binding.x_of(i) for i in range(1, n + 1)]
     alpha0 = binding.alpha_of(0) if case is CaseId.CANONICAL_C else Frac(0)
@@ -607,6 +607,8 @@ def tableau_table(
     letters = _tableau_letters(case, binding, ell)
     monomial = _RateRows(case, mu, binding, ell).monomial
     alpha_on, beta_on = case is not CaseId.C, case is not CaseId.B
+    if case not in (CaseId.A, CaseId.D):
+        expansion = tableaux.corner_expansion(inner, alpha_on, beta_on, convention, letters)
     out = {}
     for lam in targets:
         if case.pushing and not lam.contains(mu):
@@ -618,10 +620,10 @@ def tableau_table(
         elif case is CaseId.D:
             g = tableaux.gen_j(SkewShape(outer, inner), n, letters=letters)
         else:
-            g = tableaux.gen_G_doubleslash(
-                outer, inner, n, alpha_on, beta_on, convention, letters=letters
+            g = tableaux.gen_G_expanded(
+                outer, expansion, n, alpha_on, beta_on, convention, letters=letters
             )
-        out[lam] = g * monomial(lam) * factor
+        out[lam] = g * factor if is_zero_scalar(g) else g * monomial(lam) * factor
     return out
 
 

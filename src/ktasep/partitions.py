@@ -74,7 +74,8 @@ class Partition:
 
     def contains(self, other: "Partition") -> bool:
         """Componentwise containment (zero padding)."""
-        return all(self.part(i) >= other.part(i) for i in range(1, other.length() + 1))
+        mine, theirs = self.parts, other.parts
+        return len(mine) >= len(theirs) and all(a >= b for a, b in zip(mine, theirs))
 
     def cells(self) -> Iterator[tuple[int, int]]:
         """All (row, col) cells, 1-indexed, row-major."""
@@ -132,11 +133,9 @@ class SkewShape:
         self.inner = inner
 
     def cells(self) -> list[tuple[int, int]]:
-        out = []
-        for r in range(1, self.outer.length() + 1):
-            for c in range(self.inner.part(r) + 1, self.outer.part(r) + 1):
-                out.append((r, c))
-        return out
+        inner = self.inner.padded(self.outer.length())
+        return [(r, c) for r, (hi, lo) in enumerate(zip(self.outer.parts, inner), 1)
+                for c in range(lo + 1, hi + 1)]
 
     def size(self) -> int:
         return self.outer.size() - self.inner.size()

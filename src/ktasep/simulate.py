@@ -522,6 +522,11 @@ def _clock_rates(ell: int, rates: Sequence[float] | Callable[[int], float] | flo
 # is rare
 _RING_SIGMAS = 6
 _RING_SLACK = 10
+# Most rings a continuous run may expect (samples x sum_j pi_j t): 40 times
+# the paper-scale run (ell = t = 500 at rate 1, 250,000 rings).  A larger
+# run is refused before any draw, because a row's first block is sized
+# from its mean ring count and would not fit in memory.
+MAX_RINGS = 10_000_000
 
 
 def _ring_times(rate: float, t: float, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -626,12 +631,19 @@ def sample_continuous_final(
     do, so each row draws its rings first (``_ring_times``) and ``_row``
     applies the dynamics: particles 1, ..., ell when blocking, each bounded
     by the one before, and ell, ..., 1 when pushing, each carried by the
-    one behind.  Rows are drawn in that order, and only two live at once."""
+    one behind.  Rows are drawn in that order, and only two live at once.
+    A run that expects more than ``MAX_RINGS`` rings is refused before any
+    draw."""
     if not 0 <= t < math.inf:
         raise ValueError(f"time horizon t = {t} outside [0, inf)")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rate = _clock_rates(ell, rates)
+    expected = samples * math.fsum(rate) * t
+    if expected > MAX_RINGS:
+        raise ValueError(
+            f"{expected:.4g} rings expected (samples x sum of pi_j t); at most {MAX_RINGS:,}"
+        )
     s = (start or Partition()).padded(ell)
     out = np.empty((samples, ell), dtype=np.int64)
     levels = np.empty((0,) if samples == 1 else (samples, 0))

@@ -27,11 +27,11 @@ symbolic sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable, Iterator
 
 from .conventions import IndexConvention
-from .exactalg import A, B, Frac, LaurentPoly, Scalar, X, reciprocal
+from .exactalg import A, B, Frac, LaurentPoly, Scalar, X, is_zero_scalar, reciprocal
 from .partitions import Partition, SkewShape, corners
 
 
@@ -75,9 +75,17 @@ class HookTableau:
 class Letters:
     """The value of each letter a tableau weight reads, ``x(i)``,
     ``alpha(k)`` and ``beta(j)``, and the one and zero of the ring the
-    values live in."""
+    values live in.
 
-    __slots__ = ("x", "alpha", "beta", "one", "zero")
+    Each letter is read from its function once and kept, with a token
+    (``_token``) that stands for its value in memo keys: a key built from
+    one Letters hashes ints, however often it is built, and equal values
+    read by different Letters still meet under one key.  The key also
+    carries ``ring``, the types of one and zero, because a sum starts from
+    them: symbolic letters over rational one and zero give other sums than
+    over polynomial ones."""
+
+    __slots__ = ("x", "alpha", "beta", "one", "zero", "ring", "_tokens", "_keys")
 
     def __init__(
         self,
@@ -87,24 +95,78 @@ class Letters:
         one: Scalar = Frac(1),
         zero: Scalar = Frac(0),
     ):
-        self.x, self.alpha, self.beta, self.one, self.zero = x, alpha, beta, one, zero
+        self.one, self.zero, self.ring = one, zero, (type(one), type(zero))
+        self._tokens = {"x": {}, "alpha": {}, "beta": {}}
+        self._keys: dict = {}
+        self.x = _read_once(x, self._tokens["x"])
+        self.alpha = _read_once(alpha, self._tokens["alpha"])
+        self.beta = _read_once(beta, self._tokens["beta"])
+
+    def tokens(self, family: str, indices) -> tuple:
+        """The tokens of letters ``family`` (x, alpha or beta) at
+        ``indices``, each read first if it has not been."""
+        read, tokens = getattr(self, family), self._tokens[family]
+        for i in indices:
+            if i not in tokens:
+                read(i)
+        return tuple(tokens[i] for i in indices)
+
+    def first(self, family: str, m: int) -> tuple:
+        """``tokens`` of the letters ``family`` at 1..m, kept per m."""
+        key = self._keys.get((family, m))
+        if key is None:
+            key = self._keys[family, m] = self.tokens(family, range(1, m + 1))
+        return key
 
 
-SYMBOLIC = Letters(X, A, B, LaurentPoly.const(1), LaurentPoly.zero())
+def _read_once(letter: Callable[[int], Scalar], tokens: dict) -> Callable[[int], Scalar]:
+    """``letter``, calling through once per index; each value read also
+    gets its token in ``tokens``.  A read that raises keeps nothing."""
+    values: dict = {}
+
+    def read(i: int) -> Scalar:
+        value = values.get(i, _MISS)
+        if value is _MISS:
+            value = values[i] = letter(i)
+            tokens[i] = _token(value)
+        return value
+
+    return read
+
 
 _MISS = object()
 _SUMS: dict = {}
-# Keys carry letter values, so every new binding adds entries: acceptance
+_TOKENS: dict = {}
+_NEXT_TOKEN = count()
+# Keys carry letter tokens, so every new binding adds entries: acceptance
 # criterion 1 (five bindings, two ells) leaves about 9,000 and the desk
 # grid about 1,700.  A full memo starts over.
 SUMS_MAX = 1 << 15
 
 
+def _token(value: Scalar):
+    """An int that stands for ``value`` (with its type) in memo keys:
+    equal values get one token while the memo lasts, and no token ever
+    stands for two values.  An unhashable value (a RationalFn letter, such
+    as a symbolic 1/pi) stands for itself, so its keys are unhashable."""
+    key = (type(value), value)
+    try:
+        token = _TOKENS.get(key)
+    except TypeError:
+        return value
+    if token is None:
+        token = _TOKENS[key] = next(_NEXT_TOKEN)
+    return token
+
+
+SYMBOLIC = Letters(X, A, B, LaurentPoly.const(1), LaurentPoly.zero())
+
+
 def _memo(key: tuple, compute: Callable[[], Scalar]) -> Scalar:
     """compute(), kept under key.  Each sum is a function of its shape,
-    flags and letter values alone, so one computation serves every caller
-    that asks with equal values.  A key holding an unhashable value (a
-    RationalFn letter, such as a symbolic 1/pi) is computed afresh."""
+    flags, letter values and ring alone, so one computation serves every
+    caller that asks with equal ones.  A key holding an unhashable value
+    is computed afresh."""
     try:
         value = _SUMS.get(key, _MISS)
     except TypeError:
@@ -113,6 +175,7 @@ def _memo(key: tuple, compute: Callable[[], Scalar]) -> Scalar:
         value = compute()
         if len(_SUMS) >= SUMS_MAX:
             _SUMS.clear()
+            _TOKENS.clear()
         _SUMS[key] = value
     return value
 
@@ -270,11 +333,12 @@ def hook_tableau_weight(
 
 
 def _class_weights(
-    a: Scalar, b: Scalar, xs: tuple, lo: int, arm_mode: str, legs_on: bool
+    key: tuple, a: Scalar, b: Scalar, xs: tuple, lo: int, arm_mode: str, legs_on: bool
 ) -> tuple:
     """(m, W) pairs: W sums the weights of the cell fillings with corner
     >= lo and largest entry m, at alpha = a, beta = b and x_i = xs[i - 1].
-    A neighbouring cell sees only m."""
+    A neighbouring cell sees only m.  ``key`` holds the tokens of a, b and
+    xs."""
 
     def compute() -> tuple:
         classes: dict = {}
@@ -284,7 +348,7 @@ def _class_weights(
             classes[m] = w + classes[m] if m in classes else w
         return tuple(sorted(classes.items()))
 
-    return _memo(("classes", a, b, xs, lo, arm_mode, legs_on), compute)
+    return _memo(("classes", key, lo, arm_mode, legs_on), compute)
 
 
 def _class_sum(
@@ -297,16 +361,21 @@ def _class_sum(
 ) -> Scalar:
     """Sum of hook tableau weights at the letter values ``letters``,
     branching per cell on the largest entry only: at most n^cells products
-    of class weights.  Remembered under the shape, n, flags, convention and
-    the values of the letters its cells read."""
-    cells = shape.cells()
-    xs = tuple(letters.x(i) for i in range(1, n + 1))
-    index = [_letter_indices(r, c, convention) for r, c in cells]
-    arms = arm_mode != "off"
-    alphas = {k: letters.alpha(k) for k in sorted({k for k, _ in index})} if arms else {}
-    betas = {j: letters.beta(j) for j in sorted({j for _, j in index})} if legs_on else {}
+    of class weights.  Remembered under the shape, n, flags, convention,
+    ring and the tokens of x_1..x_n and of the alpha and beta letters of
+    every row and column up to the outer shape's (a superset of those its
+    cells read, so that the key is built without listing the cells)."""
+    outer = shape.outer
+    rows, cols = outer.length(), outer.part(1)
+    by_column = convention is IndexConvention.ALPHA_BY_COLUMN
+    xkey = letters.first("x", n)
+    akey = letters.first("alpha", cols if by_column else rows) if arm_mode != "off" else ()
+    bkey = letters.first("beta", rows if by_column else cols) if legs_on else ()
 
     def compute() -> Scalar:
+        cells = shape.cells()
+        index = [_letter_indices(r, c, convention) for r, c in cells]
+        xs = tuple(map(letters.x, range(1, n + 1)))
         tops: dict = {}
         total: Scalar = letters.zero
 
@@ -317,8 +386,10 @@ def _class_sum(
                 return
             r, c = cells[i]
             k, j = index[i]
+            a, ka = (letters.alpha(k), akey[k - 1]) if akey else (None, None)
+            b, kb = (letters.beta(j), bkey[j - 1]) if bkey else (None, None)
             lo = _corner_floor(tops, r, c)
-            for m, w in _class_weights(alphas.get(k), betas.get(j), xs, lo, arm_mode, legs_on):
+            for m, w in _class_weights((ka, kb, xkey), a, b, xs, lo, arm_mode, legs_on):
                 tops[(r, c)] = m
                 rec(i + 1, prefix * w)
             tops.pop((r, c), None)
@@ -326,8 +397,7 @@ def _class_sum(
         rec(0, letters.one)
         return total
 
-    key = ("G", shape, n, arm_mode, legs_on, convention, xs,
-           tuple(alphas.values()), tuple(betas.values()))
+    key = ("G", shape, n, arm_mode, legs_on, convention, letters.ring, xkey, akey, bkey)
     return _memo(key, compute)
 
 
@@ -347,7 +417,13 @@ def gen_G(
     series: exact only in resummed mode or through the series cutoff).
 
     Exact modes sum per-cell classes keyed by largest entry; series mode
-    sums tableau by tableau, because its cutoff caps the whole tableau."""
+    sums tableau by tableau, because its cutoff caps the whole tableau.
+    Corners increase strictly down a column, so a shape with a column of
+    more than n cells has no tableau and sums to zero at once."""
+    outer = shape.outer.parts
+    inner = shape.inner.padded(len(outer))
+    if any(outer[r + n] > inner[r] for r in range(len(outer) - n)):
+        return letters.zero
     if not alpha_on:
         return _class_sum(shape, n, "off", beta_on, convention, letters)
     if resummed:
@@ -376,11 +452,59 @@ def gen_G_skew(
     meet = Partition(
         [min(outer.part(i), inner.part(i)) for i in range(1, inner.length() + 1)]
     )
+    g = gen_G(SkewShape(outer, meet), n, alpha_on, beta_on, convention, letters=letters)
+    if is_zero_scalar(g):
+        return g
     factor: Scalar = letters.one
     for r in range(1, inner.length() + 1):
         for c in range(outer.part(r) + 1, inner.part(r) + 1):
             factor = factor * _box_weight(letters, r, c, convention, alpha_on, beta_on)
-    return factor * gen_G(SkewShape(outer, meet), n, alpha_on, beta_on, convention, letters=letters)
+    return factor * g
+
+
+def corner_expansion(
+    inner: Partition,
+    alpha_on: bool,
+    beta_on: bool,
+    convention: IndexConvention = IndexConvention.ALPHA_BY_COLUMN,
+    letters: Letters = SYMBOLIC,
+) -> list[tuple[Partition, Scalar]]:
+    """(nu, factor) for each set of corners of ``inner``, fewest removed
+    first: nu is ``inner`` less those corners, and factor the product of
+    -(alpha+beta) over the removed boxes.  It does not read the outer
+    shape, so one expansion serves every target of a kernel table."""
+    corner_boxes = corners(inner)
+    out = []
+    for k in range(len(corner_boxes) + 1):
+        for removed in combinations(corner_boxes, k):
+            parts = list(inner.parts)
+            for r, _ in removed:
+                parts[r - 1] -= 1
+            factor: Scalar = letters.one
+            for r, c in removed:
+                factor = factor * (-_box_weight(letters, r, c, convention, alpha_on, beta_on))
+            out.append((Partition(parts), factor))
+    return out
+
+
+def gen_G_expanded(
+    outer: Partition,
+    expansion: list[tuple[Partition, Scalar]],
+    n: int,
+    alpha_on: bool,
+    beta_on: bool,
+    convention: IndexConvention = IndexConvention.ALPHA_BY_COLUMN,
+    letters: Letters = SYMBOLIC,
+) -> Scalar:
+    """The sum of factor * G_{outer/nu} (``gen_G_skew``) over the (nu,
+    factor) pairs of a ``corner_expansion``, in its order; zero terms are
+    not added."""
+    total: Scalar = letters.zero
+    for nu, factor in expansion:
+        g = gen_G_skew(outer, nu, n, alpha_on, beta_on, convention, letters)
+        if not is_zero_scalar(g):
+            total = factor * g + total
+    return total
 
 
 def gen_G_doubleslash(
@@ -395,20 +519,8 @@ def gen_G_doubleslash(
     """Corner-removal-corrected skew G: sum over partitions nu formed by
     removing corners of ``inner``, with factor -(alpha+beta) per removed
     box.  Vanishes whenever inner is not contained in outer."""
-    corner_boxes = corners(inner)
-    total: Scalar = letters.zero
-    for k in range(len(corner_boxes) + 1):
-        for removed in combinations(corner_boxes, k):
-            parts = list(inner.parts)
-            for r, _ in removed:
-                parts[r - 1] -= 1
-            nu = Partition(sorted(parts, reverse=True))
-            factor: Scalar = letters.one
-            for r, c in removed:
-                factor = factor * (-_box_weight(letters, r, c, convention, alpha_on, beta_on))
-            g = gen_G_skew(outer, nu, n, alpha_on, beta_on, convention, letters)
-            total = factor * g + total
-    return total
+    expansion = corner_expansion(inner, alpha_on, beta_on, convention, letters)
+    return gen_G_expanded(outer, expansion, n, alpha_on, beta_on, convention, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +586,9 @@ def gen_g(
             total = total + rpp_weight(shape, filling, refined, letters)
         return total
 
-    xs = tuple(letters.x(i) for i in range(1, n + 1))
-    return _memo(("g", shape, n, refined, xs, tuple(map(letters.beta, merges))), compute)
+    xkey = letters.first("x", n)
+    return _memo(("g", shape, n, refined, letters.ring, xkey, letters.tokens("beta", merges)),
+                 compute)
 
 
 def iter_ssyt(shape: SkewShape, n: int) -> Iterator[dict]:
@@ -518,8 +631,9 @@ def gen_j(
             total = total + vst_weight(shape, filling, refined, letters)
         return total
 
-    xs = tuple(letters.x(i) for i in range(1, n + 1))
-    return _memo(("j", shape, n, refined, xs, tuple(map(letters.alpha, merges))), compute)
+    xkey = letters.first("x", n)
+    return _memo(("j", shape, n, refined, letters.ring, xkey, letters.tokens("alpha", merges)),
+                 compute)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .kernels import (
     chain,
     check_rate_count,
     kernel_operator_route,  # noqa: F401 - perfbench/child.py traces validate.kernel_operator_route
-    kernel_tableau_route,
+    kernel_tableau_route,  # noqa: F401 - perfbench/child.py traces validate.kernel_tableau_route
     operator_table,
     tableau_table,
 )
@@ -258,8 +258,11 @@ def arbitrate_conventions(
 
     The discriminating observables: Case C and CanonicalC single steps
     (index convention shows up in the corner factors; update order in the
-    blocking caps).  Each (case, mu, update) oracle step is built once and
-    read under both index conventions."""
+    blocking caps).  The tableau value does not read the update order, so
+    one ``tableau_table`` per (case, mu, index) serves both orders, and
+    each (case, mu, update) oracle step is built once and read under both
+    index conventions.  A table that raises ``ValueError`` rejects its
+    convention pair."""
     if binding is None:
         binding = ParamBinding.numeric(
             x=[Frac(1, 5)],
@@ -267,33 +270,32 @@ def arbitrate_conventions(
             alpha=lambda k: Frac(1, 4 + k) if k >= 1 else Frac(0),
             beta_pos=lambda k: Frac(1, 6 + k) if k >= 1 else Frac(0),
         )
-    survivors = []
     mus = partitions_in_box(2, 2)
     lams = partitions_in_box(3, 3)
+    tables: dict = {}
     oracles: dict = {}
+
+    def agrees(case: CaseId, mu: Partition, index: IndexConvention, update: UpdateOrder) -> bool:
+        if (case, mu, index) not in tables:
+            try:
+                tables[case, mu, index] = tableau_table(case, 1, mu, lams, binding, ell, index)
+            except ValueError:
+                tables[case, mu, index] = None
+        table = tables[case, mu, index]
+        if table is None:
+            return False
+        if (case, mu, update) not in oracles:
+            oracles[case, mu, update] = brute_force_single_step(case, mu, binding, ell, 3, 1, update)
+        oracle = oracles[case, mu, update]
+        return all(table[lam] == oracle.prob(lam) for lam in lams)
+
+    survivors = []
     for index in IndexConvention:
         for update in UpdateOrder:
             conv = Conventions(index=index, update=update)
-            ok = True
-            for case in (CaseId.C, CaseId.CANONICAL_C, CaseId.B, CaseId.D):
-                for mu in mus:
-                    key = (case, mu, update)
-                    if key not in oracles:
-                        oracles[key] = brute_force_single_step(case, mu, binding, ell, 3, 1, update)
-                    oracle = oracles[key]
-                    for lam in lams:
-                        try:
-                            t = kernel_tableau_route(case, 1, mu, lam, binding, ell, index)
-                        except ValueError:
-                            ok = False
-                            break
-                        if t != oracle.prob(lam):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
+            ok = all(agrees(case, mu, index, update)
+                     for case in (CaseId.C, CaseId.CANONICAL_C, CaseId.B, CaseId.D)
+                     for mu in mus)
             if ok:
                 survivors.append(conv)
             if verbose:

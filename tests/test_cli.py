@@ -190,6 +190,14 @@ def test_sample_csv(tmp_path):
     assert len(lines) == 2 and lines[1].startswith("2.5,")
 
 
+def test_continuous_sample_too_large_is_usage_error():
+    # 1e13 expected rings would need a 73 TiB first block: refused up front
+    proc = run_cli("sample", "--continuous", "--ell", "1", "--t", "1e13", check=False)
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr)
+    assert err["error"] == "usage" and "rings expected" in err["message"]
+
+
 def test_validate_smoke_exit_zero():
     proc = run_cli("validate", "--grid", "smoke")
     out = json.loads(proc.stdout)

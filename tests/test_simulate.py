@@ -773,3 +773,20 @@ def test_fermionic_picture_transform():
     traj = Trajectory([(0, P_([])), (1, P_([2, 1]))])
     ferm = traj.positions("fermionic")
     assert ferm[-1][1] == [1, -1]
+
+
+def test_continuous_ring_count_is_bounded(monkeypatch):
+    # a row's first block is sized from its mean ring count, so a run that
+    # expects more than MAX_RINGS rings (samples x sum of pi_j t) is
+    # refused before any draw: t = 1e13 would ask for a 73 TiB block
+    rng = rng_for(5)
+    with pytest.raises(ValueError, match=r"1e\+13 rings expected .* at most 10,000,000"):
+        run_continuous(1, 1e13, 1.0, rng)
+    with pytest.raises(ValueError, match=r"rings expected"):
+        sample_continuous_final(4, 3e6, [1.0, 0.5, 0.0, 0.5], 2, rng, push=True)
+    assert (rng.random(4) == rng_for(5).random(4)).all()  # nothing was drawn
+    # the bound counts every sample and particle, and a run at it is drawn
+    monkeypatch.setattr(simulate, "MAX_RINGS", 60)
+    with pytest.raises(ValueError, match=r"61 rings expected"):
+        sample_continuous_final(1, 61.0, 1.0, 1, rng_for(5))
+    assert sample_continuous_final(2, 10.0, [1.0, 2.0], 2, rng_for(5)).shape == (2, 2)

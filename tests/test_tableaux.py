@@ -276,6 +276,61 @@ def test_sum_memo_is_bounded(monkeypatch):
         assert len(tableaux._SUMS) <= 8
 
 
+def test_sum_memo_keeps_rings_apart(monkeypatch):
+    # symbolic letters over rational one and zero (a binding with x =
+    # [X(1)]) sum the empty shape's one tableau to a rational 1, the
+    # default letters to a polynomial 1: the memo keys carry the ring, so neither call is
+    # served the other's sum, in either order
+    shape = SkewShape(P_([1]), P_([1]))
+    rational = tableaux.Letters(X, A, B)
+    for first, second in ((rational, tableaux.SYMBOLIC), (tableaux.SYMBOLIC, rational)):
+        monkeypatch.setattr(tableaux, "_SUMS", {})
+        for letters in (first, second):
+            kind = F if letters is rational else LaurentPoly
+            for got in (gen_g(shape, 1, letters=letters), gen_j(shape, 1, letters=letters),
+                        gen_G(shape, 1, True, True, CONV, letters=letters)):
+                assert type(got) is kind and got == 1
+        assert type(gen_G(SkewShape(P_([1])), 1, False, True, CONV, letters=rational)) is LaurentPoly
+
+
+def test_tall_column_sums_to_zero_at_once():
+    # gen_G returns zero without summing when a column holds more than n
+    # cells; the tableau enumerator, which gen_G does not call, finds no
+    # hook tableau exactly there
+    seen = set()
+    for lam in partitions_in_box(3, 3):
+        for mu in subpartitions(lam):
+            shape = SkewShape(lam, mu)
+            tallest = max((conjugate(lam).part(c) - conjugate(mu).part(c)
+                           for c in range(1, lam.part(1) + 1)), default=0)
+            for n in (1, 2):
+                none = next(iter_hook_tableaux(shape, n, "resummed"), None) is None
+                assert none == (tallest > n), (lam, mu, n)
+                if none:
+                    assert gen_G(shape, n, True, True, CONV) == 0
+                seen.add(none)
+    assert seen == {True, False}
+
+
+def test_corner_expansion_is_the_doubleslash_sum():
+    # tableau_table sums one corner_expansion of mu over all its targets;
+    # per target that sum is gen_G_doubleslash, term for term (same repr),
+    # for every mu with 0-3 corners, both conventions and all flag pairs
+    box = partitions_in_box(3, 3)
+    corner_counts = set()
+    for convention in IndexConvention:
+        for flags in ((True, True), (True, False), (False, True)):
+            for mu in box:
+                expansion = tableaux.corner_expansion(mu, *flags, convention)
+                assert len(expansion) == 2 ** len(tableaux.corners(mu))
+                corner_counts.add(len(tableaux.corners(mu)))
+                for lam in box:
+                    got = tableaux.gen_G_expanded(lam, expansion, 1, *flags, convention)
+                    want = gen_G_doubleslash(lam, mu, 1, *flags, convention)
+                    assert repr(got) == repr(want), (convention, flags, mu, lam)
+    assert corner_counts == {0, 1, 2, 3}
+
+
 def test_series_mode_requires_cutoff():
     with pytest.raises(ValueError):
         list(iter_hook_tableaux(SkewShape(P_([1])), 1, arm_mode="series"))

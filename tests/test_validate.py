@@ -26,6 +26,7 @@ from ktasep.kernels import (
 from ktasep.multipoint import MultiPointQuery, mp_pushing
 from ktasep.partitions import Partition, partitions_in_box
 from ktasep.simulate import SimConfig, move, run, update_order
+from ktasep import validate
 from ktasep.validate import (
     RouteCache,
     _histogram,
@@ -357,6 +358,50 @@ def test_arbitration_unique_survivor():
     assert len(survivors) == 1
     assert survivors[0] == PINNED_CONVENTIONS
     check_pinned_conventions()
+
+
+ARBITRATION_VERDICTS = [
+    "alpha_by_column+geometric_descending: OK",
+    "alpha_by_column+geometric_ascending: rejected",
+    "alpha_by_row+geometric_descending: rejected",
+    "alpha_by_row+geometric_ascending: rejected",
+]
+
+
+def test_arbitration_verdicts_pinned(capsys, monkeypatch):
+    # one verdict per convention pair, and one tableau table per (case,
+    # mu, index convention), shared by both update orders
+    built = []
+
+    def counting_table(case, n, mu, targets, binding, ell, index):
+        built.append((case, mu, index))
+        return tableau_table(case, n, mu, targets, binding, ell, index)
+
+    monkeypatch.setattr(validate, "tableau_table", counting_table)
+    assert arbitrate_conventions(verbose=True) == [PINNED_CONVENTIONS]
+    assert capsys.readouterr().out.splitlines() == ARBITRATION_VERDICTS
+    assert len(built) == len(set(built))
+
+
+def test_arbitration_rejects_a_convention_whose_table_raises(capsys, monkeypatch):
+    # a route that raises never counts as agreeing: a tableau table that
+    # raises for one (case, mu) rejects the pinned pair, which agrees
+    # everywhere else
+    raised = []
+
+    def failing_table(case, n, mu, targets, binding, ell, index):
+        if (case, mu) == (CaseId.CANONICAL_C, P_([1])):
+            raised.append(index)
+            raise ValueError("no table")
+        return tableau_table(case, n, mu, targets, binding, ell, index)
+
+    monkeypatch.setattr(validate, "tableau_table", failing_table)
+    assert arbitrate_conventions(verbose=True) == []
+    verdicts = [line.replace(": OK", ": rejected") for line in ARBITRATION_VERDICTS]
+    assert capsys.readouterr().out.splitlines() == verdicts
+    assert PINNED_CONVENTIONS.index in raised
+    with pytest.raises(AssertionError, match="ambiguous or empty"):
+        check_pinned_conventions()
 
 
 def test_mc_vs_exact_and_fault_injection():
