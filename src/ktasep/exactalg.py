@@ -592,21 +592,51 @@ def rf(value: Scalar) -> RationalFn:
 # ---------------------------------------------------------------------------
 
 
+def add_x_letter(h: list, x: Scalar) -> None:
+    """Add ``x`` to the x alphabet of the prefix ``h`` in place: divide its
+    generating function by (1 - x t), the forward recurrence."""
+    for i in range(1, len(h)):
+        h[i] = h[i] + x * h[i - 1]
+
+
+def add_y_letter(h: list, y: Scalar) -> None:
+    """Add ``y`` to the y alphabet of the prefix ``h`` in place: multiply
+    its generating function by (1 - y t), the backward recurrence."""
+    for i in range(len(h) - 1, 0, -1):
+        h[i] = h[i] - y * h[i - 1]
+
+
 def h_prefix(k: int, xs: Sequence[Scalar], ys: Sequence[Scalar] = ()) -> list:
     """[h_0(x/y), ..., h_k(x/y)] of the two-alphabet pair x/y.
 
     The generating function is prod_y (1 - y t) / prod_x (1 - x t): the
-    complete homogeneous prefix of ``xs``, multiplied in place by
-    (1 - y t) for each y.  With ``ys`` empty these are the plain h_i(x).
+    complete homogeneous prefix of ``xs``, then each y, one letter at a
+    time.  With ``ys`` empty these are the plain h_i(x).  Entries 0..k do
+    not depend on k, so a caller whose alphabets grow one letter at a
+    time keeps one prefix and calls ``add_x_letter``/``add_y_letter``.
     """
     h = [1] + [0] * k
     for x in xs:
-        for i in range(1, k + 1):
-            h[i] = h[i] + x * h[i - 1]
+        add_x_letter(h, x)
     for y in ys:
-        for i in range(k, 0, -1):
-            h[i] = h[i] - y * h[i - 1]
+        add_y_letter(h, y)
     return h
+
+
+def scale_letters(*alphabets: Sequence[Scalar]) -> tuple[int, list]:
+    """The alphabets over one common denominator.
+
+    Every number is taken exactly as a Fraction (a float converts exactly).
+    When all letters are numbers, each is multiplied by L, the lcm of their
+    denominators, so every alphabet becomes a list of ints; h_a is
+    homogeneous of degree a, so h_a(letters) = h_a(L letters) / L^a.  When
+    some letter is not a number (a LaurentPoly or RationalFn), L is 1 and
+    the letters are not scaled.  Returns (L, the alphabets as lists)."""
+    if not all(isinstance(v, (int, float, Frac)) for a in alphabets for v in a):
+        return 1, [list(a) for a in alphabets]
+    exact = [[Frac(v) for v in a] for a in alphabets]
+    scale = math.lcm(*(v.denominator for a in exact for v in a))
+    return scale, [[v.numerator * (scale // v.denominator) for v in a] for a in exact]
 
 
 def supersym_h(m: int, xs: Sequence[Scalar], ys: Sequence[Scalar]):
@@ -625,19 +655,34 @@ def supersym_e(m: int, xs: Sequence[Scalar], ys: Sequence[Scalar]):
     return supersym_h(m, [-y for y in ys], [-x for x in xs])
 
 
-def theta_h_pair(m: int, top_h: Sequence, bottom: tuple, trunc: int):
-    """sum_{a-b=m, max(a,b)<=trunc} h_a(x1/y1) h_b(x2/y2) with supersym
-    pairs (x1, y1) on top and ``bottom`` = (x2, y2).  ``top_h`` is the top
-    pair's prefix ``h_prefix(k, x1, y1)`` for any k >= min(trunc, trunc + m),
-    so callers with one top pair build it once.  These sums can have
-    infinitely many nonzero terms, so ``trunc`` caps both indices."""
+def unscale(value, scale: int, degree: int):
+    """A homogeneous sum of degree ``degree`` from its value at letters
+    scaled by ``scale`` (``scale_letters``): an int over scale^degree as
+    an exact Fraction.  The degree-0 sum h_0 = 1 stays the int 1, and a
+    symbolic value (scale 1) is returned as it is."""
+    return Frac(value, scale**degree) if degree and type(value) is int else value
+
+
+def theta_h_pair(m: int, top_h: Sequence, bottom_h: Sequence, trunc: int, scale: int = 1):
+    """sum_{a-b=m, max(a,b)<=trunc} h_a(x1/y1) h_b(x2/y2) from the prefixes
+    of the top pair, ``top_h``, and of the bottom pair, ``bottom_h`` (as
+    ``h_prefix`` builds them, up to min(trunc, trunc + m) and
+    min(trunc, trunc - m)), so that callers build each prefix once.  These
+    sums can have infinitely many nonzero terms, so ``trunc`` caps both
+    indices.
+
+    Prefixes of letters scaled into ints by ``scale`` = L (``scale_letters``)
+    hold L^a h_a: the sum is then one integer Horner sum in L^2 and a single
+    Fraction over L^(2 hi - m), hi the largest top index.  Symbolic
+    prefixes (scale 1) are summed as they are."""
     if abs(m) > trunc:
         return 0
-    hb = h_prefix(min(trunc, trunc - m), *bottom)
+    hi = min(trunc, trunc + m)
+    square = scale * scale
     total = 0
-    for a in range(max(m, 0), min(trunc, trunc + m) + 1):
-        total = total + top_h[a] * hb[a - m]
-    return total
+    for a in range(max(m, 0), hi + 1):
+        total = total * square + top_h[a] * bottom_h[a - m]
+    return unscale(total, scale, 2 * hi - m)
 
 
 # ---------------------------------------------------------------------------

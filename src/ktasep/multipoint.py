@@ -20,7 +20,10 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .exactalg import det_exact, h_prefix, supersym_e, supersym_h, theta_h_pair
+from .exactalg import (add_x_letter, add_y_letter, det_exact, h_prefix, scale_letters,
+                       theta_h_pair, unscale)
+# perfbench/child.py wraps supersym_h and supersym_e under this module's name
+from .exactalg import supersym_e, supersym_h  # noqa: F401
 from .kernels import (CaseId, ParamBinding, chain, check_clock_rates, check_inverse_rate,
                       rate_monomial, time_factor)
 from .partitions import Partition
@@ -106,22 +109,45 @@ def mp_pushing(query: MultiPointQuery):
     xs = [b.x_of(i) for i in range(1, n + 1)]
     if not lam.contains(nu):
         return Frac(0)
-    # the letters 1/pi_k, negated in D's e-determinant
-    inv = [b.inverse_rate(k) for k in range(1, ell + 1)]
-    if case is CaseId.D:
-        inv = [-v for v in inv]
-    rows = []
-    for i in range(1, ell + 1):
-        row = []
-        for j in range(1, ell + 1):
-            m = lam.part(i) - nu.part(j) + j - i
-            if case is CaseId.A:
-                row.append(supersym_h(m, xs + inv[:i], inv[:j - 1]))
-            else:
-                row.append(supersym_e(m, xs + inv[:j - 1], inv[:i]))
-        rows.append(row)
+    rows = pushing_rows(query)
     factor = rate_monomial(case, nu, lam, b, ell) * time_factor(case, b, range(1, ell + 1), xs)
     return factor * det_exact(rows)
+
+
+def pushing_rows(query: MultiPointQuery) -> list[list]:
+    """The entries of the pushing determinant, m = thresholds_i - start_j + j - i:
+    case A's supersym_h(m, xs + inv[:i], inv[:j-1]) and case D's
+    supersym_e(m, xs + (-inv)[:j-1], (-inv)[:i]), with inv the letters 1/pi_k.
+
+    By omega, D's entry is h_m(inv[:i] / (-xs + inv[:j-1])), so both cases
+    read h_m(X_i / Y_j) with X_i = X_0 + inv[:i] and Y_j = Y_0 + inv[:j-1]:
+    X_0 = xs and Y_0 empty for A, X_0 empty and Y_0 = -xs for D.  X_i grows
+    by one letter per row and Y_j by one per column, so one prefix serves
+    every row and each row applies its y letters to a copy of it, in the
+    order the per-entry prefixes would.  Numeric letters run over one
+    common denominator (``scale_letters``)."""
+    lam, nu, ell, b = query.thresholds, query.start, query.ell, query.binding
+    scale, (xs, inv) = scale_letters(
+        [b.x_of(i) for i in range(1, query.n + 1)],
+        [b.inverse_rate(k) for k in range(1, ell + 1)],
+    )
+    x0, y0 = (xs, []) if query.case is CaseId.A else ([], [-x for x in xs])
+    ms = [[lam.part(i) - nu.part(j) + j - i for j in range(1, ell + 1)]
+          for i in range(1, ell + 1)]
+    hx = h_prefix(max(0, max(map(max, ms))), x0)
+    rows = []
+    for i, row_ms in enumerate(ms):
+        add_x_letter(hx, inv[i])
+        h = hx[:]
+        for y in y0:
+            add_y_letter(h, y)
+        row = []
+        for j, m in enumerate(row_ms):
+            if j:
+                add_y_letter(h, inv[j - 1])
+            row.append(unscale(h[m], scale, m) if m >= 0 else 0)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +157,9 @@ def mp_pushing(query: MultiPointQuery):
 
 def _beta_of(b: ParamBinding, k: int):
     return b.rate(k + 1)
+
+
+MAX_TRUNC = 1000  # the series' index cap; the repository's queries use 70 at most
 
 
 def mp_blocking_series(query: MultiPointQuery, trunc: int = 60):
@@ -153,30 +182,9 @@ def mp_blocking_series(query: MultiPointQuery, trunc: int = 60):
     xs = [b.x_of(i) for i in range(1, n + 1)]
     if case not in (CaseId.B, CaseId.C, CaseId.CANONICAL_C):
         raise ValueError(case)
-    # case B's top alphabet is 0/(-x): h_a(0/(-x)) = e_a(x) vanishes beyond
-    # a = n, so its sums terminate and the cap below keeps every nonzero term
-    top = ((), [-x for x in xs]) if case is CaseId.B else (xs, ())
-    # every entry reads h_a of the same top pair with a <= n (case B) or
-    # a <= trunc: build that prefix once for all ell^2 entries
-    top_h = h_prefix(n if case is CaseId.B else trunc, *top)
-    rows = []
-    for i in range(1, ell + 1):
-        row = []
-        for j in range(1, ell + 1):
-            m = nu.part(i) - mu.part(j) - i + j
-            window = []
-            if case is CaseId.CANONICAL_C:
-                window = [-b.alpha_of(k) for k in range(mu.part(j), nu.part(i))]
-            if i == 1:
-                bot = (window + [b.rate(1)] + [_beta_of(b, k) for k in range(1, j)], ())
-            else:
-                bot = (
-                    window + [_beta_of(b, k) for k in range(1, j)],
-                    [_beta_of(b, k) for k in range(1, i - 1)],
-                )
-            cap = n - min(m, 0) if case is CaseId.B else trunc
-            row.append(theta_h_pair(m, top_h, bot, cap))
-        rows.append(row)
+    if not 0 <= trunc <= MAX_TRUNC:
+        raise ValueError(f"trunc must lie in [0, MAX_TRUNC] = [0, {MAX_TRUNC}], got {trunc}")
+    rows = theta_rows(query, trunc)
     factor = rate_monomial(case, mu, nu, b, ell) * time_factor(case, b, range(1, ell + 1), xs)
     value = factor * det_exact(rows)
     if case is CaseId.B:
@@ -193,6 +201,65 @@ def mp_blocking_series(query: MultiPointQuery, trunc: int = 60):
         fb = float(q) ** (trunc + 1) / (1.0 - float(q))
         bound = fb * (ell * ell * math.factorial(ell)) * 4.0
     return value, bound
+
+
+def theta_rows(query: MultiPointQuery, trunc: int) -> list[list]:
+    """The entries of the theta determinant, m = nu_i - mu_j - i + j with nu
+    the thresholds joined with the start mu: ``theta_h_pair`` of the top
+    pair xs/0 (0/(-xs) for case B) and the bottom pair
+    W_ij + pi_1 + beta_1..beta_{j-1} / 0 in row 1, and
+    W_ij + beta_1..beta_{j-1} / beta_1..beta_{i-2} below it, where beta_k =
+    pi_{k+1} and the CanonicalC window W_ij holds -alpha_k for
+    mu_j <= k < nu_i (empty in cases B and C).
+
+    Along row i the bottom x alphabet only grows: one beta per column, and
+    the window letters that enter as mu_j falls.  So each row keeps one
+    bottom prefix, started from prod_y (1 - y t), and adds those letters
+    column by column.  Every letter is taken exactly and scaled over one
+    common denominator (``scale_letters``), so the sums run in integers."""
+    case, nu, mu, ell, b = (
+        query.case,
+        _join(query.thresholds, query.start),
+        query.start,
+        query.ell,
+        query.binding,
+    )
+    n = query.n
+    # the windows [mu_j, nu_i) all lie in [mu_ell, nu_1)
+    low = mu.part(ell)
+    alphas = range(low, nu.part(1)) if case is CaseId.CANONICAL_C else ()
+    scale, (xs, rates, window) = scale_letters(
+        [b.x_of(i) for i in range(1, n + 1)],
+        [b.rate(j) for j in range(1, ell + 1)],
+        [-b.alpha_of(k) for k in alphas],
+    )
+    # case B's top alphabet is 0/(-x): h_a(0/(-x)) = e_a(x) vanishes beyond
+    # a = n, so its sums terminate and the cap below keeps every nonzero term
+    top = ((), [-x for x in xs]) if case is CaseId.B else (xs, ())
+    # every entry reads h_a of the same top pair with a <= n (case B) or
+    # a <= trunc: build that prefix once for all ell^2 entries
+    top_h = h_prefix(n if case is CaseId.B else trunc, *top)
+    rows = []
+    for i in range(1, ell + 1):
+        ms = [nu.part(i) - mu.part(j) - i + j for j in range(1, ell + 1)]
+        caps = [n - min(m, 0) for m in ms] if case is CaseId.B else [trunc] * ell
+        # the longest bottom prefix the row reads
+        h = [1] + [0] * max((min(c, c - m) for m, c in zip(ms, caps) if abs(m) <= c), default=0)
+        for y in rates[1:i - 1]:
+            add_y_letter(h, y)
+        if i == 1:
+            add_x_letter(h, rates[0])
+        seen = nu.part(i) if alphas else 0  # the window letters k >= seen are in
+        row = []
+        for j, (m, cap) in enumerate(zip(ms, caps), start=1):
+            if j > 1:
+                add_x_letter(h, rates[j - 1])
+            for k in range(mu.part(j), seen):
+                add_x_letter(h, window[k - low])
+            seen = min(seen, mu.part(j))
+            row.append(theta_h_pair(m, top_h, h, cap, scale))
+        rows.append(row)
+    return rows
 
 
 def mp_event_sum(query: MultiPointQuery, cap: int = 12):
@@ -242,29 +309,37 @@ def _residue_sum(num: Sequence, den: Sequence, power: int, taylor):
     any order included.  ``taylor(p, k)`` returns F's Taylor coefficients
     at p up to u^k; F must be analytic at those points."""
     # (1 - c/w) = (w - c)/w, so the integrand is F(w) prod_r (w - r)^-order[r];
-    # a root in both num and den, and a zero root, cancel out of ``order``
-    order = {0: power + 1}
-    for a in num:
-        order[a] = order.get(a, 0) - 1
-        order[0] += 1
-    for b in den:
-        order[b] = order.get(b, 0) + 1
-        order[0] -= 1
+    # a root in both num and den, and a zero root, cancel out of ``order``.
+    # The few distinct roots are told apart by equality, not by hashing
+    roots, order = [0], [power + 1]
+    for group, e in ((num, -1), (den, 1)):
+        for c in group:
+            order[0] -= e
+            for k, r in enumerate(roots):
+                if r is c or r == c:
+                    order[k] += e
+                    break
+            else:
+                roots.append(c)
+                order.append(e)
     total = 0
-    for p, m in order.items():
+    for k, (p, m) in enumerate(zip(roots, order)):
         if m <= 0:
             continue
-        # at w = p + u: (w - p)^m = u^m, and for r != p
-        # (w - r)^-e = (p - r)^-e (1 - u/(r - p))^-e; a simple pole reads
-        # only F(p), so its alphabets stay empty
-        others = [(r, e) for r, e in order.items() if e and r != p]
+        # at w = p + u: (w - p)^m = u^m, and for r != p, with d = p - r,
+        # (w - r)^-e = d^-e (1 + u/d)^-e; a simple pole reads only F(p),
+        # so its alphabets stay empty
+        gaps = [(p - r, e) for i, (r, e) in enumerate(zip(roots, order)) if e and i != k]
         xs, ys = [], []
         if m > 1:
-            for r, e in others:
-                (xs if e > 0 else ys).extend([1 / (r - p)] * abs(e))
+            for d, e in gaps:
+                (xs if e > 0 else ys).extend([-1 / d] * abs(e))
         term = _pole_term(m - 1, taylor(p, m - 1), xs, ys)
-        for r, e in others:
-            term *= (p - r) ** -e
+        for d, e in gaps:
+            if e > 0:
+                term /= d if e == 1 else d**e
+            else:
+                term *= d if e == -1 else d**-e
         total += term
     return total
 
@@ -288,8 +363,10 @@ def contour_entry_residue(
         scale = Frac(1)
         for f in factors:
             scale /= f
-        h = h_prefix(k, [x / f for x, f in zip(xs, factors)] if k else ())
-        return [scale * c for c in h]
+        if not k:
+            return [scale]
+        h = h_prefix(k, [x / f for x, f in zip(xs, factors)])
+        return [scale] + [scale * c for c in h[1:]]
 
     return Frac(_residue_sum(num_roots, den_roots, power, taylor))
 

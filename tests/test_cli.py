@@ -229,6 +229,10 @@ MP_C = ["--case", "C", "--dir", "ge"]
         pytest.param(["--case", "CanonicalC", "--dir", "ge", "--contour", "r=3"],
                      id="contour-case-CanonicalC"),
         pytest.param(MP_C + ["--mode", "residue"], id="mode-without-contour"),
+        # the series' index cap lies in [0, MAX_TRUNC]; a huge one is
+        # refused before any prefix is allocated
+        pytest.param(MP_C + ["--trunc", "-1"], id="trunc-negative"),
+        pytest.param(MP_C + ["--trunc", str(10**18)], id="trunc-huge"),
         pytest.param(["--case", "Z", "--dir", "ge"], id="unknown-case"),
         pytest.param(["--case", "CanonicalB", "--dir", "ge"], id="case-CanonicalB"),
         pytest.param(["--case", "A", "--dir", "ge"], id="dir-contradicts-case"),

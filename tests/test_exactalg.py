@@ -107,9 +107,9 @@ def test_supersym_cancellation():
 def test_theta_examples():
     x, y = X(1), P(1)
     # empty Y collapses to plain h
-    assert theta_h_pair(2, h_prefix(5, [x]), ([], ()), 5) == x * x
-    assert theta_h_pair(0, h_prefix(3, []), ([y], ()), 3) == 1
-    assert theta_h_pair(-1, h_prefix(4, [x]), ([y], ()), 4) == y + x * y**2 + x**2 * y**3 + x**3 * y**4
+    assert theta_h_pair(2, h_prefix(5, [x]), h_prefix(3, []), 5) == x * x
+    assert theta_h_pair(0, h_prefix(3, []), h_prefix(3, [y]), 3) == 1
+    assert theta_h_pair(-1, h_prefix(4, [x]), h_prefix(4, [y]), 4) == y + x * y**2 + x**2 * y**3 + x**3 * y**4
 
 
 # Brute-force symmetric functions, independent of the prefix recurrence:
@@ -141,7 +141,7 @@ def test_prefix_builder_against_brute_force(xs, ys, m, d):
     # length and from a longer one
     theta = sum(_h(a, xs) * _h(a - d, ys) for a in range(max(d, 0), min(4, 4 + d) + 1))
     for k in (min(4, 4 + d), 7):
-        assert theta_h_pair(d, h_prefix(k, xs), (ys, ()), 4) == theta
+        assert theta_h_pair(d, h_prefix(k, xs), h_prefix(max(min(4, 4 - d), 0), ys), 4) == theta
 
 
 def test_det_exact_elimination_against_leibniz():

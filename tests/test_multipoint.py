@@ -1,12 +1,17 @@
 import hashlib
+import math
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ktasep.exactalg import P, X, rf, schur_poly
+from ktasep.exactalg import P, X, h_prefix, rf, schur_poly, supersym_e, supersym_h
 from ktasep.kernels import CaseId, ParamBinding, single_step_closed_form
 from ktasep.multipoint import (
     MAX_QUADRATURE_POINTS,
+    MAX_TRUNC,
     ContourSpec,
     MultiPointQuery,
     SingularParameterError,
@@ -20,6 +25,8 @@ from ktasep.multipoint import (
     mp_canonical,
     mp_event_sum,
     mp_pushing,
+    pushing_rows,
+    theta_rows,
 )
 from ktasep.partitions import Partition, partitions_in_box
 
@@ -325,3 +332,163 @@ def test_quadrature_points_above_cap():
     q = MultiPointQuery(CaseId.C, "ge", 1, P_([1]), P_([]), 2, small_binding(1))
     with pytest.raises(ValueError, match=str(MAX_QUADRATURE_POINTS)):
         mp_blocking_contour(q, ContourSpec(radius=F(3), points=2**15, mode="quadrature"))
+
+
+# -- determinant entries against the per-entry formulas ----------------------
+
+
+def _exact(v):
+    return F(v) if isinstance(v, (int, float, F)) else v
+
+
+def _textbook_theta_rows(q, trunc):
+    """Each theta entry from its own pair of h_prefix calls and a plain
+    convolution, at the letters taken exactly.  Numeric entries are exact
+    Fractions (h_0 h_0 = 1 stays the int 1); symbolic ones are as summed."""
+    b, ell, n, mu, case = q.binding, q.ell, q.n, q.start, q.case
+    length = max(q.thresholds.length(), mu.length())
+    nu = P_([max(q.thresholds.part(i), mu.part(i)) for i in range(1, length + 1)])
+    xs = [_exact(b.x_of(i)) for i in range(1, n + 1)]
+    rate = lambda j: _exact(b.rate(j))
+    top = ((), [-x for x in xs]) if case is CaseId.B else (xs, ())
+    rows = []
+    for i in range(1, ell + 1):
+        row = []
+        for j in range(1, ell + 1):
+            m = nu.part(i) - mu.part(j) - i + j
+            cap = n - min(m, 0) if case is CaseId.B else trunc
+            if abs(m) > cap:
+                row.append(0)
+                continue
+            window = []
+            if case is CaseId.CANONICAL_C:
+                window = [-_exact(b.alpha_of(k)) for k in range(mu.part(j), nu.part(i))]
+            betas = [rate(k + 1) for k in range(1, j)]
+            if i == 1:
+                bottom = (window + [rate(1)] + betas, [])
+            else:
+                bottom = (window + betas, [rate(k + 1) for k in range(1, i - 1)])
+            lo, hi = max(m, 0), min(cap, cap + m)
+            ht, hb = h_prefix(hi, *top), h_prefix(hi - m, *bottom)
+            conv = sum(ht[a] * hb[a - m] for a in range(lo, hi + 1))
+            letters = xs + window + bottom[0] + bottom[1]
+            numeric = all(isinstance(v, F) for v in letters)
+            row.append(F(conv) if numeric and 2 * hi - m else conv)
+        rows.append(row)
+    return rows
+
+
+def _partition(parts):
+    return P_(sorted(parts, reverse=True))
+
+
+FRACS = [F(1, 2), F(1, 3), F(2, 7), F(1, 5)]
+ALPHAS = [F(1, 6), F(-1, 9), F(0), F(3, 10), F(-1, 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([CaseId.B, CaseId.C, CaseId.CANONICAL_C]),
+    st.integers(1, 4),
+    st.lists(st.sampled_from([F(1, 10), F(1, 12), F(2, 9)]), min_size=1, max_size=2),
+    st.lists(st.sampled_from(FRACS), min_size=4, max_size=4),
+    st.one_of(
+        st.lists(st.sampled_from(ALPHAS), min_size=8, max_size=8),
+        st.lists(st.floats(-0.3, 0.3), min_size=8, max_size=8),
+    ),
+    st.lists(st.integers(0, 3), max_size=4),
+    st.lists(st.integers(0, 4), max_size=5),
+    st.integers(0, 6),
+)
+# always run: the CLI's sine alphas (floats), alphas of both signs with
+# thresholds longer than ell, and m beyond a cap of 1
+@example(CaseId.CANONICAL_C, 3, [F(1, 10)], FRACS[:3] + [F(1, 3)],
+         [0.1 * math.sin(k / 3) ** 6 for k in range(8)], [1], [3, 2, 1], 4)
+@example(CaseId.CANONICAL_C, 2, [F(1, 10), F(2, 9)], [F(1, 3)] * 4, ALPHAS + ALPHAS[:3],
+         [2, 1], [4, 2, 2], 1)
+def test_theta_rows_against_per_entry_formula(case, ell, xs, rates, alphas, start, thr, trunc):
+    # repeated rates, alphas of both signs (floats too, taken exactly),
+    # thresholds longer than ell and caps below |m|
+    start = _partition(start[:ell])
+    b = ParamBinding(xs, rates[:ell], lambda k: alphas[k] if k < len(alphas) else 0.0)
+    q = MultiPointQuery(case, "ge", len(xs), _partition(thr), start, ell, b)
+    assert repr(theta_rows(q, trunc)) == repr(_textbook_theta_rows(q, trunc))
+
+
+def test_theta_rows_symbolic_case_b():
+    # symbolic letters run unscaled (scale 1) through the same rows
+    b = ParamBinding(x=[X(1), X(2)], rates=[P(1), P(2), P(3)])
+    seen = 0
+    for start in (P_([]), P_([1]), P_([2, 1])):
+        for thr in (P_([1]), P_([2, 1]), P_([3, 1, 1]), P_([2, 2, 2, 1])):
+            for ell in (1, 2, 3):
+                q = MultiPointQuery(CaseId.B, "ge", 2, thr, start, ell, b)
+                rows = theta_rows(q, 0)
+                assert repr(rows) == repr(_textbook_theta_rows(q, 0)), (start, thr, ell)
+                seen += sum(type(e).__name__ == "LaurentPoly" for row in rows for e in row)
+    assert seen
+
+
+def _per_entry_pushing_rows(q):
+    b, ell, lam, nu = q.binding, q.ell, q.thresholds, q.start
+    xs = [b.x_of(i) for i in range(1, q.n + 1)]
+    inv = [b.inverse_rate(k) for k in range(1, ell + 1)]
+    neg = [-v for v in inv]
+    rows = []
+    for i in range(1, ell + 1):
+        row = []
+        for j in range(1, ell + 1):
+            m = lam.part(i) - nu.part(j) + j - i
+            if q.case is CaseId.A:
+                row.append(supersym_h(m, xs + inv[:i], inv[:j - 1]))
+            else:
+                row.append(supersym_e(m, xs + neg[:j - 1], neg[:i]))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("binding", [
+    pytest.param(ParamBinding(x=[X(1), X(2)], rates=[P(1), P(2), P(3)]), id="symbolic"),
+    pytest.param(ParamBinding.numeric(x=[F(1, 10), F(2, 9)], rates=[F(1, 2), F(2, 3), F(2, 3)]),
+                 id="rational"),
+])
+def test_pushing_rows_against_per_entry_formula(binding):
+    for case in (CaseId.A, CaseId.D):
+        for n in (1, 2):
+            for ell in (1, 2, 3):
+                for start in (P_([]), P_([1]), P_([2, 1])):
+                    for thr in (P_([2, 1]), P_([3, 2, 2]), P_([3, 3, 1, 1])):
+                        if not thr.contains(start):
+                            continue
+                        b = ParamBinding(binding.x[:n], binding.rates)
+                        q = MultiPointQuery(case, "le", n, thr, start, ell, b)
+                        assert repr(pushing_rows(q)) == repr(_per_entry_pushing_rows(q)), (
+                            case, n, ell, start, thr)
+
+
+def test_series_at_float_letters_is_exact():
+    # the CLI's sine closure gives float alphas; taken exactly, the series
+    # equals the event sum at those rationals within its bound.  Particle 2
+    # cannot move in one step, so each event has probability 0; float
+    # letters gave -3.3e-20, -5.1e-22 and a bound of 9.9e-78
+    sine = lambda k: 0.1 * math.sin(k / 3) ** 6
+    rates = [F(1, 2), F(1, 3), F(1, 5)]
+    b = ParamBinding([F(1, 10)], rates, sine)
+    exact = ParamBinding([F(1, 10)], rates, lambda k: F(sine(k)))
+    for thr in (P_([2, 1]), P_([3, 1]), P_([1, 1, 1])):
+        v, bound = mp_canonical(MultiPointQuery(CaseId.CANONICAL_C, "ge", 1, thr, P_([]), 3, b))
+        ev, tail = mp_event_sum(MultiPointQuery(CaseId.CANONICAL_C, "ge", 1, thr, P_([]), 3, exact),
+                                cap=20)
+        assert ev == 0 and tail < 1e-26
+        assert abs(v) <= bound + tail, thr
+
+
+def test_series_trunc_is_bounded():
+    q = MultiPointQuery(CaseId.C, "ge", 1, P_([1]), P_([]), 1, small_binding(1))
+    # sys.maxsize would ask for an impossible prefix: the check comes first
+    for bad in (-1, MAX_TRUNC + 1, sys.maxsize):
+        with pytest.raises(ValueError, match="MAX_TRUNC"):
+            mp_blocking_series(q, bad)
+    # the cap itself runs; its float bound underflows to 0, so compare exactly
+    v, _ = mp_blocking_series(q, MAX_TRUNC)
+    assert 0 < abs(v - mp_blocking_contour(q)) < F(1, 10**1000)
