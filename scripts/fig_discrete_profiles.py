@@ -13,7 +13,7 @@ import sys
 import time
 
 from ktasep.kernels import CaseId
-from ktasep.simulate import SimConfig, run
+from ktasep.simulate import SimConfig, run_final
 
 
 def main() -> int:
@@ -37,7 +37,7 @@ def main() -> int:
         seed=args.seed,
     )
     t0 = time.time()
-    final = run(config).final()
+    final = run_final(config)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["particle", "position", "fermionic_position"])

@@ -97,11 +97,26 @@ def load_params(path: str, n: int) -> ParamBinding:
     return ParamBinding(xs[:n], rates, alpha, beta)
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any size.  CPython's ``str`` refuses ints of
+    more decimal digits than ``sys.get_int_max_str_digits()``, so a larger
+    one is written in chunks of fewer digits, from the lowest."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() - 1  # -1: no limit
+    if digits < 0 or n.bit_length() <= 3 * digits:  # 2**(3d) < 10**d
+        return str(n)
+    chunk, low = 10 ** digits, []
+    sign, n = "-" if n < 0 else "", abs(n)
+    while n >= chunk:
+        n, r = divmod(n, chunk)
+        low.append(f"{r:0{digits}d}")
+    return sign + str(n) + "".join(reversed(low))
+
+
 def _rational_json(v):
     if isinstance(v, Frac):
-        return {"num": str(v.numerator), "den": str(v.denominator)}
+        return {"num": _decimal(v.numerator), "den": _decimal(v.denominator)}
     if isinstance(v, (int,)):
-        return {"num": str(v), "den": "1"}
+        return {"num": _decimal(v), "den": "1"}
     if isinstance(v, float):
         return {"float": repr(v)}
     if isinstance(v, (LaurentPoly, RationalFn)):

@@ -10,7 +10,9 @@ The discrete samplers and the brute-force oracle in ``validate`` share
 one update rule: particles move in ``update_order`` and each move is
 ``move``.  A discrete round takes one uniform per particle in that order,
 CanonicalC included (its jump by inverse CDF, ``_inhom_walk``), so ``run``
-draws its rounds in blocks (``_rounds``).
+draws its rounds in blocks (``_rounds``) and does Python work only for the
+candidates, the draws that can jump.  Its ``Trajectory`` keeps the rounds
+in which something moved, and ``run_final`` only the final state.
 
 In continuous time each particle rings as its own Poisson process, so
 ``sample_continuous_final`` draws one particle's ring times at a time
@@ -23,6 +25,7 @@ times the recursion gives what firing the rings in time order with
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -39,6 +42,20 @@ def rng_for(seed: int, run_index: int = 0) -> np.random.Generator:
     """The documented substream rule: Philox keyed by spawn_key=(run,)."""
     ss = np.random.SeedSequence(seed, spawn_key=(run_index,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+Rates = Sequence[float] | Callable[[int], float] | float
+
+
+def _rate_floats(ell: int, rates: Rates) -> list:
+    """pi_1, ..., pi_ell as floats from a callable of j, one number, or a
+    list after ``check_rate_count``."""
+    if callable(rates):
+        return [float(rates(j)) for j in range(1, ell + 1)]
+    if isinstance(rates, (int, float)):
+        return [float(rates)] * ell
+    check_rate_count(ell, len(rates))
+    return [float(r) for r in rates[:ell]]
 
 
 @dataclass
@@ -61,6 +78,9 @@ class SimConfig:
         check_rate_count(self.ell, len(self.rates))
         return float(self.rates[j - 1])
 
+    def rate_array(self) -> np.ndarray:
+        return np.array(_rate_floats(self.ell, self.rates))
+
     def x_of(self, i: int) -> float:
         if callable(self.x):
             return float(self.x(i))
@@ -72,44 +92,67 @@ class SimConfig:
     def beta_pos_of(self, k: int) -> float:
         return float(self.beta_pos(k)) if self.beta_pos is not None else 0.0
 
-    def _probes(self) -> tuple[list, list]:
-        """(i, x_i) at the probed steps (the first eight) and (j, pi_j) for
-        every particle."""
-        steps = range(1, min(self.steps, 8) + 1) if self.steps else [1]
-        return ([(i, self.x_of(i)) for i in steps],
-                [(j, self.rate(j)) for j in range(1, self.ell + 1)])
-
-    def validate(self) -> None:
+    def validate(self) -> tuple[list, np.ndarray]:
         """Raise ConstraintError naming the violated constraint: pi_j x_i at
-        the probed steps.  Runs check it again wherever they read a new x_i,
-        and CanonicalC's alpha where they first read a position
-        (``_checked_alpha``): no finite probe covers every step or position."""
-        xs, rates = self._probes()
-        for i, xi in xs:
-            check_rate_x(self.case, i, xi, rates)
+        the probed steps, the first eight.  Runs check it again wherever they
+        read a new x_i, and CanonicalC's alpha where they first read a
+        position (``_checked_alpha``): no finite probe covers every step or
+        position.  Returns the probes (i, x_i) and ``rate_array()``, which a
+        run reads from here rather than again."""
+        xs = [(i, self.x_of(i)) for i in range(1, min(max(self.steps, 1), 8) + 1)]
+        rates = self.rate_array()
+        _checked_products(self.case, xs, range(1, self.ell + 1), rates)
+        return xs, rates
 
 
-def _checked_alpha(config: SimConfig) -> Callable[[int], float]:
+def _checked_products(case: CaseId, xs: list, order: Sequence[int], rates: np.ndarray):
+    """pi_j x_i for every (i, x_i) of ``xs`` (rows) and the rates pi_j of
+    particles ``order`` (columns), after checking them with numpy;
+    ``check_rate_x`` names the first violation, by row, then column."""
+    v = np.array([xi for _, xi in xs])[:, None] * rates
+    bad = ~((v >= 0) & (v < 1)) if case.geometric else v < 0
+    if np.count_nonzero(bad):
+        i, xi = xs[int(bad.any(axis=1).argmax())]
+        check_rate_x(case, i, xi, zip(order, rates.tolist()))
+    return v
+
+
+def _checked_alpha(config: SimConfig, xs: list, rates: np.ndarray) -> Callable[[int], float]:
     """``config.alpha_of``, raising ConstraintError for a position k whose
-    alpha_k breaks ``check_alpha`` at the probed x_i and the smallest
-    rate."""
-    xs, rates = config._probes()
-    low = min(rates, key=operator.itemgetter(1), default=(0, 0.0))
+    alpha_k breaks ``check_alpha`` at the probed (i, x_i) ``xs`` and the
+    smallest of the rates pi_1, ..., pi_ell."""
+    low = (int(rates.argmin()) + 1, float(rates.min())) if len(rates) else (0, 0.0)
     return lambda k: check_alpha(k, config.alpha_of(k), xs, low)
 
 
 @dataclass
 class Trajectory:
-    snapshots: list  # list of (time, Partition)
-    ell: int = 0  # particle count; 0 means the most parts of any snapshot
+    """A discrete run over rounds 0..steps, kept as its changes: (0, start),
+    then (round, state) after each round in which something moved, in
+    order.  ``steps`` defaults to the last change's round."""
+
+    changes: list  # (round, Partition), the start first
+    ell: int = 0  # particle count; 0 means the most parts of any state
+    steps: int | None = None
+
+    def __post_init__(self):
+        if self.steps is None:
+            self.steps = self.changes[-1][0]
+
+    @property
+    def snapshots(self) -> list:
+        """(round, state) for every round 0..steps; a round in which nothing
+        moved shares the state before it."""
+        ends = [t for t, _ in self.changes[1:]] + [self.steps + 1]
+        return [(t, p) for (t0, p), t1 in zip(self.changes, ends) for t in range(t0, t1)]
 
     def final(self) -> Partition:
-        return self.snapshots[-1][1]
+        return self.changes[-1][1]
 
     def positions(self, picture: str = "bosonic") -> list:
         """Per snapshot, the ell particle positions: bosonic parts, or
         fermionic part(j) - j."""
-        ell = self.ell or max(len(p.parts) for _, p in self.snapshots) or 1
+        ell = self.ell or max(len(p.parts) for _, p in self.changes) or 1
         if picture == "bosonic":
             return [(t, list(p.padded(ell))) for t, p in self.snapshots]
         return [(t, [p.part(j) - j for j in range(1, ell + 1)]) for t, p in self.snapshots]
@@ -162,13 +205,8 @@ def _inhom_walk(succ, k: int, u: float, stop=math.inf) -> int:
     return k
 
 
-def sample_inhom_geometric(
-    alpha: Callable[[int], float],
-    pi: float,
-    x: float,
-    start: int,
-    rng: np.random.Generator,
-) -> int:
+def sample_inhom_geometric(alpha: Callable[[int], float], pi: float, x: float, start: int,
+                           rng: np.random.Generator) -> int:
     """Inhomogeneous geometric jump from ``start``: P(w >= k) is the product
     of the successes (alpha_m + pi) x / (1 + alpha_m x) over sites start,
     ..., start + k - 1.  One uniform, by ``_inhom_walk``, the rule of
@@ -177,9 +215,8 @@ def sample_inhom_geometric(
     return _inhom_walk(succ, start, rng.random()) - start
 
 
-def inhom_geometric_pmf(
-    alpha: Callable[[int], float], pi: float, x: float, maxval: int, start: int = 0
-) -> list[float]:
+def inhom_geometric_pmf(alpha: Callable[[int], float], pi: float, x: float, maxval: int,
+                        start: int = 0) -> list[float]:
     """Closed-form pmf of the landing position start..maxval (the last
     entry is a point mass, not a tail)."""
     out = [(1.0 - pi * x) / (1.0 + alpha(start) * x)]
@@ -220,41 +257,56 @@ _BLOCK_DRAWS = 4096
 
 
 class _RoundTables:
-    """What a round reads per particle, built once per run rather
-    than once per particle per round: the update order and the rates in
-    that order, per-x_i thresholds (rebuilt when x_i changes), alpha
-    (CanonicalC) or beta_pos (CanonicalB) by integer position from 0, in a
+    """What a round reads per particle, built once per run from the probes
+    and rates of ``config.validate()``: the update order and the rates in
+    that order, the stretches of rounds with one x_i, per-x_i thresholds,
+    alpha (CanonicalC) or beta_pos (CanonicalB) by position from 0, in a
     table that grows as the particles advance, and CanonicalC's site
-    successes per (pi_j, x_i), which grow as its jumps walk further.  The
-    tables change as a run goes on, so two threads must not run rounds
-    with one of them at once."""
+    successes per (pi_j, x_i).  The tables change as a run goes on, so two
+    threads must not run rounds with one of them at once."""
 
     def __init__(self, case: CaseId, config: SimConfig):
+        xs, rates = config.validate()
         self.case = case
         self.order = list(update_order(case, config.ell, config.update))
-        self.rates = np.array([config.rate(j) for j in self.order])
+        self.rates = rates[[j - 1 for j in self.order]]
         self.rate_list = self.rates.tolist()
-        self.site_of = _checked_alpha(config) if case is CaseId.CANONICAL_C else config.beta_pos_of
+        self.site_of = (_checked_alpha(config, xs, rates) if case is CaseId.CANONICAL_C
+                        else config.beta_pos_of)
         self.sites: list = []
         # CanonicalC: (pi_j, x_i) -> site k -> success, shared by the
         # particles of one rate and kept across changes of x_i
         self.walks = _Lazy(lambda key: _Lazy(lambda k: _site_success(case, self.site(k), *key)))
-        self.xi = None
+        self.xi, self.probed = None, {xi for _, xi in xs}
+        self.x_of = config.x_of
+        self.cycle = None if callable(config.x) else [float(v) for v in config.x]
+
+    def stretches(self, first: int, n: int) -> list:
+        """(r, x_i of round first + r) for r = 0 and each r < n at which x_i
+        changes.  A sequence x repeats, so its changes come from one cycle;
+        a callable x is called once per round."""
+        if self.cycle is None:
+            cyc, o = [self.x_of(i) for i in range(first, first + n)], 0
+        else:
+            cyc, o = self.cycle, (first - 1) % len(self.cycle)
+        size = len(cyc)
+        turns = [d for d in range(1, size + 1) if cyc[(o + d) % size] != cyc[(o + d - 1) % size]]
+        periods = range(0, n, size) if turns else ()  # an x that never changes costs nothing
+        return [(0, cyc[o])] + [(p + d, cyc[(o + p + d) % size])
+                                for p in periods for d in turns if p + d < n]
 
     def at_x(self, i: int, xi: float) -> None:
         """Per-x_i thresholds, after checking pi_j x_i for every particle
-        (numpy finds a violation, ``check_rate_x`` names it).  A and C:
-        particle i can jump only if u >= floor[i]; the exact rule u >= 1 - q
-        rounds within a few ulps of |log q| <= 745 in ``sample_geometric``,
-        far inside the 1e-9 relative and 1e-15 absolute slack, so the floor
-        never excludes a jump.  CanonicalC: particle i walks the site
-        successes succ[i].  Bernoulli (B, D): particle i jumps iff
-        u < p_succ[i]."""
+        unless ``validate`` probed x_i.  A and C: particle i can jump only
+        if u >= floor[i]; the exact rule u >= 1 - q rounds within a few ulps
+        of |log q| <= 745 in ``sample_geometric``, far inside the 1e-9
+        relative and 1e-15 absolute slack, so the floor never excludes a
+        jump.  CanonicalC: particle i walks the site successes succ[i].
+        Bernoulli (B, D): particle i jumps iff u < p_succ[i]."""
         if xi == self.xi:
             return
-        v = self.rates * xi
-        if (~((v >= 0) & (v < 1)) if self.case.geometric else v < 0).any():
-            check_rate_x(self.case, i, xi, zip(self.order, self.rate_list))
+        v = (self.rates * xi if xi in self.probed  # validate checked these
+             else _checked_products(self.case, [(i, xi)], self.order, self.rates)[0])
         self.xi = xi
         if self.case is CaseId.CANONICAL_C:
             self.succ = [self.walks[rate, xi] for rate in self.rate_list]
@@ -270,10 +322,8 @@ class _RoundTables:
             self.sites.extend(self.site_of(i) for i in range(len(self.sites), k + 1))
         return self.sites[k]
 
-    def success(self, i: int, pos: Sequence[int], xi: float) -> float:
-        """Particle i's (in update order) site success probability at its
-        position in ``pos``."""
-        k = pos[self.order[i] - 1]
+    def success(self, i: int, k: int, xi: float) -> float:
+        """Particle i's (in update order) site success probability at site k."""
         return _site_success(self.case, self.site(k), self.rate_list[i], xi)
 
     def success_bound(self, hi: int) -> float:
@@ -288,76 +338,54 @@ class _RoundTables:
         return self.top
 
 
-def step_discrete(
-    case: CaseId,
-    state: Partition,
-    time_index: int,
-    config: SimConfig,
-    rng: np.random.Generator,
-    tables: _RoundTables | None = None,
-) -> Partition:
+def step_discrete(case: CaseId, state: Partition, time_index: int, config: SimConfig,
+                  rng: np.random.Generator) -> Partition:
     """One synchronous round: each particle in ``update_order`` draws its
     jump from one uniform and ``move``s.  It is the one-round block of
     ``_rounds``, so it draws ``rng.random(ell)`` and consumes the stream as
-    one scalar draw per particle in update order would.  ``tables`` are
-    the run's ``_RoundTables``, built from ``case`` and ``config``; without
-    them the round builds its own.  A round in which nothing moves returns
-    ``state``."""
-    if tables is None:
-        tables = _RoundTables(case, config)
-    return _rounds(case, state, time_index, 1, config, rng, tables)[0]
+    one scalar draw per particle in update order would.  A round in which
+    nothing moves returns ``state``."""
+    out: list = []
+    _rounds(list(state.padded(config.ell)), time_index, 1, rng, _RoundTables(case, config), out)
+    return out[-1][1] if out else state
 
 
-def _rounds(
-    case: CaseId,
-    state: Partition,
-    first: int,
-    n: int,
-    config: SimConfig,
-    rng: np.random.Generator,
-    tables: _RoundTables,
-) -> list:
-    """The states after rounds first, ..., first + n - 1.
+def _rounds(pos: list, first: int, n: int, rng: np.random.Generator, tables: _RoundTables,
+            out: list | None) -> None:
+    """Rounds first, ..., first + n - 1 of ``tables``' run from the bosonic
+    positions ``pos``, which move in place; (round, state) after each round
+    in which something moved is appended to ``out``, unless it is None.
 
     The block draws ``rng.random(n * ell)``: row r holds round first + r's
-    uniforms in update order, one per particle, so the block consumes what
-    n rounds of one scalar draw per particle would.  One numpy comparison
-    per stretch of rounds with one x_i picks the (round, particle) pairs
-    that can jump; Python decides those exactly, in order, with the scalar
-    formulas (CanonicalC: ``_inhom_walk``) and ``move``s the ones that
-    jump.  Jump laws read a particle's position before its own move, which
-    is its position at the start of the round: the position-dependent
-    cases (CanonicalB, CanonicalC) block, and a blocking move changes only
-    the particle that moves.
+    uniforms in update order, so it consumes what n rounds of one scalar
+    draw per particle would.  One numpy comparison per stretch of rounds
+    with one x_i picks the candidates, the (round, particle) draws that can
+    jump, and the loop walks these, not the rounds: it decides each with
+    the scalar formulas (CanonicalC: ``_inhom_walk``) and ``move``s the
+    ones that jump, so a round without a candidate costs nothing.  Jump
+    laws read a particle's position at the start of the round: the
+    position-dependent cases (CanonicalB, CanonicalC) block, and a blocking
+    move changes only the particle that moves.
 
     Their candidates are the draws below the success bound over positions
     0..hi, which covers every particle while particle 1, which no particle
-    passes, starts a round at or below hi.  hi starts at particle 1's start
-    plus n, which CanonicalB, moving at most one site a round, never
-    passes.  CanonicalC's particle 1 jumps without limit: when it starts a
-    round past hi, hi becomes its position plus the rounds left, and the
-    rounds left are selected again from the same draws.  A round in which
-    nothing moves keeps the state before it."""
-    m = config.ell
-    start = state.padded(m)
-    if not start:
-        return [state] * n
-    xs = [config.x_of(i) for i in range(first, first + n)]
-    ends = [r for r in range(1, n + 1) if r == n or xs[r] != xs[r - 1]]
-    u = rng.random(n * m).reshape(n, m)
+    passes, is at or below hi.  hi starts at particle 1's start plus n,
+    which CanonicalB, moving one site a round at most, never passes.  When
+    a round leaves CanonicalC's particle 1 past hi, hi becomes its position
+    plus the rounds left, and those are selected again from the same draws."""
+    if not pos:
+        return
+    u = rng.random(n * len(pos)).reshape(n, -1)
+    case = tables.case
     canonical_b, canonical_c = case is CaseId.CANONICAL_B, case is CaseId.CANONICAL_C
     geometric = case.geometric and not canonical_c  # A and C
-    bounded = case.canonical
-    laws = [None] * n
-
-    def select(r0: int, hi: int) -> tuple:
-        """(rounds, update indices, uniforms) of the candidates of rounds
-        r0, ..., n - 1, in order; ``laws`` of those rounds."""
-        cand_r, cand_i = [], []
-        for r1 in ends:
-            if r1 <= r0:
-                continue
-            tables.at_x(first + r0, xs[r0])
+    bounded, order, pushing = case.canonical, tables.order, case.pushing
+    stretches = tables.stretches(first, n) + [(n, None)]
+    hi = pos[0] + n
+    for (r0, xi), (r1, _) in zip(stretches, stretches[1:]):
+        tables.at_x(first + r0, xi)
+        law = tables.q_list if geometric else tables.succ if canonical_c else xi
+        while r0 < r1:
             rows = u[r0:r1]
             if bounded:
                 hit = rows < tables.success_bound(hi)
@@ -366,52 +394,33 @@ def _rounds(
             else:
                 hit = rows < tables.p_succ
             rs, ps = hit.nonzero()
-            cand_r.extend((rs + r0).tolist())
-            cand_i.extend(ps.tolist())
-            law = tables.q_list if geometric else tables.succ if canonical_c else xs[r0]
-            laws[r0:r1] = [law] * (r1 - r0)
+            cands = zip((rs + r0).tolist(), ps.tolist(), rows[rs, ps].tolist())
             r0 = r1
-        return cand_r, cand_i, u[cand_r, cand_i].tolist()
-
-    hi = start[0] + n
-    cand_r, cand_i, cand_u = select(0, hi)
-    order, pushing = tables.order, case.pushing
-    pos, cur, out, c, nc = list(start), state, [], 0, len(cand_r)
-    for r in range(n):
-        if bounded and pos[0] > hi:
-            hi = pos[0] + n - r
-            cand_r, cand_i, cand_u = select(r, hi)
-            c, nc = 0, len(cand_r)
-        moved = False
-        while c < nc and cand_r[c] == r:
-            i, v = cand_i[c], cand_u[c]
-            c += 1
-            if geometric:
-                w = sample_geometric(laws[r][i], v)
-            elif canonical_c:
-                j = order[i]
-                k = pos[j - 1]
-                w = _inhom_walk(laws[r][i], k, v, pos[j - 2] if j > 1 else math.inf) - k
-            elif canonical_b:
-                w = v < tables.success(i, pos, laws[r])
-            else:
-                w = 1
-            if w:
-                move(pos, order[i], w, pushing)
-                moved = True
-        if moved:
-            cur = Partition._trusted(pos)
-        out.append(cur)
-    return out
+            for r, group in itertools.groupby(cands, operator.itemgetter(0)):
+                moved = False
+                for _, i, v in group:
+                    j = order[i]
+                    k = pos[j - 1]
+                    if geometric:
+                        w = sample_geometric(law[i], v)
+                    elif canonical_c:
+                        w = _inhom_walk(law[i], k, v, pos[j - 2] if j > 1 else math.inf) - k
+                    elif canonical_b:
+                        w = v < tables.success(i, k, xi)
+                    else:
+                        w = 1
+                    if w:
+                        move(pos, j, w, pushing)
+                        moved = moved or pos[j - 1] != k  # a blocked jump may not move
+                if moved and out is not None:
+                    out.append((first + r, Partition._trusted(pos)))
+                if moved and bounded and pos[0] > hi:
+                    hi, r0 = pos[0] + n - r - 1, r + 1
+                    break
 
 
-def step_batch(
-    case: CaseId,
-    positions: np.ndarray,
-    time_index: int,
-    config: SimConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def step_batch(case: CaseId, positions: np.ndarray, time_index: int, config: SimConfig,
+               rng: np.random.Generator) -> np.ndarray:
     """Vectorized synchronous round over a batch (rows are independent
     copies), column by column in ``update_order``.  Used by the statistics
     harness."""
@@ -420,7 +429,7 @@ def step_batch(
     check_rate_x(case, time_index, xi, rates)
     pos = positions
     size = pos.shape[0]
-    alpha = _checked_alpha(config) if case is CaseId.CANONICAL_C else None
+    alpha = _checked_alpha(config, *config.validate()) if case is CaseId.CANONICAL_C else None
     for j, rate in rates:
         col = j - 1
         if case is CaseId.A or case is CaseId.C:
@@ -468,26 +477,35 @@ def _batch_inhom_jump(start: np.ndarray, alpha: Callable[[int], float], pi: floa
 
 
 def run(config: SimConfig, run_index: int = 0) -> Trajectory:
-    """Deterministic given (seed, run_index).  Rounds run in blocks of
-    ``_rounds``, which consume the stream as one round after another
-    would."""
-    config.validate()
-    rng = rng_for(config.seed, run_index)
+    """Deterministic given (seed, run_index): the start and the rounds in
+    which something moved (``_run``)."""
+    changes = [(0, config.start)]
+    _run(config, run_index, changes)
+    return Trajectory(changes, config.ell, config.steps)
+
+
+def run_final(config: SimConfig, run_index: int = 0) -> Partition:
+    """``run(config, run_index).final()`` without keeping the rounds before
+    it, so memory does not grow with the rounds."""
+    return Partition._trusted(_run(config, run_index, None))
+
+
+def _run(config: SimConfig, run_index: int, out: list | None) -> list:
+    """The bosonic positions after ``config.steps`` rounds.  They run in
+    blocks of ``_rounds``, which consume the stream as one round after
+    another would and append their changes to ``out``."""
     tables = _RoundTables(config.case, config)
-    state = config.start
-    snaps = [(0, state)]
+    rng = rng_for(config.seed, run_index)
+    pos = list(config.start.padded(config.ell))
     block = max(1, _BLOCK_DRAWS // max(config.ell, 1))
     for first in range(1, config.steps + 1, block):
         n = min(block, config.steps + 1 - first)
-        states = _rounds(config.case, state, first, n, config, rng, tables)
-        snaps.extend(zip(range(first, first + n), states))
-        state = states[-1]
-    return Trajectory(snaps, config.ell)
+        _rounds(pos, first, n, rng, tables, out)
+    return pos
 
 
-def sample_batch_final(
-    config: SimConfig, samples: int, seed: int, batch_run_index: int = 0
-) -> np.ndarray:
+def sample_batch_final(config: SimConfig, samples: int, seed: int,
+                       batch_run_index: int = 0) -> np.ndarray:
     """Vectorized: final positions (samples x ell) after config.steps."""
     return batch_final(config, samples, rng_for(seed, batch_run_index))
 
@@ -504,17 +522,11 @@ def batch_final(config: SimConfig, samples: int, rng) -> np.ndarray:
     return pos
 
 
-def _clock_rates(ell: int, rates: Sequence[float] | Callable[[int], float] | float) -> list:
-    """pi_1, ..., pi_ell as floats from a list, a callable of j or one
-    number, after ``check_clock_rates``."""
-    if callable(rates):
-        rate = [float(rates(j)) for j in range(1, ell + 1)]
-    elif isinstance(rates, (int, float)):
-        rate = [float(rates)] * ell
-    else:
-        rate = [float(r) for r in rates]
+def _clock_rates(ell: int, rates: Rates) -> list:
+    """``_rate_floats`` after ``check_clock_rates``."""
+    rate = _rate_floats(ell, rates)
     check_clock_rates(ell, rate)
-    return rate[:ell]
+    return rate
 
 
 # A row draws its ring gaps in blocks of its mean ring count before t plus
@@ -616,15 +628,9 @@ def _row(rings: np.ndarray, t: float, s: int, levels: np.ndarray, prev_s: int, p
     return out[..., 1:], final
 
 
-def sample_continuous_final(
-    ell: int,
-    t: float,
-    rates: Sequence[float] | Callable[[int], float] | float,
-    samples: int,
-    rng: np.random.Generator,
-    push: bool = False,
-    start: Partition | None = None,
-) -> np.ndarray:
+def sample_continuous_final(ell: int, t: float, rates: Rates, samples: int,
+                            rng: np.random.Generator, push: bool = False,
+                            start: Partition | None = None) -> np.ndarray:
     """Final bosonic positions (samples x ell) of continuous-time blocking
     (or, with ``push``, pushing) TASEP at time t, particle j ringing at rate
     pi_j.  A particle rings as its own Poisson process whatever the others
@@ -658,14 +664,8 @@ def sample_continuous_final(
     return out
 
 
-def run_continuous(
-    ell: int,
-    t: float,
-    rates: Sequence[float] | Callable[[int], float] | float,
-    rng: np.random.Generator,
-    push: bool = False,
-    start: Partition | None = None,
-) -> list[int]:
+def run_continuous(ell: int, t: float, rates: Rates, rng: np.random.Generator, push: bool = False,
+                   start: Partition | None = None) -> list[int]:
     """Bosonic positions at time t of one continuous-time run: the
     one-sample case of ``sample_continuous_final``."""
     return sample_continuous_final(ell, t, rates, 1, rng, push, start)[0].tolist()

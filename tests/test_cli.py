@@ -213,6 +213,49 @@ def test_multipoint_cli(params_file):
     assert 0 <= out["payload"]["value_float"] <= 1
 
 
+def _parse_int(text):
+    """int(text) for a digit string of any length: ``int`` refuses more
+    digits than ``sys.get_int_max_str_digits()``, as ``str`` does."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_writes_ints_past_the_digit_limit():
+    # low chunks with leading zeros, signs, and ints at and past the limit
+    from ktasep.cli import _decimal
+
+    for n in (0, 7, -7, 10**4299 - 1, 10**4300, 10**5000 + 7, -(10**9000) - 10**4300, 3**20000):
+        assert _parse_int(_decimal(n)) == n
+
+
+def test_multipoint_prints_values_past_the_digit_limit(tmp_path):
+    # at trunc 1000 the series value's denominator has 4482 digits, more
+    # than str() writes by default (4300): it is printed, not reported as a
+    # usage error
+    from fractions import Fraction
+
+    from ktasep import multipoint as mpmod
+    from ktasep.cli import load_params
+    from ktasep.kernels import CaseId
+    from ktasep.partitions import Partition
+
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"x": ["1/10"], "pi": ["1/2", "1/3", "1/5"]}))
+    proc = run_cli("multipoint", "--case", "C", "--dir", "ge", "--thresholds", "[2,1]",
+                   "--start", "[]", "--n", "1", "--ell", "3", "--trunc", "1000",
+                   "--params", str(p))
+    value = json.loads(proc.stdout)["payload"]["value"]
+    q = mpmod.MultiPointQuery(CaseId.C, "ge", 1, Partition([2, 1]), Partition([]), 3,
+                              load_params(str(p), 1))
+    exact, _ = mpmod.mp_blocking(q, None, trunc=1000)
+    assert len(value["den"]) > 4300
+    assert Fraction(_parse_int(value["num"]), _parse_int(value["den"])) == exact
+
+
 MP_C = ["--case", "C", "--dir", "ge"]
 
 

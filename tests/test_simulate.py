@@ -20,6 +20,7 @@ from ktasep.simulate import (
     rng_for,
     run,
     run_continuous,
+    run_final,
     sample_batch_final,
     sample_continuous_final,
     sample_geometric,
@@ -441,6 +442,98 @@ def test_run_matches_scalar_rounds_across_blocks(monkeypatch):
     assert len(set(reaches)) > 3
 
 
+# particles 2 and 4 have rate 0.3, so a site where alpha = -0.3 has
+# success 0 for them and stops their walks
+WALL_RATES = [0.5, 0.3, 0.45, 0.3, 0.5, 0.4]
+
+
+@pytest.mark.parametrize("update", list(UpdateOrder), ids=lambda u: u.name)
+@pytest.mark.parametrize("case", list(CaseId), ids=lambda c: c.value)
+def test_candidate_loop_matches_scalar_rounds(case, update):
+    # The loop that walks candidates, against one scalar draw and ``move``
+    # per particle per round, over two blocks of rounds (682 at ell = 6):
+    # x from a list of three, so x_i changes every round and each block
+    # reads a new x_i at every round, or from a callable; a frozen particle
+    # (rate 0), except in CanonicalC, whose alpha_k + pi_j must stay >= 0;
+    # and in CanonicalC sites where alpha = -pi.
+    base = dict(case=case, ell=6, steps=1000, update=update, start=P_([4, 2, 2]),
+                beta_pos=lambda m: 0.2 * (m % 4))
+    frozen = 0.2 if case is CaseId.CANONICAL_C else 0.0
+    configs = [
+        SimConfig(**base, seed=11, x=[0.05, 0.3, 0.6], rates=[0.5, frozen, 0.4, 0.5, 0.3, 0.45],
+                  alpha=lambda m: 0.15 * (m % 3)),
+        SimConfig(**base, seed=12, x=lambda i: 0.05 if i % 4 else 0.6, rates=WALL_RATES,
+                  alpha=lambda m: -0.3 if m % 5 == 3 else 0.1),
+    ]
+    for cfg in configs:
+        snaps = run(cfg).snapshots
+        assert snaps == _scalar_run(cfg), cfg.seed
+        assert len(snaps) == cfg.steps + 1
+        assert run_final(cfg) == snaps[-1][1]
+    if not (case.canonical or case.pushing):  # nothing carries the frozen particle
+        assert {p.part(2) for _, p in run(configs[0]).snapshots} == {2}
+    if case is CaseId.CANONICAL_C:  # the wall at site 3 holds particle 2
+        assert run_final(configs[1]).part(2) == 3
+
+
+@pytest.mark.parametrize("update", list(UpdateOrder), ids=lambda u: u.name)
+def test_canonical_c_reselects_when_particle_1_outruns_the_bound(monkeypatch, update):
+    # particle 1 jumps several sites a round, so it passes the first
+    # bound's reach (its start plus the 682 rounds of a block at ell = 6)
+    # inside the block, and the rounds left are selected again with a
+    # larger reach
+    reaches = []
+    bound = simulate._RoundTables.success_bound
+    monkeypatch.setattr(simulate._RoundTables, "success_bound",
+                        lambda tables, hi: reaches.append(hi) or bound(tables, hi))
+    cfg = SimConfig(case=CaseId.CANONICAL_C, ell=6, steps=700, seed=5, x=[1.6, 1.8],
+                    rates=WALL_RATES, alpha=lambda m: -0.3 if m % 7 == 3 else 0.2,
+                    update=update, start=P_([3, 1]))
+    snaps = run(cfg).snapshots
+    assert snaps == _scalar_run(cfg)
+    assert snaps[682][1].part(1) > 3 + 682
+    assert len(set(reaches)) > 2
+
+
+def test_stretches_follow_the_cycle_of_x():
+    # a sequence x's change points come from its cycle; they must be the
+    # rounds at which x_of changes, from any first round and block length
+    for x in ([0.1], [0.1, 0.2], [0.1, 0.1, 0.3], [0.2, 0.3, 0.2], [0.4, 0.4, 0.4, 0.1]):
+        cfg = SimConfig(case=CaseId.A, ell=2, steps=50, rates=[0.5, 0.5], x=x)
+        tables = simulate._RoundTables(CaseId.A, cfg)
+        for first in range(1, 9):
+            for n in (1, 2, 3, 7, 20):
+                xs = [cfg.x_of(i) for i in range(first, first + n)]
+                naive = [(r, xs[r]) for r in range(n) if r == 0 or xs[r] != xs[r - 1]]
+                assert tables.stretches(first, n) == naive, (x, first, n)
+
+
+def test_trajectory_keeps_changes():
+    # x = 0 moves nobody: one change, the start, still expands to a
+    # snapshot per round
+    start = P_([3, 1])
+    traj = run(SimConfig(case=CaseId.A, ell=3, steps=40, rates=[0.5] * 3, x=[0.0], start=start))
+    assert traj.changes == [(0, start)] and traj.steps == 40
+    assert traj.snapshots == [(t, start) for t in range(41)]
+    assert all(p is start for _, p in traj.snapshots)
+    assert traj.final() is start
+    # a run that moves keeps only its moving rounds; rounds between two
+    # changes share the earlier state's Partition
+    cfg = SimConfig(case=CaseId.C, ell=4, steps=60, rates=[0.5] * 4, x=[0.1], seed=3,
+                    start=P_([6, 4, 2, 1]))
+    traj = run(cfg)
+    snaps = traj.snapshots
+    assert snaps == _scalar_run(cfg) and len(snaps) == 61
+    assert 1 < len(traj.changes) < 61
+    assert traj.changes[1:] == [s for s, (_, prev) in zip(snaps[1:], snaps) if s[1] != prev]
+    assert all(p is q for (t, p), (_, q) in zip(snaps[1:], snaps) if t not in dict(traj.changes))
+    assert traj.final() == snaps[-1][1] and run_final(cfg) == traj.final()
+    bosonic, fermionic = traj.positions(), traj.positions("fermionic")
+    assert [t for t, _ in bosonic] == list(range(61))
+    assert bosonic[0][1] == [6, 4, 2, 1] and fermionic[0][1] == [5, 2, -1, -3]
+    assert all(f == [b[j] - j - 1 for j in range(4)] for (_, b), (_, f) in zip(bosonic, fermionic))
+
+
 # CanonicalC at ell = 3 from mu = (1): a rate above the others, jumps of
 # several sites (x = 3/5) and a hard wall at site 3, where alpha_3 = -pi
 # for particles 1 and 3
@@ -770,7 +863,10 @@ def test_exact_and_sampler_checks_agree(case):
 
 
 def test_fermionic_picture_transform():
+    # a Trajectory built from a list of snapshots, one per round
     traj = Trajectory([(0, P_([])), (1, P_([2, 1]))])
+    assert traj.steps == 1 and traj.snapshots == [(0, P_([])), (1, P_([2, 1]))]
+    assert traj.final() == P_([2, 1])
     ferm = traj.positions("fermionic")
     assert ferm[-1][1] == [1, -1]
 
