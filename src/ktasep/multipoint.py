@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 from typing import Sequence
@@ -200,6 +201,12 @@ def mp_blocking_series(query: MultiPointQuery, trunc: int = 60):
     if q > 0:
         fb = float(q) ** (trunc + 1) / (1.0 - float(q))
         bound = fb * (ell * ell * math.factorial(ell)) * 4.0
+        if bound < sys.float_info.min:
+            # a subnormal or underflowed float: the exact bound, rounded up
+            exact = q ** (trunc + 1) / (1 - q) * (ell * ell * math.factorial(ell) * 4)
+            bound = float(exact)
+            if bound < exact:
+                bound = math.nextafter(bound, math.inf)
     return value, bound
 
 

@@ -12,7 +12,12 @@ one update rule: particles move in ``update_order`` and each move is
 CanonicalC included (its jump by inverse CDF, ``_inhom_walk``), so ``run``
 draws its rounds in blocks (``_rounds``) and does Python work only for the
 candidates, the draws that can jump.  Its ``Trajectory`` keeps the rounds
-in which something moved, and ``run_final`` only the final state.
+in which something moved, and ``run_final`` only the final state.  The
+batch sampler (``batch_final``) runs the same rounds over many samples at
+once: ``step_batch`` reads the same ``_RoundTables``, draws each round's
+uniforms sample by sample in update order, decides the jumps with the same
+thresholds and formulas and applies ``move``'s rule to whole rows, so
+sample 0 of a one-sample batch is ``run_final``.
 
 In continuous time each particle rings as its own Poisson process, so
 ``sample_continuous_final`` draws one particle's ring times at a time
@@ -257,9 +262,9 @@ _BLOCK_DRAWS = 4096
 
 
 class _RoundTables:
-    """What a round reads per particle, built once per run from the probes
-    and rates of ``config.validate()``: the update order and the rates in
-    that order, the stretches of rounds with one x_i, per-x_i thresholds,
+    """What a round reads per particle, built once per run or batch from
+    the probes and rates of ``config.validate()``: the update order and the
+    rates in that order, the stretches of rounds with one x_i, per-x_i thresholds,
     alpha (CanonicalC) or beta_pos (CanonicalB) by position from 0, in a
     table that grows as the particles advance, and CanonicalC's site
     successes per (pi_j, x_i).  The tables change as a run goes on, so two
@@ -419,61 +424,48 @@ def _rounds(pos: list, first: int, n: int, rng: np.random.Generator, tables: _Ro
                     break
 
 
-def step_batch(case: CaseId, positions: np.ndarray, time_index: int, config: SimConfig,
-               rng: np.random.Generator) -> np.ndarray:
-    """Vectorized synchronous round over a batch (rows are independent
-    copies), column by column in ``update_order``.  Used by the statistics
-    harness."""
-    xi = config.x_of(time_index)
-    rates = [(j, config.rate(j)) for j in update_order(case, config.ell, config.update)]
-    check_rate_x(case, time_index, xi, rates)
-    pos = positions
-    size = pos.shape[0]
-    alpha = _checked_alpha(config, *config.validate()) if case is CaseId.CANONICAL_C else None
-    for j, rate in rates:
-        col = j - 1
-        if case is CaseId.A or case is CaseId.C:
-            q = rate * xi
-            w = rng.geometric(1.0 - q, size=size) - 1 if q > 0 else np.zeros(size, dtype=np.int64)
-        elif case is CaseId.CANONICAL_C:
-            w = _batch_inhom_jump(pos[:, col], alpha, rate, xi, rng)
+def step_batch(tables: _RoundTables, pos: np.ndarray, time_index: int, rng) -> np.ndarray:
+    """Round ``time_index`` of ``tables``' run over a batch of independent
+    runs: row j - 1 of ``pos`` (ell x samples) holds particle j's bosonic
+    positions, which move in place.  The round draws ``rng.random((samples,
+    ell))``: row b holds sample b's uniforms in update order, the draws of
+    round ``time_index`` of a ``_rounds`` block.  The particles move in
+    update order, each jump decided by the thresholds and formulas of
+    ``_rounds`` from the particle's position at the start of the round,
+    then pushing (A, D) or blocked by the particle before."""
+    ell, samples = pos.shape
+    if not ell:
+        return pos
+    tables.at_x(time_index, tables.x_of(time_index))
+    u = rng.random((samples, ell)).T.copy()  # row i: the i-th particle in update order
+    case, xi = tables.case, tables.xi
+    if case.canonical:
+        bound = tables.success_bound(int(pos[0].max(initial=0)))
+        sites = np.array(tables.sites)
+    for i, j in enumerate(tables.order):
+        row, v = pos[j - 1], u[i]
+        if case is CaseId.CANONICAL_C:
+            # the walk stops at the blocking neighbour, as in ``_rounds``
+            b = np.flatnonzero(v < bound)
+            stops = pos[j - 2, b].tolist() if j > 1 else itertools.repeat(math.inf)
+            row[b] = [_inhom_walk(tables.succ[i], k, vb, stop)
+                      for k, vb, stop in zip(row[b].tolist(), v[b].tolist(), stops)]
+            continue
+        if case.geometric:  # A and C
+            q = tables.q_list[i]
+            if q > 0:  # sample_geometric, with math.log1p: numpy picks its kernel by CPU
+                b = np.flatnonzero(v >= tables.floor[i])
+                logs = np.fromiter(map(math.log1p, (-v[b]).tolist()), float, len(b))
+                row[b] += np.floor(logs / math.log(q)).astype(np.int64)
         elif case is CaseId.CANONICAL_B:
-            beta_here = _at_positions(config.beta_pos_of, pos[:, col])
-            w = rng.random(size) < _site_success(case, beta_here, rate, xi)
+            row += v < _site_success(case, sites[row], tables.rate_list[i], xi)
         else:
-            v = rate * xi
-            w = rng.random(size) < v / (1.0 + v)
-        new = pos[:, col] + w
+            row += v < tables.p_succ[i]
         if case.pushing:
-            pos[:, col] = new
-            np.maximum(pos[:, :col], pos[:, col:col + 1], out=pos[:, :col])
-        else:
-            pos[:, col] = np.minimum(new, pos[:, col - 1]) if col > 0 else new
+            np.maximum(pos[:j - 1], row, out=pos[:j - 1])
+        elif j > 1:
+            np.minimum(row, pos[j - 2], out=row)
     return pos
-
-
-def _at_positions(rate: Callable[[int], float], positions: np.ndarray) -> np.ndarray:
-    """``rate(k)`` for every entry k of the integer array ``positions``,
-    calling ``rate`` once per integer in [min, max], not once per entry."""
-    if positions.size == 0:
-        return np.zeros(0)
-    lo, hi = int(positions.min()), int(positions.max())
-    table = np.array([rate(k) for k in range(lo, hi + 1)], dtype=float)
-    return table[positions - lo]
-
-
-def _batch_inhom_jump(start: np.ndarray, alpha: Callable[[int], float], pi: float, xi: float,
-                      rng) -> np.ndarray:
-    """Per-row inhomogeneous geometric jumps at rate pi from ``start``."""
-    cur = start.copy()
-    active = np.ones(cur.shape[0], dtype=bool)
-    while active.any():
-        a = _at_positions(alpha, cur[active])
-        step = rng.random(int(active.sum())) < _site_success(CaseId.CANONICAL_C, a, pi, xi)
-        idx = np.flatnonzero(active)
-        cur[idx[step]] += 1
-        active[idx[~step]] = False
-    return cur - start
 
 
 def run(config: SimConfig, run_index: int = 0) -> Trajectory:
@@ -512,14 +504,15 @@ def sample_batch_final(config: SimConfig, samples: int, seed: int,
 
 def batch_final(config: SimConfig, samples: int, rng) -> np.ndarray:
     """``sample_batch_final`` drawing from ``rng``: a Generator, or any
-    object with its ``random`` and ``geometric`` methods."""
-    config.validate()
-    pos = np.tile(
-        np.array(config.start.padded(config.ell), dtype=np.int64), (samples, 1)
-    )
+    object with its ``random`` method.  Its rounds are ``step_batch``es
+    over one ``_RoundTables``, so sample 0 of a one-sample batch from
+    ``rng_for(seed, r)`` is ``run_final(config, r)``."""
+    tables = _RoundTables(config.case, config)
+    start = np.array(config.start.padded(config.ell), dtype=np.int64)
+    pos = np.repeat(start[:, None], samples, axis=1)
     for i in range(1, config.steps + 1):
-        pos = step_batch(config.case, pos, i, config, rng)
-    return pos
+        step_batch(tables, pos, i, rng)
+    return pos.T
 
 
 def _clock_rates(ell: int, rates: Rates) -> list:

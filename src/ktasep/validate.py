@@ -438,10 +438,6 @@ class _BiasedGenerator:
     def random(self, *args, **kwargs):
         return self._rng.random(*args, **kwargs) ** self._power
 
-    def geometric(self, p, size=None):
-        u = self._rng.random(size) ** self._power
-        return np.floor(np.log1p(-u) / np.log1p(-p)).astype(np.int64) + 1
-
 
 # ---------------------------------------------------------------------------
 # trajectory <-> tableau correspondences

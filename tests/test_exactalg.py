@@ -61,6 +61,44 @@ def test_ring_laws(ta, tb, tc):
     assert a * b == b * a
 
 
+# a quotient of two small LaurentPolys, each as ``build`` takes them
+rational_strategy = st.tuples(*[st.lists(
+    st.tuples(st.integers(-3, 3), st.lists(st.integers(-1, 1), min_size=5, max_size=5)),
+    max_size=3,
+)] * 2)
+
+# a rational point at which no variable vanishes
+POINT = {VarId("X", 1): F(1, 3), VarId("X", 2): F(-2, 5), VarId("P", 1): F(3, 7),
+         VarId("A", 1): F(5, 2), VarId("B", 2): F(-7, 11)}
+
+
+def build_rf(terms):
+    num, den = build(terms[0]), build(terms[1])
+    r = RationalFn.from_poly(num)
+    return r * RationalFn.from_den_factor(den) if den else r
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_strategy, rational_strategy, rational_strategy)
+def test_rationalfn_ring_laws(ta, tb, tc):
+    a, b, c = build_rf(ta), build_rf(tb), build_rf(tc)
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    if a:
+        assert a * a.inverse() == 1
+    # eval is a ring homomorphism at a point off the poles
+    try:
+        va, vb = a.eval(POINT), b.eval(POINT)
+    except PoleError:
+        return
+    assert (a + b).eval(POINT) == va + vb
+    assert (a - b).eval(POINT) == va - vb
+    assert (a * b).eval(POINT) == va * vb
+    if va:
+        assert a.inverse().eval(POINT) == 1 / va
+
+
 def test_laurent_negative_exponents():
     p1 = P(1)
     inv = LaurentPoly.var(VarId("P", 1), -1)

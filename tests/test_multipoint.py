@@ -489,6 +489,11 @@ def test_series_trunc_is_bounded():
     for bad in (-1, MAX_TRUNC + 1, sys.maxsize):
         with pytest.raises(ValueError, match="MAX_TRUNC"):
             mp_blocking_series(q, bad)
-    # the cap itself runs; its float bound underflows to 0, so compare exactly
-    v, _ = mp_blocking_series(q, MAX_TRUNC)
-    assert 0 < abs(v - mp_blocking_contour(q)) < F(1, 10**1000)
+    # past trunc 247 the float bound would underflow to 0 and call a
+    # truncated value exact: the bound is the exact one rounded up instead
+    exact = mp_blocking_contour(q)
+    for trunc in (248, MAX_TRUNC):
+        v, bound = mp_blocking_series(q, trunc)
+        assert bound > 0
+        assert 0 < abs(v - exact) <= bound, trunc
+    assert abs(mp_blocking_series(q, MAX_TRUNC)[0] - exact) < F(1, 10**1000)

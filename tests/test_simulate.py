@@ -15,6 +15,7 @@ from ktasep.partitions import Partition
 from ktasep.simulate import (
     SimConfig,
     Trajectory,
+    batch_final,
     inhom_geometric_pmf,
     move,
     rng_for,
@@ -25,11 +26,10 @@ from ktasep.simulate import (
     sample_continuous_final,
     sample_geometric,
     sample_inhom_geometric,
-    step_batch,
     step_discrete,
     update_order,
 )
-from ktasep.validate import compare_counts
+from ktasep.validate import _histogram, brute_force_table, compare_counts
 
 P_ = Partition
 
@@ -149,7 +149,7 @@ def test_pushing_example_case_d():
 # sha256 of the integer outputs of _stream_outputs() at fixed seeds.  A
 # change that reorders, adds or drops random draws, or alters the update
 # rule, changes it and must update it on purpose.
-STREAM_DIGEST = "1234bf3be5abf2d5ac7fe5fc1f8e5edc1abcfb3033f61d313633a733b76677c4"
+STREAM_DIGEST = "efe629eee047dde333a8362c5c3adbae7c445c917f4d04e921035426408cbd7c"
 
 
 def _stream_outputs():
@@ -271,29 +271,29 @@ def _digest(pairs):
 # that a change meant to move one case's stream shows that no other moved
 CASE_DIGESTS = {
     "stream/run/A/GEOMETRIC_DESCENDING": "461326f18b351d4c",
-    "stream/batch/A/GEOMETRIC_DESCENDING": "4c41546bbf0ad309",
+    "stream/batch/A/GEOMETRIC_DESCENDING": "ecdfed4a3c47e05c",
     "stream/run/B/GEOMETRIC_DESCENDING": "5d2db9b048a69e81",
-    "stream/batch/B/GEOMETRIC_DESCENDING": "550f7c4d872d8862",
+    "stream/batch/B/GEOMETRIC_DESCENDING": "ca9dd43ade6ffe8b",
     "stream/run/C/GEOMETRIC_DESCENDING": "13f5d932009e2509",
-    "stream/batch/C/GEOMETRIC_DESCENDING": "259410caa3324006",
+    "stream/batch/C/GEOMETRIC_DESCENDING": "f5e9dea14d097498",
     "stream/run/D/GEOMETRIC_DESCENDING": "091ce4d5ce8f3e8a",
-    "stream/batch/D/GEOMETRIC_DESCENDING": "d555a7b88eea5afb",
+    "stream/batch/D/GEOMETRIC_DESCENDING": "f6cb78f27bb23fb8",
     "stream/run/CanonicalC/GEOMETRIC_DESCENDING": "c1cf9f38dd84c96d",
-    "stream/batch/CanonicalC/GEOMETRIC_DESCENDING": "9ef7594d27b14eb9",
+    "stream/batch/CanonicalC/GEOMETRIC_DESCENDING": "218614dccad05851",
     "stream/run/CanonicalB/GEOMETRIC_DESCENDING": "2545db710ddf5d11",
-    "stream/batch/CanonicalB/GEOMETRIC_DESCENDING": "fe57d87b2ee8c137",
+    "stream/batch/CanonicalB/GEOMETRIC_DESCENDING": "8f3e1070f8bc453b",
     "stream/run/A/GEOMETRIC_ASCENDING": "66bdbfac95f9bcfe",
-    "stream/batch/A/GEOMETRIC_ASCENDING": "d3a16b9b6ccd4f42",
+    "stream/batch/A/GEOMETRIC_ASCENDING": "0887bf30606870ba",
     "stream/run/B/GEOMETRIC_ASCENDING": "8c2b218a6c56040f",
-    "stream/batch/B/GEOMETRIC_ASCENDING": "0d2a8569aafd28d9",
+    "stream/batch/B/GEOMETRIC_ASCENDING": "6fe8edf1565fb292",
     "stream/run/C/GEOMETRIC_ASCENDING": "401d3e5e938d62d2",
-    "stream/batch/C/GEOMETRIC_ASCENDING": "fee52e6702604caf",
+    "stream/batch/C/GEOMETRIC_ASCENDING": "2c73b155e7fdb9fd",
     "stream/run/D/GEOMETRIC_ASCENDING": "2fb29224e4f8f7a5",
-    "stream/batch/D/GEOMETRIC_ASCENDING": "a76268d7bc7d0fd5",
+    "stream/batch/D/GEOMETRIC_ASCENDING": "c4358462aed95071",
     "stream/run/CanonicalC/GEOMETRIC_ASCENDING": "efb432726f2b8a51",
-    "stream/batch/CanonicalC/GEOMETRIC_ASCENDING": "950b1c6beabbcd0c",
+    "stream/batch/CanonicalC/GEOMETRIC_ASCENDING": "ab8baeacaa308d47",
     "stream/run/CanonicalB/GEOMETRIC_ASCENDING": "81f88eeb5cadec0b",
-    "stream/batch/CanonicalB/GEOMETRIC_ASCENDING": "e7a288ce1c2ec286",
+    "stream/batch/CanonicalB/GEOMETRIC_ASCENDING": "7a17e65aa051ac54",
     "stream/continuous/push=False": "bb3ab5930af3b9d0",
     "stream/continuous/push=True": "1daa8c8dfed1fa19",
     "long/0:A/ell=10": "0f0dce35f1e23ea6",
@@ -721,9 +721,59 @@ def test_batch_rate_calls_bounded_by_positions():
                         alpha=counting, beta_pos=counting, start=P_([1]))
         finals = sample_batch_final(cfg, samples, 3)
         reach = int(finals.max()) + 1
-        # CanonicalC draws one more round per position a jump passes
-        rounds = reach if case is CaseId.CANONICAL_C else 1
-        assert 0 < len(calls) <= steps * ell * (4 + rounds * reach) < samples // 10, case
+        # one site table per batch, filled once per position up to the
+        # furthest a particle reads
+        assert 0 < len(calls) <= reach < samples // 10, case
+
+
+@pytest.mark.parametrize("update", list(UpdateOrder))
+@pytest.mark.parametrize("case", list(CaseId))
+def test_one_sample_batch_is_run(case, update):
+    # The batch's rounds read run's tables and draw run's stream, so sample
+    # 0 of a one-sample batch from rng_for(seed, r) is run_final(config, r):
+    # under a list x and a callable x, with a zero rate (pi_3; CanonicalC
+    # needs alpha_k + pi_j >= 0, so its rates stay positive), alpha_6 = -pi
+    # (a site of success 0) and CanonicalC at pi x = 0.95, where particle 1
+    # outruns the reach its first candidates were picked for
+    canonical_c = case is CaseId.CANONICAL_C
+    rates = [0.5] * 4 if canonical_c else [0.6, 0.5, 0.0, 0.4]
+    xs = [[0.5, 0.3], lambda i: 0.5 if i % 3 else 0.3] + ([[1.9]] if canonical_c else [])
+    outran = 0
+    for x in xs:
+        for wall in (False, True) if canonical_c else (False,):
+            for steps in (1, 5, 40):
+                cfg = SimConfig(
+                    case=case, ell=4, steps=steps, rates=rates, x=x, seed=5, update=update,
+                    alpha=lambda m, w=wall: -0.5 if w and m == 6 else 0.1 * (m % 3),
+                    beta_pos=lambda m: 0.2 * (m % 4), start=P_([3, 1, 1]),
+                )
+                for r in range(8):
+                    final = run_final(cfg, r)
+                    got = batch_final(cfg, 1, rng_for(5, r))[0].tolist()
+                    assert got == list(final.padded(4)), (x, wall, steps, r)
+                    outran += final.part(1) > 3 + steps
+    assert outran or not canonical_c
+
+
+@pytest.mark.parametrize("case", list(CaseId))
+def test_batch_matches_oracle_under_ascending_order(case):
+    # the statistics harness samples the pinned update order; the batch
+    # sampler under the other order against the oracle's table for it
+    b = ParamBinding.numeric(
+        x=[F(1, 5)], rates=[F(1, 2), F(1, 3), F(1, 7)],
+        alpha=lambda k: F(1, 4 + k) if k >= 1 else F(0),
+        beta_pos=lambda k: F(1, 6 + k) if k >= 1 else F(0),
+    )
+    update = UpdateOrder.GEOMETRIC_ASCENDING
+    exact = brute_force_table(case, 1, P_([1, 1]), b, 3, 12, update)
+    cfg = SimConfig(
+        case=case, ell=3, steps=1, rates=[0.5, 1 / 3, 1 / 7], x=[0.2], update=update,
+        alpha=lambda k: 1 / (4 + k) if k >= 1 else 0.0,
+        beta_pos=lambda k: 1 / (6 + k) if k >= 1 else 0.0, start=P_([1, 1]),
+    )
+    samples = 100_000
+    rep = compare_counts(exact, _histogram(sample_batch_final(cfg, samples, 7)), samples)
+    assert rep.healthy, (rep.tv_distance, rep.p_value)
 
 
 def test_continuous_time_zero():
@@ -782,13 +832,15 @@ def test_canonical_c_alpha_checked_at_every_position():
     cfg = SimConfig(case=CaseId.CANONICAL_C, ell=2, steps=5, rates=[0.5, 0.5], x=[0.5],
                     alpha=lambda k: -0.9 if k >= 4 else 0.0, start=P_([5, 5]))
     cfg.validate()
+    # both read alpha from one site table, filled from position 0 up, so
+    # both name the first position that breaks the rule
     with pytest.raises(ValueError, match=r"alpha_4\+pi_1 = .* < 0"):
         run(cfg)
-    with pytest.raises(ValueError, match=r"alpha_5\+pi_1 = .* < 0"):
+    with pytest.raises(ValueError, match=r"alpha_4\+pi_1 = .* < 0"):
         sample_batch_final(cfg, 10, 1)
     cfg = SimConfig(case=CaseId.CANONICAL_C, ell=2, steps=5, rates=[0.5, 0.5], x=[1.8],
                     alpha=lambda k: -0.6 if k >= 4 else 0.0, start=P_([5, 5]))
-    with pytest.raises(ValueError, match=r"alpha_5\*x_1 = .* <= -1"):
+    with pytest.raises(ValueError, match=r"alpha_4\*x_1 = .* <= -1"):
         sample_batch_final(cfg, 10, 1)
 
 
@@ -854,12 +906,8 @@ def test_exact_and_sampler_checks_agree(case):
         config = SimConfig(case=case, ell=ell, steps=1, rates=[float(rate)] * ell, x=[float(x)],
                            alpha=None if a is None else (lambda k, a=a: float(a)))
 
-        def sampled():
-            config.validate()
-            step_batch(case, np.zeros((4, ell), dtype=np.int64), 1, config, rng_for(1))
-
         exact = _violated(lambda: binding.check_admissible(case, ell))
-        assert exact == _violated(sampled), (case, rate, x, a)
+        assert exact == _violated(lambda: sample_batch_final(config, 4, 1)), (case, rate, x, a)
 
 
 def test_fermionic_picture_transform():
