@@ -113,6 +113,20 @@ def check_alpha(k: int, a, xs, low):
     return a
 
 
+def check_beta(k: int, b, xs, low):
+    """beta_k = b after checking CanonicalB's rule at position k: beta_k
+    x_i <= 1 for every (i, x_i) of ``xs`` and beta_k + rho_j >= 0 for the
+    smallest rate ``low`` = (j, rho_j), so that a jump's success (rho_j +
+    beta_k) x_i / (1 + rho_j x_i) lies in [0, 1]."""
+    for i, xi in xs:
+        if b * xi > 1:
+            raise ConstraintError(f"beta_{k}*x_{i} = {b * xi} > 1")
+    j, r = low
+    if b + r < 0:
+        raise ConstraintError(f"beta_{k}+rho_{j} = {b + r} < 0")
+    return b
+
+
 def check_inverse_rate(j: int, r) -> None:
     """The pushing formulas' letter 1/pi_j.  A zero rate is admissible (the
     particle is frozen), so its error is a ValueError, not a ConstraintError."""
@@ -176,17 +190,19 @@ class ParamBinding:
     def check_admissible(self, case: CaseId, ell: int, positions: range | None = None):
         """Raise ConstraintError naming the violated inequality: ell rates
         for ell particles, the parameter rules at every x_i and rate, and
-        CanonicalC's alpha rule at each position of ``positions`` (0..63 by
-        default)."""
+        CanonicalC's alpha rule or CanonicalB's beta rule at each position
+        of ``positions`` (0..63 by default)."""
         check_rate_count(ell, len(self.rates))
         rates = [(j, self.rate(j)) for j in range(1, ell + 1)]
         xs = [(i, self.x_of(i)) for i in range(1, self.n + 1)]
         for i, xi in xs:
             check_rate_x(case, i, xi, rates)
-        if case is CaseId.CANONICAL_C and self.alpha is not None:
+        check, site = {CaseId.CANONICAL_C: (check_alpha, self.alpha),
+                       CaseId.CANONICAL_B: (check_beta, self.beta_pos)}.get(case, (None, None))
+        if site is not None:
             low = min(rates, key=itemgetter(1), default=(0, 0))
             for k in positions or range(0, 64):
-                check_alpha(k, self.alpha_of(k), xs, low)
+                check(k, site(k), xs, low)
 
 
 @dataclass
@@ -581,6 +597,7 @@ def tableau_table(
     binding: ParamBinding,
     ell: int,
     convention: IndexConvention = PINNED_CONVENTIONS.index,
+    sums: dict | None = None,
 ) -> dict:
     """Kernel from mu to every target via the Grothendieck-type generating
     functions of Thm-1.1 shape: the case's tableau sum (on conjugate shapes
@@ -588,7 +605,13 @@ def tableau_table(
     the overall factor.  The letters (each read once), the checks, the
     time factor, CanonicalC's alpha_0 correction and the G cases' corner
     expansion of mu are built once per table, and the rate monomials from
-    row factors built once per table."""
+    row factors built once per table.
+
+    ``sums`` holds the ``tableaux.Letters``, with the sums taken at them,
+    under (x_1..x_n).  One dict serves one (case, ell, rate list,
+    alpha/beta closures), as ``chain``'s steps do: calls that share it,
+    whatever their mu, targets, n, x values or convention, take each sum
+    once."""
     check_rate_count(ell, len(binding.rates))
     xs = [binding.x_of(i) for i in range(1, n + 1)]
     alpha0 = binding.alpha_of(0) if case is CaseId.CANONICAL_C else Frac(0)
@@ -604,7 +627,10 @@ def tableau_table(
         factor = factor * reciprocal(1 + alpha0 * xs[0])
     conj = case in (CaseId.B, CaseId.D, CaseId.CANONICAL_B)
     inner = conjugate(mu) if conj else mu
-    letters = _tableau_letters(case, binding, ell)
+    sums = {} if sums is None else sums
+    letters = sums.get(tuple(xs))
+    if letters is None:
+        letters = sums[tuple(xs)] = _tableau_letters(case, binding, ell)
     monomial = _RateRows(case, mu, binding, ell).monomial
     alpha_on, beta_on = case is not CaseId.C, case is not CaseId.B
     if case not in (CaseId.A, CaseId.D):

@@ -39,7 +39,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conventions import UpdateOrder, PINNED_CONVENTIONS
-from .kernels import CaseId, check_alpha, check_clock_rates, check_rate_count, check_rate_x
+from .kernels import (CaseId, check_alpha, check_beta, check_clock_rates, check_rate_count,
+                      check_rate_x)
 from .partitions import Partition
 
 
@@ -100,10 +101,10 @@ class SimConfig:
     def validate(self) -> tuple[list, np.ndarray]:
         """Raise ConstraintError naming the violated constraint: pi_j x_i at
         the probed steps, the first eight.  Runs check it again wherever they
-        read a new x_i, and CanonicalC's alpha where they first read a
-        position (``_checked_alpha``): no finite probe covers every step or
-        position.  Returns the probes (i, x_i) and ``rate_array()``, which a
-        run reads from here rather than again."""
+        read a new x_i, and CanonicalC's alpha or CanonicalB's beta_pos where
+        they first read a position (``_checked_site``): no finite probe
+        covers every step or position.  Returns the probes (i, x_i) and
+        ``rate_array()``, which a run reads from here rather than again."""
         xs = [(i, self.x_of(i)) for i in range(1, min(max(self.steps, 1), 8) + 1)]
         rates = self.rate_array()
         _checked_products(self.case, xs, range(1, self.ell + 1), rates)
@@ -122,12 +123,15 @@ def _checked_products(case: CaseId, xs: list, order: Sequence[int], rates: np.nd
     return v
 
 
-def _checked_alpha(config: SimConfig, xs: list, rates: np.ndarray) -> Callable[[int], float]:
-    """``config.alpha_of``, raising ConstraintError for a position k whose
-    alpha_k breaks ``check_alpha`` at the probed (i, x_i) ``xs`` and the
-    smallest of the rates pi_1, ..., pi_ell."""
+def _checked_site(case: CaseId, config: SimConfig, xs: list, rates: np.ndarray) -> Callable:
+    """``config.alpha_of`` (CanonicalC) or ``config.beta_pos_of`` (CanonicalB),
+    raising ConstraintError for a position k whose value breaks the case's
+    rule (``check_alpha``, ``check_beta``) at the probed (i, x_i) ``xs`` and
+    the smallest of the rates pi_1, ..., pi_ell."""
     low = (int(rates.argmin()) + 1, float(rates.min())) if len(rates) else (0, 0.0)
-    return lambda k: check_alpha(k, config.alpha_of(k), xs, low)
+    check, site = ((check_alpha, config.alpha_of) if case is CaseId.CANONICAL_C
+                   else (check_beta, config.beta_pos_of))
+    return lambda k: check(k, site(k), xs, low)
 
 
 @dataclass
@@ -276,8 +280,7 @@ class _RoundTables:
         self.order = list(update_order(case, config.ell, config.update))
         self.rates = rates[[j - 1 for j in self.order]]
         self.rate_list = self.rates.tolist()
-        self.site_of = (_checked_alpha(config, xs, rates) if case is CaseId.CANONICAL_C
-                        else config.beta_pos_of)
+        self.site_of = _checked_site(case, config, xs, rates)
         self.sites: list = []
         # CanonicalC: (pi_j, x_i) -> site k -> success, shared by the
         # particles of one rate and kept across changes of x_i
@@ -331,15 +334,17 @@ class _RoundTables:
         """Particle i's (in update order) site success probability at site k."""
         return _site_success(self.case, self.site(k), self.rate_list[i], xi)
 
-    def success_bound(self, hi: int) -> float:
-        """The largest site success probability at x_i over positions
-        0..hi and all rates: no draw at or above it is a success."""
+    def success_bound(self, hi: int) -> np.ndarray:
+        """Each particle's (in update order) largest site success
+        probability at x_i over positions 0..hi: no draw at or above its
+        particle's bound is a success."""
         self.site(hi)
         if self.top_upto < len(self.sites):
             new = np.array(self.sites[self.top_upto:])[:, None]
-            rates = np.array(sorted(set(self.rate_list)))  # np.unique would import numpy.ma
-            top = _site_success(self.case, new, rates, self.xi).max()
-            self.top, self.top_upto = max(self.top, float(top)), len(self.sites)
+            rates = sorted(set(self.rate_list))  # np.unique would import numpy.ma
+            top = _site_success(self.case, new, np.array(rates), self.xi).max(axis=0)
+            top = top[np.searchsorted(rates, self.rates)]  # each distinct rate once
+            self.top, self.top_upto = np.maximum(self.top, top), len(self.sites)
         return self.top
 
 
@@ -372,9 +377,9 @@ def _rounds(pos: list, first: int, n: int, rng: np.random.Generator, tables: _Ro
     position-dependent cases (CanonicalB, CanonicalC) block, and a blocking
     move changes only the particle that moves.
 
-    Their candidates are the draws below the success bound over positions
-    0..hi, which covers every particle while particle 1, which no particle
-    passes, is at or below hi.  hi starts at particle 1's start plus n,
+    Their candidates are the draws below their particle's success bound
+    over positions 0..hi, which covers the particle while particle 1, which
+    no particle passes, is at or below hi.  hi starts at particle 1's start plus n,
     which CanonicalB, moving one site a round at most, never passes.  When
     a round leaves CanonicalC's particle 1 past hi, hi becomes its position
     plus the rounds left, and those are selected again from the same draws."""
@@ -446,7 +451,7 @@ def step_batch(tables: _RoundTables, pos: np.ndarray, time_index: int, rng) -> n
         row, v = pos[j - 1], u[i]
         if case is CaseId.CANONICAL_C:
             # the walk stops at the blocking neighbour, as in ``_rounds``
-            b = np.flatnonzero(v < bound)
+            b = np.flatnonzero(v < bound[i])
             stops = pos[j - 2, b].tolist() if j > 1 else itertools.repeat(math.inf)
             row[b] = [_inhom_walk(tables.succ[i], k, vb, stop)
                       for k, vb, stop in zip(row[b].tolist(), v[b].tolist(), stops)]

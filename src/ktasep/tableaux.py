@@ -22,12 +22,17 @@ binding's numbers give that function's value there.  Each weight is a
 product of letters (and of -a*x/(1 + a*x) for a resummed arm), so
 specialising before summing gives the same value as evaluating the
 symbolic sum.
+
+Sums live with their letters (``Letters.sums``): nothing is kept at module
+level but ``SYMBOLIC``'s sums, which last for the process, as
+``exactalg.schur_poly``'s ``lru_cache`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count
+from functools import cache
+from itertools import combinations
 from typing import Callable, Iterator
 
 from .conventions import IndexConvention
@@ -74,18 +79,16 @@ class HookTableau:
 
 class Letters:
     """The value of each letter a tableau weight reads, ``x(i)``,
-    ``alpha(k)`` and ``beta(j)``, and the one and zero of the ring the
-    values live in.
+    ``alpha(k)`` and ``beta(j)``, the one and zero of the ring the values
+    live in, and the sums taken at them.
 
-    Each letter is read from its function once and kept, with a token
-    (``_token``) that stands for its value in memo keys: a key built from
-    one Letters hashes ints, however often it is built, and equal values
-    read by different Letters still meet under one key.  The key also
-    carries ``ring``, the types of one and zero, because a sum starts from
-    them: symbolic letters over rational one and zero give other sums than
-    over polynomial ones."""
+    Each letter is read from its function once and kept (a read that
+    raises keeps nothing).  ``sums`` holds every sum computed at these
+    letters, so its keys name only a shape, n and flags: a sum never meets
+    another valuation's or ring's.  A caller shares sums by sharing its
+    Letters (``kernels.tableau_table``'s ``sums``)."""
 
-    __slots__ = ("x", "alpha", "beta", "one", "zero", "ring", "_tokens", "_keys")
+    __slots__ = ("x", "alpha", "beta", "one", "zero", "sums")
 
     def __init__(
         self,
@@ -95,89 +98,22 @@ class Letters:
         one: Scalar = Frac(1),
         zero: Scalar = Frac(0),
     ):
-        self.one, self.zero, self.ring = one, zero, (type(one), type(zero))
-        self._tokens = {"x": {}, "alpha": {}, "beta": {}}
-        self._keys: dict = {}
-        self.x = _read_once(x, self._tokens["x"])
-        self.alpha = _read_once(alpha, self._tokens["alpha"])
-        self.beta = _read_once(beta, self._tokens["beta"])
-
-    def tokens(self, family: str, indices) -> tuple:
-        """The tokens of letters ``family`` (x, alpha or beta) at
-        ``indices``, each read first if it has not been."""
-        read, tokens = getattr(self, family), self._tokens[family]
-        for i in indices:
-            if i not in tokens:
-                read(i)
-        return tuple(tokens[i] for i in indices)
-
-    def first(self, family: str, m: int) -> tuple:
-        """``tokens`` of the letters ``family`` at 1..m, kept per m."""
-        key = self._keys.get((family, m))
-        if key is None:
-            key = self._keys[family, m] = self.tokens(family, range(1, m + 1))
-        return key
+        self.x, self.alpha, self.beta = cache(x), cache(alpha), cache(beta)
+        self.one, self.zero = one, zero
+        self.sums: dict = {}
 
 
-def _read_once(letter: Callable[[int], Scalar], tokens: dict) -> Callable[[int], Scalar]:
-    """``letter``, calling through once per index; each value read also
-    gets its token in ``tokens``.  A read that raises keeps nothing."""
-    values: dict = {}
-
-    def read(i: int) -> Scalar:
-        value = values.get(i, _MISS)
-        if value is _MISS:
-            value = values[i] = letter(i)
-            tokens[i] = _token(value)
-        return value
-
-    return read
-
-
-_MISS = object()
-_SUMS: dict = {}
-_TOKENS: dict = {}
-_NEXT_TOKEN = count()
-# Keys carry letter tokens, so every new binding adds entries: acceptance
-# criterion 1 (five bindings, two ells) leaves about 9,000 and the desk
-# grid about 1,700.  A full memo starts over.
-SUMS_MAX = 1 << 15
-
-
-def _token(value: Scalar):
-    """An int that stands for ``value`` (with its type) in memo keys:
-    equal values get one token while the memo lasts, and no token ever
-    stands for two values.  An unhashable value (a RationalFn letter, such
-    as a symbolic 1/pi) stands for itself, so its keys are unhashable."""
-    key = (type(value), value)
-    try:
-        token = _TOKENS.get(key)
-    except TypeError:
-        return value
-    if token is None:
-        token = _TOKENS[key] = next(_NEXT_TOKEN)
-    return token
-
-
+# The letters themselves, over polynomial one and zero
 SYMBOLIC = Letters(X, A, B, LaurentPoly.const(1), LaurentPoly.zero())
 
 
-def _memo(key: tuple, compute: Callable[[], Scalar]) -> Scalar:
-    """compute(), kept under key.  Each sum is a function of its shape,
-    flags, letter values and ring alone, so one computation serves every
-    caller that asks with equal ones.  A key holding an unhashable value
-    is computed afresh."""
-    try:
-        value = _SUMS.get(key, _MISS)
-    except TypeError:
-        return compute()
-    if value is _MISS:
-        value = compute()
-        if len(_SUMS) >= SUMS_MAX:
-            _SUMS.clear()
-            _TOKENS.clear()
-        _SUMS[key] = value
-    return value
+def _memo(letters: Letters, key: tuple, compute: Callable[[], Scalar]) -> Scalar:
+    """compute(), kept in ``letters.sums`` under key: at fixed letters a
+    sum is a function of its shape, n and flags alone."""
+    sums = letters.sums
+    if key not in sums:
+        sums[key] = compute()
+    return sums[key]
 
 
 def _letter_indices(r: int, c: int, convention: IndexConvention) -> tuple[int, int]:
@@ -333,22 +269,24 @@ def hook_tableau_weight(
 
 
 def _class_weights(
-    key: tuple, a: Scalar, b: Scalar, xs: tuple, lo: int, arm_mode: str, legs_on: bool
+    letters: Letters, k, j, n: int, lo: int, arm_mode: str, legs_on: bool
 ) -> tuple:
     """(m, W) pairs: W sums the weights of the cell fillings with corner
-    >= lo and largest entry m, at alpha = a, beta = b and x_i = xs[i - 1].
-    A neighbouring cell sees only m.  ``key`` holds the tokens of a, b and
-    xs."""
+    >= lo and largest entry m, at alpha = alpha_k, beta = beta_j and x_1..x_n
+    of ``letters``; k is None without arms, j without legs.  A neighbouring
+    cell sees only m."""
 
     def compute() -> tuple:
+        a = None if k is None else letters.alpha(k)
+        b = None if j is None else letters.beta(j)
         classes: dict = {}
-        for entry in hook_entries(lo, len(xs), arm_mode, legs_on):
+        for entry in hook_entries(lo, n, arm_mode, legs_on):
             m = entry.max_entry()
-            w = hook_entry_weight(entry, a, b, lambda i: xs[i - 1], arm_mode)
+            w = hook_entry_weight(entry, a, b, letters.x, arm_mode)
             classes[m] = w + classes[m] if m in classes else w
         return tuple(sorted(classes.items()))
 
-    return _memo(("classes", key, lo, arm_mode, legs_on), compute)
+    return _memo(letters, ("classes", k, j, n, lo, arm_mode, legs_on), compute)
 
 
 def _class_sum(
@@ -361,21 +299,12 @@ def _class_sum(
 ) -> Scalar:
     """Sum of hook tableau weights at the letter values ``letters``,
     branching per cell on the largest entry only: at most n^cells products
-    of class weights.  Remembered under the shape, n, flags, convention,
-    ring and the tokens of x_1..x_n and of the alpha and beta letters of
-    every row and column up to the outer shape's (a superset of those its
-    cells read, so that the key is built without listing the cells)."""
-    outer = shape.outer
-    rows, cols = outer.length(), outer.part(1)
-    by_column = convention is IndexConvention.ALPHA_BY_COLUMN
-    xkey = letters.first("x", n)
-    akey = letters.first("alpha", cols if by_column else rows) if arm_mode != "off" else ()
-    bkey = letters.first("beta", rows if by_column else cols) if legs_on else ()
+    of class weights."""
 
     def compute() -> Scalar:
         cells = shape.cells()
         index = [_letter_indices(r, c, convention) for r, c in cells]
-        xs = tuple(map(letters.x, range(1, n + 1)))
+        index = [(k if arm_mode != "off" else None, j if legs_on else None) for k, j in index]
         tops: dict = {}
         total: Scalar = letters.zero
 
@@ -385,11 +314,8 @@ def _class_sum(
                 total = prefix + total
                 return
             r, c = cells[i]
-            k, j = index[i]
-            a, ka = (letters.alpha(k), akey[k - 1]) if akey else (None, None)
-            b, kb = (letters.beta(j), bkey[j - 1]) if bkey else (None, None)
             lo = _corner_floor(tops, r, c)
-            for m, w in _class_weights((ka, kb, xkey), a, b, xs, lo, arm_mode, legs_on):
+            for m, w in _class_weights(letters, *index[i], n, lo, arm_mode, legs_on):
                 tops[(r, c)] = m
                 rec(i + 1, prefix * w)
             tops.pop((r, c), None)
@@ -397,8 +323,7 @@ def _class_sum(
         rec(0, letters.one)
         return total
 
-    key = ("G", shape, n, arm_mode, legs_on, convention, letters.ring, xkey, akey, bkey)
-    return _memo(key, compute)
+    return _memo(letters, ("G", shape, n, arm_mode, legs_on, convention), compute)
 
 
 def gen_G(
@@ -577,18 +502,12 @@ def gen_g(
 ) -> Scalar:
     """Dual Grothendieck generating function (reverse plane partitions) at
     the letter values ``letters``."""
-    cells = set(shape.cells())
-    merges = sorted({r if refined else 1 for r, c in cells if (r + 1, c) in cells})
 
     def compute() -> Scalar:
-        total = letters.zero
-        for filling in iter_rpp(shape, n):
-            total = total + rpp_weight(shape, filling, refined, letters)
-        return total
+        weights = (rpp_weight(shape, f, refined, letters) for f in iter_rpp(shape, n))
+        return sum(weights, letters.zero)
 
-    xkey = letters.first("x", n)
-    return _memo(("g", shape, n, refined, letters.ring, xkey, letters.tokens("beta", merges)),
-                 compute)
+    return _memo(letters, ("g", shape, n, refined), compute)
 
 
 def iter_ssyt(shape: SkewShape, n: int) -> Iterator[dict]:
@@ -622,18 +541,12 @@ def gen_j(
 ) -> Scalar:
     """Dual weak Grothendieck generating function (valued-set tableaux) at
     the letter values ``letters``."""
-    cells = set(shape.cells())
-    merges = sorted({c if refined else 1 for r, c in cells if (r, c + 1) in cells})
 
     def compute() -> Scalar:
-        total = letters.zero
-        for filling in iter_ssyt(shape, n):
-            total = total + vst_weight(shape, filling, refined, letters)
-        return total
+        weights = (vst_weight(shape, f, refined, letters) for f in iter_ssyt(shape, n))
+        return sum(weights, letters.zero)
 
-    xkey = letters.first("x", n)
-    return _memo(("j", shape, n, refined, letters.ring, xkey, letters.tokens("alpha", merges)),
-                 compute)
+    return _memo(letters, ("j", shape, n, refined), compute)
 
 
 # ---------------------------------------------------------------------------

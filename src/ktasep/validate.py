@@ -198,14 +198,17 @@ class OracleReport:
 @dataclass
 class RouteCache:
     """What a validation grid builds once and every route_agreement call
-    reads: the oracle's and the closed route's single steps, and the
-    operator evolutions.  Each route keeps its own dict, so no route reads
-    another's work.  One cache serves one (case, ell, rate list,
-    alpha/beta closures); the grid's mu, n and x values may vary."""
+    reads: the oracle's and the closed route's single steps, the operator
+    evolutions, and the tableau letters with their sums.  Each route keeps
+    its own dict, so no route reads another's work.  One cache serves one
+    (case, ell, rate list, alpha/beta closures); the grid's mu, n and x
+    values may vary.  Nothing outlives the cache, so each grid starts
+    cold."""
 
     oracle: dict = field(default_factory=dict)
     closed: dict = field(default_factory=dict)
     operator: dict = field(default_factory=dict)
+    tableau: dict = field(default_factory=dict)
 
 
 def route_agreement(
@@ -239,7 +242,8 @@ def route_agreement(
     except ValueError:
         operator = None
     try:
-        tableau = tableau_table(case, n, mu, targets, binding, ell, conventions.index)
+        tableau = tableau_table(case, n, mu, targets, binding, ell, conventions.index,
+                                cache.tableau)
     except ValueError:
         tableau = None
     report = OracleReport(case, mu, n, conventions, tail=oracle.tail)
@@ -259,10 +263,10 @@ def arbitrate_conventions(
     The discriminating observables: Case C and CanonicalC single steps
     (index convention shows up in the corner factors; update order in the
     blocking caps).  The tableau value does not read the update order, so
-    one ``tableau_table`` per (case, mu, index) serves both orders, and
-    each (case, mu, update) oracle step is built once and read under both
-    index conventions.  A table that raises ``ValueError`` rejects its
-    convention pair."""
+    one ``tableau_table`` per (case, mu, index) serves both orders, the
+    tables of one case share their sums, and each (case, mu, update) oracle
+    step is built once and read under both index conventions.  A table
+    that raises ``ValueError`` rejects its convention pair."""
     if binding is None:
         binding = ParamBinding.numeric(
             x=[Frac(1, 5)],
@@ -273,12 +277,14 @@ def arbitrate_conventions(
     mus = partitions_in_box(2, 2)
     lams = partitions_in_box(3, 3)
     tables: dict = {}
+    sums: dict = {case: {} for case in CaseId}
     oracles: dict = {}
 
     def agrees(case: CaseId, mu: Partition, index: IndexConvention, update: UpdateOrder) -> bool:
         if (case, mu, index) not in tables:
             try:
-                tables[case, mu, index] = tableau_table(case, 1, mu, lams, binding, ell, index)
+                tables[case, mu, index] = tableau_table(case, 1, mu, lams, binding, ell, index,
+                                                        sums[case])
             except ValueError:
                 tables[case, mu, index] = None
         table = tables[case, mu, index]

@@ -98,14 +98,15 @@ def test_criterion_1_route_agreement():
         for n in (1, 2):
             for b in seeded_bindings(n):
                 for case in (CaseId.A, CaseId.B, CaseId.C, CaseId.D):
-                    # each route's steps are built once per (ell, n, binding, case)
-                    oracle_steps, closed_steps = {}, {}
+                    # each route's steps and sums are built once per (ell, n,
+                    # binding, case)
+                    oracle_steps, closed_steps, sums = {}, {}, {}
                     for mu in BOX:
                         oracle = brute_force_table(case, n, mu, b, ell, 3, steps=oracle_steps)
                         closed = chain(case, n, mu, b, ell, 3, closed_steps)
                         op = operator_table(case, n, mu, b, ell, size_cap=9)
                         lams = [lam for lam in BOX if lam.contains(mu)]
-                        tableau = tableau_table(case, n, mu, lams, b, ell)
+                        tableau = tableau_table(case, n, mu, lams, b, ell, sums=sums)
                         for lam in lams:
                             vals = {
                                 oracle.prob(lam),

@@ -93,6 +93,25 @@ def test_short_rate_list_is_constraint_error(tmp_path):
     assert err["error"] == "constraint" and "pi_2 missing" in err["message"]
 
 
+@pytest.mark.parametrize("beta,message", [("10", "beta_1*x_1 = 2 > 1"),
+                                          ("-1", "beta_1+rho_3 = -6/7 < 0")],
+                         ids=["beta_x_above_1", "beta_plus_rho_below_0"])
+def test_canonical_b_beta_outside_its_rule_is_constraint_error(tmp_path, beta, message):
+    # CanonicalB's jump succeeds with (rho_j + beta_k) x / (1 + rho_j x):
+    # beta_k x > 1 or beta_k + rho_j < 0 leaves [0, 1], and the table
+    # printed negative "probabilities" (-75/88) with exit 0
+    params = tmp_path / "beta.json"
+    params.write_text(json.dumps({"x": ["1/5"], "pi": ["1/2", "1/3", "1/7"],
+                                  "beta": ["0"] + [beta] * 5}))
+    proc = run_cli(
+        "kernel", "--case", "CanonicalB", "--n", "1", "--mu", "[1]", "--ell", "3", "--cap", "3",
+        "--params", str(params), check=False,
+    )
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err == {"error": "constraint", "message": message}
+
+
 def test_negative_continuous_rate_is_constraint_error():
     # a clock rate below 0 fails the constraint check (exit 2); before,
     # the run printed positions as if particle 1 had rung twice

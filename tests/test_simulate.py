@@ -844,6 +844,20 @@ def test_canonical_c_alpha_checked_at_every_position():
         sample_batch_final(cfg, 10, 1)
 
 
+@pytest.mark.parametrize("beta,message", [(10.0, r"beta_1\*x_1 = 2.0 > 1"),
+                                          (-1.0, r"beta_1\+rho_3 = .* < 0")],
+                         ids=["beta_x_above_1", "beta_plus_rho_below_0"])
+def test_canonical_b_beta_checked(beta, message):
+    # a success (rho_j + beta_k) x / (1 + rho_j x) outside [0, 1] is a
+    # constraint violation for both samplers, at the first site they read
+    cfg = SimConfig(case=CaseId.CANONICAL_B, ell=3, steps=5, rates=[0.5, 1 / 3, 1 / 7],
+                    x=[0.2], beta_pos=lambda k: beta if k >= 1 else 0.0, seed=1)
+    with pytest.raises(ConstraintError, match=message):
+        run(cfg)
+    with pytest.raises(ConstraintError, match=message):
+        sample_batch_final(cfg, 10, 1)
+
+
 SHORT_RATES = {
     "run": lambda: run(SimConfig(case=CaseId.A, ell=3, steps=50, rates=[0.5], x=[0.5], seed=1)),
     "sample_batch_final": lambda: sample_batch_final(

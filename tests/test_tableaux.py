@@ -8,7 +8,7 @@ from ktasep import tableaux
 from ktasep.cli import _list_tableaux
 
 from ktasep.conventions import IndexConvention
-from ktasep.kernels import CaseId, ParamBinding, _tableau_letters
+from ktasep.kernels import CaseId, ParamBinding, _tableau_letters, tableau_table
 from ktasep.exactalg import (
     A,
     B,
@@ -263,29 +263,31 @@ def test_sums_at_letter_values_match_symbolic_eval(convention):
         assert rf(gen_G(SkewShape(P_([1])), n, True, False, convention)) == want, n
 
 
-def test_sum_memo_is_bounded(monkeypatch):
-    # the memo is keyed by letter values, so a run over many bindings
-    # would grow it without end: a full memo starts over, and the sums
-    # stay right
-    monkeypatch.setattr(tableaux, "_SUMS", {})
-    monkeypatch.setattr(tableaux, "SUMS_MAX", 8)
+def test_sum_memo_is_bounded():
+    # sums live with their Letters, so a run over many bindings keeps
+    # nothing once its letters go: the sums at five bindings stay right,
+    # and numeric tables add nothing to the process-wide SYMBOLIC sums
     for k in range(1, 6):
         letters = tableaux.Letters(lambda i: F(1, 10 + i), lambda k_: F(1, k + 3), lambda j: F(1, 7))
         got = gen_G(SkewShape(P_([2, 1])), 2, True, True, CONV, letters=letters)
         assert got == _symbolic_at(gen_G(SkewShape(P_([2, 1])), 2, True, True, CONV), letters)
-        assert len(tableaux._SUMS) <= 8
+    symbolic = list(tableaux.SYMBOLIC.sums)
+    for case in CaseId:
+        tables = tableau_table(case, 2, P_([1]), partitions_in_box(3, 3), _desk_binding(2), 3)
+        assert any(v != 0 for v in tables.values()), case
+    assert list(tableaux.SYMBOLIC.sums) == symbolic
 
 
-def test_sum_memo_keeps_rings_apart(monkeypatch):
+def test_sum_memo_keeps_rings_apart():
     # symbolic letters over rational one and zero (a binding with x =
     # [X(1)]) sum the empty shape's one tableau to a rational 1, the
-    # default letters to a polynomial 1: the memo keys carry the ring, so neither call is
-    # served the other's sum, in either order
+    # default letters to a polynomial 1: each Letters keeps its own sums,
+    # so neither call is served the other's sum, in either order
     shape = SkewShape(P_([1]), P_([1]))
-    rational = tableaux.Letters(X, A, B)
-    for first, second in ((rational, tableaux.SYMBOLIC), (tableaux.SYMBOLIC, rational)):
-        monkeypatch.setattr(tableaux, "_SUMS", {})
-        for letters in (first, second):
+    for rational_first in (True, False):
+        rational = tableaux.Letters(X, A, B)
+        pair = (rational, tableaux.SYMBOLIC)
+        for letters in pair if rational_first else pair[::-1]:
             kind = F if letters is rational else LaurentPoly
             for got in (gen_g(shape, 1, letters=letters), gen_j(shape, 1, letters=letters),
                         gen_G(shape, 1, True, True, CONV, letters=letters)):

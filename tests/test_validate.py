@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ktasep.conventions import PINNED_CONVENTIONS, UpdateOrder
+from ktasep.conventions import IndexConvention, PINNED_CONVENTIONS, UpdateOrder
 from ktasep.kernels import (
     CaseId,
     ConstraintError,
@@ -315,12 +315,14 @@ def test_single_steps_refuse_a_short_rate_list(step):
 
 def test_shared_steps_match_fresh_tables():
     # one steps dict per case serves two caps, two bindings whose x values
-    # overlap at different times and, for the oracle, both update orders:
-    # every table equals a fresh call's
+    # overlap at different times and, for the oracle, both update orders;
+    # one sums dict per case serves both bindings and both index
+    # conventions: every table equals a fresh call's
     b = binding(2)
     other = ParamBinding([F(1, 4), F(1, 9)], b.rates, b.alpha, b.beta_pos)
+    lams = partitions_in_box(3, 3)
     for case in CaseId:
-        closed_steps, oracle_steps = {}, {}
+        closed_steps, oracle_steps, sums = {}, {}, {}
         for bb in (b, other):
             for cap in (3, 4):
                 for mu in (P_([]), P_([2, 1])):
@@ -333,6 +335,11 @@ def test_shared_steps_match_fresh_tables():
                             shared = brute_force_table(case, n, mu, bb, 3, cap, update,
                                                        oracle_steps)
                             assert (shared.probs, shared.tail) == (fresh.probs, fresh.tail)
+                        if cap == 4:  # a tableau table reads no cap
+                            for index in IndexConvention:
+                                fresh = tableau_table(case, n, mu, lams, bb, 3, index)
+                                shared = tableau_table(case, n, mu, lams, bb, 3, index, sums)
+                                assert shared == fresh, (case, n, mu, index)
 
 
 def test_route_cache_shares_work_not_values():
@@ -373,9 +380,9 @@ def test_arbitration_verdicts_pinned(capsys, monkeypatch):
     # mu, index convention), shared by both update orders
     built = []
 
-    def counting_table(case, n, mu, targets, binding, ell, index):
+    def counting_table(case, n, mu, targets, binding, ell, index, sums):
         built.append((case, mu, index))
-        return tableau_table(case, n, mu, targets, binding, ell, index)
+        return tableau_table(case, n, mu, targets, binding, ell, index, sums)
 
     monkeypatch.setattr(validate, "tableau_table", counting_table)
     assert arbitrate_conventions(verbose=True) == [PINNED_CONVENTIONS]
@@ -389,11 +396,11 @@ def test_arbitration_rejects_a_convention_whose_table_raises(capsys, monkeypatch
     # everywhere else
     raised = []
 
-    def failing_table(case, n, mu, targets, binding, ell, index):
+    def failing_table(case, n, mu, targets, binding, ell, index, sums):
         if (case, mu) == (CaseId.CANONICAL_C, P_([1])):
             raised.append(index)
             raise ValueError("no table")
-        return tableau_table(case, n, mu, targets, binding, ell, index)
+        return tableau_table(case, n, mu, targets, binding, ell, index, sums)
 
     monkeypatch.setattr(validate, "tableau_table", failing_table)
     assert arbitrate_conventions(verbose=True) == []
