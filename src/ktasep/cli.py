@@ -199,12 +199,12 @@ def _parse_contour(text: str, mode: str) -> mpmod.ContourSpec:
         fields = dict(item.split("=") for item in text.split(","))
         points = int(fields.pop("q", 256))
         radius = Frac(fields.pop("r"))
-        if fields or not 1 <= points <= mpmod.MAX_QUADRATURE_POINTS:
+        if fields or not 1 <= points <= mpmod.MAX_QUADRATURE_POINTS // 2:
             raise ValueError(text)
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         raise UsageError(
             f"bad --contour {text!r}: expected r=<radius>[,q=<points>], "
-            f"1 <= points <= {mpmod.MAX_QUADRATURE_POINTS}"
+            f"1 <= points <= {mpmod.MAX_QUADRATURE_POINTS // 2}"
         ) from exc
     return mpmod.ContourSpec(radius=radius, points=points, mode=mode)
 

@@ -12,12 +12,11 @@ are exact.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from typing import Sequence
+from typing import Callable, Sequence
 
 import mpmath as mp
 
@@ -56,25 +55,34 @@ MAX_QUADRATURE_POINTS = 2**14
 
 def _trapezoid(mean, points: int, tol):
     """The trapezoidal rule's shared loop: ``mean(m)`` is the rule's value
-    on m points.  Double m from ``points`` up to MAX_QUADRATURE_POINTS
-    until two successive values agree to ``tol``; return the real part of
-    the last value."""
-    prev = None
-    while points <= MAX_QUADRATURE_POINTS:
+    on m points.  Double m from ``points`` (``_check_quadrature_points``)
+    up to MAX_QUADRATURE_POINTS until two successive values agree to
+    ``tol``; return the real part of the last value.  A rule that has not
+    converged by the cap raises ValueError: its last value is not within
+    ``tol``."""
+    prev = mean(points)
+    while 2 * points <= MAX_QUADRATURE_POINTS:
+        points *= 2
         val = mean(points)
-        if prev is not None and abs(val - prev) < tol:
+        gap = abs(val - prev)
+        if gap < tol:
             return val.real
         prev = val
-        points *= 2
-    return prev.real
+    raise ValueError(
+        f"trapezoidal rule not converged to {mp.nstr(mp.mpf(tol), 2)}: the rules on "
+        f"{points // 2} and {points} points differ by {mp.nstr(mp.mpf(gap), 4)} at "
+        f"MAX_QUADRATURE_POINTS ({MAX_QUADRATURE_POINTS})"
+    )
 
 
 def _check_quadrature_points(points: int) -> None:
-    """The trapezoidal rules start at ``points`` and double it up to the cap."""
-    if not 1 <= points <= MAX_QUADRATURE_POINTS:
+    """The trapezoidal rules start at ``points`` and double it up to the
+    cap, so a start must leave room for a second rule to agree with."""
+    if not 1 <= points <= MAX_QUADRATURE_POINTS // 2:
         raise ValueError(
-            f"quadrature needs 1 <= points <= MAX_QUADRATURE_POINTS "
-            f"({MAX_QUADRATURE_POINTS}), got {points}"
+            f"quadrature needs 1 <= points <= MAX_QUADRATURE_POINTS / 2 "
+            f"({MAX_QUADRATURE_POINTS // 2}): the rules double up to "
+            f"{MAX_QUADRATURE_POINTS} points, got {points}"
         )
 
 
@@ -310,38 +318,84 @@ def _pole_term(k: int, taylor: Sequence, xs: Sequence, ys: Sequence):
     return sum((taylor[s] * h[k - s] for s in range(k)), taylor[k])
 
 
-def _residue_sum(num: Sequence, den: Sequence, power: int, taylor):
+class PoleTable:
+    """The poles of one determinant's contour entries, whose roots all come
+    from one set: the distinct roots, 0 first, told apart by equality (equal
+    rates merge into poles of higher order); each gap p - r, formed once;
+    and F's Taylor coefficients at each root, ``taylor(p, k)`` up to u^k,
+    taken again to a longer prefix only when an entry needs a higher order
+    (entries 0..k do not depend on k).  An entry does the same arithmetic
+    in the same order with a shared table as with one of its own, so
+    sharing never changes a value.  ``xs`` names the x letters a discrete
+    table was built for."""
+
+    def __init__(self, roots: Sequence, taylor: Callable, xs: Sequence | None = None):
+        self.roots, self.taylor, self.xs = [0], taylor, xs
+        self._held = list(roots)  # alive while the table is, so their ids stay theirs
+        self._ids: dict = {}
+        for c in self._held:
+            self._ids[id(c)] = self.index(c)
+        self._coeffs: dict = {}
+        self._gaps: dict = {}
+
+    def index(self, c) -> int:
+        """The index of the root equal to c, which is added if it is new."""
+        k = self._ids.get(id(c))
+        if k is not None:
+            return k
+        for k, r in enumerate(self.roots):
+            if r is c or r == c:
+                return k
+        self.roots.append(c)
+        return len(self.roots) - 1
+
+    def coeffs(self, k: int, m: int) -> list:
+        """F's Taylor coefficients at root k, up to u^m at least."""
+        c = self._coeffs.get(k)
+        if c is None or len(c) <= m:
+            c = self._coeffs[k] = self.taylor(self.roots[k], m)
+        return c
+
+    def gap(self, k: int, l: int):
+        """p_k - p_l."""
+        d = self._gaps.get((k, l))
+        if d is None:
+            d = self._gaps[k, l] = self.roots[k] - self.roots[l]
+        return d
+
+
+def _residue_sum(num: Sequence, den: Sequence, power: int, poles: PoleTable):
     """Sum of the residues of  F(w) prod(1 - a/w: num) / prod(1 - b/w: den)
     / w^(power+1)  at w = 0 and at each distinct root of ``den``, poles of
-    any order included.  ``taylor(p, k)`` returns F's Taylor coefficients
-    at p up to u^k; F must be analytic at those points."""
+    any order included.  ``poles`` holds the roots, their gaps and F's
+    Taylor coefficients (a root it lacks is added); F must be analytic at
+    the roots."""
     # (1 - c/w) = (w - c)/w, so the integrand is F(w) prod_r (w - r)^-order[r];
     # a root in both num and den, and a zero root, cancel out of ``order``.
-    # The few distinct roots are told apart by equality, not by hashing
-    roots, order = [0], [power + 1]
+    # ``at`` lists the table's roots in the order they first appear here
+    at, order = [0], [power + 1]
     for group, e in ((num, -1), (den, 1)):
         for c in group:
             order[0] -= e
-            for k, r in enumerate(roots):
-                if r is c or r == c:
-                    order[k] += e
-                    break
+            k = poles.index(c)
+            if k in at:
+                order[at.index(k)] += e
             else:
-                roots.append(c)
+                at.append(k)
                 order.append(e)
     total = 0
-    for k, (p, m) in enumerate(zip(roots, order)):
+    for a, (k, m) in enumerate(zip(at, order)):
         if m <= 0:
             continue
         # at w = p + u: (w - p)^m = u^m, and for r != p, with d = p - r,
         # (w - r)^-e = d^-e (1 + u/d)^-e; a simple pole reads only F(p),
         # so its alphabets stay empty
-        gaps = [(p - r, e) for i, (r, e) in enumerate(zip(roots, order)) if e and i != k]
+        gaps = [(poles.gap(k, l), e) for b, (l, e) in enumerate(zip(at, order)) if e and b != a]
         xs, ys = [], []
         if m > 1:
             for d, e in gaps:
                 (xs if e > 0 else ys).extend([-1 / d] * abs(e))
-        term = _pole_term(m - 1, taylor(p, m - 1), xs, ys)
+        term = _pole_term(m - 1, poles.coeffs(k, m - 1), xs, ys)
         for d, e in gaps:
             if e > 0:
                 term /= d if e == 1 else d**e
@@ -351,20 +405,14 @@ def _residue_sum(num: Sequence, den: Sequence, power: int, taylor):
     return total
 
 
-def contour_entry_residue(
-    num_roots: Sequence[Frac],
-    den_roots: Sequence[Frac],
-    xs: Sequence[Frac],
-    power: int,
-):
-    """Exact value of  oint  prod(1 - c/w for num) /
-    [prod(1 - c/w for den) * prod(1 - x_m w) * w^power] dw/(2 pi i w)
-    over a circle separating {den roots} from {1/x_m}."""
-    xs = [Frac(x) for x in xs]
+def contour_poles(roots: Sequence, xs: Sequence) -> PoleTable:
+    """The pole table of discrete contour entries whose num and den roots
+    are drawn from ``roots``, with F(w) = 1/prod(1 - x w: xs)."""
+    xs_exact = [Frac(x) for x in xs]
 
     def taylor(p, k):
         # 1/prod(1 - x (p + u)) = prod 1/(1 - x p) * sum_s h_s({x/(1 - x p)}) u^s
-        factors = [1 - x * p for x in xs]
+        factors = [1 - x * p for x in xs_exact]
         if 0 in factors:
             raise SingularParameterError("denominator root meets an x pole")
         scale = Frac(1)
@@ -372,15 +420,35 @@ def contour_entry_residue(
             scale /= f
         if not k:
             return [scale]
-        h = h_prefix(k, [x / f for x, f in zip(xs, factors)])
+        h = h_prefix(k, [x / f for x, f in zip(xs_exact, factors)])
         return [scale] + [scale * c for c in h[1:]]
 
-    return Frac(_residue_sum(num_roots, den_roots, power, taylor))
+    return PoleTable(roots, taylor, xs)
+
+
+def contour_entry_residue(
+    num_roots: Sequence[Frac],
+    den_roots: Sequence[Frac],
+    xs: Sequence[Frac],
+    power: int,
+    poles: PoleTable | None = None,
+):
+    """Exact value of  oint  prod(1 - c/w for num) /
+    [prod(1 - c/w for den) * prod(1 - x_m w) * w^power] dw/(2 pi i w)
+    over a circle separating {den roots} from {1/x_m}.  The entries of one
+    determinant share ``poles`` (``contour_poles`` of their roots and these
+    xs); without it the entry builds its own."""
+    if poles is None:
+        poles = contour_poles([*num_roots, *den_roots], xs)
+    elif poles.xs is not xs and list(poles.xs) != list(xs):
+        raise ValueError("the pole table was built for other x letters")
+    return Frac(_residue_sum(num_roots, den_roots, power, poles))
 
 
 def mp_blocking_contour(query: MultiPointQuery, contour: ContourSpec | None = None):
     """Case C multi-point via the contour determinant (row 1 carries the
-    first particle's geometric-sum factor (1 - pi_1/w))."""
+    first particle's geometric-sum factor (1 - pi_1/w)).  The residue
+    entries share one ``PoleTable``."""
     case, nu, mu, ell, b = (
         query.case,
         _join(query.thresholds, query.start),
@@ -392,11 +460,14 @@ def mp_blocking_contour(query: MultiPointQuery, contour: ContourSpec | None = No
         raise ValueError("contour form implemented for case C")
     n = query.n
     xs = [b.x_of(i) for i in range(1, n + 1)]
+    quadrature = contour is not None and contour.mode == "quadrature"
     if contour is not None:
         _validate_radius(contour, b, ell, n)
-        if contour.mode == "quadrature":
+        if quadrature:
             _check_quadrature_points(contour.points)
+    first = b.rate(1)
     betas = [_beta_of(b, k) for k in range(1, ell)]
+    poles = None if quadrature else contour_poles([first, *betas], xs)
     rows = []
     for i in range(1, ell + 1):
         row = []
@@ -404,16 +475,14 @@ def mp_blocking_contour(query: MultiPointQuery, contour: ContourSpec | None = No
             power = nu.part(i) - mu.part(j) - i + j
             if i == 1:
                 num: list = []
-                den = [b.rate(1)] + betas[: j - 1]
+                den = [first] + betas[: j - 1]
             else:
                 num = betas[: i - 2]
                 den = betas[: j - 1]
-            if contour is not None and contour.mode == "quadrature":
-                row.append(
-                    _contour_quadrature(num, den, xs, power, contour)
-                )
+            if quadrature:
+                row.append(_contour_quadrature(num, den, xs, power, contour))
             else:
-                row.append(contour_entry_residue(num, den, xs, power))
+                row.append(contour_entry_residue(num, den, xs, power, poles))
         rows.append(row)
     factor = rate_monomial(case, mu, nu, b, ell) * time_factor(case, b, range(1, ell + 1), xs)
     return factor * det_exact(rows)
@@ -436,30 +505,25 @@ def _validate_radius(contour: ContourSpec, b: ParamBinding, ell: int, n: int):
 
 
 def _contour_quadrature(num, den, xs, power, contour: ContourSpec):
-    """Trapezoidal rule on the circle in complex floats; spectrally
-    convergent, so ``_trapezoid`` doubles the point count until two
-    successive evaluations agree to 1e-12."""
-    r = float(contour.radius)
-    num = [float(c) for c in num]
-    den = [float(c) for c in den]
-    xs = [float(x) for x in xs]
+    """Trapezoidal rule on the circle |w| = r in complex floats, each rule
+    evaluated on the whole array of its nodes r e^(2 pi i s/m); spectrally
+    convergent, so ``_trapezoid`` doubles m until two successive rules
+    agree to 1e-12."""
+    import numpy as np  # only quadrature needs it, not the exact commands
 
-    def f(w: complex) -> complex:
-        val = 1.0 + 0j
-        for c in num:
-            val *= 1.0 - c / w
-        for c in den:
-            val /= 1.0 - c / w
-        for x in xs:
-            val /= 1.0 - x * w
-        return val / w**power
+    r = float(contour.radius)
+    num = np.array([float(c) for c in num])[:, None]
+    den = np.array([float(c) for c in den])[:, None]
+    xs = np.array([float(x) for x in xs])[:, None]
 
     def mean(points: int) -> complex:
-        acc = 0j
-        for s in range(points):
-            w = r * cmath.exp(2j * cmath.pi * s / points)
-            acc += f(w)
-        return acc / points
+        angle = 2 * np.pi / points * np.arange(points)
+        w = r * np.exp(1j * angle)
+        val = (1.0 - num / w).prod(axis=0) / (1.0 - den / w).prod(axis=0)
+        val /= (1.0 - xs * w).prod(axis=0)
+        # 1/w^power = r^-power e^(-i power angle)
+        val *= r ** -power * np.exp(-1j * power * angle)
+        return complex(val.mean())
 
     return _trapezoid(mean, contour.points, 1e-12)
 
@@ -507,7 +571,8 @@ def continuous_kernel(
     """Continuous-time transition probability via the determinant of
     contour integrals.  Residue mode sums the finite residues at w = 0 and
     the nonzero poles, of any order, with ``_residue_sum``, e^{t w} in
-    extended-precision floats; quadrature mode is the cross-check.
+    extended-precision floats; the entries share one ``PoleTable``.
+    Quadrature mode is the cross-check.
 
     ``lam`` may be a general integer sequence: the boundary conditions
     evaluate the determinant at shifted, non-partition sequences."""
@@ -532,6 +597,9 @@ def continuous_kernel(
                 out.append(out[-1] * tt / s)
             return out
 
+        # case C's roots beta_k = pi_{k+1}; case A reads only the pole at 0
+        betas = [rate(k + 1) for k in range(1, ell)] if case is CaseId.C else []
+        poles = PoleTable(betas, taylor)
         rows = []
         for i in range(1, ell + 1):
             row = []
@@ -539,8 +607,8 @@ def continuous_kernel(
                 power = (lam_seq[i - 1] - i) - (mu.part(j) - j)
                 if case is CaseId.C:
                     # (1 - beta_k / w) factors, poles at the beta_k inside
-                    num = [rate(k + 1) for k in range(1, i)]
-                    den = [rate(k + 1) for k in range(1, j)]
+                    num = betas[: i - 1]
+                    den = betas[: j - 1]
                     form = "inv"
                 else:
                     # (1 - w / pi_k) factors, only the w = 0 pole inside
@@ -552,11 +620,12 @@ def continuous_kernel(
                         _exp_contour_quadrature(num, den, power, tt, quad_points, form)
                     )
                 elif case is CaseId.C:
-                    row.append(_residue_sum(num, den, power, taylor))
+                    row.append(_residue_sum(num, den, power, poles))
                 else:
                     # [w^power] e^{tw} prod(1 - cw: num)/prod(1 - cw: den)
                     row.append(
-                        _pole_term(power, taylor(0, power), den, num) if power >= 0 else mp.mpf(0)
+                        _pole_term(power, poles.coeffs(0, power), den, num)
+                        if power >= 0 else mp.mpf(0)
                     )
             rows.append(row)
         det = det_exact(rows)

@@ -100,12 +100,18 @@ class SimConfig:
 
     def validate(self) -> tuple[list, np.ndarray]:
         """Raise ConstraintError naming the violated constraint: pi_j x_i at
-        the probed steps, the first eight.  Runs check it again wherever they
-        read a new x_i, and CanonicalC's alpha or CanonicalB's beta_pos where
-        they first read a position (``_checked_site``): no finite probe
-        covers every step or position.  Returns the probes (i, x_i) and
-        ``rate_array()``, which a run reads from here rather than again."""
-        xs = [(i, self.x_of(i)) for i in range(1, min(max(self.steps, 1), 8) + 1)]
+        the probed steps, the first eight, one probe (i, x_i) per distinct
+        x_i at its first step i, so every message names the x_i it would
+        name with all eight.  Runs check it again wherever they read a new
+        x_i, and CanonicalC's alpha or CanonicalB's beta_pos where they
+        first read a position (``_checked_site``): no finite probe covers
+        every step or position.  Returns the probes and ``rate_array()``,
+        which a run reads from here rather than again."""
+        xs: list = []
+        for i in range(1, min(max(self.steps, 1), 8) + 1):
+            xi = self.x_of(i)
+            if all(xi != v for _, v in xs):
+                xs.append((i, xi))
         rates = self.rate_array()
         _checked_products(self.case, xs, range(1, self.ell + 1), rates)
         return xs, rates

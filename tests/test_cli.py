@@ -284,6 +284,8 @@ MP_C = ["--case", "C", "--dir", "ge"]
         pytest.param(MP_C + ["--contour", "3"], id="contour-without-r"),
         pytest.param(MP_C + ["--contour", "r=abc"], id="contour-bad-radius"),
         pytest.param(MP_C + ["--contour", "r=3,q=0"], id="contour-zero-points"),
+        pytest.param(MP_C + ["--contour", "r=3,q=16384", "--mode", "quadrature"],
+                     id="contour-points-at-cap"),
         pytest.param(MP_C + ["--contour", "r=3,s=8"], id="contour-unknown-field"),
         pytest.param(["--case", "A", "--dir", "le", "--contour", "r=3"], id="contour-case-A"),
         pytest.param(["--case", "B", "--dir", "ge", "--contour", "r=3"], id="contour-case-B"),
@@ -316,6 +318,24 @@ def test_multipoint_contour_defaults_to_residue(params_file):
     residue = json.loads(run_cli(*base, "--contour", "r=3").stdout)["payload"]
     assert residue["error_bound"] == 0.0
     assert abs(residue["value_float"] - series["value_float"]) <= series["error_bound"] + 1e-12
+
+
+def test_unconverged_contour_quadrature_is_usage_error(tmp_path):
+    # r = 9999/1000 lies inside the admissible (1/2, 10), so near the x pole
+    # at 10 that the trapezoidal rule has not converged at the point cap.
+    # This printed 0.000154... (the residue value is 0.000124...) with error
+    # bound 1e-12 and exit 0
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"x": ["1/10", "1/12"], "pi": ["1/2", "1/3", "1/5"]}))
+    base = ["multipoint", *MP_C, "--thresholds", "[2,1]", "--start", "[]", "--n", "2",
+            "--ell", "3", "--params", str(params), "--contour", "r=9999/1000"]
+    proc = run_cli(*base, "--mode", "quadrature", check=False)
+    assert proc.returncode == 1 and not proc.stdout
+    err = json.loads(proc.stderr)
+    assert err["error"] == "usage"
+    assert "not converged" in err["message"] and "MAX_QUADRATURE_POINTS (16384)" in err["message"]
+    residue = json.loads(run_cli(*base).stdout)["payload"]
+    assert residue["error_bound"] == 0.0 and abs(residue["value_float"] - 0.00012442) < 1e-8
 
 
 @pytest.mark.parametrize("case,direction", [("A", "le"), ("C", "ge"), ("CanonicalC", "ge")])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ktasep.multipoint as mpmod
 from ktasep.exactalg import P, X, h_prefix, rf, schur_poly, supersym_e, supersym_h
 from ktasep.kernels import CaseId, ParamBinding, single_step_closed_form
 from ktasep.multipoint import (
@@ -14,10 +15,12 @@ from ktasep.multipoint import (
     MAX_TRUNC,
     ContourSpec,
     MultiPointQuery,
+    PoleTable,
     SingularParameterError,
     boundary_condition_gap,
     continuous_kernel,
     contour_entry_residue,
+    contour_poles,
     master_equation_residual,
     mp_blocking,
     mp_blocking_contour,
@@ -332,6 +335,145 @@ def test_quadrature_points_above_cap():
     q = MultiPointQuery(CaseId.C, "ge", 1, P_([1]), P_([]), 2, small_binding(1))
     with pytest.raises(ValueError, match=str(MAX_QUADRATURE_POINTS)):
         mp_blocking_contour(q, ContourSpec(radius=F(3), points=2**15, mode="quadrature"))
+
+
+# x = 1/10, 1/12 and pi = 1/2, 1/3, 1/5 admit radii in (1/2, 10); at r =
+# 9.999 the x pole at 10 is so close that the rule has not converged by the
+# cap.  This printed 0.000154... (the residue value is 0.000124...) with
+# error bound 1e-12
+UNCONVERGED = ParamBinding.numeric(x=[F(1, 10), F(1, 12)], rates=[F(1, 2), F(1, 3), F(1, 5)])
+
+
+def test_unconverged_quadrature_raises():
+    q = MultiPointQuery(CaseId.C, "ge", 2, P_([2, 1]), P_([]), 3, UNCONVERGED)
+    assert abs(float(mp_blocking_contour(q)) - 0.00012442) < 1e-8
+    near = ContourSpec(radius=F(9999, 1000), mode="quadrature")
+    cap = rf"MAX_QUADRATURE_POINTS \({MAX_QUADRATURE_POINTS}\)"
+    last = rf"rules on {MAX_QUADRATURE_POINTS // 2} and {MAX_QUADRATURE_POINTS} points differ by"
+    with pytest.raises(ValueError, match=rf"not converged to 1.0e-12: the {last} .* at {cap}"):
+        mp_blocking_contour(q, near)
+    with pytest.raises(ValueError, match="not converged"):
+        mp_blocking(q, near)
+    # a rule started at the cap would have no second rule to agree with
+    for points in (MAX_QUADRATURE_POINTS // 2 + 1, MAX_QUADRATURE_POINTS):
+        with pytest.raises(ValueError, match=r"points <= MAX_QUADRATURE_POINTS / 2"):
+            mp_blocking_contour(q, ContourSpec(radius=F(3), points=points, mode="quadrature"))
+    v = mp_blocking_contour(q, ContourSpec(radius=F(3), points=MAX_QUADRATURE_POINTS // 2,
+                                           mode="quadrature"))
+    assert abs(v - float(mp_blocking_contour(q))) < 1e-12
+
+
+def test_unconverged_continuous_quadrature_raises(monkeypatch):
+    # e^{tw} at t = 40 needs far more than 64 points; a lower cap keeps the
+    # mpmath rule cheap
+    monkeypatch.setattr(mpmod, "MAX_QUADRATURE_POINTS", 64)
+    with pytest.raises(ValueError, match=r"rules on 32 and 64 points differ by .* \(64\)"):
+        continuous_kernel(CaseId.C, 40.0, P_([]), P_([1]), 1, [F(1)], mode="quadrature",
+                          quad_points=16, dps=15)
+
+
+def test_array_quadrature_matches_residues():
+    # radii 1 and 5 inside (1/2, 10); powers of both signs
+    for n in (1, 2):
+        b = small_binding(n)
+        for start, thr in ((P_([]), P_([2, 1])), (P_([2, 1]), P_([2, 1, 1])), (P_([1, 1]), P_([3]))):
+            q = MultiPointQuery(CaseId.C, "ge", n, thr, start, 3, b)
+            exact = float(mp_blocking_contour(q))
+            for r in (F(1), F(5)):
+                quad = mp_blocking_contour(q, ContourSpec(radius=r, mode="quadrature"))
+                assert abs(quad - exact) < 1e-12, (n, start, thr, r)
+
+
+# -- shared pole tables against per-entry ones --------------------------------
+
+
+def _pole_order(num, den):
+    return max((den.count(c) - num.count(c) for c in den), default=0)
+
+
+def _shared_contour_entries(n, ell, rates, start, thr):
+    """Every entry mp_blocking_contour computes with its shared PoleTable,
+    compared by repr with the entry computed alone; returns the entries'
+    (power, highest pole order)."""
+    b = ParamBinding.numeric(x=[F(1, 10), F(1, 12)][:n], rates=rates[:ell])
+    q = MultiPointQuery(CaseId.C, "ge", n, _partition(thr), _partition(start[:ell]), ell, b)
+    calls = []
+
+    def record(*args):
+        value = contour_entry_residue(*args)
+        calls.append((args, value))
+        return value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpmod, "contour_entry_residue", record)
+        mp_blocking_contour(q)
+    assert len(calls) == ell * ell
+    assert len({id(args[4]) for args, _ in calls}) == 1  # one table per determinant
+    for (num, den, xs, power, poles), value in calls:
+        assert isinstance(poles, PoleTable)
+        assert repr(value) == repr(contour_entry_residue(num, den, xs, power)), (num, den, power)
+    return [(args[3], _pole_order(args[0], args[1])) for args, _ in calls]
+
+
+POLE_RATES = [F(1, 2), F(1, 3), F(2, 7)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.integers(1, 4),
+    st.lists(st.sampled_from(POLE_RATES), min_size=4, max_size=4),
+    st.lists(st.integers(0, 3), max_size=4),
+    st.lists(st.integers(0, 4), max_size=4),
+)
+@example(1, 4, [F(1, 2)] * 4, [3, 2, 1], [1])
+@example(2, 3, [F(1, 3), F(1, 2), F(1, 2), F(1, 2)], [2, 1], [2, 2, 1])
+def test_shared_pole_table_entries_equal_fresh_ones(n, ell, rates, start, thr):
+    _shared_contour_entries(n, ell, rates, start, thr)
+
+
+def test_shared_pole_table_covers_orders_and_powers():
+    seen = []
+    for n in (1, 2):
+        for rates in ([F(1, 2)] * 4, [F(1, 3), F(1, 2), F(1, 2), F(1, 3)], POLE_RATES + [F(1, 5)]):
+            for start, thr in (([], [2, 1]), ([3, 2, 1], [1]), ([2, 1, 1], [3, 3, 1, 1])):
+                seen += _shared_contour_entries(n, 4, rates, start, thr)
+    powers = {p for p, _ in seen}
+    assert min(powers) < 0 and 0 in powers and max(powers) > 0
+    assert {1, 2, 3} <= {o for _, o in seen}
+
+
+@pytest.mark.parametrize("rates", [
+    [F(1), F(2, 3)], [F(1)] * 3, [F(1), F(2, 3), F(2, 3)], [F(2, 3), F(1), F(2, 3), F(1)],
+])
+def test_continuous_shared_poles_equal_fresh_ones(rates):
+    # each case C entry with the kernel's shared table against the same
+    # residue sum over a table of its own, compared by repr
+    inner, seen = mpmod._residue_sum, []
+
+    def record(num, den, power, poles):
+        value = inner(num, den, power, poles)
+        alone = inner(num, den, power, PoleTable([*num, *den], poles.taylor))
+        seen.append((repr(value), repr(alone), power))
+        return value
+
+    ell = len(rates)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpmod, "_residue_sum", record)
+        for mu, lam in ((P_([]), P_([2, 1])), (P_([2, 1]), P_([2, 1])), (P_([1]), [3, 0, -1])):
+            continuous_kernel(CaseId.C, 0.8, mu, lam, ell, rates)
+    assert len(seen) == 3 * ell * ell
+    assert all(shared == alone for shared, alone, _ in seen)
+    powers = {p for _, _, p in seen}
+    assert min(powers) < 0 and 0 in powers
+
+
+def test_pole_table_refuses_other_x_letters():
+    poles = contour_poles([F(1, 2)], [F(1, 10)])
+    assert contour_entry_residue([], [F(1, 2)], [F(1, 10)], 1, poles) == \
+        contour_entry_residue([], [F(1, 2)], [F(1, 10)], 1)
+    with pytest.raises(ValueError, match="other x letters"):
+        contour_entry_residue([], [F(1, 2)], [F(1, 12)], 1, poles)
 
 
 # -- determinant entries against the per-entry formulas ----------------------

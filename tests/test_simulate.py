@@ -2,6 +2,7 @@ import collections
 import functools
 import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -811,6 +812,23 @@ def test_config_validation_errors():
     cfg = SimConfig(case=CaseId.B, ell=2, steps=1, rates=[-1.0, 1.0], x=[0.5], seed=0)
     with pytest.raises(ValueError, match="rho_1"):
         cfg.validate()
+
+
+def test_validate_probes_each_distinct_x_once():
+    # one probe per distinct x_i among the first eight steps, at its first
+    # step, so the site checks loop over distinct values and every message
+    # names the x_i it named with all eight probes
+    cfg = SimConfig(case=CaseId.CANONICAL_B, ell=2, steps=20, rates=[0.5, 0.5],
+                    x=[0.25, 0.5, 0.25, 0.5, 0.75], beta_pos=lambda k: 1.5 if k >= 3 else 0.0)
+    probes, _ = cfg.validate()
+    assert probes == [(1, 0.25), (2, 0.5), (5, 0.75)]
+    assert SimConfig(case=CaseId.A, ell=1, steps=20, x=[0.5]).validate()[0] == [(1, 0.5)]
+    with pytest.raises(ValueError, match=r"pi_1\*x_3 = 1.5 outside \[0, 1\)"):
+        SimConfig(case=CaseId.A, ell=2, steps=20, rates=[0.5, 0.5], x=[0.5, 0.5, 3.0]).validate()
+    # beta_3 x_i = 1.125 > 1 first at x_5 = 0.75
+    for sampler in (run, lambda c: sample_batch_final(c, 10, 1)):
+        with pytest.raises(ConstraintError, match=r"beta_3\*x_5 = 1.125 > 1"):
+            sampler(replace(cfg, start=P_([3, 3])))
 
 
 def test_rate_x_checked_at_every_step():
