@@ -20,12 +20,14 @@ thresholds and formulas and applies ``move``'s rule to whole rows, so
 sample 0 of a one-sample batch is ``run_final``.
 
 In continuous time each particle rings as its own Poisson process, so
-``sample_continuous_final`` draws one particle's ring times at a time
-(``_ring_times``) and applies the blocking or pushing rule to them by a
-last-passage recursion over particles (``_row``), for every sample at
-once; ``run_continuous`` is its one-sample case.  Over the same ring
-times the recursion gives what firing the rings in time order with
-``move`` gives.
+``sample_continuous_final`` draws the particles' ring times first, the
+first blocks of a run of particles in one call (``_ring_times``), and
+applies the blocking or pushing rule to them by a last-passage recursion
+over particles (``_row``), for every sample at once; ``run_continuous`` is
+its one-sample case.  A particle's positions after its rings never
+decrease, so the times at which it first reaches each level are read off
+them.  Over the same ring times the recursion gives what firing the rings
+in time order with ``move`` gives.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -267,7 +269,8 @@ def move(pos: list, j: int, w, pushing: bool) -> None:
         pos[j - 1] = pos[j - 2]
 
 
-# Uniforms in one block of rounds: a few tens of kilobytes, whatever ell is
+# Uniforms in one block of rounds, or ring gaps in one run of particles'
+# first blocks: a few tens of kilobytes, whatever ell is
 _BLOCK_DRAWS = 4096
 
 
@@ -533,46 +536,95 @@ def _clock_rates(ell: int, rates: Rates) -> list:
     return rate
 
 
-# A row draws its ring gaps in blocks of its mean ring count before t plus
-# _RING_SIGMAS standard deviations plus _RING_SLACK, so that a second block
-# is rare
+# A particle draws its ring gaps in blocks of its mean ring count before t
+# plus _RING_SIGMAS standard deviations plus _RING_SLACK, so that a second
+# block is rare
 _RING_SIGMAS = 6
 _RING_SLACK = 10
 # Most rings a continuous run may expect (samples x sum_j pi_j t): 40 times
 # the paper-scale run (ell = t = 500 at rate 1, 250,000 rings).  A larger
-# run is refused before any draw, because a row's first block is sized
+# run is refused before any draw, because a particle's first block is sized
 # from its mean ring count and would not fit in memory.
 MAX_RINGS = 10_000_000
 
 
-def _ring_times(rate: float, t: float, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """One particle's ring times, samples x width, or width alone for one
-    sample: row b holds sample b's in increasing order, and width is the
-    most rings before t of any sample; a ring at t or later never fires.
+def _ring_times(rates: list, t: float, samples: int, rng: np.random.Generator) -> Iterator:
+    """Each particle's ring times, in the order of ``rates``: samples x
+    width, or width alone for one sample.  Row b holds sample b's in
+    increasing order up to the first column in which no sample's ring is
+    before t; a ring at t or later never fires and reads inf.
+
     A ring time is a running sum of ``rng.standard_exponential`` gaps
-    divided by ``rate``.  The gaps come in samples x n blocks, n = int(m +
-    _RING_SIGMAS * sqrt(m)) + _RING_SLACK for m = rate * t; while some
-    samples' last ring is before t, those samples (in order) draw one more
-    block.  A row with rate * t = 0 draws nothing."""
-    m = rate * t
-    if m == 0:
-        return np.empty((0,) if samples == 1 else (samples, 0))
-    n = int(m + _RING_SIGMAS * math.sqrt(m)) + _RING_SLACK
-    sums = rng.standard_exponential((samples, n)).cumsum(axis=1)
-    while sums[:, -1].min() / rate < t:
-        short = sums[:, -1] / rate < t
+    divided by the particle's rate.  A particle draws its gaps in a samples
+    x n block, n = int(m + _RING_SIGMAS * sqrt(m)) + _RING_SLACK for m =
+    rate * t; while some samples' last ring is before t, those samples (in
+    order) draw one more block.  A particle with rate * t = 0 draws nothing.
+    Runs of consecutive particles with one n draw their first blocks in one
+    call, up to _BLOCK_DRAWS gaps (``_ring_run``), which consumes the stream
+    as one block after another would."""
+    batch = () if samples == 1 else (samples,)
+    sizes = [int(m + _RING_SIGMAS * math.sqrt(m)) + _RING_SLACK if m else 0
+             for m in (rate * t for rate in rates)]
+    first = 0
+    for n, group in itertools.groupby(sizes):
+        end = first + len(list(group))
+        while first < end:
+            run = rates[first:min(end, first + max(1, _BLOCK_DRAWS // (samples * max(n, 1))))]
+            rings = _ring_run(run, n, t, batch, rng)
+            first += len(rings)
+            yield from rings
+
+
+def _ring_run(rates: list, n: int, t: float, batch: tuple, rng: np.random.Generator) -> list:
+    """Ring times (``_ring_times``) of consecutive particles whose first
+    blocks have n gaps, drawn in one call.  That consumes the stream as one
+    block after another would while no particle needs a second block.  When
+    one does, the run ends at it: the generator goes back to its state
+    before the call and draws the blocks up to that particle's again, then
+    that particle's further blocks (``_more_blocks``), so fewer particles
+    than ``rates`` may come back.  With n = 0 nothing is drawn and every
+    particle gets one column of inf."""
+    k = len(rates)
+    if not n:
+        return [np.full(batch + (1,), np.inf) for _ in rates]
+    rate = np.array(rates).reshape((k,) + (1,) * len(batch) + (1,))
+    state = rng.bit_generator.state if k > 1 else None
+    sums = rng.standard_exponential((k,) + batch + (n,)).cumsum(axis=-1)
+    short = np.flatnonzero((sums[..., -1:] / rate < t).reshape(k, -1).any(axis=1))
+    if len(short) and short[0] + 1 < k:
+        k = int(short[0]) + 1
+        rng.bit_generator.state = state
+        sums = rng.standard_exponential((k,) + batch + (n,)).cumsum(axis=-1)
+    rings = _up_to_t(sums / rate[:k], t)
+    if len(short):
+        rings[-1] = _up_to_t(_more_blocks(sums[-1], rates[k - 1], t, rng)[None], t)[0]
+    return rings
+
+
+def _more_blocks(sums: np.ndarray, rate: float, t: float, rng: np.random.Generator) -> np.ndarray:
+    """One particle's ring times from its first block of running gap sums
+    (samples x n, or n alone for one sample) after the further blocks of
+    the samples whose last ring is before t."""
+    n = sums.shape[-1]
+    rows = sums.reshape(-1, n)
+    while rows[:, -1].min() / rate < t:
+        short = rows[:, -1] / rate < t
         more = rng.standard_exponential((int(short.sum()), n))
-        more[:, 0] += sums[short, -1]
-        block = np.full((samples, n), np.inf)
+        more[:, 0] += rows[short, -1]
+        block = np.full(rows.shape[:1] + (n,), np.inf)
         block[short] = more.cumsum(axis=1)
-        sums = np.concatenate((sums, block), axis=1)
-    rings = sums / rate
-    # one sample keeps to 1-d arrays, on which numpy's fixed cost per call
-    # is about half that on 1 x width ones; a run makes some 20 calls a row
-    if samples == 1:
-        return rings[0, :rings[0].searchsorted(t)]
-    # up to the last column with a ring before t in some sample
-    return rings[:, :rings.min(axis=0).searchsorted(t)]
+        rows = np.concatenate((rows, block), axis=1)
+    return rows.reshape(sums.shape[:-1] + (-1,)) / rate
+
+
+def _up_to_t(rings: np.ndarray, t: float) -> list:
+    """Per particle of a stack of ring times, those up to and including the
+    first column in which no sample's ring is before t, with every ring at
+    t or later set to inf."""
+    late = rings >= t
+    rings[late] = np.inf
+    widths = late.argmax(axis=-1).reshape(len(rings), -1).max(axis=1) + 1
+    return [r[..., :w] for r, w in zip(rings, widths.tolist())]
 
 
 def _passed(levels: np.ndarray, rings: np.ndarray, side: str) -> np.ndarray:
@@ -593,43 +645,47 @@ def _passed(levels: np.ndarray, rings: np.ndarray, side: str) -> np.ndarray:
     return found - levels.shape[1] * np.arange(len(rings))[:, None]
 
 
-def _row(rings: np.ndarray, t: float, s: int, levels: np.ndarray, prev_s: int, prev_final,
-         push: bool) -> tuple:
+def _row(rings: np.ndarray, s: int, levels: np.ndarray, prev_s: int, push: bool) -> tuple:
     """Particle j's row of the last-passage recursion, from its rings
     (``_ring_times``), its start s and the row before it: the level times
     of particle j - 1 (blocking) or j + 1 (pushing), which started at
-    prev_s and ended at prev_final.  Arrays are per sample along their
-    last axis, as ``_ring_times`` gives them.
+    prev_s.  Arrays are per sample along their last axis, as
+    ``_ring_times`` gives them.
 
     ``levels`` holds the times at which a particle first reaches prev_s +
-    1, prev_s + 2, ..., then inf.  Write P_k for particle j's position
-    after its ring k at time r_k, P_0 = s.  Blocking: ring k moves j unless
-    that takes it past j - 1, which (the lower particle goes first in a
-    tie) is at Q_k = prev_s + #(levels <= r_k), so P_k = min(P_{k-1} + 1,
-    Q_k) and P_k - k is a running minimum.  Pushing: j + 1, at R_k =
-    prev_s + #(levels < r_k), has carried j up to it before ring k, so P_k
-    = max(P_{k-1}, R_k) + 1, a running maximum.  Returns j's level times
-    and final positions.  A level is first reached at the earliest ring
-    that ends on it, or, pushing, when j + 1 carries j there."""
-    k = np.arange(1, rings.shape[-1] + 1)
-    seen = prev_s + _passed(levels, rings, "left" if push else "right")
-    if push:
-        pos = np.maximum(np.maximum.accumulate(seen - k + 1, axis=-1), s) + k
-    else:
-        pos = np.minimum(np.minimum.accumulate(seen - k, axis=-1), s) + k
-    fired = rings < t
-    final = np.maximum.reduce(np.where(fired, pos, s), axis=-1, initial=s)
-    if push:
-        final = np.maximum(final, prev_final)
-    # column 0 is level s, where the rings of a blocked particle that has
-    # not moved yet end
-    out = np.full(rings.shape[:-1] + (int(final.max(initial=s)) - s + 1,), np.inf)
-    if push:
-        carried = levels[..., s - prev_s:]
-        out[..., 1:carried.shape[-1] + 1] = carried
-    at = fired.nonzero()
-    np.minimum.at(out, at[:-1] + (pos[at] - s,), rings[at])
-    return out[..., 1:], final
+    1, prev_s + 2, ..., inf for a level it does not reach before t.  Write
+    P_k for particle j's position after its ring k at time r_k, P_0 = s.
+    Blocking: ring k moves j unless that takes it past j - 1, which (the
+    lower particle goes first in a tie) is at Q_k = prev_s + #(levels <=
+    r_k), so P_k = min(P_{k-1} + 1, Q_k) and P_k - k is a running minimum.
+    Pushing: j + 1, at R_k = prev_s + #(levels < r_k), has carried j up to
+    it before ring k, so P_k = max(P_{k-1}, R_k) + 1, a running maximum.
+    P never decreases, so ring k is the first at which j stands on levels
+    P_{k-1} + 1, ..., P_k, unless (pushing) j + 1 carried j there earlier.
+    Returns j's level times and its final positions: s plus the levels it
+    reached before t."""
+    w = rings.shape[-1]
+    # gap[k] = P_k - k, from gap[0] = s: a running minimum of Q_k - k
+    # (blocking) or maximum of R_k + 1 - k (pushing)
+    gap = np.empty(rings.shape[:-1] + (w + 1,), dtype=np.int64)
+    gap[..., 0] = s
+    np.add(_passed(levels, rings, "left" if push else "right"),
+           np.arange(prev_s + push - 1, prev_s + push - 1 - w, -1), out=gap[..., 1:])
+    (np.maximum if push else np.minimum).accumulate(gap, axis=-1, out=gap)
+    # the last ring fires in no sample: raised to the top level, it ends
+    # every row there, so that ring k's time repeated P_k - P_{k-1} times
+    # gives as many level times in every sample
+    top = max(gap[..., -1:].ravel().tolist()) + w
+    gap[..., -1] = top - w
+    steps = gap[..., 1:] - gap[..., :-1]
+    steps += 1
+    times = rings.repeat(steps.ravel()).reshape(rings.shape[:-1] + (-1,))
+    if push:  # j + 1 reaches no level past top before t
+        carried = levels[..., s - prev_s:s - prev_s + times.shape[-1]]
+        head = times[..., :carried.shape[-1]]
+        np.minimum(head, carried, out=head)
+    # the levels reached are those with a time before the last ring's, inf
+    return times, s + _passed(times, rings[..., -1:], "left")[..., 0]
 
 
 def sample_continuous_final(ell: int, t: float, rates: Rates, samples: int,
@@ -638,34 +694,37 @@ def sample_continuous_final(ell: int, t: float, rates: Rates, samples: int,
     """Final bosonic positions (samples x ell) of continuous-time blocking
     (or, with ``push``, pushing) TASEP at time t, particle j ringing at rate
     pi_j.  A particle rings as its own Poisson process whatever the others
-    do, so each row draws its rings first (``_ring_times``) and ``_row``
-    applies the dynamics: particles 1, ..., ell when blocking, each bounded
-    by the one before, and ell, ..., 1 when pushing, each carried by the
-    one behind.  Rows are drawn in that order, and only two live at once.
-    A run that expects more than ``MAX_RINGS`` rings is refused before any
-    draw."""
+    do, so its rings are drawn first (``_ring_times``) and ``_row`` applies
+    the dynamics: particles 1, ..., ell when blocking, each bounded by the
+    one before, and ell, ..., 1 when pushing, each carried by the one
+    behind.  Rings are drawn in that order, for runs of particles at once:
+    at most _BLOCK_DRAWS gaps (or one particle's first block, if larger)
+    and two rows live at once.  A run that expects more than ``MAX_RINGS``
+    rings is refused before any draw."""
     if not 0 <= t < math.inf:
         raise ValueError(f"time horizon t = {t} outside [0, inf)")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rate = _clock_rates(ell, rates)
-    expected = samples * math.fsum(rate) * t
+    try:
+        expected = samples * math.fsum(r * t for r in rate)
+    except OverflowError:  # the count passes the largest float
+        expected = math.inf
     if expected > MAX_RINGS:
         raise ValueError(
             f"{expected:.4g} rings expected (samples x sum of pi_j t); at most {MAX_RINGS:,}"
         )
     s = (start or Partition()).padded(ell)
-    out = np.empty((samples, ell), dtype=np.int64)
+    order = range(ell - 1, -1, -1) if push else range(ell)
     levels = np.empty((0,) if samples == 1 else (samples, 0))
     # the row before particle 1 (blocking) or ell (pushing) never moves:
     # from far ahead it bounds nothing, from 0 it carries nothing
-    prev_s, final = (0, 0) if push else (1 << 62, 0)
-    for j in range(ell, 0, -1) if push else range(1, ell + 1):
-        rings = _ring_times(rate[j - 1], t, samples, rng)
-        levels, final = _row(rings, t, s[j - 1], levels, prev_s, final, push)
-        out[:, j - 1] = final
-        prev_s = s[j - 1]
-    return out
+    prev_s = 0 if push else 1 << 62
+    finals = [0] * ell
+    for i, rings in zip(order, _ring_times([rate[i] for i in order], t, samples, rng)):
+        levels, finals[i] = _row(rings, s[i], levels, prev_s, push)
+        prev_s = s[i]
+    return np.array(finals, dtype=np.int64).reshape(ell, samples).T.copy()
 
 
 def run_continuous(ell: int, t: float, rates: Rates, rng: np.random.Generator, push: bool = False,

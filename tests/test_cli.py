@@ -210,11 +210,14 @@ def test_sample_csv(tmp_path):
 
 
 def test_continuous_sample_too_large_is_usage_error():
-    # 1e13 expected rings would need a 73 TiB first block: refused up front
-    proc = run_cli("sample", "--continuous", "--ell", "1", "--t", "1e13", check=False)
-    assert proc.returncode == 1
-    err = json.loads(proc.stderr)
-    assert err["error"] == "usage" and "rings expected" in err["message"]
+    # 1e13 expected rings would need a 73 TiB first block, and rates whose
+    # sum passes the largest float expect more than any bound: both are
+    # refused up front
+    for args in (["--ell", "1", "--t", "1e13"], ["--ell", "2", "--t", "1", "--rate", "1e308"]):
+        proc = run_cli("sample", "--continuous", *args, check=False)
+        assert proc.returncode == 1, args
+        err = json.loads(proc.stderr)
+        assert err["error"] == "usage" and "rings expected" in err["message"], args
 
 
 def test_validate_smoke_exit_zero():

@@ -2,6 +2,7 @@ import collections
 import functools
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -255,12 +256,27 @@ def test_block_streams_pinned():
     assert _digest(_outputs("block")) == BLOCK_DIGEST
 
 
+def _shape_outputs():
+    """(label, output) per continuous run at the trajectory benchmark's
+    shapes, ell * t = 25,000 at rate 1 (pushing from [], blocking from the
+    fan start), then the draw that follows it."""
+    out = []
+    for ell, t in ((10, 2500.0), (100, 250.0), (400, 62.5)):
+        for push in (False, True):
+            rng = rng_for(100 + ell, int(push))
+            label = f"shape/continuous/ell={ell}/push={push}"
+            out.append((label, run_continuous(ell, t, 1.0, rng, push=push,
+                                              start=P_([]) if push else _fan_start(ell))))
+            out.append((f"{label}/next", rng.random()))
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _outputs(source):
     """The (label, output) pairs of one pinned source, computed once for
     its combined digest and its per-case digests."""
     return tuple({"stream": _stream_outputs, "long": _long_trajectories,
-                  "block": _block_outputs}[source]())
+                  "block": _block_outputs, "shape": _shape_outputs}[source]())
 
 
 def _digest(pairs):
@@ -321,11 +337,24 @@ CASE_DIGESTS = {
     "block/continuous/push=False/next": "974e4ce0df79cc49",
     "block/continuous/push=True": "0e4569d275c2c43b",
     "block/continuous/push=True/next": "15221301158fce48",
+    "shape/continuous/ell=10/push=False": "1e93ed4255f10b13",
+    "shape/continuous/ell=10/push=False/next": "d8730cf885187a86",
+    "shape/continuous/ell=10/push=True": "d3fb19e3d915a304",
+    "shape/continuous/ell=10/push=True/next": "fa1b1a74661af44b",
+    "shape/continuous/ell=100/push=False": "08c73d3adf269078",
+    "shape/continuous/ell=100/push=False/next": "c90dcac8b25adb3c",
+    "shape/continuous/ell=100/push=True": "f14b2e608ed20526",
+    "shape/continuous/ell=100/push=True/next": "fc7098278d2894b1",
+    "shape/continuous/ell=400/push=False": "05ff9c18dded2440",
+    "shape/continuous/ell=400/push=False/next": "ec8a3c338b7432e0",
+    "shape/continuous/ell=400/push=True": "9bec602fd3a48749",
+    "shape/continuous/ell=400/push=True/next": "34417eff33f97cb5",
 }
 
 
 def test_case_digests_cover_every_output():
-    labels = [label for source in ("stream", "long", "block") for label, _ in _outputs(source)]
+    labels = [label for source in ("stream", "long", "block", "shape")
+              for label, _ in _outputs(source)]
     assert sorted(labels) == sorted(CASE_DIGESTS)
 
 
@@ -596,11 +625,14 @@ def test_continuous_matches_scalar_events(monkeypatch):
     # over the same ring times the rows give what the event loop gives,
     # for one sample and for batches, with a zero rate (a frozen particle)
     # and a half-full start; then again with blocks of about m - sqrt(m)
-    # gaps, so that most rows draw further blocks.  After each run both
-    # generators give the same next draw.
-    rates = lambda j: (1.0, 0.7, 0.0, 1.3)[j % 4]
+    # gaps, so that most particles draw further blocks.  After each run both
+    # generators give the same next draw.  Past particle 30 the rates come
+    # in stretches of 25, whose first blocks are drawn in runs of particles
+    # (_ring_run); with the shrunk blocks a particle in the middle of a run
+    # draws further blocks, which ends the run there.
+    rates = lambda j: (1.0, 0.7, 0.0, 1.3)[j % 4 if j <= 30 else j // 25 % 4]
     grid = ((5, 0.0, 2), (5, 0.5, 1), (5, 0.5, 6), (20, 8.0, 1), (20, 8.0, 3), (20, 40.0, 1),
-            (30, 400.0, 1))
+            (30, 400.0, 1), (200, 20.0, 1), (200, 20.0, 3))
     for sigmas, slack in ((simulate._RING_SIGMAS, simulate._RING_SLACK), (-1, 1)):
         monkeypatch.setattr(simulate, "_RING_SIGMAS", sigmas)
         monkeypatch.setattr(simulate, "_RING_SLACK", slack)
@@ -960,9 +992,26 @@ def test_continuous_ring_count_is_bounded(monkeypatch):
         run_continuous(1, 1e13, 1.0, rng)
     with pytest.raises(ValueError, match=r"rings expected"):
         sample_continuous_final(4, 3e6, [1.0, 0.5, 0.0, 0.5], 2, rng, push=True)
+    # rates whose sum passes the largest float expect more than any bound
+    with pytest.raises(ValueError, match=r"inf rings expected"):
+        run_continuous(2, 1.0, 1e308, rng)
     assert (rng.random(4) == rng_for(5).random(4)).all()  # nothing was drawn
     # the bound counts every sample and particle, and a run at it is drawn
     monkeypatch.setattr(simulate, "MAX_RINGS", 60)
     with pytest.raises(ValueError, match=r"61 rings expected"):
         sample_continuous_final(1, 61.0, 1.0, 1, rng_for(5))
     assert sample_continuous_final(2, 10.0, [1.0, 2.0], 2, rng_for(5)).shape == (2, 2)
+
+
+@pytest.mark.parametrize("push", [False, True])
+def test_continuous_memory_is_bounded(push):
+    # a paper-scale run (ell = t = 500, 250,000 rings) keeps one run of
+    # first blocks (at most _BLOCK_DRAWS gaps, or one particle's block) and
+    # two rows: well under 4 MB, however many particles there are
+    tracemalloc.start()
+    try:
+        run_continuous(500, 500.0, 1.0, rng_for(1), push=push)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
