@@ -311,65 +311,121 @@ class SingularParameterError(ValueError):
     pass
 
 
-def _pole_term(k: int, taylor: Sequence, xs: Sequence, ys: Sequence):
+def _pole_term(k: int, taylor: Sequence, xs: Sequence, ys: Sequence, cq=1, gk=1):
     """[u^k] of F(p + u) * prod(1 - y u: ys) / prod(1 - x u: xs), where
-    ``taylor`` holds F's Taylor coefficients at p up to u^k."""
+    ``taylor`` holds F's Taylor coefficients at p up to u^k.  Over common
+    denominators (``PoleTable``) ``taylor[s]`` holds C^s times the u^s
+    coefficient and the letters are G/Q times the true ones; with ``cq`` =
+    C Q and ``gk`` = G the value returned is (C G)^k times the
+    coefficient: sum_s taylor[s] (C Q)^(k-s) G^s h_(k-s)."""
     h = h_prefix(k, xs, ys)
-    return sum((taylor[s] * h[k - s] for s in range(k)), taylor[k])
+    return sum((taylor[s] * h[k - s] * cq ** (k - s) * gk**s for s in range(k)),
+               taylor[k] * gk**k)
 
 
 class PoleTable:
     """The poles of one determinant's contour entries, whose roots all come
     from one set: the distinct roots, 0 first, told apart by equality (equal
-    rates merge into poles of higher order); each gap p - r, formed once;
-    and F's Taylor coefficients at each root, ``taylor(p, k)`` up to u^k,
+    rates merge into poles of higher order).
+
+    A discrete table, which names the x letters ``xs`` it was built for
+    (``contour_poles``), is exact: its roots (ints, Fractions, floats taken
+    exactly) are held as ints R_k over Q, the lcm of their denominators
+    (``scale_letters``), so each gap p_k - p_l is the int g = R_k - R_l over
+    Q.  A continuous table (no ``xs``) holds its mpmath roots as they are,
+    with Q = 1.  Per root k the table keeps, formed once: the gaps g from
+    k; G_k, their lcm (1 for mpmath roots), and the letters -G_k/g (ints,
+    or -1/g), which only poles of order 2 and more read; and
+    ``taylor(p, m)``, F's Taylor series at p up to u^m, as (top, bottom,
+    C_k, [T_0..T_m]) with F(p + u) = top/bottom * sum_s T_s / C_k^s u^s,
     taken again to a longer prefix only when an entry needs a higher order
-    (entries 0..k do not depend on k).  An entry does the same arithmetic
-    in the same order with a shared table as with one of its own, so
-    sharing never changes a value.  ``xs`` names the x letters a discrete
-    table was built for."""
+    (T_0..T_m do not depend on m).  ``add`` makes an entry's one value from
+    its residues' numerators and denominators.  A root that the table
+    lacks is added, and the gaps are then formed again over the new Q."""
 
     def __init__(self, roots: Sequence, taylor: Callable, xs: Sequence | None = None):
         self.roots, self.taylor, self.xs = [0], taylor, xs
+        self.exact = xs is not None
         self._held = list(roots)  # alive while the table is, so their ids stay theirs
-        self._ids: dict = {}
-        for c in self._held:
-            self._ids[id(c)] = self.index(c)
+        self._ids = {id(c): self._find(c) for c in self._held}
         self._coeffs: dict = {}
-        self._gaps: dict = {}
+        self._rescale()
 
-    def index(self, c) -> int:
-        """The index of the root equal to c, which is added if it is new."""
-        k = self._ids.get(id(c))
-        if k is not None:
-            return k
+    def _find(self, c) -> int:
         for k, r in enumerate(self.roots):
             if r is c or r == c:
                 return k
         self.roots.append(c)
         return len(self.roots) - 1
 
-    def coeffs(self, k: int, m: int) -> list:
-        """F's Taylor coefficients at root k, up to u^m at least."""
+    def _rescale(self) -> None:
+        if self.exact:
+            self.q, (self._scaled,) = scale_letters(self.roots)
+        else:
+            self.q, self._scaled = 1, self.roots
+        self._gaps: dict = {}
+        self._letters: dict = {}
+
+    def index(self, c) -> int:
+        """The index of the root equal to c, which is added if it is new."""
+        k = self._ids.get(id(c))
+        if k is None:
+            known = len(self.roots)
+            k = self._find(c)
+            if len(self.roots) > known:
+                self._rescale()
+        return k
+
+    def coeffs(self, k: int, m: int) -> tuple:
+        """``taylor`` at root k, up to u^m at least."""
         c = self._coeffs.get(k)
-        if c is None or len(c) <= m:
+        if c is None or len(c[3]) <= m:
             c = self._coeffs[k] = self.taylor(self.roots[k], m)
         return c
 
-    def gap(self, k: int, l: int):
-        """p_k - p_l."""
-        d = self._gaps.get((k, l))
-        if d is None:
-            d = self._gaps[k, l] = self.roots[k] - self.roots[l]
-        return d
+    def gaps(self, k: int) -> list:
+        """The gaps R_k - R_l from root k, indexed by l."""
+        got = self._gaps.get(k)
+        if got is None:
+            got = self._gaps[k] = [self._scaled[k] - r for r in self._scaled]
+        return got
+
+    def letters(self, k: int) -> tuple:
+        """(G_k, the letters -G_k/(R_k - R_l) indexed by l), read only by
+        poles of order 2 and more; the letter at l = k is unused."""
+        got = self._letters.get(k)
+        if got is None:
+            gaps = self.gaps(k)
+            if self.exact:
+                gk = math.lcm(*(g for g in gaps if g))
+                got = gk, [-gk // g if g else 0 for g in gaps]
+            else:
+                got = 1, [-1 / g if g else 0 for g in gaps]
+            self._letters[k] = got
+        return got
+
+    def add(self, terms):
+        """The sum of the fractions top/bottom of ``terms``: for an exact
+        table their ints are added over a common denominator and make one
+        Fraction, at the end."""
+        if not self.exact:
+            return sum((top / bottom for top, bottom in terms), 0)
+        num, den = 0, 1
+        for top, bottom in terms:
+            num, den = num * bottom + top * den, den * bottom
+        return Frac(num, den)
 
 
 def _residue_sum(num: Sequence, den: Sequence, power: int, poles: PoleTable):
     """Sum of the residues of  F(w) prod(1 - a/w: num) / prod(1 - b/w: den)
     / w^(power+1)  at w = 0 and at each distinct root of ``den``, poles of
-    any order included.  ``poles`` holds the roots, their gaps and F's
-    Taylor coefficients (a root it lacks is added); F must be analytic at
-    the roots."""
+    any order included.  ``poles`` holds the roots over one common
+    denominator Q, their gaps and letters, and F's Taylor series (a root it
+    lacks is added); F must be analytic at the roots.
+
+    Each residue is a numerator and a denominator in the table's numbers
+    (ints for an exact table), and the table adds them (``PoleTable.add``):
+    an exact table divides once, at the end."""
     # (1 - c/w) = (w - c)/w, so the integrand is F(w) prod_r (w - r)^-order[r];
     # a root in both num and den, and a zero root, cancel out of ``order``.
     # ``at`` lists the table's roots in the order they first appear here
@@ -383,45 +439,68 @@ def _residue_sum(num: Sequence, den: Sequence, power: int, poles: PoleTable):
             else:
                 at.append(k)
                 order.append(e)
-    total = 0
+    q = poles.q
+    terms = []  # each residue as (numerator, denominator)
     for a, (k, m) in enumerate(zip(at, order)):
         if m <= 0:
             continue
-        # at w = p + u: (w - p)^m = u^m, and for r != p, with d = p - r,
-        # (w - r)^-e = d^-e (1 + u/d)^-e; a simple pole reads only F(p),
-        # so its alphabets stay empty
-        gaps = [(poles.gap(k, l), e) for b, (l, e) in enumerate(zip(at, order)) if e and b != a]
-        xs, ys = [], []
+        # at w = p + u: (w - p)^m = u^m, and for r != p, with d = p - r =
+        # g/Q, (w - r)^-e = d^-e (1 + u/d)^-e: d^-e = Q^e / g^e, and the
+        # letters -1/d = (Q/G) (-G/g).  The orders sum to power + 1, so the
+        # other roots' e sum to power + 1 - m.  A simple pole reads only
+        # F(p), so its alphabets stay empty
+        top, bottom, ck, taylor = poles.coeffs(k, m - 1)
+        gaps = poles.gaps(k)
         if m > 1:
-            for d, e in gaps:
-                (xs if e > 0 else ys).extend([-1 / d] * abs(e))
-        term = _pole_term(m - 1, poles.coeffs(k, m - 1), xs, ys)
-        for d, e in gaps:
+            gk, letters = poles.letters(k)
+        xs, ys = [], []
+        for b, (l, e) in enumerate(zip(at, order)):
+            if not e or b == a:
+                continue
+            g = gaps[l]
             if e > 0:
-                term /= d if e == 1 else d**e
+                bottom *= g if e == 1 else g**e
             else:
-                term *= d if e == -1 else d**-e
-        total += term
-    return total
+                top *= g if e == -1 else g**-e
+            if m > 1:
+                (xs if e > 0 else ys).extend([letters[l]] * abs(e))
+        shift = power + 1 - m
+        if shift > 0:
+            top *= q**shift
+        elif shift < 0:
+            bottom *= q**-shift
+        if m > 1:
+            top *= _pole_term(m - 1, taylor, xs, ys, ck * q, gk)
+            bottom *= (ck * gk) ** (m - 1)
+        terms.append((top, bottom))
+    return poles.add(terms)
 
 
 def contour_poles(roots: Sequence, xs: Sequence) -> PoleTable:
     """The pole table of discrete contour entries whose num and den roots
-    are drawn from ``roots``, with F(w) = 1/prod(1 - x w: xs)."""
-    xs_exact = [Frac(x) for x in xs]
+    are drawn from ``roots``, with F(w) = 1/prod(1 - x w: xs).  At a root p
+    = n/d and x = a/b, 1 - x p = (b d - a n)/(b d): F's scale is
+    prod(b d)/prod(b d - a n), and its Taylor series is
+    sum_s h_s({x/(1 - x p)}) u^s, whose letters a d/(b d - a n) are put
+    over one denominator C, so the table's T_s = C^s h_s are ints."""
+    ratios = [Frac(x).as_integer_ratio() for x in xs]
 
     def taylor(p, k):
-        # 1/prod(1 - x (p + u)) = prod 1/(1 - x p) * sum_s h_s({x/(1 - x p)}) u^s
-        factors = [1 - x * p for x in xs_exact]
-        if 0 in factors:
-            raise SingularParameterError("denominator root meets an x pole")
-        scale = Frac(1)
-        for f in factors:
-            scale /= f
-        if not k:
-            return [scale]
-        h = h_prefix(k, [x / f for x, f in zip(xs_exact, factors)])
-        return [scale] + [scale * c for c in h[1:]]
+        n, d = p.as_integer_ratio()
+        top = bottom = 1
+        pairs = []  # each x/(1 - x p) in lowest terms
+        for a, b in ratios:
+            f = b * d - a * n
+            if not f:
+                raise SingularParameterError("denominator root meets an x pole")
+            top *= b * d
+            bottom *= f
+            common = math.gcd(a * d, f)
+            pairs.append((a * d // common, f // common))
+        common = math.gcd(top, bottom)
+        c = math.lcm(*(f for _, f in pairs))
+        return (top // common, bottom // common, c,
+                h_prefix(k, [e * (c // f) for e, f in pairs]))
 
     return PoleTable(roots, taylor, xs)
 
@@ -435,14 +514,14 @@ def contour_entry_residue(
 ):
     """Exact value of  oint  prod(1 - c/w for num) /
     [prod(1 - c/w for den) * prod(1 - x_m w) * w^power] dw/(2 pi i w)
-    over a circle separating {den roots} from {1/x_m}.  The entries of one
-    determinant share ``poles`` (``contour_poles`` of their roots and these
-    xs); without it the entry builds its own."""
+    over a circle separating {den roots} from {1/x_m}, as a Fraction.  The
+    entries of one determinant share ``poles`` (``contour_poles`` of their
+    roots and these xs); without it the entry builds its own."""
     if poles is None:
         poles = contour_poles([*num_roots, *den_roots], xs)
     elif poles.xs is not xs and list(poles.xs) != list(xs):
         raise ValueError("the pole table was built for other x letters")
-    return Frac(_residue_sum(num_roots, den_roots, power, poles))
+    return _residue_sum(num_roots, den_roots, power, poles)
 
 
 def mp_blocking_contour(query: MultiPointQuery, contour: ContourSpec | None = None):
@@ -571,7 +650,10 @@ def continuous_kernel(
     """Continuous-time transition probability via the determinant of
     contour integrals.  Residue mode sums the finite residues at w = 0 and
     the nonzero poles, of any order, with ``_residue_sum``, e^{t w} in
-    extended-precision floats; the entries share one ``PoleTable``.
+    extended-precision floats; the entries share one ``PoleTable`` with
+    mpmath roots, whose Q, C and G are 1, whose letters are -1/g and whose
+    Taylor series at p is e^{tp} (its scale) times t^s/s!.  Case A reads
+    only the pole at 0, whose series is the table's at root 0.
     Quadrature mode is the cross-check.
 
     ``lam`` may be a general integer sequence: the boundary conditions
@@ -592,10 +674,10 @@ def continuous_kernel(
 
         def taylor(p, k):
             # e^{t(p + u)} = e^{tp} sum_s t^s/s! u^s
-            out = [mp.e ** (tt * p)]
+            out = [mp.mpf(1)]
             for s in range(1, k + 1):
                 out.append(out[-1] * tt / s)
-            return out
+            return mp.e ** (tt * p), 1, 1, out
 
         # case C's roots beta_k = pi_{k+1}; case A reads only the pole at 0
         betas = [rate(k + 1) for k in range(1, ell)] if case is CaseId.C else []
@@ -624,7 +706,7 @@ def continuous_kernel(
                 else:
                     # [w^power] e^{tw} prod(1 - cw: num)/prod(1 - cw: den)
                     row.append(
-                        _pole_term(power, poles.coeffs(0, power), den, num)
+                        _pole_term(power, poles.coeffs(0, power)[3], den, num)
                         if power >= 0 else mp.mpf(0)
                     )
             rows.append(row)

@@ -234,7 +234,8 @@ _BLOCK_DRAWS = 4096
 class _RoundTables:
     """What a round reads per particle, built once per run or batch from
     ``config``: the update order and the rates in that order, the stretches
-    of rounds with one x_i, per-x_i thresholds, alpha (CanonicalC) or
+    of rounds with one x_i, per-x_i thresholds and success bounds (kept for
+    every x_i read, so a cycling x builds each once), alpha (CanonicalC) or
     beta_pos (CanonicalB) by position from 0, in a table that grows as the
     particles advance, and the site successes per (pi_j, x_i).  Each
     parameter rule is checked where its input is first read: a new x_i
@@ -258,7 +259,7 @@ class _RoundTables:
         # (pi_j, x_i) -> site k -> success, shared by the particles of one
         # rate and kept across changes of x_i
         self.successes = _Lazy(lambda key: _Lazy(lambda k: _site_success(case, self.site(k), *key)))
-        self.succ_at = _Lazy(lambda xi: [self.successes[rate, xi] for rate in self.rate_list])
+        self.laws = _Lazy(self._law)  # x_i -> its thresholds, kept across changes of x_i
         self.xi = None
         self.x_of = config.x_of
         self.cycle = None if callable(config.x) else [float(v) for v in config.x]
@@ -278,15 +279,11 @@ class _RoundTables:
                                 for p in periods for d in turns if p + d < n]
 
     def at_x(self, i: int, xi: float) -> None:
-        """Per-x_i thresholds from round i on.  An x_i not read before is
-        checked first: pi_j x_i for every particle (``check_rate_x``), then
-        the site rule at every position read so far.  A and C: particle i
-        can jump only if u >= floor[i]; the exact rule u >= 1 - q rounds
-        within a few ulps of |log q| <= 745 in ``sample_geometric``, far
-        inside the 1e-9 relative and 1e-15 absolute slack, so the floor
-        never excludes a jump.  CanonicalC and CanonicalB: particle i reads
-        the site successes succ[i].  Bernoulli (B, D): particle i jumps iff
-        u < p_succ[i]."""
+        """Per-x_i thresholds from round i on (``_law``), built when x_i is
+        first read and kept, so an x that returns to a value reads them
+        again.  An x_i not read before is checked first: pi_j x_i for every
+        particle (``check_rate_x``), then the site rule at every position
+        read so far."""
         if xi == self.xi:
             return
         if xi not in self.xs:
@@ -295,15 +292,24 @@ class _RoundTables:
                 self.check(k, site, [(i, xi)], self.low)
             self.xs[xi] = (i, xi)
         self.xi = xi
+        vars(self).update(self.laws[xi])
+
+    def _law(self, xi: float) -> dict:
+        """The thresholds at x_i.  A and C: particle i can jump only if u >=
+        floor[i]; the exact rule u >= 1 - q rounds within a few ulps of
+        |log q| <= 745 in ``sample_geometric``, far inside the 1e-9 relative
+        and 1e-15 absolute slack, so the floor never excludes a jump.
+        CanonicalC and CanonicalB: particle i reads the site successes
+        succ[i], and its success bound over the positions read so far
+        (``success_bound``) grows with them.  Bernoulli (B, D): particle i
+        jumps iff u < p_succ[i]."""
         v = self.rates * xi
         if self.case.canonical:
-            self.succ = self.succ_at[xi]
-        elif self.case.geometric:
-            self.q_list = v.tolist()
-            self.floor = 1.0 - v * (1.0 + 1e-9) - 1e-15
-        else:
-            self.p_succ = v / (1.0 + v)
-        self.top, self.top_upto = -math.inf, 0
+            return {"succ": [self.successes[rate, xi] for rate in self.rate_list],
+                    "bound": [-math.inf, 0]}
+        if self.case.geometric:
+            return {"q_list": v.tolist(), "floor": 1.0 - v * (1.0 + 1e-9) - 1e-15}
+        return {"p_succ": v / (1.0 + v)}
 
     def site(self, k: int) -> float:
         """alpha_k (CanonicalC) or beta_pos_k (CanonicalB); a position read
@@ -316,15 +322,17 @@ class _RoundTables:
     def success_bound(self, hi: int) -> np.ndarray:
         """Each particle's (in update order) largest site success
         probability at x_i over positions 0..hi: no draw at or above its
-        particle's bound is a success."""
+        particle's bound is a success.  x_i's bound is extended only over
+        the positions it has not covered yet."""
         self.site(hi)
-        if self.top_upto < len(self.sites):
-            new = np.array(self.sites[self.top_upto:])[:, None]
+        bound = self.bound  # [bound, positions covered], x_i's own
+        if bound[1] < len(self.sites):
+            new = np.array(self.sites[bound[1]:])[:, None]
             rates = sorted(set(self.rate_list))  # np.unique would import numpy.ma
             top = _site_success(self.case, new, np.array(rates), self.xi).max(axis=0)
             top = top[np.searchsorted(rates, self.rates)]  # each distinct rate once
-            self.top, self.top_upto = np.maximum(self.top, top), len(self.sites)
-        return self.top
+            bound[:] = np.maximum(bound[0], top), len(self.sites)
+        return bound[0]
 
     def candidates(self, u: np.ndarray, hi: int) -> np.ndarray:
         """Which uniforms of ``u``, its last axis in update order, can jump

@@ -393,8 +393,9 @@ def _pole_order(num, den):
 
 def _shared_contour_entries(n, ell, rates, start, thr):
     """Every entry mp_blocking_contour computes with its shared PoleTable,
-    compared by repr with the entry computed alone; returns the entries'
-    (power, highest pole order)."""
+    compared by repr with the entry computed alone, over a table of its own
+    roots; returns the entries' (power, highest pole order, whether the two
+    tables' common denominators Q differ)."""
     b = ParamBinding.numeric(x=[F(1, 10), F(1, 12)][:n], rates=rates[:ell])
     q = MultiPointQuery(CaseId.C, "ge", n, _partition(thr), _partition(start[:ell]), ell, b)
     calls = []
@@ -409,10 +410,14 @@ def _shared_contour_entries(n, ell, rates, start, thr):
         mp_blocking_contour(q)
     assert len(calls) == ell * ell
     assert len({id(args[4]) for args, _ in calls}) == 1  # one table per determinant
+    seen = []
     for (num, den, xs, power, poles), value in calls:
-        assert isinstance(poles, PoleTable)
-        assert repr(value) == repr(contour_entry_residue(num, den, xs, power)), (num, den, power)
-    return [(args[3], _pole_order(args[0], args[1])) for args, _ in calls]
+        assert isinstance(poles, PoleTable) and poles.exact
+        fresh = contour_poles([*num, *den], xs)
+        alone = contour_entry_residue(num, den, xs, power, fresh)
+        assert repr(value) == repr(alone), (num, den, power)
+        seen.append((power, _pole_order(num, den), fresh.q != poles.q))
+    return seen
 
 
 POLE_RATES = [F(1, 2), F(1, 3), F(2, 7)]
@@ -438,9 +443,12 @@ def test_shared_pole_table_covers_orders_and_powers():
         for rates in ([F(1, 2)] * 4, [F(1, 3), F(1, 2), F(1, 2), F(1, 3)], POLE_RATES + [F(1, 5)]):
             for start, thr in (([], [2, 1]), ([3, 2, 1], [1]), ([2, 1, 1], [3, 3, 1, 1])):
                 seen += _shared_contour_entries(n, 4, rates, start, thr)
-    powers = {p for p, _ in seen}
+    powers = {p for p, _, _ in seen}
     assert min(powers) < 0 and 0 in powers and max(powers) > 0
-    assert {1, 2, 3} <= {o for _, o in seen}
+    assert {1, 2, 3} <= {o for _, o, _ in seen}
+    # entries whose own roots have another common denominator than the
+    # determinant's give the same Fraction
+    assert any(other_q for _, _, other_q in seen)
 
 
 @pytest.mark.parametrize("rates", [
@@ -452,6 +460,7 @@ def test_continuous_shared_poles_equal_fresh_ones(rates):
     inner, seen = mpmod._residue_sum, []
 
     def record(num, den, power, poles):
+        assert not poles.exact and poles.q == 1
         value = inner(num, den, power, poles)
         alone = inner(num, den, power, PoleTable([*num, *den], poles.taylor))
         seen.append((repr(value), repr(alone), power))
@@ -466,6 +475,95 @@ def test_continuous_shared_poles_equal_fresh_ones(rates):
     assert all(shared == alone for shared, alone, _ in seen)
     powers = {p for _, _, p in seen}
     assert min(powers) < 0 and 0 in powers
+
+
+# -- integer residue sums against the Fraction ones --------------------------
+
+
+def _reference_pole_term(k, taylor, xs, ys):
+    """[u^k] of F(p + u) * prod(1 - y u: ys) / prod(1 - x u: xs), where
+    ``taylor`` holds F's Taylor coefficients at p up to u^k."""
+    h = h_prefix(k, xs, ys)
+    return sum((taylor[s] * h[k - s] for s in range(k)), taylor[k])
+
+
+def _reference_residue(num, den, xs, power):
+    """contour_entry_residue as a sum of Fraction residues over a table of
+    its own: the distinct roots (0 first), each gap p - r as a Fraction,
+    and F's Taylor coefficients 1/prod(1 - x p) h_s({x/(1 - x p)}) at each
+    root.  This is the residue sum before it ran in integers over one
+    common denominator."""
+    xs = [F(x) for x in xs]
+    roots = [0]
+
+    def index(c):
+        for k, r in enumerate(roots):
+            if r == c:
+                return k
+        roots.append(c)
+        return len(roots) - 1
+
+    def taylor(p, k):
+        factors = [1 - x * p for x in xs]
+        if 0 in factors:
+            raise SingularParameterError("denominator root meets an x pole")
+        scale = F(1)
+        for f in factors:
+            scale /= f
+        h = h_prefix(k, [x / f for x, f in zip(xs, factors)])
+        return [scale] + [scale * c for c in h[1:]]
+
+    at, order = [0], [power + 1]
+    for group, e in ((num, -1), (den, 1)):
+        for c in group:
+            order[0] -= e
+            k = index(c)
+            if k in at:
+                order[at.index(k)] += e
+            else:
+                at.append(k)
+                order.append(e)
+    total = 0
+    for a, (k, m) in enumerate(zip(at, order)):
+        if m <= 0:
+            continue
+        gaps = [(roots[k] - roots[l], e) for b, (l, e) in enumerate(zip(at, order))
+                if e and b != a]
+        lx, ly = [], []
+        if m > 1:
+            for d, e in gaps:
+                (lx if e > 0 else ly).extend([-1 / d] * abs(e))
+        term = _reference_pole_term(m - 1, taylor(roots[k], m - 1), lx, ly)
+        for d, e in gaps:
+            if e > 0:
+                term /= d if e == 1 else d**e
+            else:
+                term *= d if e == -1 else d**-e
+        total += term
+    return F(total)
+
+
+RESIDUE_ROOTS = [F(0), F(1, 2), F(1, 3), F(2, 7), F(-1, 5), F(3, 4)]
+RESIDUE_XS = [F(0), F(1, 999983), F(1, 10), F(2, 9), F(-1, 7)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from(RESIDUE_ROOTS), max_size=3),
+    st.lists(st.sampled_from(RESIDUE_ROOTS), max_size=7),
+    st.lists(st.sampled_from(RESIDUE_XS), min_size=1, max_size=3),
+    st.integers(-3, 6),
+)
+# poles of order 4 at 1/2 and at 0, and the large prime denominator
+@example([], [F(1, 2)] * 4 + [F(1, 3)], [F(1, 999983), F(0)], 2)
+@example([F(1, 3)], [F(1, 2)] * 2 + [F(-1, 5)] * 3, [F(1, 10), F(2, 9), F(1, 999983)], 6)
+@example([F(1, 2)], [F(2, 7)], [F(0)], -3)
+def test_integer_residues_equal_fraction_ones(num, den, xs, power):
+    # poles of order 1 to 4 (repeated roots), num roots that cancel den
+    # ones, powers of both signs and x letters 0 and 1/999983
+    value = contour_entry_residue(num, den, xs, power)
+    assert type(value) is F
+    assert value == _reference_residue(num, den, xs, power), (num, den, xs, power)
 
 
 def test_pole_table_refuses_other_x_letters():

@@ -538,6 +538,40 @@ def test_stretches_follow_the_cycle_of_x():
                 assert tables.stretches(first, n) == naive, (x, first, n)
 
 
+@pytest.mark.parametrize("case", list(CaseId), ids=lambda c: c.value)
+def test_each_x_thresholds_built_once(monkeypatch, case):
+    # x alternates between two values, so x_i changes every round: each
+    # x_i's thresholds are built at its first read and kept, and its
+    # success bound covers each position once, however often x returns
+    built, covered, seen = [], collections.Counter(), []
+    law, success = simulate._RoundTables._law, simulate._site_success
+
+    def spy_law(tables, xi):
+        built.append(xi)
+        seen.append(tables)
+        return law(tables, xi)
+
+    def spy_success(case_, site, rate, x):
+        if isinstance(site, np.ndarray):  # success_bound's new positions
+            covered[x] += len(site)
+        return success(case_, site, rate, x)
+
+    monkeypatch.setattr(simulate._RoundTables, "_law", spy_law)
+    monkeypatch.setattr(simulate, "_site_success", spy_success)
+    cfg = SimConfig(case=case, ell=8, steps=400, rates=[0.5] * 8, x=[0.2, 0.25],
+                    alpha=lambda m: 0.1 * (m % 3), beta_pos=lambda m: 0.2 * (m % 4))
+    for name, sampler in SAMPLERS.items():
+        built.clear()
+        covered.clear()
+        seen.clear()
+        sampler(cfg)
+        assert built == [0.2, 0.25], name
+        sites = len(seen[0].sites)
+        if case.canonical:
+            assert sites > 2 and set(covered) == {0.2, 0.25}, name
+        assert all(0 < c <= sites for c in covered.values()), (name, covered, sites)
+
+
 def test_trajectory_keeps_changes():
     # x = 0 moves nobody: one change, the start, still expands to a
     # snapshot per round
