@@ -3,7 +3,11 @@ tableaux subcommands with byte-stable JSON output.
 
 Exit codes: 0 success, 1 usage error, 2 a failed parameter constraint
 check (``kernels.ConstraintError``), 3 validation failure.  Errors go to
-stderr as structured JSON.
+stderr as structured JSON, ``{"error": "usage" | "constraint", "message":
+...}``, malformed command lines included; only --help and --version print
+plain text.  The rules of a query are the library's: ``multipoint`` hands
+its query to ``multipoint.mp_value``, and ``tableaux --count`` counts the
+tableaux that ``--list`` lists.
 """
 
 from __future__ import annotations
@@ -163,27 +167,13 @@ def cmd_kernel(args) -> int:
 
 def cmd_multipoint(args) -> int:
     case = parse_case(args.case)
-    if case is CaseId.CANONICAL_B:
-        raise UsageError("multipoint has no determinant formula for case CanonicalB")
-    want = mpmod.direction_of(case)
-    if args.dir != want:
-        raise UsageError(f"--dir {args.dir} contradicts case {case.value}, which uses --dir {want}")
     thr = _parse_partition(args.thresholds)
     start = _parse_partition(args.start)
-    contour = None
-    if args.contour is not None:
-        if case is not CaseId.C:
-            raise UsageError(f"--contour needs case C; case {case.value} has no contour form")
-        contour = _parse_contour(args.contour, args.mode or "residue")
-    elif args.mode is not None:
-        raise UsageError("--mode selects how a --contour is evaluated; give --contour r=<radius>")
-    binding = load_params(args.params, args.n)
-    binding.check_admissible(case, args.ell)
-    q = mpmod.MultiPointQuery(case, args.dir, args.n, thr, start, args.ell, binding)
-    if case.pushing:
-        value, bound = mpmod.mp_pushing(q), Frac(0)
-    else:
-        value, bound = mpmod.mp_blocking(q, contour, trunc=args.trunc)
+    contour = _parse_contour(args.contour, args.mode)
+    q = mpmod.MultiPointQuery(case, args.dir, args.n, thr, start, args.ell,
+                              load_params(args.params, args.n))
+    q.binding.check_admissible(case, args.ell)
+    value, bound = mpmod.mp_value(q, contour, trunc=args.trunc)
     payload = {
         "value": _rational_json(value),
         "value_float": float(value),
@@ -193,20 +183,22 @@ def cmd_multipoint(args) -> int:
     return 0
 
 
-def _parse_contour(text: str, mode: str) -> mpmod.ContourSpec:
-    """``r=<radius>[,q=<points>]`` as a ContourSpec."""
+def _parse_contour(text: str | None, mode: str | None) -> mpmod.ContourSpec | None:
+    """``r=<radius>[,q=<points>]`` and ``--mode`` as a ContourSpec, which
+    checks the mode and points; no ``--contour`` is the series."""
+    if text is None:
+        if mode is not None:
+            raise UsageError("--mode selects how a --contour is evaluated; give --contour r=<radius>")
+        return None
     try:
         fields = dict(item.split("=") for item in text.split(","))
         points = int(fields.pop("q", 256))
         radius = Frac(fields.pop("r"))
-        if fields or not 1 <= points <= mpmod.MAX_QUADRATURE_POINTS // 2:
+        if fields:
             raise ValueError(text)
     except (ValueError, KeyError, ZeroDivisionError) as exc:
-        raise UsageError(
-            f"bad --contour {text!r}: expected r=<radius>[,q=<points>], "
-            f"1 <= points <= {mpmod.MAX_QUADRATURE_POINTS // 2}"
-        ) from exc
-    return mpmod.ContourSpec(radius=radius, points=points, mode=mode)
+        raise UsageError(f"bad --contour {text!r}: expected r=<radius>[,q=<points>]") from exc
+    return mpmod.ContourSpec(radius=radius, points=points, mode=mode or "residue")
 
 
 def cmd_sample(args) -> int:
@@ -337,40 +329,41 @@ def cmd_tableaux(args) -> int:
         payload["terms"] = poly.to_json()
     else:
         payload["terms"] = _rational_json(poly)
-    if args.count:
-        fam = {"g": "rpp", "j": "ssyt", "G": "set", "Gds": "set"}.get(family)
-        if fam is None:
-            raise UsageError(f"no tableau count for family {family!r}")
-        if shape.size() <= 12:
-            payload["count"] = tab.count_tableaux(shape, args.n, fam)
-    if args.list:
+    if args.count or args.list:
         if shape.size() > 12:
-            raise UsageError("tableau listing is limited to shapes with <= 12 cells")
-        payload["tableaux"] = _list_tableaux(shape, args.n, family)
+            raise UsageError("tableau listing and counting are limited to shapes with <= 12 cells")
+        tableaux = _tableaux(shape, args.n, family)
+        if args.list:
+            tableaux = payload["tableaux"] = list(tableaux)
+        if args.count:
+            payload["count"] = sum(1 for _ in tableaux)
     emit(envelope("tableaux", None, payload))
     return 0
 
 
-def _list_tableaux(shape: SkewShape, n: int, family: str) -> list:
-    out = []
-    if family == "g":
-        for filling in tab.iter_rpp(shape, n):
-            out.append([[r, c, v] for (r, c), v in sorted(filling.items())])
-    elif family == "j":
-        for filling in tab.iter_ssyt(shape, n):
-            out.append([[r, c, v] for (r, c), v in sorted(filling.items())])
+def _tableaux(shape: SkewShape, n: int, family: str):
+    """The family's tableaux one at a time, each as [row, col, entry] triples:
+    ``--list`` keeps them and ``--count`` counts them."""
+    if family in ("g", "j"):
+        for filling in (tab.iter_rpp if family == "g" else tab.iter_ssyt)(shape, n):
+            yield [[r, c, v] for (r, c), v in sorted(filling.items())]
     elif family in ("G", "Gds"):
         for t in tab.iter_hook_tableaux(shape, n, arm_mode="off", legs_on=True):
-            out.append(
-                [[r, c, [e.corner, *e.leg]] for (r, c), e in t.cells]
-            )
+            yield [[r, c, [e.corner, *e.leg]] for (r, c), e in t.cells]
     else:
         raise UsageError(f"no listing for family {family!r}")
-    return out
+
+
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line raises UsageError, so that it reaches stderr
+    as JSON like every other usage error; --help and --version exit 0."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="ktasep")
+    p = _Parser(prog="ktasep")
     p.add_argument("--version", action="version", version=f"ktasep {__version__} [{PINNED_CONVENTIONS.fingerprint()}]")
     p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -395,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--ell", type=int, required=True)
     m.add_argument("--params", required=True)
     m.add_argument("--contour", default=None, help="r=<radius>[,q=<points>], case C only")
-    m.add_argument("--mode", default=None, choices=["residue", "series", "quadrature"],
-                   help="how to evaluate --contour (default residue)")
+    m.add_argument("--mode", default=None,
+                   help="how to evaluate --contour: residue (default) or quadrature")
     m.add_argument("--trunc", type=int, default=60)
     m.set_defaults(func=cmd_multipoint)
 
@@ -431,20 +424,18 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--shape", required=True)
     t.add_argument("--inner", default=None)
     t.add_argument("--n", type=int, required=True)
-    t.add_argument("--count", action="store_true")
+    t.add_argument("--count", action="store_true", help="count the tableaux (shapes of <= 12 cells)")
     t.add_argument("--list", action="store_true", help="list the tableaux (shapes of <= 12 cells)")
     t.set_defaults(func=cmd_tableaux)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help and --version; a malformed command line raises UsageError
+        return 0 if exc.code in (0, None) else 1
     except ConstraintError as exc:
         sys.stderr.write(json.dumps({"error": "constraint", "message": str(exc)}) + "\n")
         return 2

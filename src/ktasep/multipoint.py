@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Frac
+from functools import cached_property
 from typing import Callable, Sequence
 
 import mpmath as mp
@@ -36,8 +37,15 @@ def direction_of(case: CaseId) -> str:
 
 @dataclass
 class MultiPointQuery:
+    """P(G(i,n) <= thresholds_i for all i | start) in the pushing cases A
+    and D (direction "le"), >= in the blocking ones ("ge"), over particles
+    1..ell; another direction raises ValueError.  Every formula reads
+    ``top``, the thresholds joined componentwise with the start when
+    blocking (positions never decrease, so lower thresholds are vacuous),
+    and ``xs``, the binding's x_1..x_n; each is formed at its first read."""
+
     case: CaseId
-    direction: str  # "le" for pushing (A, D), "ge" for blocking (B, C, canonical)
+    direction: str
     n: int
     thresholds: Partition
     start: Partition
@@ -47,7 +55,19 @@ class MultiPointQuery:
     def __post_init__(self):
         want = direction_of(self.case)
         if self.direction != want:
-            raise ValueError(f"case {self.case} uses direction {want!r}")
+            raise ValueError(f"case {self.case.value} uses direction {want!r}")
+
+    @cached_property
+    def top(self) -> Partition:
+        thr, start = self.thresholds, self.start
+        if self.case.pushing:
+            return thr
+        rows = range(1, max(thr.length(), start.length()) + 1)
+        return Partition([max(thr.part(i), start.part(i)) for i in rows])
+
+    @cached_property
+    def xs(self) -> list:
+        return [self.binding.x_of(i) for i in range(1, self.n + 1)]
 
 
 MAX_QUADRATURE_POINTS = 2**14
@@ -88,16 +108,21 @@ def _check_quadrature_points(points: int) -> None:
 
 @dataclass
 class ContourSpec:
+    """How ``mp_blocking_contour`` evaluates case C's contour determinant on
+    the circle |w| = ``radius``: exactly by residues (mode "residue"), or by
+    the trapezoidal rule started at ``points`` nodes (mode "quadrature").
+    A mode outside these two, or points outside [1, MAX_QUADRATURE_POINTS /
+    2] (``_check_quadrature_points``), raises ValueError when the spec is
+    built; the radius is checked against the query's poles."""
+
     radius: Frac
     points: int = 256
-    mode: str = "residue"  # residue | series | quadrature
+    mode: str = "residue"
 
-
-def _join(a: Partition, b: Partition) -> Partition:
-    """Componentwise max; thresholds below the start are vacuous for the
-    >= direction since positions never decrease."""
-    n = max(a.length(), b.length())
-    return Partition([max(a.part(i), b.part(i)) for i in range(1, n + 1)])
+    def __post_init__(self):
+        if self.mode not in ("residue", "quadrature"):
+            raise ValueError(f"contour mode must be residue or quadrature, got {self.mode!r}")
+        _check_quadrature_points(self.points)
 
 
 # ---------------------------------------------------------------------------
@@ -105,22 +130,20 @@ def _join(a: Partition, b: Partition) -> Partition:
 # ---------------------------------------------------------------------------
 
 
+def _value(query: MultiPointQuery, rows: list[list]):
+    """The overall factor of every multi-point determinant, rate monomial
+    from the start to ``top`` times time factor, times det(rows)."""
+    case, b, ell = query.case, query.binding, query.ell
+    factor = (rate_monomial(case, query.start, query.top, b, ell)
+              * time_factor(case, b, range(1, ell + 1), query.xs))
+    return factor * det_exact(rows)
+
+
 def mp_pushing(query: MultiPointQuery):
     """P(G(i,n) <= thresholds_i for all i | start), cases A and D, exact."""
-    case, lam, nu, ell, b = (
-        query.case,
-        query.thresholds,
-        query.start,
-        query.ell,
-        query.binding,
-    )
-    n = query.n
-    xs = [b.x_of(i) for i in range(1, n + 1)]
-    if not lam.contains(nu):
+    if not query.thresholds.contains(query.start):
         return Frac(0)
-    rows = pushing_rows(query)
-    factor = rate_monomial(case, nu, lam, b, ell) * time_factor(case, b, range(1, ell + 1), xs)
-    return factor * det_exact(rows)
+    return _value(query, pushing_rows(query))
 
 
 def pushing_rows(query: MultiPointQuery) -> list[list]:
@@ -136,10 +159,7 @@ def pushing_rows(query: MultiPointQuery) -> list[list]:
     order the per-entry prefixes would.  Numeric letters run over one
     common denominator (``scale_letters``)."""
     lam, nu, ell, b = query.thresholds, query.start, query.ell, query.binding
-    scale, (xs, inv) = scale_letters(
-        [b.x_of(i) for i in range(1, query.n + 1)],
-        [b.inverse_rate(k) for k in range(1, ell + 1)],
-    )
+    scale, (xs, inv) = scale_letters(query.xs, [b.inverse_rate(k) for k in range(1, ell + 1)])
     x0, y0 = (xs, []) if query.case is CaseId.A else ([], [-x for x in xs])
     ms = [[lam.part(i) - nu.part(j) + j - i for j in range(1, ell + 1)]
           for i in range(1, ell + 1)]
@@ -164,10 +184,6 @@ def pushing_rows(query: MultiPointQuery) -> list[list]:
 # ---------------------------------------------------------------------------
 
 
-def _beta_of(b: ParamBinding, k: int):
-    return b.rate(k + 1)
-
-
 MAX_TRUNC = 1000  # the series' index cap; the repository's queries use 70 at most
 
 
@@ -179,30 +195,20 @@ def mp_blocking_series(query: MultiPointQuery, trunc: int = 60):
     supersymmetric beta prefixes.  Case B's sums terminate (exact);
     geometric cases truncate at ``trunc`` with a geometric tail bound.
     The canonical process inserts the position window of -alpha letters.
-    Returns (value, tail_bound)."""
-    case, nu, mu, ell, b = (
-        query.case,
-        _join(query.thresholds, query.start),
-        query.start,
-        query.ell,
-        query.binding,
-    )
-    n = query.n
-    xs = [b.x_of(i) for i in range(1, n + 1)]
+    Returns (value, tail_bound).  Case CanonicalB has no determinant
+    formula: it raises ValueError, as do the pushing cases."""
+    case, ell, b = query.case, query.ell, query.binding
     if case not in (CaseId.B, CaseId.C, CaseId.CANONICAL_C):
-        raise ValueError(case)
+        raise ValueError(f"no theta-series determinant for case {case.value}")
     if not 0 <= trunc <= MAX_TRUNC:
         raise ValueError(f"trunc must lie in [0, MAX_TRUNC] = [0, {MAX_TRUNC}], got {trunc}")
-    rows = theta_rows(query, trunc)
-    factor = rate_monomial(case, mu, nu, b, ell) * time_factor(case, b, range(1, ell + 1), xs)
-    value = factor * det_exact(rows)
+    value = _value(query, theta_rows(query, trunc))
     if case is CaseId.B:
         return value, Frac(0)
     # geometric tail bound for the truncated h-sums: the largest ratio is
     # max |pi_j x_i| (alphas only shorten the admissible step products)
     q = max(
-        (abs(Frac(b.rate(j)) * Frac(b.x_of(i))) for j in range(1, ell + 1)
-         for i in range(1, n + 1)),
+        (abs(Frac(b.rate(j)) * Frac(x)) for j in range(1, ell + 1) for x in query.xs),
         default=Frac(0),
     )
     bound = Frac(0)
@@ -232,19 +238,12 @@ def theta_rows(query: MultiPointQuery, trunc: int) -> list[list]:
     bottom prefix, started from prod_y (1 - y t), and adds those letters
     column by column.  Every letter is taken exactly and scaled over one
     common denominator (``scale_letters``), so the sums run in integers."""
-    case, nu, mu, ell, b = (
-        query.case,
-        _join(query.thresholds, query.start),
-        query.start,
-        query.ell,
-        query.binding,
-    )
-    n = query.n
+    case, nu, mu, n, ell, b = query.case, query.top, query.start, query.n, query.ell, query.binding
     # the windows [mu_j, nu_i) all lie in [mu_ell, nu_1)
     low = mu.part(ell)
     alphas = range(low, nu.part(1)) if case is CaseId.CANONICAL_C else ()
     scale, (xs, rates, window) = scale_letters(
-        [b.x_of(i) for i in range(1, n + 1)],
+        query.xs,
         [b.rate(j) for j in range(1, ell + 1)],
         [-b.alpha_of(k) for k in alphas],
     )
@@ -340,41 +339,30 @@ class PoleTable:
     C_k, [T_0..T_m]) with F(p + u) = top/bottom * sum_s T_s / C_k^s u^s,
     taken again to a longer prefix only when an entry needs a higher order
     (T_0..T_m do not depend on m).  ``add`` makes an entry's one value from
-    its residues' numerators and denominators.  A root that the table
-    lacks is added, and the gaps are then formed again over the new Q."""
+    its residues' numerators and denominators.  The roots are the ones the
+    table was built with: its entries may read no other."""
 
     def __init__(self, roots: Sequence, taylor: Callable, xs: Sequence | None = None):
         self.roots, self.taylor, self.xs = [0], taylor, xs
         self.exact = xs is not None
         self._held = list(roots)  # alive while the table is, so their ids stay theirs
-        self._ids = {id(c): self._find(c) for c in self._held}
-        self._coeffs: dict = {}
-        self._rescale()
-
-    def _find(self, c) -> int:
-        for k, r in enumerate(self.roots):
-            if r is c or r == c:
-                return k
-        self.roots.append(c)
-        return len(self.roots) - 1
-
-    def _rescale(self) -> None:
+        for c in self._held:
+            if c not in self.roots:  # ``in`` tells roots apart by identity or equality
+                self.roots.append(c)
+        self._ids = {id(c): self.roots.index(c) for c in self._held}
         if self.exact:
             self.q, (self._scaled,) = scale_letters(self.roots)
         else:
             self.q, self._scaled = 1, self.roots
+        self._coeffs: dict = {}
         self._gaps: dict = {}
         self._letters: dict = {}
 
     def index(self, c) -> int:
-        """The index of the root equal to c, which is added if it is new."""
+        """The index of the root equal to c; a root the table was not built
+        with raises ValueError."""
         k = self._ids.get(id(c))
-        if k is None:
-            known = len(self.roots)
-            k = self._find(c)
-            if len(self.roots) > known:
-                self._rescale()
-        return k
+        return self.roots.index(c) if k is None else k
 
     def coeffs(self, k: int, m: int) -> tuple:
         """``taylor`` at root k, up to u^m at least."""
@@ -420,8 +408,8 @@ def _residue_sum(num: Sequence, den: Sequence, power: int, poles: PoleTable):
     """Sum of the residues of  F(w) prod(1 - a/w: num) / prod(1 - b/w: den)
     / w^(power+1)  at w = 0 and at each distinct root of ``den``, poles of
     any order included.  ``poles`` holds the roots over one common
-    denominator Q, their gaps and letters, and F's Taylor series (a root it
-    lacks is added); F must be analytic at the roots.
+    denominator Q, their gaps and letters, and F's Taylor series; F must be
+    analytic at the roots.
 
     Each residue is a numerator and a denominator in the table's numbers
     (ints for an exact table), and the table adds them (``PoleTable.add``):
@@ -526,26 +514,23 @@ def contour_entry_residue(
 
 def mp_blocking_contour(query: MultiPointQuery, contour: ContourSpec | None = None):
     """Case C multi-point via the contour determinant (row 1 carries the
-    first particle's geometric-sum factor (1 - pi_1/w)).  The residue
-    entries share one ``PoleTable``."""
-    case, nu, mu, ell, b = (
-        query.case,
-        _join(query.thresholds, query.start),
-        query.start,
-        query.ell,
-        query.binding,
-    )
-    if case is not CaseId.C:
-        raise ValueError("contour form implemented for case C")
-    n = query.n
-    xs = [b.x_of(i) for i in range(1, n + 1)]
+    first particle's geometric-sum factor (1 - pi_1/w)), by residues unless
+    ``contour`` asks for quadrature.  The residue entries share one
+    ``PoleTable``.  Every other case raises ValueError: it has no contour
+    form."""
+    if query.case is not CaseId.C:
+        raise ValueError(f"case {query.case.value} has no contour form; only case C has one")
+    nu, mu, ell, b, xs = query.top, query.start, query.ell, query.binding, query.xs
+    # row 1's roots start at pi_1, the others are beta_k = pi_{k+1}
+    first = b.rate(1)
+    betas = [b.rate(k + 1) for k in range(1, ell)]
     quadrature = contour is not None and contour.mode == "quadrature"
     if contour is not None:
-        _validate_radius(contour, b, ell, n)
-        if quadrature:
-            _check_quadrature_points(contour.points)
-    first = b.rate(1)
-    betas = [_beta_of(b, k) for k in range(1, ell)]
+        # the circle |w| = r must separate the roots from the x poles 1/x
+        r, hi = Frac(contour.radius), min((1 / Frac(x) for x in xs if x != 0), default=None)
+        lo = max(abs(Frac(c)) for c in [first, *betas])
+        if hi is not None and not lo < r < hi:
+            raise ValueError(f"contour radius {r} violates pole separation ({lo}, {hi})")
     poles = None if quadrature else contour_poles([first, *betas], xs)
     rows = []
     for i in range(1, ell + 1):
@@ -563,24 +548,7 @@ def mp_blocking_contour(query: MultiPointQuery, contour: ContourSpec | None = No
             else:
                 row.append(contour_entry_residue(num, den, xs, power, poles))
         rows.append(row)
-    factor = rate_monomial(case, mu, nu, b, ell) * time_factor(case, b, range(1, ell + 1), xs)
-    return factor * det_exact(rows)
-
-
-def _validate_radius(contour: ContourSpec, b: ParamBinding, ell: int, n: int):
-    r = Frac(contour.radius)
-    hi = min(
-        (Frac(1) / Frac(b.x_of(i)) for i in range(1, n + 1) if b.x_of(i) != 0),
-        default=None,
-    )
-    lo = max(
-        [abs(Frac(b.rate(1)))] + [abs(Frac(_beta_of(b, k))) for k in range(1, ell)],
-        default=Frac(0),
-    )
-    if hi is not None and not (lo < r < hi):
-        raise ValueError(
-            f"contour radius {r} violates pole separation ({lo}, {hi})"
-        )
+    return _value(query, rows)
 
 
 def _contour_quadrature(num, den, xs, power, contour: ContourSpec):
@@ -607,20 +575,18 @@ def _contour_quadrature(num, den, xs, power, contour: ContourSpec):
     return _trapezoid(mean, contour.points, 1e-12)
 
 
-def mp_blocking(
-    query: MultiPointQuery,
-    contour: ContourSpec | None = None,
-    trunc: int = 60,
-):
-    """Blocking-direction multi-point value.  Case B: exact.  Case C:
-    series mode (with reported truncation bound) or the contour form;
-    CanonicalC: the series.  Returns (value, error_bound)."""
-    if query.case is CaseId.B:
-        return mp_blocking_series(query, trunc)
-    if contour is None or contour.mode == "series":
-        return mp_blocking_series(query, trunc)
-    value = mp_blocking_contour(query, contour)
-    return value, Frac(0) if contour.mode == "residue" else 1e-12
+def mp_value(query: MultiPointQuery, contour: ContourSpec | None = None, trunc: int = 60):
+    """The multi-point value of any query, as (value, error_bound).  With a
+    ``contour`` the value is ``mp_blocking_contour``'s, which only case C
+    has: exact by residues (bound 0) or by quadrature (bound 1e-12).
+    Otherwise a pushing case's value is ``mp_pushing``'s, exact, and a
+    blocking case's is ``mp_blocking_series``'s at ``trunc``, which refuses
+    CanonicalB.  A query no formula serves raises ValueError."""
+    if contour is not None:
+        return mp_blocking_contour(query, contour), Frac(0) if contour.mode == "residue" else 1e-12
+    if query.case.pushing:
+        return mp_pushing(query), Frac(0)
+    return mp_blocking_series(query, trunc)
 
 
 def mp_canonical(query: MultiPointQuery, trunc: int = 60):

@@ -580,27 +580,3 @@ def gen_flagged_schur(
             weight = weight * (X(v) if v <= n else B(v - n))
         total = total + weight
     return total
-
-
-def count_tableaux(shape: SkewShape, n: int, family: str, cutoff: int | None = None) -> int:
-    """Number of tableaux of the given family with entries <= n."""
-    if family == "set":
-        return sum(1 for _ in iter_hook_tableaux(shape, n, arm_mode="off", legs_on=True))
-    if family == "rpp":
-        return sum(1 for _ in iter_rpp(shape, n))
-    if family == "ssyt":
-        return sum(1 for _ in iter_ssyt(shape, n))
-    if family == "hook":
-        return sum(
-            1 for _ in iter_hook_tableaux(shape, n, arm_mode="resummed", legs_on=True)
-        )
-    if family == "multiset":
-        if cutoff is None:
-            raise ValueError("multiset family needs a cutoff")
-        return sum(
-            1
-            for _ in iter_hook_tableaux(
-                shape, n, arm_mode="series", legs_on=False, cutoff=cutoff
-            )
-        )
-    raise ValueError(f"unknown family {family}")

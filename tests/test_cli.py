@@ -165,9 +165,11 @@ def test_tableaux_list_matches_count(family):
     "family,shape,flag",
     [
         pytest.param("g", "[5,4,4]", "--list", id="g-[5,4,4]"),
+        # the count is the listing's length, under the same 12-cell limit
+        pytest.param("g", "[5,4,4]", "--count", id="g-[5,4,4]-count"),
         pytest.param("flagged", "[2,1]", "--list", id="flagged-[2,1]"),
-        # count_tableaux has no flagged family; the count must be refused,
-        # not taken from another family
+        # flagged tableaux have no listing; the count must be refused, not
+        # taken from another family
         pytest.param("flagged", "[2,1]", "--count", id="flagged-[2,1]-count"),
     ],
 )
@@ -273,7 +275,7 @@ def test_multipoint_prints_values_past_the_digit_limit(tmp_path):
     value = json.loads(proc.stdout)["payload"]["value"]
     q = mpmod.MultiPointQuery(CaseId.C, "ge", 1, Partition([2, 1]), Partition([]), 3,
                               load_params(str(p), 1))
-    exact, _ = mpmod.mp_blocking(q, None, trunc=1000)
+    exact, _ = mpmod.mp_value(q, None, trunc=1000)
     assert len(value["den"]) > 4300
     assert Fraction(_parse_int(value["num"]), _parse_int(value["den"])) == exact
 
@@ -296,6 +298,9 @@ MP_C = ["--case", "C", "--dir", "ge"]
         pytest.param(["--case", "CanonicalC", "--dir", "ge", "--contour", "r=3"],
                      id="contour-case-CanonicalC"),
         pytest.param(MP_C + ["--mode", "residue"], id="mode-without-contour"),
+        # there is no series contour mode: r = 9999 violates the pole
+        # separation (1/2, 10), which the series never checked
+        pytest.param(MP_C + ["--contour", "r=9999", "--mode", "series"], id="contour-mode-series"),
         # the series' index cap lies in [0, MAX_TRUNC]; a huge one is
         # refused before any prefix is allocated
         pytest.param(MP_C + ["--trunc", "-1"], id="trunc-negative"),
@@ -312,6 +317,30 @@ def test_multipoint_usage_errors(params_file, extra):
     )
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["kernel", "--case", "A", "--n", "1", "--mu", "[]", "--route", "bogus"],
+                     id="kernel-unknown-route"),
+        pytest.param(["kernel", "--case", "A", "--n", "x", "--mu", "[]"], id="kernel-n-not-int"),
+        pytest.param(["kernel", "--case", "A", "--n", "1"], id="kernel-missing-mu"),
+        pytest.param(["multipoint", *MP_C, "--thresholds", "[2,1]", "--start", "[]", "--n", "2",
+                      "--ell", "2", "--contour", "r=3", "--mode", "series"],
+                     id="multipoint-contour-mode-series"),
+    ],
+)
+def test_malformed_arguments_are_json_usage_errors(params_file, args):
+    # argparse's plain usage text used to break the JSON error contract
+    proc = run_cli(*args, "--params", params_file, check=False)
+    assert proc.returncode == 1 and not proc.stdout
+    assert json.loads(proc.stderr)["error"] == "usage"
+
+
+def test_help_exits_zero():
+    proc = run_cli("multipoint", "--help")
+    assert "--contour" in proc.stdout and not proc.stderr
 
 
 def test_multipoint_contour_defaults_to_residue(params_file):

@@ -21,13 +21,14 @@ from ktasep.multipoint import (
     continuous_kernel,
     contour_entry_residue,
     contour_poles,
+    direction_of,
     master_equation_residual,
-    mp_blocking,
     mp_blocking_contour,
     mp_blocking_series,
     mp_canonical,
     mp_event_sum,
     mp_pushing,
+    mp_value,
     pushing_rows,
     theta_rows,
 )
@@ -57,10 +58,10 @@ def test_trivial_certain_events():
     # all particles start at the thresholds and may not exceed them: this
     # is P(no movement), not 1; the certain event is thresholds >= anything
     qc = MultiPointQuery(CaseId.C, "ge", 1, P_([2, 1]), P_([2, 1]), 2, b)
-    v, bound = mp_blocking(qc)
+    v, bound = mp_value(qc)
     assert abs(float(v) - 1.0) <= float(bound)
     qb = MultiPointQuery(CaseId.B, "ge", 1, P_([2, 1]), P_([2, 1]), 2, b)
-    v, bound = mp_blocking(qb)
+    v, bound = mp_value(qb)
     assert v == 1 and bound == 0
 
 
@@ -158,7 +159,7 @@ def test_blocking_event_sums():
                     for thr in [P_([1]), P_([2, 1]), P_([1, 1, 1])]:
                         q = MultiPointQuery(case, "ge", n, thr, start, 3, b)
                         ev, tail = mp_event_sum(q, cap=13)
-                        v, bound = mp_blocking(q, trunc=70)
+                        v, bound = mp_value(q, trunc=70)
                         if case is CaseId.B:
                             assert v == ev
                         else:
@@ -353,7 +354,7 @@ def test_unconverged_quadrature_raises():
     with pytest.raises(ValueError, match=rf"not converged to 1.0e-12: the {last} .* at {cap}"):
         mp_blocking_contour(q, near)
     with pytest.raises(ValueError, match="not converged"):
-        mp_blocking(q, near)
+        mp_value(q, near)
     # a rule started at the cap would have no second rule to agree with
     for points in (MAX_QUADRATURE_POINTS // 2 + 1, MAX_QUADRATURE_POINTS):
         with pytest.raises(ValueError, match=r"points <= MAX_QUADRATURE_POINTS / 2"):
@@ -737,3 +738,56 @@ def test_series_trunc_is_bounded():
         assert bound > 0
         assert 0 < abs(v - exact) <= bound, trunc
     assert abs(mp_blocking_series(q, MAX_TRUNC)[0] - exact) < F(1, 10**1000)
+
+
+# -- mp_value: the one entry point and the rules it leaves to its formulas ----
+
+
+@pytest.mark.parametrize("case", [CaseId.A, CaseId.B, CaseId.D, CaseId.CANONICAL_C])
+def test_mp_value_refuses_a_contour_outside_case_c(case):
+    q = MultiPointQuery(case, "le" if case.pushing else "ge", 1, P_([2, 1]), P_([]), 2,
+                        small_binding(1))
+    with pytest.raises(ValueError, match=f"case {case.value} has no contour form"):
+        mp_value(q, ContourSpec(radius=F(3)))
+
+
+def test_mp_value_refuses_canonical_b():
+    b = ParamBinding.numeric(x=[F(1, 10)], rates=RATES, beta_pos=lambda k: F(1, 6 + k))
+    q = MultiPointQuery(CaseId.CANONICAL_B, "ge", 1, P_([2, 1]), P_([]), 2, b)
+    with pytest.raises(ValueError, match="no theta-series determinant for case CanonicalB"):
+        mp_value(q)
+
+
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({"mode": "series"}, id="mode-series"),
+    pytest.param({"mode": "quadrature", "points": 0}, id="zero-points"),
+    pytest.param({"points": MAX_QUADRATURE_POINTS // 2 + 1}, id="points-past-half-cap"),
+])
+def test_contour_spec_checks_mode_and_points(kwargs):
+    with pytest.raises(ValueError, match="contour mode|MAX_QUADRATURE_POINTS / 2"):
+        ContourSpec(radius=F(3), **kwargs)
+
+
+def test_mp_value_is_each_formula():
+    # the same value and type as the formula it dispatches to, exact or not
+    alpha = lambda k: F(1, 4 + k) if k >= 1 else F(0)
+    for n in (1, 2):
+        b = ParamBinding.numeric(x=[F(1, 10), F(1, 12)][:n], rates=RATES, alpha=alpha)
+        for start, thr in ((P_([]), P_([2, 1])), (P_([1]), P_([2, 2, 1])), (P_([2]), P_([1]))):
+            q = lambda case: MultiPointQuery(case, direction_of(case), n, thr, start, 3, b)
+            pairs = [(mp_value(q(c)), (mp_pushing(q(c)), F(0))) for c in (CaseId.A, CaseId.D)]
+            pairs += [(mp_value(q(c), trunc=20), mp_blocking_series(q(c), 20))
+                      for c in (CaseId.B, CaseId.C, CaseId.CANONICAL_C)]
+            for mode, bound in (("residue", F(0)), ("quadrature", 1e-12)):
+                spec = ContourSpec(radius=F(3), mode=mode)
+                pairs.append((mp_value(q(CaseId.C), spec),
+                              (mp_blocking_contour(q(CaseId.C), spec), bound)))
+            for got, want in pairs:
+                assert got == want and list(map(type, got)) == list(map(type, want)), (got, want)
+
+
+def test_pole_table_reads_only_its_roots():
+    poles = contour_poles([F(1, 2), F(1, 3)], [F(1, 10)])
+    assert poles.index(F(1, 3)) == 2 and poles.index(0) == 0
+    with pytest.raises(ValueError):
+        poles.index(F(1, 5))

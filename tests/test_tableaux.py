@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from ktasep import tableaux
-from ktasep.cli import _list_tableaux
+from ktasep.cli import _tableaux
 
 from ktasep.conventions import IndexConvention
 from ktasep.kernels import CaseId, ParamBinding, _tableau_letters, tableau_table
@@ -362,7 +362,7 @@ def test_listings_and_flagged_sums_pinned():
     for lam in (Partition([2, 1]), Partition([2, 2]), Partition([3, 1])):
         for n in (1, 2, 3):
             for family in ("g", "j", "G"):
-                listings.append(_list_tableaux(SkewShape(lam), n, family))
+                listings.append(list(_tableaux(SkewShape(lam), n, family)))
             flagged.append(repr(gen_flagged_schur(lam, n)))
     assert sum(len(x) for x in listings) == 225
     assert hashlib.sha256(repr(listings).encode()).hexdigest() == LISTING_DIGEST
