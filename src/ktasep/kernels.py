@@ -457,9 +457,9 @@ def operator_table(
     """All transition probabilities from mu to lambda with |lambda| <=
     size_cap, len(lambda) <= ell and lambda_1 <= width, by a single
     operator evolution, times the overall factor.  The
-    evolution stops every chain past size_cap and, outside CanonicalB's
-    conjugate picture, past width: sizes and row 1 only grow, so no
-    dropped term returns.
+    evolution stops every chain past size_cap and past its row-1 bound:
+    width, or ell for CanonicalB, whose conjugate shapes have len(lambda)
+    as row 1.  Sizes and row 1 only grow, so no dropped term returns.
 
     ``evolved`` holds the evolved vectors by (mu, x_1..x_i, size_cap, the
     row-1 bound), so a table continues from the longest evolution of its x
@@ -476,8 +476,10 @@ def operator_table(
         # CanonicalB evolves conjugate shapes.  One row beyond the widest
         # target keeps every untracked row uniformly blocked, so the finite
         # product of (1 - beta_j x) over the tracked rows is exact.  Row 1
-        # of a conjugate shape is len(lambda) <= ell, which bounds it.
-        start, rows, row1_cap = conjugate(mu), size_cap + 1, math.inf
+        # of a conjugate shape is len(lambda), which never decreases along a
+        # chain, so stopping chains past ell drops only shapes that the
+        # table leaves out anyway.
+        start, rows, row1_cap = conjugate(mu), size_cap + 1, ell
         factor = time_factor(case, binding, (1,), xs)
         for j in range(1, rows):
             for x in xs:

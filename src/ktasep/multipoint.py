@@ -79,7 +79,8 @@ def _trapezoid(mean, points: int, tol):
     up to MAX_QUADRATURE_POINTS until two successive values agree to
     ``tol``; return the real part of the last value.  A rule that has not
     converged by the cap raises ValueError: its last value is not within
-    ``tol``."""
+    ``tol``, and so does a start outside the checked range."""
+    _check_quadrature_points(points)
     prev = mean(points)
     while 2 * points <= MAX_QUADRATURE_POINTS:
         points *= 2

@@ -12,7 +12,8 @@ one update rule: particles move in ``update_order`` and each move is
 CanonicalC included (its jump by inverse CDF, ``_inhom_walk``), so ``run``
 draws its rounds in blocks (``_rounds``) and does Python work only for the
 candidates, the draws that can jump.  Its ``Trajectory`` keeps the rounds
-in which something moved, and ``run_final`` only the final state.  The
+in which something moved, each as a tuple of positions that becomes a
+``Partition`` only when read, and ``run_final`` only the final state.  The
 batch sampler (``batch_final``) runs the same rounds over many samples at
 once: ``step_batch`` reads the same ``_RoundTables``, draws each round's
 uniforms sample by sample in update order, picks the draws that can jump
@@ -99,29 +100,43 @@ class SimConfig:
         return float(self.beta_pos(k)) if self.beta_pos is not None else 0.0
 
 
-@dataclass
 class Trajectory:
     """A discrete run over rounds 0..steps, kept as its changes: (0, start),
     then (round, state) after each round in which something moved, in
-    order.  ``steps`` defaults to the last change's round."""
+    order.  ``steps`` defaults to the last change's round.
 
-    changes: list  # (round, Partition), the start first
-    ell: int = 0  # particle count; 0 means the most parts of any state
-    steps: int | None = None
+    A state is given as a ``Partition`` or, as ``run`` logs it, as the ell
+    bosonic positions in a tuple.  A tuple becomes a ``Partition`` when it
+    is first read, and that ``Partition`` replaces it, so a state read
+    twice is one object."""
 
-    def __post_init__(self):
-        if self.steps is None:
-            self.steps = self.changes[-1][0]
+    def __init__(self, changes: list, ell: int = 0, steps: int | None = None):
+        self._log = changes
+        self.ell = ell  # particle count; 0 means the most parts of any state
+        self.steps = changes[-1][0] if steps is None else steps
+
+    def _state(self, k: int) -> Partition:
+        t, p = self._log[k]
+        if type(p) is tuple:
+            p = Partition._trusted(p)
+            self._log[k] = (t, p)
+        return p
+
+    @property
+    def changes(self) -> list:
+        """(round, Partition) per change, the start first."""
+        return [(t, self._state(k)) for k, (t, _) in enumerate(self._log)]
 
     @property
     def snapshots(self) -> list:
         """(round, state) for every round 0..steps; a round in which nothing
         moved shares the state before it."""
-        ends = [t for t, _ in self.changes[1:]] + [self.steps + 1]
-        return [(t, p) for (t0, p), t1 in zip(self.changes, ends) for t in range(t0, t1)]
+        changes = self.changes
+        ends = [t for t, _ in changes[1:]] + [self.steps + 1]
+        return [(t, p) for (t0, p), t1 in zip(changes, ends) for t in range(t0, t1)]
 
     def final(self) -> Partition:
-        return self.changes[-1][1]
+        return self._state(-1)
 
     def positions(self, picture: str = "bosonic") -> list:
         """Per snapshot, the ell particle positions: bosonic parts, or
@@ -355,14 +370,15 @@ def step_discrete(case: CaseId, state: Partition, time_index: int, config: SimCo
     nothing moves returns ``state``."""
     out: list = []
     _rounds(list(state.padded(config.ell)), time_index, 1, rng, _RoundTables(case, config), out)
-    return out[-1][1] if out else state
+    return Partition._trusted(out[-1][1]) if out else state
 
 
 def _rounds(pos: list, first: int, n: int, rng: np.random.Generator, tables: _RoundTables,
             out: list | None) -> None:
     """Rounds first, ..., first + n - 1 of ``tables``' run from the bosonic
-    positions ``pos``, which move in place; (round, state) after each round
-    in which something moved is appended to ``out``, unless it is None.
+    positions ``pos``, which move in place; (round, positions as a tuple)
+    after each round in which something moved is appended to ``out``,
+    unless it is None.
 
     The block draws ``rng.random(n * ell)``: row r holds round first + r's
     uniforms in update order, so it consumes what n rounds of one scalar
@@ -415,7 +431,7 @@ def _rounds(pos: list, first: int, n: int, rng: np.random.Generator, tables: _Ro
                         move(pos, j, w, pushing)
                         moved = moved or pos[j - 1] != k  # a blocked jump may not move
                 if moved and out is not None:
-                    out.append((first + r, Partition._trusted(pos)))
+                    out.append((first + r, tuple(pos)))
                 if moved and bounded and pos[0] > hi:
                     hi, r0 = pos[0] + n - r - 1, r + 1
                     break
@@ -466,7 +482,8 @@ def step_batch(tables: _RoundTables, pos: np.ndarray, time_index: int, rng) -> n
 
 def run(config: SimConfig, run_index: int = 0) -> Trajectory:
     """Deterministic given (seed, run_index): the start and the rounds in
-    which something moved (``_run``)."""
+    which something moved (``_run``), each logged as a tuple of positions
+    that becomes a ``Partition`` when the ``Trajectory`` reads it."""
     changes = [(0, config.start)]
     _run(config, run_index, changes)
     return Trajectory(changes, config.ell, config.steps)

@@ -338,6 +338,17 @@ def test_quadrature_points_above_cap():
         mp_blocking_contour(q, ContourSpec(radius=F(3), points=2**15, mode="quadrature"))
 
 
+def test_trapezoid_checks_its_start():
+    # a start above half the cap leaves the doubling loop no second rule;
+    # the shared loop refuses it itself, before evaluating any rule
+    means = []
+    for points in (MAX_QUADRATURE_POINTS // 2 + 1, MAX_QUADRATURE_POINTS, 0):
+        with pytest.raises(ValueError, match=r"points <= MAX_QUADRATURE_POINTS / 2"):
+            mpmod._trapezoid(means.append, points, 1e-12)
+    assert means == []
+    assert mpmod._trapezoid(lambda m: complex(2.5, 1 / m), 4, 1e-1) == 2.5
+
+
 # x = 1/10, 1/12 and pi = 1/2, 1/3, 1/5 admit radii in (1/2, 10); at r =
 # 9.999 the x pole at 10 is so close that the rule has not converged by the
 # cap.  This printed 0.000154... (the residue value is 0.000124...) with

@@ -598,6 +598,28 @@ def test_trajectory_keeps_changes():
     assert all(f == [b[j] - j - 1 for j in range(4)] for (_, b), (_, f) in zip(bosonic, fermionic))
 
 
+def test_run_builds_partitions_only_when_read(monkeypatch):
+    # run logs each changed round as a tuple of positions, so final() builds
+    # one Partition however many rounds changed, and a state read twice is
+    # one object
+    cfg = SimConfig(case=CaseId.CANONICAL_C, ell=10, steps=3000, rates=[0.5] * 10, x=[0.2],
+                    alpha=lambda k: 0.1 * (k % 3), seed=41)
+    built, trusted = [], Partition._trusted
+    monkeypatch.setattr(Partition, "_trusted",
+                        classmethod(lambda cls, pos: built.append(pos) or trusted(pos)))
+    traj = run(cfg)
+    final = traj.final()
+    assert traj.final() is final and len(built) <= 1
+    monkeypatch.undo()
+    assert len(traj.changes) > 1000
+    snaps = _scalar_run(cfg)
+    assert traj.snapshots == snaps
+    assert traj.changes == [snaps[0]] + [s for s, (_, prev) in zip(snaps[1:], snaps) if s[1] != prev]
+    assert traj.positions() == [(t, list(p.padded(10))) for t, p in snaps]
+    assert traj.positions("fermionic") == [(t, [p.part(j) - j for j in range(1, 11)])
+                                           for t, p in snaps]
+
+
 # CanonicalC at ell = 3 from mu = (1): a rate above the others, jumps of
 # several sites (x = 3/5) and a hard wall at site 3, where alpha_3 = -pi
 # for particles 1 and 3

@@ -287,6 +287,22 @@ def test_route_agreement_all_cases():
                 assert rep.all_equal, (case, n, mu, rep.failures()[:2])
 
 
+def test_canonical_b_routes_agree_at_ell_4():
+    # CanonicalB's operator table evolves conjugate shapes, whose row 1 is
+    # len(lambda), and stops each chain once that row passes ell.  Targets
+    # of length ell sit right at that bound: every one of the 840 rows must
+    # be compared and agree
+    b = ParamBinding.numeric(x=[F(1, 5), F(1, 4)], rates=RATES + [F(1, 5)],
+                             beta_pos=lambda k: F(1, 6 + k) if k >= 1 else F(0))
+    lams, rows = partitions_in_box(4, 4), 0
+    for n in (1, 2):
+        for mu in partitions_in_box(2, 2):
+            rep = route_agreement(CaseId.CANONICAL_B, mu, n, b, 4, lams, cap=4)
+            assert rep.failures() == [] and rep.skipped() == [], (n, mu)
+            rows += len(rep.rows)
+    assert rows == 840
+
+
 @pytest.mark.parametrize("build", [
     lambda b: chain(CaseId.A, 1, P_([1, 1, 1]), b, 3, 3),
     lambda b: brute_force_table(CaseId.A, 1, P_([1, 1, 1]), b, 3, 3),
