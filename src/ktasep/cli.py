@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction as Frac
 
 from . import __version__
@@ -313,6 +314,13 @@ def cmd_tableaux(args) -> int:
     shape = SkewShape(outer, inner)
     family = args.family
     payload: dict = {"family": family, "outer": outer.to_json(), "inner": inner.to_json()}
+    if args.count or args.list:
+        if shape.size() > 12:
+            raise UsageError("tableau listing and counting are limited to shapes with <= 12 cells")
+        bound = _listing_bound(shape, args.n, family)
+        if bound > MAX_LISTING:
+            raise UsageError(f"tableau listing and counting are limited to {MAX_LISTING:,} "
+                             f"tableaux; this shape at --n {args.n} bounds them by {bound:,}")
     if family == "g":
         poly = tab.gen_g(shape, args.n)
     elif family == "j":
@@ -330,8 +338,6 @@ def cmd_tableaux(args) -> int:
     else:
         payload["terms"] = _rational_json(poly)
     if args.count or args.list:
-        if shape.size() > 12:
-            raise UsageError("tableau listing and counting are limited to shapes with <= 12 cells")
         tableaux = _tableaux(shape, args.n, family)
         if args.list:
             tableaux = payload["tableaux"] = list(tableaux)
@@ -341,17 +347,33 @@ def cmd_tableaux(args) -> int:
     return 0
 
 
+# Most tableaux that --count or --list may enumerate, by ``_listing_bound``
+MAX_LISTING = 100_000
+
+
+def _listing_bound(shape: SkewShape, n: int, family: str) -> int:
+    """An upper bound on the family's tableaux of ``shape`` with entries <=
+    n, read before any is generated.  g and j: each row of k cells is weakly
+    increasing in 1..n, C(n + k - 1, k) ways; G and Gds: each cell holds a
+    corner v and a leg inside v+1..n, 2^n - 1 ways."""
+    n = max(n, 0)
+    if family in ("g", "j"):
+        rows = Counter(r for r, _ in shape.cells())
+        return math.prod(math.comb(n + k - 1, k) for k in rows.values())
+    if family in ("G", "Gds"):
+        return (2**n - 1) ** shape.size()
+    raise UsageError(f"no listing for family {family!r}")
+
+
 def _tableaux(shape: SkewShape, n: int, family: str):
     """The family's tableaux one at a time, each as [row, col, entry] triples:
     ``--list`` keeps them and ``--count`` counts them."""
     if family in ("g", "j"):
         for filling in (tab.iter_rpp if family == "g" else tab.iter_ssyt)(shape, n):
             yield [[r, c, v] for (r, c), v in sorted(filling.items())]
-    elif family in ("G", "Gds"):
+    else:
         for t in tab.iter_hook_tableaux(shape, n, arm_mode="off", legs_on=True):
             yield [[r, c, [e.corner, *e.leg]] for (r, c), e in t.cells]
-    else:
-        raise UsageError(f"no listing for family {family!r}")
 
 
 class _Parser(argparse.ArgumentParser):

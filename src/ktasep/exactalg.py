@@ -537,20 +537,6 @@ class RationalFn:
             num = num / val**m
         return num
 
-    def substitute(self, mapping: dict) -> "RationalFn":
-        num = self.num.substitute(mapping)
-        out = _coerce_rf(num)
-        for p, m in self.den:
-            sub = p.substitute(mapping)
-            f = _coerce_rf(sub)
-            out = out / (f**m)
-        return out
-
-    def as_poly_if_possible(self):
-        if not self.den:
-            return self.num
-        return self
-
     def variables(self) -> set[VarId]:
         out = self.num.variables()
         for p, _ in self.den:

@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .conventions import IndexConvention, PINNED_CONVENTIONS
-from .exactalg import Frac, LaurentPoly, RationalFn, Scalar, is_zero_scalar, reciprocal
+from .exactalg import Frac, LaurentPoly, Scalar, is_zero_scalar, reciprocal
 from .operators import OpParams, PartitionVector, U_step, affine, resolvent, u_step
 from .partitions import Partition, SkewShape, conjugate, partitions_between
 from . import tableaux
@@ -700,21 +700,16 @@ def normalization_identity(mu: Partition, n: int, degree_cap: int):
     with beta_j = pi_{j+1}, both sides expanded through total x-degree
     ``degree_cap``.  Returns the exact difference (zero iff identity holds
     through the cap)."""
-    from .exactalg import P as Pvar, X as Xvar, as_poly
+    from .exactalg import A as Avar, P as Pvar, X as Xvar
 
+    letters = tableaux.Letters(Xvar, Avar, lambda j: Pvar(j + 1), LaurentPoly.const(1),
+                               LaurentPoly.zero())
     lhs = LaurentPoly.zero()
     rows, size = mu.length() + n, degree_cap + mu.size()
     for lam in partitions_between([mu.part(j) for j in range(1, rows + 1)], [size] * rows):
         if lam.size() > size:
             continue
-        g = tableaux.gen_G_doubleslash(lam, mu, n, False, True, PINNED_CONVENTIONS.index)
-        g = as_poly(g) if isinstance(g, (int, Frac)) else g
-        if isinstance(g, RationalFn):
-            g = g.as_poly_if_possible()
-        # substitute beta_j -> pi_{j+1}
-        bvars = [v for v in g.variables() if v.family == "B"]
-        g = g.substitute({v: Pvar(v.index + 1) for v in bvars})
-        g = as_poly(g)
+        g = tableaux.gen_G_doubleslash(lam, mu, n, False, True, PINNED_CONVENTIONS.index, letters)
         mono = LaurentPoly.const(1)
         for r in range(1, lam.length() + 1):
             mono = mono * Pvar(r) ** lam.part(r)

@@ -590,14 +590,6 @@ def mp_value(query: MultiPointQuery, contour: ContourSpec | None = None, trunc: 
     return mp_blocking_series(query, trunc)
 
 
-def mp_canonical(query: MultiPointQuery, trunc: int = 60):
-    """Multi-point for the inhomogeneous blocking process; alpha == 0
-    reduces exactly to case C."""
-    if query.case is not CaseId.CANONICAL_C:
-        raise ValueError("mp_canonical handles CanonicalC")
-    return mp_blocking_series(query, trunc)
-
-
 # ---------------------------------------------------------------------------
 # continuous-time kernels
 # ---------------------------------------------------------------------------

@@ -10,17 +10,18 @@ The discrete samplers and the brute-force oracle in ``validate`` share
 one update rule: particles move in ``update_order`` and each move is
 ``move``.  A discrete round takes one uniform per particle in that order,
 CanonicalC included (its jump by inverse CDF, ``_inhom_walk``), so ``run``
-draws its rounds in blocks (``_rounds``) and does Python work only for the
-candidates, the draws that can jump.  Its ``Trajectory`` keeps the rounds
-in which something moved, each as a tuple of positions that becomes a
-``Partition`` only when read, and ``run_final`` only the final state.  The
-batch sampler (``batch_final``) runs the same rounds over many samples at
-once: ``step_batch`` reads the same ``_RoundTables``, draws each round's
-uniforms sample by sample in update order, picks the draws that can jump
-with the same test (``_RoundTables.candidates``), decides them with the same
-formulas and applies ``move``'s rule to whole rows, so sample 0 of a
-one-sample batch is ``run_final``.  The tables also check each parameter
-rule where its input is first read.
+draws its rounds in blocks (``_rounds``), picks the candidates, the draws
+that can jump, in one comparison per block, each round under the law of
+its x_i, and does Python work only for them.  Its ``Trajectory`` keeps
+the rounds in which something moved, each as a tuple of positions that
+becomes a ``Partition`` only when read, and ``run_final`` only the final
+state.  The batch sampler (``batch_final``) runs the same rounds over
+many samples at once: ``step_batch`` reads the same ``_RoundTables``,
+draws each round's uniforms sample by sample in update order, picks the
+draws that can jump with the same test (``_RoundTables.candidates``),
+decides them with the same formulas and applies ``move``'s rule to whole
+rows, so sample 0 of a one-sample batch is ``run_final``.  The tables
+also check each parameter rule where its input is first read.
 
 In continuous time each particle rings as its own Poisson process, so
 ``sample_continuous_final`` draws the particles' ring times first, the
@@ -39,6 +40,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -248,16 +250,15 @@ _BLOCK_DRAWS = 4096
 
 class _RoundTables:
     """What a round reads per particle, built once per run or batch from
-    ``config``: the update order and the rates in that order, the stretches
-    of rounds with one x_i, per-x_i thresholds and success bounds (kept for
-    every x_i read, so a cycling x builds each once), alpha (CanonicalC) or
-    beta_pos (CanonicalB) by position from 0, in a table that grows as the
-    particles advance, and the site successes per (pi_j, x_i).  Each
-    parameter rule is checked where its input is first read: a new x_i
-    (``at_x``) against every rate and every position read so far, a new
-    position (``site``) against every x_i read so far.  The tables change
-    as a run goes on, so two threads must not run rounds with one of them
-    at once."""
+    ``config``: the update order and the rates in that order, the law of
+    each x_i read (``laws``; kept, so a cycling x builds each once),
+    alpha (CanonicalC) or beta_pos (CanonicalB) by position from 0, in a
+    table that grows as the particles advance, and the site successes per
+    (pi_j, x_i).  Each parameter rule is checked where its input is first
+    read: a new x_i (``laws``) against every rate and every position read
+    so far, a new position (``site``) against every x_i read so far.  The
+    tables change as a run goes on, so two threads must not run rounds
+    with one of them at once."""
 
     def __init__(self, case: CaseId, config: SimConfig):
         self.case = case
@@ -274,57 +275,49 @@ class _RoundTables:
         # (pi_j, x_i) -> site k -> success, shared by the particles of one
         # rate and kept across changes of x_i
         self.successes = _Lazy(lambda key: _Lazy(lambda k: _site_success(case, self.site(k), *key)))
-        self.laws = _Lazy(self._law)  # x_i -> its thresholds, kept across changes of x_i
-        self.xi = None
+        self.kept = _Lazy(self._law)  # x_i -> its law
         self.x_of = config.x_of
-        self.cycle = None if callable(config.x) else [float(v) for v in config.x]
+        self.period = None if callable(config.x) else len(config.x)
+        self.floored = case in (CaseId.A, CaseId.C)  # candidates at or above a floor
 
-    def stretches(self, first: int, n: int) -> list:
-        """(r, x_i of round first + r) for r = 0 and each r < n at which x_i
-        changes.  A sequence x repeats, so its changes come from one cycle;
-        a callable x is called once per round."""
-        if self.cycle is None:
-            cyc, o = [self.x_of(i) for i in range(first, first + n)], 0
-        else:
-            cyc, o = self.cycle, (first - 1) % len(self.cycle)
-        size = len(cyc)
-        turns = [d for d in range(1, size + 1) if cyc[(o + d) % size] != cyc[(o + d - 1) % size]]
-        periods = range(0, n, size) if turns else ()  # an x that never changes costs nothing
-        return [(0, cyc[o])] + [(p + d, cyc[(o + p + d) % size])
-                                for p in periods for d in turns if p + d < n]
+    def laws(self, first: int, n: int) -> tuple:
+        """The laws (``_law``) of the distinct x_i that rounds first, ...,
+        first + n - 1 read, in first-read order, and each round's index
+        into them.  A list x repeats, so one period of it is read; a
+        callable x is read once per round.  An x_i not read before is
+        checked at its first round i: pi_j x_i for every particle
+        (``check_rate_x``), then the site rule at every position read so
+        far."""
+        seen: dict = {}
+        index = []
+        for i in range(first, first + min(n, self.period or n)):
+            xi = self.x_of(i)
+            if xi not in self.xs:
+                check_rate_x(self.case, i, xi, self.indexed)
+                for k, site in enumerate(self.sites):
+                    self.check(k, site, [(i, xi)], self.low)
+                self.xs[xi] = (i, xi)
+            index.append(seen.setdefault(xi, len(seen)))
+        return [self.kept[xi] for xi in seen], (index * -(-n // len(index)))[:n]
 
-    def at_x(self, i: int, xi: float) -> None:
-        """Per-x_i thresholds from round i on (``_law``), built when x_i is
-        first read and kept, so an x that returns to a value reads them
-        again.  An x_i not read before is checked first: pi_j x_i for every
-        particle (``check_rate_x``), then the site rule at every position
-        read so far."""
-        if xi == self.xi:
-            return
-        if xi not in self.xs:
-            check_rate_x(self.case, i, xi, self.indexed)
-            for k, site in enumerate(self.sites):
-                self.check(k, site, [(i, xi)], self.low)
-            self.xs[xi] = (i, xi)
-        self.xi = xi
-        vars(self).update(self.laws[xi])
-
-    def _law(self, xi: float) -> dict:
-        """The thresholds at x_i.  A and C: particle i can jump only if u >=
-        floor[i]; the exact rule u >= 1 - q rounds within a few ulps of
-        |log q| <= 745 in ``sample_geometric``, far inside the 1e-9 relative
-        and 1e-15 absolute slack, so the floor never excludes a jump.
-        CanonicalC and CanonicalB: particle i reads the site successes
-        succ[i], and its success bound over the positions read so far
-        (``success_bound``) grows with them.  Bernoulli (B, D): particle i
-        jumps iff u < p_succ[i]."""
+    def _law(self, xi: float) -> SimpleNamespace:
+        """What the rounds at x_i read per particle i (in update order):
+        its jump law ``jump[i]`` and its candidate threshold ``bar[i]``.  A
+        and C: jump[i] is q, and i can jump only if u >= bar[i], a floor;
+        the exact rule u >= 1 - q rounds within a few ulps of |log q| <= 745
+        in ``sample_geometric``, far inside the 1e-9 relative and 1e-15
+        absolute slack, so the floor never excludes a jump.  CanonicalC and
+        CanonicalB: jump[i] is the site successes, and bar[i] the success
+        bound over the first ``covered`` positions (``success_bound``),
+        which grows with them.  Bernoulli (B, D): i jumps iff u < bar[i]."""
         v = self.rates * xi
         if self.case.canonical:
-            return {"succ": [self.successes[rate, xi] for rate in self.rate_list],
-                    "bound": [-math.inf, 0]}
-        if self.case.geometric:
-            return {"q_list": v.tolist(), "floor": 1.0 - v * (1.0 + 1e-9) - 1e-15}
-        return {"p_succ": v / (1.0 + v)}
+            jump, bar = [self.successes[rate, xi] for rate in self.rate_list], -math.inf
+        elif self.case.geometric:
+            jump, bar = v.tolist(), 1.0 - v * (1.0 + 1e-9) - 1e-15
+        else:
+            jump, bar = None, v / (1.0 + v)
+        return SimpleNamespace(x=xi, jump=jump, bar=bar, covered=0)
 
     def site(self, k: int) -> float:
         """alpha_k (CanonicalC) or beta_pos_k (CanonicalB); a position read
@@ -334,31 +327,30 @@ class _RoundTables:
             self.sites.append(self.check(m, self.site_of(m), self.xs.values(), self.low))
         return self.sites[k]
 
-    def success_bound(self, hi: int) -> np.ndarray:
+    def success_bound(self, law: SimpleNamespace, hi: int) -> np.ndarray:
         """Each particle's (in update order) largest site success
-        probability at x_i over positions 0..hi: no draw at or above its
-        particle's bound is a success.  x_i's bound is extended only over
+        probability under ``law`` over positions 0..hi: no draw at or above
+        its particle's bound is a success.  The bound is extended only over
         the positions it has not covered yet."""
         self.site(hi)
-        bound = self.bound  # [bound, positions covered], x_i's own
-        if bound[1] < len(self.sites):
-            new = np.array(self.sites[bound[1]:])[:, None]
+        if law.covered < len(self.sites):
+            new = np.array(self.sites[law.covered:])[:, None]
             rates = sorted(set(self.rate_list))  # np.unique would import numpy.ma
-            top = _site_success(self.case, new, np.array(rates), self.xi).max(axis=0)
+            top = _site_success(self.case, new, np.array(rates), law.x).max(axis=0)
             top = top[np.searchsorted(rates, self.rates)]  # each distinct rate once
-            bound[:] = np.maximum(bound[0], top), len(self.sites)
-        return bound[0]
+            law.bar, law.covered = np.maximum(law.bar, top), len(self.sites)
+        return law.bar
 
-    def candidates(self, u: np.ndarray, hi: int) -> np.ndarray:
-        """Which uniforms of ``u``, its last axis in update order, can jump
-        at x_i: below the success bound over positions 0..hi (CanonicalC,
-        CanonicalB), at or above the floor (A, C) or below p_succ (B, D,
-        whose candidates all jump)."""
-        if self.case.canonical:
-            return u < self.success_bound(hi)
-        if self.case.geometric:
-            return u >= self.floor
-        return u < self.p_succ
+    def candidates(self, u: np.ndarray, hi: int, laws: list, index: list) -> np.ndarray:
+        """Which uniforms of ``u``, rows of rounds with particles in update
+        order along the last axis, can jump: row r under laws[index[r]],
+        every row under a single law.  A candidate is below the success
+        bound over positions 0..hi (CanonicalC, CanonicalB), at or above
+        the floor (A, C) or below p_succ (B, D, whose candidates all
+        jump)."""
+        bars = [self.success_bound(law, hi) if self.case.canonical else law.bar for law in laws]
+        bar = bars[0] if len(bars) == 1 else np.array(bars)[index]
+        return u >= bar if self.floored else u < bar
 
 
 def step_discrete(case: CaseId, state: Partition, time_index: int, config: SimConfig,
@@ -382,21 +374,24 @@ def _rounds(pos: list, first: int, n: int, rng: np.random.Generator, tables: _Ro
 
     The block draws ``rng.random(n * ell)``: row r holds round first + r's
     uniforms in update order, so it consumes what n rounds of one scalar
-    draw per particle would.  One numpy comparison per stretch of rounds
-    with one x_i (``_RoundTables.candidates``) picks the candidates, the
-    (round, particle) draws that can jump, and the loop walks these, not the rounds: it decides each with
-    the scalar formulas (CanonicalC: ``_inhom_walk``) and ``move``s the
-    ones that jump, so a round without a candidate costs nothing.  Jump
-    laws read a particle's position at the start of the round: the
-    position-dependent cases (CanonicalB, CanonicalC) block, and a blocking
-    move changes only the particle that moves.
+    draw per particle would.  One numpy comparison
+    (``_RoundTables.candidates``), each row against the law of its
+    round's x_i (``_RoundTables.laws``), picks the candidates, the
+    (round, particle) draws that can jump, and the loop walks these, not
+    the rounds: it decides each with the scalar formulas of its round's
+    law (CanonicalC: ``_inhom_walk``) and ``move``s the ones that jump, so
+    a round without a candidate costs nothing.  Jump laws read a
+    particle's position at the start of the round: the position-dependent
+    cases (CanonicalB, CanonicalC) block, and a blocking move changes only
+    the particle that moves.
 
     Their candidates are the draws below their particle's success bound
     over positions 0..hi, which covers the particle while particle 1, which
-    no particle passes, is at or below hi.  hi starts at particle 1's start plus n,
-    which CanonicalB, moving one site a round at most, never passes.  When
-    a round leaves CanonicalC's particle 1 past hi, hi becomes its position
-    plus the rounds left, and those are selected again from the same draws."""
+    no particle passes, is at or below hi.  hi starts at particle 1's start
+    plus n, which CanonicalB, moving one site a round at most, never
+    passes.  When a round leaves CanonicalC's particle 1 past hi, hi
+    becomes its position plus the rounds left, and those are selected
+    again from the same draws."""
     if not pos:
         return
     u = rng.random(n * len(pos)).reshape(n, -1)
@@ -404,37 +399,36 @@ def _rounds(pos: list, first: int, n: int, rng: np.random.Generator, tables: _Ro
     canonical_b, canonical_c = case is CaseId.CANONICAL_B, case is CaseId.CANONICAL_C
     geometric = case.geometric and not canonical_c  # A and C
     bounded, order, pushing = case.canonical, tables.order, case.pushing
-    stretches = tables.stretches(first, n) + [(n, None)]
-    hi = pos[0] + n
-    for (r0, xi), (r1, _) in zip(stretches, stretches[1:]):
-        tables.at_x(first + r0, xi)
-        law = tables.q_list if geometric else tables.succ if bounded else None
-        while r0 < r1:
-            rows = u[r0:r1]
-            rs, ps = tables.candidates(rows, hi).nonzero()
-            cands = zip((rs + r0).tolist(), ps.tolist(), rows[rs, ps].tolist())
-            r0 = r1
-            for r, group in itertools.groupby(cands, operator.itemgetter(0)):
-                moved = False
-                for _, i, v in group:
-                    j = order[i]
-                    k = pos[j - 1]
-                    if geometric:
-                        w = sample_geometric(law[i], v)
-                    elif canonical_c:
-                        w = _inhom_walk(law[i], k, v, pos[j - 2] if j > 1 else math.inf) - k
-                    elif canonical_b:
-                        w = v < law[i][k]
-                    else:
-                        w = 1
-                    if w:
-                        move(pos, j, w, pushing)
-                        moved = moved or pos[j - 1] != k  # a blocked jump may not move
-                if moved and out is not None:
-                    out.append((first + r, tuple(pos)))
-                if moved and bounded and pos[0] > hi:
-                    hi, r0 = pos[0] + n - r - 1, r + 1
-                    break
+    laws, index = tables.laws(first, n)
+    # round r's jump laws: one list per round, shared when x_i does not change
+    jumps = [laws[0].jump] * n if len(laws) == 1 else [laws[k].jump for k in index]
+    hi, r0 = pos[0] + n, 0
+    while r0 < n:
+        rs, ps = tables.candidates(u[r0:], hi, laws, index[r0:]).nonzero()
+        rs += r0
+        cands = zip(rs.tolist(), ps.tolist(), u[rs, ps].tolist())
+        r0 = n
+        for r, group in itertools.groupby(cands, operator.itemgetter(0)):
+            moved, jump = False, jumps[r]
+            for _, i, v in group:
+                j = order[i]
+                k = pos[j - 1]
+                if geometric:
+                    w = sample_geometric(jump[i], v)
+                elif canonical_c:
+                    w = _inhom_walk(jump[i], k, v, pos[j - 2] if j > 1 else math.inf) - k
+                elif canonical_b:
+                    w = v < jump[i][k]
+                else:
+                    w = 1
+                if w:
+                    move(pos, j, w, pushing)
+                    moved = moved or pos[j - 1] != k  # a blocked jump may not move
+            if moved and out is not None:
+                out.append((first + r, tuple(pos)))
+            if moved and bounded and pos[0] > hi:
+                hi, r0 = pos[0] + n - r - 1, r + 1
+                break
 
 
 def step_batch(tables: _RoundTables, pos: np.ndarray, time_index: int, rng) -> np.ndarray:
@@ -443,33 +437,35 @@ def step_batch(tables: _RoundTables, pos: np.ndarray, time_index: int, rng) -> n
     positions, which move in place.  The round draws ``rng.random((samples,
     ell))``: row b holds sample b's uniforms in update order, the draws of
     round ``time_index`` of a ``_rounds`` block, and one comparison
-    (``_RoundTables.candidates``) picks the draws that can jump.  The
-    particles move in update order, each jump decided by the formulas of
-    ``_rounds`` from the particle's position at the start of the round,
-    then pushing (A, D) or blocked by the particle before."""
+    (``_RoundTables.candidates``) under the law of the round's x_i
+    (``_RoundTables.laws``) picks the draws that can jump.  The particles
+    move in update order, each jump decided by the formulas of ``_rounds``
+    from the particle's position at the start of the round, then pushing
+    (A, D) or blocked by the particle before."""
     ell, samples = pos.shape
     if not ell:
         return pos
-    tables.at_x(time_index, tables.x_of(time_index))
+    laws, index = tables.laws(time_index, 1)
+    jump = laws[0].jump
     u = rng.random((samples, ell)).T.copy()  # row i: the i-th particle in update order
     hi = int(pos[0].max(initial=0))
-    hit = tables.candidates(u.T, hi).T  # the test reads particles along the last axis
+    hit = tables.candidates(u.T, hi, laws, index).T  # the test reads particles along the last axis
     case = tables.case
     for i, j in enumerate(tables.order):
         row, v, b = pos[j - 1], u[i], np.flatnonzero(hit[i])
         if case is CaseId.CANONICAL_C:
             # the walk stops at the blocking neighbour, as in ``_rounds``
             stops = pos[j - 2, b].tolist() if j > 1 else itertools.repeat(math.inf)
-            row[b] = [_inhom_walk(tables.succ[i], k, vb, stop)
+            row[b] = [_inhom_walk(jump[i], k, vb, stop)
                       for k, vb, stop in zip(row[b].tolist(), v[b].tolist(), stops)]
             continue
         if case.geometric:  # A and C
-            q = tables.q_list[i]
+            q = jump[i]
             if q > 0:  # sample_geometric, with math.log1p: numpy picks its kernel by CPU
                 logs = np.fromiter(map(math.log1p, (-v[b]).tolist()), float, len(b))
                 row[b] += np.floor(logs / math.log(q)).astype(np.int64)
         elif case is CaseId.CANONICAL_B:  # the successes at positions 0..hi
-            succ = np.fromiter(map(tables.succ[i].__getitem__, range(hi + 1)), float, hi + 1)
+            succ = np.fromiter(map(jump[i].__getitem__, range(hi + 1)), float, hi + 1)
             row[b] += v[b] < succ[row[b]]
         else:  # B and D: every candidate jumps
             row[b] += 1

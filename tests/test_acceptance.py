@@ -44,7 +44,6 @@ from ktasep.multipoint import (
     master_equation_residual,
     mp_blocking_contour,
     mp_blocking_series,
-    mp_canonical,
     mp_event_sum,
     mp_pushing,
 )
@@ -407,10 +406,7 @@ def test_criterion_5_multipoint_vs_event_sums():
                              if all(lam.part(i) >= thr.part(i) for i in range(1, 4))),
                             F(0),
                         )
-                        if case is CaseId.CANONICAL_C:
-                            v, bound = mp_canonical(q, trunc=70)
-                        else:
-                            v, bound = mp_blocking_series(q, trunc=70)
+                        v, bound = mp_blocking_series(q, trunc=70)
                         gap = abs(float(v - ev))
                         tol = float(table.tail) + float(bound)
                         worst = max(worst, gap)

@@ -181,6 +181,19 @@ def test_tableaux_list_usage_errors(family, shape, flag):
     assert json.loads(proc.stderr)["error"] == "usage"
 
 
+def test_tableaux_listing_refused_past_its_bound(monkeypatch, capsys):
+    # each row of four cells is weakly increasing in 1..6, C(9, 4) = 126
+    # ways, so up to 126^3 = 2,000,376 reverse plane partitions fill [4,4,4]:
+    # refused before the generating function and the enumeration (38 s)
+    from ktasep import cli
+
+    monkeypatch.setattr(cli.tab, "gen_g", lambda *args: pytest.fail("generating function run"))
+    argv = ["tableaux", "--family", "g", "--shape", "[4,4,4]", "--n", "6", "--count"]
+    assert cli.main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and "2,000,376" in err["message"]
+
+
 def test_tableaux_parser_declares_list(capsys):
     from ktasep import cli
 

@@ -25,7 +25,6 @@ from ktasep.multipoint import (
     master_equation_residual,
     mp_blocking_contour,
     mp_blocking_series,
-    mp_canonical,
     mp_event_sum,
     mp_pushing,
     mp_value,
@@ -210,7 +209,7 @@ def _pinned_values():
                     out.append(mp_pushing(q(CaseId.D, "le")))
                     out.append(mp_blocking_series(q(CaseId.B, "ge"), 20)[0])
                     out.append(mp_blocking_series(q(CaseId.C, "ge"), 20)[0])
-                    out.append(mp_canonical(q(CaseId.CANONICAL_C, "ge"), 20)[0])
+                    out.append(mp_blocking_series(q(CaseId.CANONICAL_C, "ge"), 20)[0])
                     out.append(mp_blocking_contour(q(CaseId.C, "ge")))
     return out
 
@@ -257,11 +256,11 @@ def test_canonical_reduction_and_events():
             qc = MultiPointQuery(CaseId.C, "ge", n, thr, P_([]), 3, small_binding(n))
             q0 = MultiPointQuery(CaseId.CANONICAL_C, "ge", n, thr, P_([]), 3, b0)
             a, _ = mp_blocking_series(qc, 60)
-            c, _ = mp_canonical(q0, 60)
+            c, _ = mp_blocking_series(q0, 60)
             assert a == c
             q = MultiPointQuery(CaseId.CANONICAL_C, "ge", n, thr, P_([]), 3, b)
             ev, tail = mp_event_sum(q, cap=13)
-            v, bound = mp_canonical(q, trunc=70)
+            v, bound = mp_blocking_series(q, trunc=70)
             assert abs(float(v - ev)) <= float(tail) + float(bound) + 1e-25
 
 
@@ -269,7 +268,7 @@ def test_canonical_complement_identity():
     alpha = lambda k: F(1, 4 + k)
     b1 = ParamBinding.numeric(x=[F(1, 10)], rates=[F(1, 2)], alpha=alpha)
     q = MultiPointQuery(CaseId.CANONICAL_C, "ge", 1, P_([1]), P_([]), 1, b1)
-    v, bound = mp_canonical(q, 60)
+    v, bound = mp_blocking_series(q, 60)
     want = 1 - single_step_closed_form(CaseId.CANONICAL_C, P_([]), P_([]), 1, b1, 1)
     assert abs(float(v - want)) <= float(bound) + 1e-25
 
@@ -728,7 +727,8 @@ def test_series_at_float_letters_is_exact():
     b = ParamBinding([F(1, 10)], rates, sine)
     exact = ParamBinding([F(1, 10)], rates, lambda k: F(sine(k)))
     for thr in (P_([2, 1]), P_([3, 1]), P_([1, 1, 1])):
-        v, bound = mp_canonical(MultiPointQuery(CaseId.CANONICAL_C, "ge", 1, thr, P_([]), 3, b))
+        v, bound = mp_blocking_series(
+            MultiPointQuery(CaseId.CANONICAL_C, "ge", 1, thr, P_([]), 3, b))
         ev, tail = mp_event_sum(MultiPointQuery(CaseId.CANONICAL_C, "ge", 1, thr, P_([]), 3, exact),
                                 cap=20)
         assert ev == 0 and tail < 1e-26

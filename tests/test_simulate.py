@@ -462,7 +462,7 @@ def test_run_matches_scalar_rounds_across_blocks(monkeypatch):
     reaches = []
     bound = simulate._RoundTables.success_bound
     monkeypatch.setattr(simulate._RoundTables, "success_bound",
-                        lambda tables, hi: reaches.append(hi) or bound(tables, hi))
+                        lambda tables, law, hi: reaches.append(hi) or bound(tables, law, hi))
     cfg = SimConfig(case=CaseId.CANONICAL_C, ell=10, steps=900, seed=9,
                     x=lambda i: (0.8, 0.95, 0.6)[(i // 3) % 3], rates=lambda j: 0.9,
                     alpha=lambda m: 0.15 * (m % 3) - 0.1, start=P_([5, 2]))
@@ -515,7 +515,7 @@ def test_canonical_c_reselects_when_particle_1_outruns_the_bound(monkeypatch, up
     reaches = []
     bound = simulate._RoundTables.success_bound
     monkeypatch.setattr(simulate._RoundTables, "success_bound",
-                        lambda tables, hi: reaches.append(hi) or bound(tables, hi))
+                        lambda tables, law, hi: reaches.append(hi) or bound(tables, law, hi))
     cfg = SimConfig(case=CaseId.CANONICAL_C, ell=6, steps=700, seed=5, x=[1.6, 1.8],
                     rates=WALL_RATES, alpha=lambda m: -0.3 if m % 7 == 3 else 0.2,
                     update=update, start=P_([3, 1]))
@@ -525,17 +525,35 @@ def test_canonical_c_reselects_when_particle_1_outruns_the_bound(monkeypatch, up
     assert len(set(reaches)) > 2
 
 
-def test_stretches_follow_the_cycle_of_x():
-    # a sequence x's change points come from its cycle; they must be the
-    # rounds at which x_of changes, from any first round and block length
-    for x in ([0.1], [0.1, 0.2], [0.1, 0.1, 0.3], [0.2, 0.3, 0.2], [0.4, 0.4, 0.4, 0.1]):
+def test_laws_index_each_round_by_x_of():
+    # a block's laws are its distinct x_i in first-read order, and round
+    # first + r reads the law at x_of(first + r), from any first round and
+    # block length, whether x is a list (one period read) or a callable
+    xs = ([0.1], [0.1, 0.2], [0.1, 0.1, 0.3], [0.2, 0.3, 0.2], [0.4, 0.4, 0.4, 0.1],
+          lambda i: (0.05, 0.3, 0.6)[(i // 3) % 3])
+    for x in xs:
         cfg = SimConfig(case=CaseId.A, ell=2, steps=50, rates=[0.5, 0.5], x=x)
         tables = simulate._RoundTables(CaseId.A, cfg)
         for first in range(1, 9):
             for n in (1, 2, 3, 7, 20):
-                xs = [cfg.x_of(i) for i in range(first, first + n)]
-                naive = [(r, xs[r]) for r in range(n) if r == 0 or xs[r] != xs[r - 1]]
-                assert tables.stretches(first, n) == naive, (x, first, n)
+                laws, index = tables.laws(first, n)
+                read = [cfg.x_of(i) for i in range(first, first + n)]
+                assert [laws[k].x for k in index] == read, (x, first, n)
+                assert [law.x for law in laws] == list(dict.fromkeys(read)), (x, first, n)
+
+
+def test_run_compares_once_per_block_when_x_alternates(monkeypatch):
+    # x changes every round, yet each block of 40 rounds (ell = 100) picks
+    # its candidates in one comparison, its rows read by the x_i of their
+    # round: 75 calls for 3000 rounds
+    calls = []
+    candidates = simulate._RoundTables.candidates
+    monkeypatch.setattr(simulate._RoundTables, "candidates",
+                        lambda tables, *args: calls.append(1) or candidates(tables, *args))
+    cfg = SimConfig(case=CaseId.C, ell=100, steps=3000, rates=[1.0] * 100, x=[0.01, 0.0101],
+                    seed=1)
+    run_final(cfg)
+    assert len(calls) == 75
 
 
 @pytest.mark.parametrize("case", list(CaseId), ids=lambda c: c.value)
