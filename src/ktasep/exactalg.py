@@ -609,20 +609,27 @@ def h_prefix(k: int, xs: Sequence[Scalar], ys: Sequence[Scalar] = ()) -> list:
     return h
 
 
-def scale_letters(*alphabets: Sequence[Scalar]) -> tuple[int, list]:
-    """The alphabets over one common denominator.
+def scale_letters(*groups: Sequence[Sequence[Scalar]]) -> tuple[list, list]:
+    """Each group of alphabets over its own common denominator.
 
     Every number is taken exactly as a Fraction (a float converts exactly).
-    When all letters are numbers, each is multiplied by L, the lcm of their
-    denominators, so every alphabet becomes a list of ints; h_a is
-    homogeneous of degree a, so h_a(letters) = h_a(L letters) / L^a.  When
-    some letter is not a number (a LaurentPoly or RationalFn), L is 1 and
-    the letters are not scaled.  Returns (L, the alphabets as lists)."""
-    if not all(isinstance(v, (int, float, Frac)) for a in alphabets for v in a):
-        return 1, [list(a) for a in alphabets]
-    exact = [[Frac(v) for v in a] for a in alphabets]
-    scale = math.lcm(*(v.denominator for a in exact for v in a))
-    return scale, [[v.numerator * (scale // v.denominator) for v in a] for a in exact]
+    When all letters of all groups are numbers, each letter of a group is
+    multiplied by that group's L, the lcm of the group's denominators, so
+    every alphabet becomes a list of ints; h_a is homogeneous of degree a,
+    so h_a(letters) = h_a(L letters) / L^a, and a product of h_a of one
+    group and h_b of another is the int product over L_1^a L_2^b.  When
+    some letter is not a number (a LaurentPoly or RationalFn), every L is 1
+    and no letter is scaled.  Returns (the L of each group, every alphabet
+    as a list, in the order given)."""
+    if not all(isinstance(v, (int, float, Frac)) for g in groups for a in g for v in a):
+        return [1] * len(groups), [list(a) for g in groups for a in g]
+    scales, alphabets = [], []
+    for g in groups:
+        exact = [[Frac(v) for v in a] for a in g]
+        scale = math.lcm(*(v.denominator for a in exact for v in a))
+        scales.append(scale)
+        alphabets += [[v.numerator * (scale // v.denominator) for v in a] for a in exact]
+    return scales, alphabets
 
 
 def supersym_h(m: int, xs: Sequence[Scalar], ys: Sequence[Scalar]):
@@ -641,15 +648,18 @@ def supersym_e(m: int, xs: Sequence[Scalar], ys: Sequence[Scalar]):
     return supersym_h(m, [-y for y in ys], [-x for x in xs])
 
 
-def unscale(value, scale: int, degree: int):
+def unscale(value, denominator: int, degree: int):
     """A homogeneous sum of degree ``degree`` from its value at letters
-    scaled by ``scale`` (``scale_letters``): an int over scale^degree as
-    an exact Fraction.  The degree-0 sum h_0 = 1 stays the int 1, and a
-    symbolic value (scale 1) is returned as it is."""
-    return Frac(value, scale**degree) if degree and type(value) is int else value
+    scaled into ints (``scale_letters``): the int value over
+    ``denominator``, the product of each group's L to the sum's degree in
+    that group's letters, as an exact Fraction.  The degree-0 sum h_0 = 1
+    stays the int 1, and a symbolic value (every L 1) is returned as it
+    is."""
+    return Frac(value, denominator) if degree and type(value) is int else value
 
 
-def theta_h_pair(m: int, top_h: Sequence, bottom_h: Sequence, trunc: int, scale: int = 1):
+def theta_h_pair(m: int, top_h: Sequence, bottom_h: Sequence, trunc: int,
+                 top_scale: int = 1, bottom_scale: int = 1):
     """sum_{a-b=m, max(a,b)<=trunc} h_a(x1/y1) h_b(x2/y2) from the prefixes
     of the top pair, ``top_h``, and of the bottom pair, ``bottom_h`` (as
     ``h_prefix`` builds them, up to min(trunc, trunc + m) and
@@ -657,18 +667,20 @@ def theta_h_pair(m: int, top_h: Sequence, bottom_h: Sequence, trunc: int, scale:
     sums can have infinitely many nonzero terms, so ``trunc`` caps both
     indices.
 
-    Prefixes of letters scaled into ints by ``scale`` = L (``scale_letters``)
-    hold L^a h_a: the sum is then one integer Horner sum in L^2 and a single
-    Fraction over L^(2 hi - m), hi the largest top index.  Symbolic
-    prefixes (scale 1) are summed as they are."""
+    Prefixes of letters scaled into ints (``scale_letters``), the top pair's
+    by ``top_scale`` = Lt and the bottom pair's by ``bottom_scale`` = Lb,
+    hold Lt^a h_a and Lb^b h_b: the sum is then one integer Horner sum in
+    Lt Lb and a single Fraction over Lt^hi Lb^(hi - m), hi the largest top
+    index; the degree-0 sum h_0 h_0 stays the int 1.  Symbolic prefixes
+    (both scales 1) are summed as they are."""
     if abs(m) > trunc:
         return 0
     hi = min(trunc, trunc + m)
-    square = scale * scale
+    step = top_scale * bottom_scale
     total = 0
     for a in range(max(m, 0), hi + 1):
-        total = total * square + top_h[a] * bottom_h[a - m]
-    return unscale(total, scale, 2 * hi - m)
+        total = total * step + top_h[a] * bottom_h[a - m]
+    return unscale(total, top_scale**hi * bottom_scale**(hi - m), 2 * hi - m)
 
 
 # ---------------------------------------------------------------------------

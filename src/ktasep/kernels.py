@@ -69,6 +69,15 @@ class ConstraintError(ValueError):
     """Parameters outside the domain on which a process is defined."""
 
 
+def check_sizes(**sizes: int) -> None:
+    """Raise ValueError naming the first negative size (a step count or a
+    particle count).  A malformed size is a usage error, not a
+    ConstraintError: no parameter rule is broken."""
+    for name, size in sizes.items():
+        if size < 0:
+            raise ValueError(f"{name} must be >= 0, got {size}")
+
+
 def check_rate_count(ell: int, count: int) -> None:
     """ell particles need ell rates: a short list is not padded with
     frozen particles."""
@@ -191,7 +200,9 @@ class ParamBinding:
         """Raise ConstraintError naming the violated inequality: ell rates
         for ell particles, the parameter rules at every x_i and rate, and
         CanonicalC's alpha rule or CanonicalB's beta rule at each position
-        of ``positions`` (0..63 by default)."""
+        of ``positions`` (0..63 by default).  A negative ell is a
+        ValueError (``check_sizes``)."""
+        check_sizes(ell=ell)
         check_rate_count(ell, len(self.rates))
         rates = [(j, self.rate(j)) for j in range(1, ell + 1)]
         xs = [(i, self.x_of(i)) for i in range(1, self.n + 1)]
@@ -216,6 +227,7 @@ class KernelQuery:
     route: str = "closed"  # closed | operator | tableau
 
     def __post_init__(self):
+        check_sizes(n=self.n, ell=self.ell)
         if self.lam.length() > self.ell or (self.lam.parts and self.lam.parts[0] > self.ell):
             # Thm hypothesis: ell must dominate both the length and width
             raise ValueError("require ell >= len(lam) and ell >= lam_1")
@@ -308,6 +320,7 @@ def single_step_table(
     The pass carries the prefix product and drops a branch at a zero row
     mass, so every target it lists is reachable.  Geometric rows stop at
     the cap, and the tail is the mass beyond it."""
+    check_sizes(ell=ell)
     if cap < mu.part(1):
         raise ValueError(f"cap {cap} smaller than mu_1 = {mu.part(1)}")
     check_rate_count(ell, len(binding.rates))
@@ -362,6 +375,7 @@ def chain(
     everything a step reads that may vary between calls.  One dict serves
     one (case, ell, rate list, alpha/beta closures): calls that share it,
     whatever their start, n or x values, build each step once."""
+    check_sizes(n=n, ell=ell)
     check_rate_count(ell, len(binding.rates))
     if cap < mu.part(1):
         raise ValueError(f"cap {cap} smaller than mu_1 = {mu.part(1)}")
@@ -465,6 +479,7 @@ def operator_table(
     row-1 bound), so a table continues from the longest evolution of its x
     values already in it.  One dict serves one (case, ell, rate list,
     alpha/beta closures), as ``chain``'s steps do."""
+    check_sizes(n=n, ell=ell)
     check_rate_count(ell, len(binding.rates))
     if case is CaseId.CANONICAL_C and not is_zero_scalar(binding.alpha_of(0)):
         raise ValueError("operator route for CanonicalC requires alpha(0) = 0")
@@ -535,17 +550,25 @@ class _RateRows:
     """``rate_monomial`` from one mu to many targets: row r keeps the
     running products of its factors over columns mu_r, mu_r + 1, ...,
     extended as far as a target reaches, so that each factor is multiplied
-    in once per table rather than once per target."""
+    in once per table rather than once per target.
+
+    While a row's factors are ints and Fractions, the row keeps each
+    product as an (int numerator, int denominator) pair, and a monomial of
+    such entries is one Fraction built from the products of the pairs.
+    From its first other factor (a float alpha or beta, a symbolic letter)
+    on, a row keeps values, and a monomial that reads such a row multiplies
+    its entries as values, row by row, as exact or float arithmetic
+    would."""
 
     def __init__(self, case: CaseId, mu: Partition, binding: ParamBinding, ell: int):
         self.starts = [mu.part(r) for r in range(1, ell + 1)]
         self.rates = [binding.rate(r) for r in range(1, ell + 1)]
         self.shift = {CaseId.CANONICAL_C: binding.alpha_of,
                       CaseId.CANONICAL_B: binding.beta_pos_of}.get(case)
-        self.rows = [[Frac(1)] for _ in self.rates]
+        self.rows = [[(1, 1)] for _ in self.rates]
 
     def monomial(self, lam: Partition):
-        out = None
+        entries = []
         # zip stops at lam's length: the rows past it have k = -mu_r <= 0
         for row, lo, rate, end in zip(self.rows, self.starts, self.rates, lam.parts):
             k = end - lo
@@ -553,20 +576,54 @@ class _RateRows:
                 continue
             while len(row) <= k:
                 c = lo + len(row) - 1
-                row.append(row[-1] * (rate if self.shift is None else self.shift(c) + rate))
-            out = row[k] if out is None else out * row[k]
-        return Frac(1) if out is None else out
+                f = rate if self.shift is None else self.shift(c) + rate
+                last = row[-1]
+                if type(last) is tuple and isinstance(f, (int, Frac)):
+                    row.append((last[0] * f.numerator, last[1] * f.denominator))
+                else:
+                    row.append(_pair_value(last) * f)
+            entries.append(row[k])
+        if all(type(e) is tuple for e in entries):
+            return Frac(math.prod(n for n, _ in entries), math.prod(d for _, d in entries))
+        out = _pair_value(entries[0])
+        for e in entries[1:]:
+            out = out * _pair_value(e)
+        return out
+
+
+def _pair_value(entry):
+    """A ``_RateRows`` entry as a value: an (int, int) pair as its Fraction."""
+    return Frac(*entry) if type(entry) is tuple else entry
 
 
 def time_factor(case: CaseId, binding: ParamBinding, js, xs):
     """prod_{j in js, x in xs} (1 - r_j x) for the geometric cases, and
-    prod 1/(1 + r_j x) for the Bernoulli cases."""
-    out: Scalar = Frac(1)
-    for j in js:
-        r = binding.rate(j)
-        for x in xs:
-            out = out * (1 - r * x) if case.geometric else out * reciprocal(1 + r * x)
-    return out
+    prod 1/(1 + r_j x) for the Bernoulli cases.
+
+    When every r_j and x is an int or a Fraction, the product runs over
+    int numerators and int denominators, (d - p)/d or d/(d + p) with d the
+    product of the letters' denominators and p of their numerators, and
+    builds one Fraction.  Other letters (floats, symbolic ones) are
+    multiplied in one factor at a time, as exact or float arithmetic
+    would."""
+    rates = [binding.rate(j) for j in js]
+    if not all(isinstance(v, (int, Frac)) for v in (*rates, *xs)):
+        out: Scalar = Frac(1)
+        for r in rates:
+            for x in xs:
+                out = out * (1 - r * x) if case.geometric else out * reciprocal(1 + r * x)
+        return out
+    x_pairs = [(x.numerator, x.denominator) for x in xs]
+    num = den = 1
+    for r in rates:
+        r_num, r_den = r.numerator, r.denominator
+        for x_num, x_den in x_pairs:
+            d, p = r_den * x_den, r_num * x_num
+            if case.geometric:
+                num, den = num * (d - p), den * d
+            else:
+                num, den = num * d, den * (d + p)
+    return Frac(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +671,7 @@ def tableau_table(
     alpha/beta closures), as ``chain``'s steps do: calls that share it,
     whatever their mu, targets, n, x values or convention, take each sum
     once."""
+    check_sizes(n=n, ell=ell)
     check_rate_count(ell, len(binding.rates))
     xs = [binding.x_of(i) for i in range(1, n + 1)]
     alpha0 = binding.alpha_of(0) if case is CaseId.CANONICAL_C else Frac(0)

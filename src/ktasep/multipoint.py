@@ -26,7 +26,7 @@ from .exactalg import (add_x_letter, add_y_letter, det_exact, h_prefix, scale_le
 # perfbench/child.py wraps supersym_h and supersym_e under this module's name
 from .exactalg import supersym_e, supersym_h  # noqa: F401
 from .kernels import (CaseId, ParamBinding, chain, check_clock_rates, check_inverse_rate,
-                      rate_monomial, time_factor)
+                      check_sizes, rate_monomial, time_factor)
 from .partitions import Partition
 
 
@@ -42,7 +42,8 @@ class MultiPointQuery:
     1..ell; another direction raises ValueError.  Every formula reads
     ``top``, the thresholds joined componentwise with the start when
     blocking (positions never decrease, so lower thresholds are vacuous),
-    and ``xs``, the binding's x_1..x_n; each is formed at its first read."""
+    and ``xs``, the binding's x_1..x_n; each is formed at its first read.
+    A negative n or ell raises ValueError (``check_sizes``)."""
 
     case: CaseId
     direction: str
@@ -53,6 +54,7 @@ class MultiPointQuery:
     binding: ParamBinding
 
     def __post_init__(self):
+        check_sizes(n=self.n, ell=self.ell)
         want = direction_of(self.case)
         if self.direction != want:
             raise ValueError(f"case {self.case.value} uses direction {want!r}")
@@ -158,13 +160,14 @@ def pushing_rows(query: MultiPointQuery) -> list[list]:
     by one letter per row and Y_j by one per column, so one prefix serves
     every row and each row applies its y letters to a copy of it, in the
     order the per-entry prefixes would.  Numeric letters run over one
-    common denominator (``scale_letters``)."""
+    common denominator (``scale_letters``).  With ell = 0 there are no
+    rows: the determinant is empty."""
     lam, nu, ell, b = query.thresholds, query.start, query.ell, query.binding
-    scale, (xs, inv) = scale_letters(query.xs, [b.inverse_rate(k) for k in range(1, ell + 1)])
+    (scale,), (xs, inv) = scale_letters([query.xs, [b.inverse_rate(k) for k in range(1, ell + 1)]])
     x0, y0 = (xs, []) if query.case is CaseId.A else ([], [-x for x in xs])
     ms = [[lam.part(i) - nu.part(j) + j - i for j in range(1, ell + 1)]
           for i in range(1, ell + 1)]
-    hx = h_prefix(max(0, max(map(max, ms))), x0)
+    hx = h_prefix(max(0, max(map(max, ms), default=0)), x0)
     rows = []
     for i, row_ms in enumerate(ms):
         add_x_letter(hx, inv[i])
@@ -175,7 +178,7 @@ def pushing_rows(query: MultiPointQuery) -> list[list]:
         for j, m in enumerate(row_ms):
             if j:
                 add_y_letter(h, inv[j - 1])
-            row.append(unscale(h[m], scale, m) if m >= 0 else 0)
+            row.append(unscale(h[m], scale**m, m) if m >= 0 else 0)
         rows.append(row)
     return rows
 
@@ -237,16 +240,20 @@ def theta_rows(query: MultiPointQuery, trunc: int) -> list[list]:
     Along row i the bottom x alphabet only grows: one beta per column, and
     the window letters that enter as mu_j falls.  So each row keeps one
     bottom prefix, started from prod_y (1 - y t), and adds those letters
-    column by column.  Every letter is taken exactly and scaled over one
-    common denominator (``scale_letters``), so the sums run in integers."""
+    column by column.  Every letter is taken exactly, and the top pair's
+    letters (the xs) and the bottom pair's (the rates and the window) are
+    scaled over one common denominator each, Lt and Lb (``scale_letters``),
+    so the sums run in integers.  With ell = 0 there are no rows: the
+    determinant is empty."""
     case, nu, mu, n, ell, b = query.case, query.top, query.start, query.n, query.ell, query.binding
+    if ell == 0:
+        return []
     # the windows [mu_j, nu_i) all lie in [mu_ell, nu_1)
     low = mu.part(ell)
     alphas = range(low, nu.part(1)) if case is CaseId.CANONICAL_C else ()
-    scale, (xs, rates, window) = scale_letters(
-        query.xs,
-        [b.rate(j) for j in range(1, ell + 1)],
-        [-b.alpha_of(k) for k in alphas],
+    (top_scale, bottom_scale), (xs, rates, window) = scale_letters(
+        [query.xs],
+        [[b.rate(j) for j in range(1, ell + 1)], [-b.alpha_of(k) for k in alphas]],
     )
     # case B's top alphabet is 0/(-x): h_a(0/(-x)) = e_a(x) vanishes beyond
     # a = n, so its sums terminate and the cap below keeps every nonzero term
@@ -272,7 +279,7 @@ def theta_rows(query: MultiPointQuery, trunc: int) -> list[list]:
             for k in range(mu.part(j), seen):
                 add_x_letter(h, window[k - low])
             seen = min(seen, mu.part(j))
-            row.append(theta_h_pair(m, top_h, h, cap, scale))
+            row.append(theta_h_pair(m, top_h, h, cap, top_scale, bottom_scale))
         rows.append(row)
     return rows
 
@@ -352,7 +359,7 @@ class PoleTable:
                 self.roots.append(c)
         self._ids = {id(c): self.roots.index(c) for c in self._held}
         if self.exact:
-            self.q, (self._scaled,) = scale_letters(self.roots)
+            (self.q,), (self._scaled,) = scale_letters([self.roots])
         else:
             self.q, self._scaled = 1, self.roots
         self._coeffs: dict = {}
@@ -522,17 +529,18 @@ def mp_blocking_contour(query: MultiPointQuery, contour: ContourSpec | None = No
     if query.case is not CaseId.C:
         raise ValueError(f"case {query.case.value} has no contour form; only case C has one")
     nu, mu, ell, b, xs = query.top, query.start, query.ell, query.binding, query.xs
-    # row 1's roots start at pi_1, the others are beta_k = pi_{k+1}
-    first = b.rate(1)
-    betas = [b.rate(k + 1) for k in range(1, ell)]
+    # row 1's roots start at pi_1, the others are beta_k = pi_{k+1}; with
+    # ell = 0 there are none, and no rate is read
+    roots = [b.rate(k) for k in range(1, ell + 1)]
+    first, betas = roots[:1], roots[1:]
     quadrature = contour is not None and contour.mode == "quadrature"
     if contour is not None:
         # the circle |w| = r must separate the roots from the x poles 1/x
         r, hi = Frac(contour.radius), min((1 / Frac(x) for x in xs if x != 0), default=None)
-        lo = max(abs(Frac(c)) for c in [first, *betas])
+        lo = max((abs(Frac(c)) for c in roots), default=Frac(0))
         if hi is not None and not lo < r < hi:
             raise ValueError(f"contour radius {r} violates pole separation ({lo}, {hi})")
-    poles = None if quadrature else contour_poles([first, *betas], xs)
+    poles = None if quadrature else contour_poles(roots, xs)
     rows = []
     for i in range(1, ell + 1):
         row = []
@@ -540,7 +548,7 @@ def mp_blocking_contour(query: MultiPointQuery, contour: ContourSpec | None = No
             power = nu.part(i) - mu.part(j) - i + j
             if i == 1:
                 num: list = []
-                den = [first] + betas[: j - 1]
+                den = first + betas[: j - 1]
             else:
                 num = betas[: i - 2]
                 den = betas[: j - 1]

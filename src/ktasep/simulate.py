@@ -47,7 +47,7 @@ import numpy as np
 
 from .conventions import UpdateOrder, PINNED_CONVENTIONS
 from .kernels import (CaseId, check_alpha, check_beta, check_clock_rates, check_rate_count,
-                      check_rate_x)
+                      check_rate_x, check_sizes)
 from .partitions import Partition
 
 
@@ -83,6 +83,9 @@ class SimConfig:
     seed: int = 0
     update: UpdateOrder = PINNED_CONVENTIONS.update
     start: Partition = field(default_factory=Partition)
+
+    def __post_init__(self):
+        check_sizes(ell=self.ell, steps=self.steps)
 
     def rate(self, j: int) -> float:
         if callable(self.rates):

@@ -351,6 +351,46 @@ def test_malformed_arguments_are_json_usage_errors(params_file, args):
     assert json.loads(proc.stderr)["error"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["kernel", "--case", "A", "--n", "-1", "--mu", "[]", "--ell", "3"], id="kernel-n"),
+        pytest.param(["kernel", "--case", "A", "--n", "1", "--mu", "[]", "--ell", "-1"],
+                     id="kernel-ell"),
+        pytest.param(["multipoint", "--case", "A", "--dir", "le", "--thresholds", "[2,1]",
+                      "--start", "[]", "--n", "-1", "--ell", "2"], id="multipoint-n"),
+        pytest.param(["sample", "--case", "C", "--ell", "2", "--n", "-3"], id="sample-n"),
+    ],
+)
+def test_negative_sizes_are_usage_errors(params_file, args, capsys):
+    # these printed 1, {[]: 1}, an empty table with tail bound 1, and a
+    # sample without its start row
+    from ktasep.cli import main
+
+    params = ["--params", params_file] if args[0] != "sample" else []
+    assert main([*args, *params]) == 1
+    out, err = capsys.readouterr()
+    assert not out and json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["--case", "C", "--dir", "ge"], id="series"),
+        pytest.param(["--case", "A", "--dir", "le"], id="pushing"),
+        pytest.param(["--case", "C", "--dir", "ge", "--contour", "r=1"], id="contour"),
+    ],
+)
+def test_multipoint_without_particles_is_one(params_file, args, capsys):
+    # the series raised IndexError and the pushing form a usage error
+    from ktasep.cli import main
+
+    assert main(["multipoint", *args, "--thresholds", "[2,1]", "--start", "[]", "--n", "2",
+                 "--ell", "0", "--params", params_file]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["value"] == {"num": "1", "den": "1"} and payload["error_bound"] == 0.0
+
+
 def test_help_exits_zero():
     proc = run_cli("multipoint", "--help")
     assert "--contour" in proc.stdout and not proc.stderr

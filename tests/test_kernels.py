@@ -2,6 +2,8 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktasep.exactalg import A, B, P, X, RationalFn, rf
 from ktasep.kernels import (
@@ -9,6 +11,7 @@ from ktasep.kernels import (
     ConstraintError,
     KernelQuery,
     ParamBinding,
+    _RateRows,
     chain,
     kernel,
     kernel_operator_route,
@@ -16,9 +19,11 @@ from ktasep.kernels import (
     normalization_identity,
     operator_table,
     parse_case,
+    rate_monomial,
     single_step_closed_form,
     single_step_table,
     tableau_table,
+    time_factor,
 )
 from ktasep.partitions import Partition, partitions_in_box, subpartitions
 
@@ -278,6 +283,31 @@ def test_query_hypothesis_check(b1):
         KernelQuery(CaseId.A, 1, P_([]), P_([1, 1, 1, 1]), 3, b1)
 
 
+@pytest.mark.parametrize("build,name", [
+    pytest.param(lambda b: KernelQuery(CaseId.A, -1, P_([]), P_([]), 3, b), "n", id="query-n"),
+    pytest.param(lambda b: KernelQuery(CaseId.A, 1, P_([]), P_([]), -1, b), "ell",
+                 id="query-ell"),
+    pytest.param(lambda b: chain(CaseId.C, -1, P_([]), b, 3, 3), "n", id="chain-n"),
+    pytest.param(lambda b: chain(CaseId.C, 1, P_([]), b, -1, 3), "ell", id="chain-ell"),
+    pytest.param(lambda b: single_step_table(CaseId.C, P_([]), 1, b, -1, 3), "ell",
+                 id="single-step-ell"),
+    pytest.param(lambda b: operator_table(CaseId.A, -1, P_([]), b, 3, 3), "n", id="operator-n"),
+    pytest.param(lambda b: operator_table(CaseId.A, 1, P_([]), b, -1, 3), "ell",
+                 id="operator-ell"),
+    pytest.param(lambda b: tableau_table(CaseId.B, -1, P_([]), [P_([1])], b, 3), "n",
+                 id="tableau-n"),
+    pytest.param(lambda b: tableau_table(CaseId.B, 1, P_([]), [P_([1])], b, -1), "ell",
+                 id="tableau-ell"),
+    pytest.param(lambda b: b.check_admissible(CaseId.A, -1), "ell", id="admissible-ell"),
+])
+def test_negative_sizes_are_value_errors(b1, build, name):
+    # a negative step or particle count is a usage error where the size is
+    # first read, never a ConstraintError (a broken parameter rule)
+    with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1") as err:
+        build(b1)
+    assert not isinstance(err.value, ConstraintError)
+
+
 def test_parse_case():
     assert parse_case("canonicalc") is CaseId.CANONICAL_C
     with pytest.raises(ValueError):
@@ -442,3 +472,88 @@ def test_operator_table_rejects_nonzero_rate_at_position_zero():
         for mu in (P_([]), P_([1])):
             with pytest.raises(ValueError, match="requires"):
                 operator_table(case, 1, mu, b, 3, size_cap=4)
+
+
+# -- the overall factor against products of per-letter values ---------------
+
+
+def _per_letter_time_factor(case, rates, xs):
+    """prod (1 - r x) or prod 1/(1 + r x), one letter pair at a time from
+    Fraction(1), each factor a Fraction (a RationalFn for symbolic
+    letters, a float for float ones)."""
+    out = F(1)
+    for r in rates:
+        for x in xs:
+            if case.geometric:
+                out = out * (1 - r * x)
+            elif isinstance(r * x, (int, F)):
+                out = out * (F(1) / F(1 + r * x))
+            else:
+                out = out * (rf(1) / rf(1 + r * x))
+    return out
+
+
+def _per_letter_rate_monomial(case, mu, lam, b, ell):
+    """Each row's product of its box factors from Fraction(1), the rows
+    multiplied in order."""
+    shift = {CaseId.CANONICAL_C: b.alpha_of, CaseId.CANONICAL_B: b.beta_pos_of}.get(case)
+    out = None
+    for r in range(1, ell + 1):
+        if lam.part(r) <= mu.part(r):
+            continue
+        row = F(1)
+        for c in range(mu.part(r), lam.part(r)):
+            row = row * (b.rate(r) if shift is None else shift(c) + b.rate(r))
+        out = row if out is None else out * row
+    return F(1) if out is None else out
+
+
+RATE_POOL = [F(0), F(1, 2), F(1, 3), F(2, 7), 1, F(3, 4)]
+SITE_POOL = [F(1, 6), F(-1, 9), F(0), F(3, 10), F(-1, 4), 2]
+
+
+def _same(got, want):
+    return got == want and type(got) is type(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(list(CaseId)),
+    st.sampled_from(["exact", "float", "symbolic"]),
+    st.lists(st.sampled_from([F(1, 10), F(1, 12), F(2, 9), F(0), 1]), max_size=3),
+    st.lists(st.sampled_from(RATE_POOL), min_size=3, max_size=3),
+    st.lists(st.sampled_from(SITE_POOL), min_size=8, max_size=8),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.lists(st.lists(st.integers(0, 6), max_size=4), min_size=1, max_size=4),
+    st.integers(0, 3),
+)
+def test_overall_factor_against_per_letter_products(case, kind, xs, rates, sites, mu, lams, ell):
+    # all six cases, zero and repeated rates, alphas and betas of both
+    # signs; float site letters (as the CLI's sine closure gives) and float
+    # x in the geometric cases keep float results, and symbolic letters keep
+    # their own arithmetic.  Float and symbolic letters take every other
+    # place, so that rows mix them with exact ones.
+    if kind == "float":
+        sites = [float(v) if k % 2 else v for k, v in enumerate(sites)]
+        if case.geometric:
+            xs = [float(x) for x in xs]
+    elif kind == "symbolic":
+        xs = [X(i + 1) if i % 2 == 0 else x for i, x in enumerate(xs)]
+        rates = [P(j + 1) if j != 1 else r for j, r in enumerate(rates)]
+        sites = [A(k) if k % 2 else v for k, v in enumerate(sites)]
+    site = lambda k: sites[k] if k < len(sites) else 0
+    b = ParamBinding(xs, rates, site, site)
+    got = time_factor(case, b, range(1, ell + 1), xs)
+    want = _per_letter_time_factor(case, rates[:ell], xs)
+    assert _same(got, want), (got, want)
+    if kind == "exact":
+        assert type(got) is F
+    mu = P_(sorted(mu, reverse=True))
+    rows = _RateRows(case, mu, b, ell)  # one table's rows, grown target by target
+    for parts in lams:
+        lam = P_(sorted(parts, reverse=True))
+        want = _per_letter_rate_monomial(case, mu, lam, b, ell)
+        assert _same(rate_monomial(case, mu, lam, b, ell), want), (mu, lam)
+        assert _same(rows.monomial(lam), want), (mu, lam)
+        if kind == "exact":
+            assert type(want) is F

@@ -49,6 +49,32 @@ def test_direction_validation():
         MultiPointQuery(CaseId.C, "le", 1, P_([1]), P_([]), 2, b)
 
 
+@pytest.mark.parametrize("n,ell,name", [(-1, 2, "n"), (1, -1, "ell")])
+def test_negative_sizes_are_value_errors(n, ell, name):
+    from ktasep.kernels import ConstraintError
+
+    with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1") as err:
+        MultiPointQuery(CaseId.A, "le", n, P_([1]), P_([]), ell, small_binding(1))
+    assert not isinstance(err.value, ConstraintError)
+
+
+@pytest.mark.parametrize("case,contour", [
+    (CaseId.A, None), (CaseId.D, None), (CaseId.B, None), (CaseId.C, None),
+    (CaseId.CANONICAL_C, None), (CaseId.C, ContourSpec(radius=F(1, 4))),
+])
+def test_no_particles_is_the_empty_determinant(case, contour):
+    # ell = 0 asks nothing: every formula's rows are empty, and its value
+    # is exactly 1 with bound 0.  No rate is read, so the contour's radius
+    # may lie below pi_1 = 1/2
+    b = ParamBinding.numeric(x=[F(1, 10), F(1, 12)], rates=RATES, alpha=[F(0), F(1, 5)])
+    start = P_([]) if case.pushing else P_([1])
+    q = MultiPointQuery(case, direction_of(case), 2, P_([2, 1]), start, 0, b)
+    if contour is None:
+        assert (pushing_rows(q) if case.pushing else theta_rows(q, 60)) == []
+    value, bound = mp_value(q, contour)
+    assert value == 1 and type(value) is F and bound == 0
+
+
 def test_trivial_certain_events():
     b = small_binding(1)
     # empty thresholds with empty start: nothing asked
@@ -657,9 +683,19 @@ ALPHAS = [F(1, 6), F(-1, 9), F(0), F(3, 10), F(-1, 4)]
          [0.1 * math.sin(k / 3) ** 6 for k in range(8)], [1], [3, 2, 1], 4)
 @example(CaseId.CANONICAL_C, 2, [F(1, 10), F(2, 9)], [F(1, 3)] * 4, ALPHAS + ALPHAS[:3],
          [2, 1], [4, 2, 2], 1)
+# numeric x with symbolic rates, and the reverse: every scale is 1 when
+# some letter of either pair is symbolic
+@example(CaseId.B, 3, [F(1, 10)], [P(1), P(2), P(3), P(4)], ALPHAS + ALPHAS[:3], [1], [3, 2, 1], 3)
+@example(CaseId.C, 3, [F(1, 10)], [P(1), P(2), P(3), P(4)], ALPHAS + ALPHAS[:3], [1], [3, 2, 1], 3)
+@example(CaseId.CANONICAL_C, 3, [F(1, 10)], [P(1), P(2), P(3), P(4)], ALPHAS + ALPHAS[:3],
+         [1], [3, 2, 1], 3)
+@example(CaseId.B, 3, [X(1), X(2)], FRACS, ALPHAS + ALPHAS[:3], [1], [3, 2, 1], 3)
+@example(CaseId.C, 3, [X(1), X(2)], FRACS, ALPHAS + ALPHAS[:3], [1], [3, 2, 1], 3)
+@example(CaseId.CANONICAL_C, 3, [X(1)], FRACS, ALPHAS + ALPHAS[:3], [1], [3, 2, 1], 3)
 def test_theta_rows_against_per_entry_formula(case, ell, xs, rates, alphas, start, thr, trunc):
     # repeated rates, alphas of both signs (floats too, taken exactly),
-    # thresholds longer than ell and caps below |m|
+    # thresholds longer than ell, caps below |m|, and x and rate letters
+    # over different denominators
     start = _partition(start[:ell])
     b = ParamBinding(xs, rates[:ell], lambda k: alphas[k] if k < len(alphas) else 0.0)
     q = MultiPointQuery(case, "ge", len(xs), _partition(thr), start, ell, b)

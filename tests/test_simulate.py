@@ -1002,6 +1002,14 @@ def test_samplers_refuse_a_short_rate_list(sampler):
         SHORT_RATES[sampler]()
 
 
+@pytest.mark.parametrize("sizes,name", [({"steps": -3}, "steps"), ({"ell": -1}, "ell")])
+def test_negative_sizes_are_value_errors(sizes, name):
+    # a usage error when the config is built, not a run without its start row
+    with pytest.raises(ValueError, match=f"{name} must be >= 0") as err:
+        SimConfig(**{"case": CaseId.C, "ell": 2, "steps": 1, **sizes})
+    assert not isinstance(err.value, ConstraintError)
+
+
 def test_continuous_rates_must_be_nonnegative():
     # a negative clock rate is a constraint violation for both samplers
     # and the kernel; a zero rate freezes its particle
