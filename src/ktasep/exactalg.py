@@ -856,9 +856,12 @@ def is_zero_scalar(v) -> bool:
 
 
 def reciprocal(v):
-    """1/v, exact: a Fraction for rationals, else a RationalFn."""
+    """1/v, exact: a Fraction for rationals, else a RationalFn; a float
+    gives a float, as float letters do in the other formulas."""
     if isinstance(v, (int, Frac)):
         return Frac(1) / Frac(v)
+    if isinstance(v, float):
+        return 1.0 / v
     return rf(1) / rf(v)
 
 

@@ -143,8 +143,15 @@ def _value(query: MultiPointQuery, rows: list[list]):
 
 
 def mp_pushing(query: MultiPointQuery):
-    """P(G(i,n) <= thresholds_i for all i | start), cases A and D, exact."""
-    if not query.thresholds.contains(query.start):
+    """P(G(i,n) <= thresholds_i for all i | start), cases A and D, exact.
+    The start is compared with the thresholds row by row, so a start with
+    a particle past ell raises ValueError; threshold rows past ell bound no
+    particle."""
+    start, ell = query.start, query.ell
+    if start.length() > ell:
+        raise ValueError(f"start row {ell + 1} = {start.part(ell + 1)} lies past ell = {ell}: "
+                         f"the start places ell particles")
+    if not query.thresholds.contains(start):
         return Frac(0)
     return _value(query, pushing_rows(query))
 

@@ -199,6 +199,37 @@ def _inhom_walk(succ, k: int, u: float, stop=math.inf) -> int:
     return k
 
 
+def _walk_batch(succ, k: np.ndarray, u: np.ndarray, stop: np.ndarray | None) -> np.ndarray:
+    """``_inhom_walk`` of every draw at once: the sites that the jumps from
+    sites ``k`` (moved in place) land on, by inverse CDF from the uniforms
+    ``u``, each stopped at its entry of ``stop`` (None: no blocking
+    neighbour).  One step multiplies every live draw's p by the success at
+    its site, with the float products of the scalar walk in the same order,
+    and ends the draws with u >= p.  The successes are read into an array
+    from the nearest start up to the farthest site that a live draw reads,
+    so a site of ``succ`` past the starts is first read, and its rule
+    checked, where the scalar walks would first read it."""
+    live = np.flatnonzero(k < stop) if stop is not None else np.arange(len(k))
+    p = np.ones(len(live))
+    base = int(k[live].min()) if len(live) else 0
+    table = np.empty(0)
+    while len(live):
+        at = k[live] - base
+        top = int(at.max())
+        if top >= len(table):
+            more = range(base + len(table), base + top + 1)
+            table = np.concatenate((table, np.fromiter(map(succ.__getitem__, more), float,
+                                                       len(more))))
+        p *= table[at]
+        go = ~(u[live] >= p)
+        live, p = live[go], p[go]
+        k[live] += 1
+        if stop is not None:
+            on = k[live] < stop[live]
+            live, p = live[on], p[on]
+    return k
+
+
 def sample_inhom_geometric(alpha: Callable[[int], float], pi: float, x: float, start: int,
                            rng: np.random.Generator) -> int:
     """Inhomogeneous geometric jump from ``start``: P(w >= k) is the product
@@ -444,7 +475,9 @@ def step_batch(tables: _RoundTables, pos: np.ndarray, time_index: int, rng) -> n
     (``_RoundTables.laws``) picks the draws that can jump.  The particles
     move in update order, each jump decided by the formulas of ``_rounds``
     from the particle's position at the start of the round, then pushing
-    (A, D) or blocked by the particle before."""
+    (A, D) or blocked by the particle before.  Every case decides a
+    particle's candidates in whole arrays: CanonicalC by ``_walk_batch``,
+    whose landing sites are ``_inhom_walk``'s."""
     ell, samples = pos.shape
     if not ell:
         return pos
@@ -458,9 +491,7 @@ def step_batch(tables: _RoundTables, pos: np.ndarray, time_index: int, rng) -> n
         row, v, b = pos[j - 1], u[i], np.flatnonzero(hit[i])
         if case is CaseId.CANONICAL_C:
             # the walk stops at the blocking neighbour, as in ``_rounds``
-            stops = pos[j - 2, b].tolist() if j > 1 else itertools.repeat(math.inf)
-            row[b] = [_inhom_walk(jump[i], k, vb, stop)
-                      for k, vb, stop in zip(row[b].tolist(), v[b].tolist(), stops)]
+            row[b] = _walk_batch(jump[i], row[b], v[b], pos[j - 2, b] if j > 1 else None)
             continue
         if case.geometric:  # A and C
             q = jump[i]

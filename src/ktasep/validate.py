@@ -418,12 +418,32 @@ def compare_counts(exact, counts: dict, samples: int) -> StatReport:
 
 
 def _histogram(finals: np.ndarray) -> dict:
-    """Partition -> count over the rows of ``finals``: one lexicographic
-    sort of the rows, then one Partition per run of equal rows."""
-    rows = finals[np.lexsort(finals.T[::-1])]
-    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-    sizes = np.diff(np.r_[starts, len(rows)])
-    return {Partition(rows[i].tolist()): int(c) for i, c in zip(starts, sizes)}
+    """Partition -> count over the rows of ``finals``, in ascending
+    lexicographic row order.  Each row gets one int64 key, column by
+    column, as key * span + (column - column min), so keys ascend with the
+    rows.  Before the key space passes the row count times the next span
+    the keys are re-ranked (``np.unique``), which keeps their order and
+    bounds every key by rows x span; so no width overflows.  ``np.bincount``
+    counts the keys, and each state is read from one of its rows."""
+    rows = len(finals)
+    key, space = np.zeros(rows, dtype=np.int64), 1
+    for col in (*finals.T, None):  # None: the last re-rank, before the count
+        if space > rows:
+            uniq, key = np.unique(key, return_inverse=True)
+            key, space = key.reshape(rows), len(uniq)
+        if col is not None:
+            lo = int(col.min())
+            span = int(col.max()) - lo + 1
+            key *= span
+            key += col
+            key -= lo
+            space *= span
+    counts = np.bincount(key, minlength=space)
+    where = np.empty(space, dtype=np.intp)
+    where[key] = np.arange(rows)
+    seen = np.flatnonzero(counts)
+    return {Partition(row): c for row, c in zip(finals[where[seen]].tolist(),
+                                                counts[seen].tolist())}
 
 
 def chi2_sf(stat: float, dof: int) -> float:

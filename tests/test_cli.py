@@ -391,6 +391,15 @@ def test_multipoint_without_particles_is_one(params_file, args, capsys):
     assert payload["value"] == {"num": "1", "den": "1"} and payload["error_bound"] == 0.0
 
 
+def test_multipoint_pushing_start_past_ell_is_usage_error(params_file, capsys):
+    from ktasep.cli import main
+
+    assert main(["multipoint", "--case", "A", "--dir", "le", "--thresholds", "[1]", "--start",
+                 "[1,1]", "--n", "1", "--ell", "1", "--params", params_file]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and "start row 2 = 1 lies past ell = 1" in err["message"]
+
+
 def test_help_exits_zero():
     proc = run_cli("multipoint", "--help")
     assert "--contour" in proc.stdout and not proc.stderr

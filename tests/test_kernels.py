@@ -488,6 +488,8 @@ def _per_letter_time_factor(case, rates, xs):
                 out = out * (1 - r * x)
             elif isinstance(r * x, (int, F)):
                 out = out * (F(1) / F(1 + r * x))
+            elif isinstance(r * x, float):
+                out = out * (1.0 / (1 + r * x))
             else:
                 out = out * (rf(1) / rf(1 + r * x))
     return out
@@ -506,6 +508,15 @@ def _per_letter_rate_monomial(case, mu, lam, b, ell):
             row = row * (b.rate(r) if shift is None else shift(c) + b.rate(r))
         out = row if out is None else out * row
     return F(1) if out is None else out
+
+
+def test_bernoulli_time_factor_of_float_letters():
+    # 1/(1 + r x) of a float is a float, as (1 - r x) is in the geometric
+    # cases; it used to raise TypeError in exactalg.reciprocal
+    for case in (CaseId.B, CaseId.D, CaseId.CANONICAL_B):
+        got = time_factor(case, ParamBinding([0.1], [F(1, 2), F(1, 3)]), [1, 2], [0.1])
+        want = _per_letter_time_factor(case, [F(1, 2), F(1, 3)], [0.1])
+        assert _same(got, want) and type(got) is float
 
 
 RATE_POOL = [F(0), F(1, 2), F(1, 3), F(2, 7), 1, F(3, 4)]
@@ -530,13 +541,12 @@ def _same(got, want):
 def test_overall_factor_against_per_letter_products(case, kind, xs, rates, sites, mu, lams, ell):
     # all six cases, zero and repeated rates, alphas and betas of both
     # signs; float site letters (as the CLI's sine closure gives) and float
-    # x in the geometric cases keep float results, and symbolic letters keep
-    # their own arithmetic.  Float and symbolic letters take every other
-    # place, so that rows mix them with exact ones.
+    # x keep float results, and symbolic letters keep their own arithmetic.
+    # Float and symbolic letters take every other place, so that rows mix
+    # them with exact ones.
     if kind == "float":
         sites = [float(v) if k % 2 else v for k, v in enumerate(sites)]
-        if case.geometric:
-            xs = [float(x) for x in xs]
+        xs = [float(x) for x in xs]
     elif kind == "symbolic":
         xs = [X(i + 1) if i % 2 == 0 else x for i, x in enumerate(xs)]
         rates = [P(j + 1) if j != 1 else r for j, r in enumerate(rates)]

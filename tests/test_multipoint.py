@@ -798,6 +798,17 @@ def test_mp_value_refuses_a_contour_outside_case_c(case):
         mp_value(q, ContourSpec(radius=F(3)))
 
 
+@pytest.mark.parametrize("case", [CaseId.A, CaseId.D])
+@pytest.mark.parametrize("start,ell,row", [(P_([1]), 0, "start row 1 = 1"),
+                                           (P_([1, 1]), 1, "start row 2 = 1")])
+def test_pushing_start_past_ell_is_refused(case, start, ell, row):
+    # mp_pushing compares the start with the thresholds row by row, so a
+    # start row past ell used to give 0, not the value without that row
+    b = ParamBinding.numeric(x=[F(1, 10)], rates=RATES)
+    with pytest.raises(ValueError, match=f"{row} lies past ell = {ell}"):
+        mp_value(MultiPointQuery(case, "le", 1, P_([1] * ell), start, ell, b))
+
+
 def test_mp_value_refuses_canonical_b():
     b = ParamBinding.numeric(x=[F(1, 10)], rates=RATES, beta_pos=lambda k: F(1, 6 + k))
     q = MultiPointQuery(CaseId.CANONICAL_B, "ge", 1, P_([2, 1]), P_([]), 2, b)

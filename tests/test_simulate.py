@@ -883,6 +883,75 @@ def test_batch_matches_oracle_under_ascending_order(case):
     assert rep.healthy, (rep.tv_distance, rep.p_value)
 
 
+def _per_draw_walks(succ, k, u, stop):
+    """The batch walk draw by draw: one ``_inhom_walk`` per entry."""
+    stops = stop.tolist() if stop is not None else [math.inf] * len(k)
+    return np.array([simulate._inhom_walk(succ, *draw) for draw in zip(k.tolist(), u.tolist(), stops)],
+                    dtype=np.int64)
+
+
+def test_walk_batch_is_the_scalar_walk():
+    # The array walk lands every draw where _inhom_walk does: with and
+    # without blocking stops (one at the draw's own site), for draws equal
+    # to a product of successes, where u >= p stops a walk and u > p would
+    # not, and for walks that pass the farthest start, so the success table
+    # grows during the walk.  Under the stops, draws of u = 0 reach a site
+    # of success 0 (alpha_9 = -pi) and stop there; without the stops such a
+    # draw under u > p would walk for ever
+    pi, x = 0.6, 1.2
+    alpha = lambda m: -pi if m == 9 else 0.2 + 0.05 * (m % 3)
+
+    def successes():
+        return simulate._Lazy(lambda m: simulate._site_success(CaseId.CANONICAL_C, alpha(m), pi, x))
+
+    rng = np.random.default_rng(4)
+    k = rng.integers(0, 7, size=400)
+    u = rng.random(400)
+    table = successes()
+    for d in range(0, 400, 4):  # ties short of site 9: u is the walk's p after d % 3 sites
+        p = 1.0
+        for m in range(k[d], k[d] + d % 3 + 1):
+            p *= table[m]
+        u[d] = p
+    stops = k + rng.integers(0, 6, size=400)
+    zeros = u.copy()
+    zeros[1::8] = 0.0
+    for u, stop in ((u, None), (zeros, stops)):
+        scalar, read = successes(), successes()
+        want = _per_draw_walks(scalar, k, u, stop)
+        got = simulate._walk_batch(read, k.copy(), u, stop)
+        assert got.tolist() == want.tolist()
+        assert got.max() > k.max()
+        assert max(read) == max(scalar)  # the farthest site the scalar walks read, no further
+    assert (want == k).any() and (want == 9).sum() > 10
+
+
+@pytest.mark.parametrize("update", list(UpdateOrder), ids=lambda u: u.name)
+def test_canonical_c_batch_walk_reads_what_the_scalar_walk_reads(monkeypatch, update):
+    # CanonicalC batches with the array walk and with one _inhom_walk per
+    # candidate: the same finals, and the same farthest site read from
+    # _RoundTables.site, so no site rule is checked before a walk reaches
+    # it.  Particle 1 jumps about 3 sites a round past a wall at sites
+    # 3 mod 7 for the rate-0.3 particles, so the walks outrun the sites
+    # that success_bound has read
+    cfg = SimConfig(case=CaseId.CANONICAL_C, ell=4, steps=6, seed=3, x=[1.2, 0.9],
+                    rates=[0.6, 0.3, 0.6, 0.45], alpha=lambda m: -0.3 if m % 7 == 3 else 0.2,
+                    update=update, start=P_([3, 1]))
+    site = simulate._RoundTables.site
+
+    def batch(walk):
+        reads = []
+        monkeypatch.setattr(simulate, "_walk_batch", walk)
+        monkeypatch.setattr(simulate._RoundTables, "site",
+                            lambda tables, k: reads.append(k) or site(tables, k))
+        return sample_batch_final(cfg, 2000, 4), max(reads)
+
+    finals, farthest = batch(simulate._walk_batch)
+    want, scalar_farthest = batch(_per_draw_walks)
+    assert finals.tolist() == want.tolist()
+    assert farthest == scalar_farthest > 3 + 2 * cfg.steps
+
+
 def test_continuous_time_zero():
     rng = rng_for(1, 0)
     assert run_continuous(4, 0.0, 1.0, rng) == [0, 0, 0, 0]

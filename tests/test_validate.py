@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ktasep.conventions import IndexConvention, PINNED_CONVENTIONS, UpdateOrder
 from ktasep.kernels import (
@@ -230,13 +232,43 @@ def test_mc_reports_pinned():
 
 
 def test_histogram_long_rows():
-    # 30 particles at positions up to 50: rows as keys, no packed integer
+    # 30 particles at positions up to 50: a key packed from every column
+    # would need more than 63 bits, so the keys are re-ranked on the way
     rng = np.random.default_rng(3)
     states = -np.sort(-rng.integers(0, 51, size=(40, 30)), axis=1)
     finals = states[rng.integers(0, 40, size=5000)]
+    assert math.prod(int(c.max()) - int(c.min()) + 1 for c in finals.T) > 2**63
     want = Counter(P_(row.tolist()) for row in finals)
     assert _histogram(finals) == dict(want)
     assert sum(_histogram(finals[:1]).values()) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(ell=st.integers(0, 30), top=st.integers(0, 60), rows=st.integers(1, 5000),
+       states=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+@example(ell=30, top=60, rows=5000, states=60, seed=0)
+def test_histogram_is_counter_in_row_order(ell, top, rows, states, seed):
+    # rows drawn from `states` weakly decreasing rows of ell positions in
+    # 0..top; the example's packed keys would pass 2^63
+    rng = np.random.default_rng(seed)
+    table = -np.sort(-rng.integers(0, top + 1, size=(states, ell)), axis=1)
+    finals = table[rng.integers(0, states, size=rows)]
+    if (ell, top, states) == (30, 60, 60):
+        assert math.prod(int(c.max()) - int(c.min()) + 1 for c in finals.T) > 2**63
+    got = _histogram(finals)
+    assert got == dict(Counter(P_(row) for row in finals.tolist()))
+    keys = [s.padded(ell) for s in got]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("case", list(CaseId), ids=lambda c: c.value)
+def test_mc_vs_exact_without_particles(case):
+    # ell = 0: every run ends in the one state [], plainly and with biased
+    # uniforms
+    for bias in (None, 0.8):
+        rep = mc_vs_exact(case, P_([]), 1, binding(), 0, samples=100, seed=1, rng_bias=bias)
+        assert rep.table == {P_([]): (1.0, 1.0)}
+        assert rep.p_value == 1 and rep.tv_distance == 0 and rep.healthy
 
 
 def test_chi2_sf_closed_form():
