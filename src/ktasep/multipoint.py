@@ -3,15 +3,18 @@
 Pushing cases (A, D) use finite supersymmetric h/e determinant entries and
 are exact.  Blocking cases (C, canonical) use difference-indexed theta
 sums (series mode, truncated with a geometric tail bound) and an
-alternative contour form whose entries are evaluated exactly by residues;
-trapezoidal quadrature on the circle is the failure-independent
-cross-check.  Case B's entries are the same theta sums with top alphabet
-0/(-x): h_a(0/(-x)) = e_a(x) vanishes for a > n, so they terminate and
-are exact.
+alternative contour form whose entries are evaluated exactly by residues.
+Case B's entries are the same theta sums with top alphabet 0/(-x):
+h_a(0/(-x)) = e_a(x) vanishes for a > n, so they terminate and are exact.
+The continuous-time kernels are contour determinants too, with residues
+at extended precision (mpmath).  One trapezoidal rule on the circle
+(``_trapezoid``, numpy complex floats) is the failure-independent
+cross-check of the discrete and the continuous entries alike.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -73,33 +76,53 @@ class MultiPointQuery:
 
 
 MAX_QUADRATURE_POINTS = 2**14
+QUADRATURE_TOL = 1e-12  # where two successive rules stop, and mp_value's bound on the last
 
 
-def _trapezoid(mean, points: int, tol):
-    """The trapezoidal rule's shared loop: ``mean(m)`` is the rule's value
-    on m points.  Double m from ``points`` (``_check_quadrature_points``)
-    up to MAX_QUADRATURE_POINTS until two successive values agree to
-    ``tol``; return the real part of the last value.  A rule that has not
-    converged by the cap raises ValueError: its last value is not within
-    ``tol``, and so does a start outside the checked range."""
+def _trapezoid(f: Callable, power: int, radius: float, points: int) -> float:
+    """The trapezoidal rule for  oint f(w) / w^power  dw/(2 pi i w)  on the
+    circle |w| = ``radius`` in complex floats: the mean of f(w) w^-power
+    over the nodes w = r e^(i angle), angle = 2 pi s/m, with ``f`` taking
+    the whole node array and w^-power taken as r^-power e^(-i power angle).
+    Spectrally convergent, so m doubles from ``points``
+    (``_check_quadrature_points``) up to MAX_QUADRATURE_POINTS until two
+    successive rules agree to QUADRATURE_TOL; the real part of the last is
+    returned.  A rule not converged by the cap, or not finite (f
+    overflowed), raises ValueError; so does a start outside the range."""
     _check_quadrature_points(points)
-    prev = mean(points)
-    while 2 * points <= MAX_QUADRATURE_POINTS:
-        points *= 2
-        val = mean(points)
-        gap = abs(val - prev)
-        if gap < tol:
-            return val.real
-        prev = val
+    import numpy as np  # only quadrature needs it, not the exact commands
+
+    def mean(m: int) -> complex:
+        angle = 2 * np.pi / m * np.arange(m)
+        val = f(radius * np.exp(1j * angle)) * (radius ** -power * np.exp(-1j * power * angle))
+        return complex(val.mean())
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        prev = mean(points)
+        while cmath.isfinite(prev) and 2 * points <= MAX_QUADRATURE_POINTS:
+            points *= 2
+            val = mean(points)
+            gap = abs(val - prev)
+            if gap < QUADRATURE_TOL:
+                return val.real
+            prev = val
+    head = f"trapezoidal rule not converged to {mp.nstr(mp.mpf(QUADRATURE_TOL), 2)}: the rule"
+    if not cmath.isfinite(prev):
+        raise ValueError(f"{head} on {points} points is not finite")
     raise ValueError(
-        f"trapezoidal rule not converged to {mp.nstr(mp.mpf(tol), 2)}: the rules on "
-        f"{points // 2} and {points} points differ by {mp.nstr(mp.mpf(gap), 4)} at "
-        f"MAX_QUADRATURE_POINTS ({MAX_QUADRATURE_POINTS})"
+        f"{head}s on {points // 2} and {points} points differ by {mp.nstr(mp.mpf(gap), 4)} "
+        f"at MAX_QUADRATURE_POINTS ({MAX_QUADRATURE_POINTS})"
     )
 
 
+def _factors(cs: Sequence, w, linear: bool = False):
+    """prod(1 - c/w) over the roots ``cs``, taken as floats, on the node
+    array w, or prod(1 - c w) when ``linear``; 1 for no roots."""
+    return math.prod((1.0 - float(c) * w) if linear else (1.0 - float(c) / w) for c in cs)
+
+
 def _check_quadrature_points(points: int) -> None:
-    """The trapezoidal rules start at ``points`` and double it up to the
+    """The trapezoidal rule starts at ``points`` and doubles it up to the
     cap, so a start must leave room for a second rule to agree with."""
     if not 1 <= points <= MAX_QUADRATURE_POINTS // 2:
         raise ValueError(
@@ -560,46 +583,25 @@ def mp_blocking_contour(query: MultiPointQuery, contour: ContourSpec | None = No
                 num = betas[: i - 2]
                 den = betas[: j - 1]
             if quadrature:
-                row.append(_contour_quadrature(num, den, xs, power, contour))
+                row.append(_trapezoid(
+                    lambda w: _factors(num, w) / _factors(den, w) / _factors(xs, w, linear=True),
+                    power, float(contour.radius), contour.points))
             else:
                 row.append(contour_entry_residue(num, den, xs, power, poles))
         rows.append(row)
     return _value(query, rows)
 
 
-def _contour_quadrature(num, den, xs, power, contour: ContourSpec):
-    """Trapezoidal rule on the circle |w| = r in complex floats, each rule
-    evaluated on the whole array of its nodes r e^(2 pi i s/m); spectrally
-    convergent, so ``_trapezoid`` doubles m until two successive rules
-    agree to 1e-12."""
-    import numpy as np  # only quadrature needs it, not the exact commands
-
-    r = float(contour.radius)
-    num = np.array([float(c) for c in num])[:, None]
-    den = np.array([float(c) for c in den])[:, None]
-    xs = np.array([float(x) for x in xs])[:, None]
-
-    def mean(points: int) -> complex:
-        angle = 2 * np.pi / points * np.arange(points)
-        w = r * np.exp(1j * angle)
-        val = (1.0 - num / w).prod(axis=0) / (1.0 - den / w).prod(axis=0)
-        val /= (1.0 - xs * w).prod(axis=0)
-        # 1/w^power = r^-power e^(-i power angle)
-        val *= r ** -power * np.exp(-1j * power * angle)
-        return complex(val.mean())
-
-    return _trapezoid(mean, contour.points, 1e-12)
-
-
 def mp_value(query: MultiPointQuery, contour: ContourSpec | None = None, trunc: int = 60):
     """The multi-point value of any query, as (value, error_bound).  With a
     ``contour`` the value is ``mp_blocking_contour``'s, which only case C
-    has: exact by residues (bound 0) or by quadrature (bound 1e-12).
-    Otherwise a pushing case's value is ``mp_pushing``'s, exact, and a
-    blocking case's is ``mp_blocking_series``'s at ``trunc``, which refuses
-    CanonicalB.  A query no formula serves raises ValueError."""
+    has: exact by residues (bound 0) or by quadrature (bound
+    QUADRATURE_TOL).  Otherwise a pushing case's value is ``mp_pushing``'s,
+    exact, and a blocking case's is ``mp_blocking_series``'s at ``trunc``,
+    which refuses CanonicalB.  A query no formula serves raises ValueError."""
     if contour is not None:
-        return mp_blocking_contour(query, contour), Frac(0) if contour.mode == "residue" else 1e-12
+        bound = Frac(0) if contour.mode == "residue" else QUADRATURE_TOL
+        return mp_blocking_contour(query, contour), bound
     if query.case.pushing:
         return mp_pushing(query), Frac(0)
     return mp_blocking_series(query, trunc)
@@ -628,7 +630,11 @@ def continuous_kernel(
     mpmath roots, whose Q, C and G are 1, whose letters are -1/g and whose
     Taylor series at p is e^{tp} (its scale) times t^s/s!.  Case A reads
     only the pole at 0, whose series is the table's at root 0.
-    Quadrature mode is the cross-check.
+    Quadrature mode is the cross-check: ``_trapezoid`` on e^{tw} times the
+    entry's factors, in complex floats rather than at ``dps``, so its
+    absolute error is about 1e-16 max|e^{tw}| on the circle |w| = 2
+    max(|beta|, 1) (case C) or min|pi|/2 (case A).  A t past that domain
+    raises ValueError: the rule does not converge, or overflows.
 
     ``lam`` may be a general integer sequence: the boundary conditions
     evaluate the determinant at shifted, non-partition sequences."""
@@ -656,6 +662,9 @@ def continuous_kernel(
         # case C's roots beta_k = pi_{k+1}; case A reads only the pole at 0
         betas = [rate(k + 1) for k in range(1, ell)] if case is CaseId.C else []
         poles = PoleTable(betas, taylor)
+        if mode == "quadrature":
+            import numpy as np  # only quadrature needs it, not the exact commands
+            tf, linear = float(tt), case is CaseId.A
         rows = []
         for i in range(1, ell + 1):
             row = []
@@ -665,16 +674,18 @@ def continuous_kernel(
                     # (1 - beta_k / w) factors, poles at the beta_k inside
                     num = betas[: i - 1]
                     den = betas[: j - 1]
-                    form = "inv"
                 else:
                     # (1 - w / pi_k) factors, only the w = 0 pole inside
                     num = [1 / rate(k) for k in range(1, j)]
                     den = [1 / rate(k) for k in range(1, i)]
-                    form = "lin"
                 if mode == "quadrature":
-                    row.append(
-                        _exp_contour_quadrature(num, den, power, tt, quad_points, form)
-                    )
+                    if linear:  # a circle inside every pole 1/c
+                        radius = 1 / max(map(abs, den)) / 2 if den else 1
+                    else:  # a circle around 0 and every beta_k
+                        radius = 2 * max([abs(c) for c in den] + [1])
+                    row.append(_trapezoid(
+                        lambda w: np.exp(tf * w) * _factors(num, w, linear) / _factors(den, w, linear),
+                        power, float(radius), quad_points))
                 elif case is CaseId.C:
                     row.append(_residue_sum(num, den, power, poles))
                 else:
@@ -690,28 +701,6 @@ def continuous_kernel(
             pref *= mp.e ** (-rate(j) * tt)
             pref *= rate(j) ** (lam_seq[j - 1] - mu.part(j))
         return pref * det
-
-
-def _exp_contour_quadrature(num, den, power, t, points, form: str):
-    if form == "inv":
-        radius = max([abs(c) for c in den] + [mp.mpf(1)]) * 2
-    else:
-        nonzero = [abs(c) for c in den if c != 0]
-        radius = (mp.mpf(1) / max(nonzero)) / 2 if nonzero else mp.mpf(1)
-
-    def mean(pts: int):
-        acc = mp.mpc(0)
-        for s in range(pts):
-            w = radius * mp.e ** (2j * mp.pi * s / pts)
-            val = mp.e ** (t * w)
-            for c in num:
-                val *= (1 - c / w) if form == "inv" else (1 - c * w)
-            for c in den:
-                val /= (1 - c / w) if form == "inv" else (1 - c * w)
-            acc += val / w**power
-        return acc / pts
-
-    return _trapezoid(mean, points, mp.mpf(10) ** (-12))
 
 
 def master_equation_residual(

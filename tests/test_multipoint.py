@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -328,13 +329,15 @@ def test_continuous_boundary_conditions():
 
 
 def test_continuous_residue_vs_quadrature():
-    # equal rates give case C's entries double poles
-    for rates in ([F(1), F(2, 3)], [F(1)] * 3, [F(1), F(2, 3), F(2, 3)]):
-        for case in (CaseId.C, CaseId.A):
-            args = (case, 0.8, P_([]), P_([2, 1]), len(rates), rates)
-            v1 = continuous_kernel(*args, mode="residue")
-            v2 = continuous_kernel(*args, mode="quadrature", quad_points=32)
-            assert abs(v1 - v2) < 1e-12, (rates, case)
+    # equal rates give case C's entries double poles; the float rule's error
+    # grows with max|e^{tw}| on the circle, 3.3e-15 at worst at t = 5
+    for t in (0.8, 2, 5):
+        for rates in ([F(1), F(2, 3)], [F(1)] * 3, [F(1), F(2, 3), F(2, 3)]):
+            for case in (CaseId.C, CaseId.A):
+                args = (case, t, P_([]), P_([2, 1]), len(rates), rates)
+                v1 = continuous_kernel(*args, mode="residue")
+                v2 = continuous_kernel(*args, mode="quadrature", quad_points=32)
+                assert abs(v1 - v2) < 1e-12, (t, rates, case)
 
 
 def test_continuous_kernel_names_missing_and_zero_rates():
@@ -365,13 +368,16 @@ def test_quadrature_points_above_cap():
 
 def test_trapezoid_checks_its_start():
     # a start above half the cap leaves the doubling loop no second rule;
-    # the shared loop refuses it itself, before evaluating any rule
-    means = []
+    # the shared rule refuses it itself, before evaluating the integrand
+    nodes = []
     for points in (MAX_QUADRATURE_POINTS // 2 + 1, MAX_QUADRATURE_POINTS, 0):
         with pytest.raises(ValueError, match=r"points <= MAX_QUADRATURE_POINTS / 2"):
-            mpmod._trapezoid(means.append, points, 1e-12)
-    assert means == []
-    assert mpmod._trapezoid(lambda m: complex(2.5, 1 / m), 4, 1e-1) == 2.5
+            mpmod._trapezoid(nodes.append, 0, 1.0, points)
+    assert nodes == []
+    # oint (2.5 + w^2) / w^power dw/(2 pi i w) on |w| = 3: the constant
+    # term at power 0, the w^2 coefficient at power 2
+    assert mpmod._trapezoid(lambda w: 2.5 + w * w, 0, 3.0, 4) == pytest.approx(2.5, abs=1e-12)
+    assert mpmod._trapezoid(lambda w: 2.5 + w * w, 2, 3.0, 4) == pytest.approx(1.0, abs=1e-12)
 
 
 # x = 1/10, 1/12 and pi = 1/2, 1/3, 1/5 admit radii in (1/2, 10); at r =
@@ -401,12 +407,45 @@ def test_unconverged_quadrature_raises():
 
 
 def test_unconverged_continuous_quadrature_raises(monkeypatch):
-    # e^{tw} at t = 40 needs far more than 64 points; a lower cap keeps the
-    # mpmath rule cheap
+    # e^{tw} at t = 40 needs far more than 64 points (and its float rule
+    # does not converge at any point count); a lower cap names the last two
+    # rules
     monkeypatch.setattr(mpmod, "MAX_QUADRATURE_POINTS", 64)
     with pytest.raises(ValueError, match=r"rules on 32 and 64 points differ by .* \(64\)"):
         continuous_kernel(CaseId.C, 40.0, P_([]), P_([1]), 1, [F(1)], mode="quadrature",
                           quad_points=16, dps=15)
+
+
+def test_overflowing_continuous_quadrature_raises():
+    # e^{tw} on |w| = 2 overflows at t = 1e4: the first rule is not finite,
+    # and the rule says so at once, without a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"not converged to 1.0e-12: the rule on 8192 "
+                                             r"points is not finite"):
+            continuous_kernel(CaseId.C, 1e4, P_([]), P_([1]), 1, [1], mode="quadrature",
+                              quad_points=8192, dps=15)
+
+
+# repr of the discrete rule's value on UNCONVERGED's binding at radii 1, 3
+# and 5, recorded before the discrete and continuous rules were one: its
+# float operations are to stay in their order
+QUADRATURE_REPRS = {
+    (P_([]), P_([2, 1])): ["0.00012442129629630712", "0.00012442129629629647",
+                           "0.00012442129629629636"],
+    (P_([2, 1]), P_([2, 1, 1])): ["0.03633333333333333", "0.03633333333333333",
+                                  "0.036333333333333336"],
+    (P_([1, 1]), P_([3])): ["0.006128472222222203", "0.006128472222222221",
+                            "0.006128472222222222"],
+}
+
+
+def test_array_quadrature_pinned():
+    for (start, thr), want in QUADRATURE_REPRS.items():
+        q = MultiPointQuery(CaseId.C, "ge", 2, thr, start, 3, UNCONVERGED)
+        got = [repr(mp_blocking_contour(q, ContourSpec(F(r), mode="quadrature")))
+               for r in (1, 3, 5)]
+        assert got == want, (start, thr)
 
 
 def test_array_quadrature_matches_residues():
