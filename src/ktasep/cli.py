@@ -387,7 +387,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="ktasep")
     p.add_argument("--version", action="version", version=f"ktasep {__version__} [{PINNED_CONVENTIONS.fingerprint()}]")
-    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     k = sub.add_parser("kernel", help="exact transition probabilities")

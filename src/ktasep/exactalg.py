@@ -719,7 +719,7 @@ LEIBNIZ_MAX_DIM = 8  # 8! = 40320 products; one size more is a hang, not a resul
 def det_exact(rows: list[list]):
     """Exact determinant of a square matrix.  Rational entries (int and
     Fraction) go through fraction-free elimination; entries of any other
-    commutative ring (LaurentPoly, RationalFn, mpmath numbers) through the
+    commutative ring (LaurentPoly, RationalFn, Decimals) through the
     Leibniz expansion, which refuses dimensions above LEIBNIZ_MAX_DIM.
     Both return an int when every entry is an int, a Fraction for other
     rational entries, and the entry itself for a 1x1 matrix."""

@@ -319,8 +319,12 @@ def single_step_table(
     particle may be pushed by the one behind), the others from row 1 down.
     The pass carries the prefix product and drops a branch at a zero row
     mass, so every target it lists is reachable.  Geometric rows stop at
-    the cap, and the tail is the mass beyond it."""
+    the cap, and the tail is the mass beyond it.  A start with a particle
+    past ell raises ValueError: ell particles cannot hold it."""
     check_sizes(ell=ell)
+    if mu.length() > ell:
+        raise ValueError(f"start row {ell + 1} = {mu.part(ell + 1)} lies past ell = {ell}: "
+                         f"the start places ell particles")
     if cap < mu.part(1):
         raise ValueError(f"cap {cap} smaller than mu_1 = {mu.part(1)}")
     check_rate_count(ell, len(binding.rates))
@@ -338,8 +342,7 @@ def single_step_table(
                 lam[j] = target
                 place(k + 1, prefix * mass)
 
-    if mu.length() <= ell:  # else mu has a row past the last particle: no target
-        place(0, Frac(1))
+    place(0, Frac(1))
     tail = 1 - sum(probs.values(), Frac(0)) if case.geometric else Frac(0)
     return KernelTable(case, 1, mu, ell, probs, tail)
 

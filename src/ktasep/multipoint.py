@@ -6,10 +6,11 @@ sums (series mode, truncated with a geometric tail bound) and an
 alternative contour form whose entries are evaluated exactly by residues.
 Case B's entries are the same theta sums with top alphabet 0/(-x):
 h_a(0/(-x)) = e_a(x) vanishes for a > n, so they terminate and are exact.
-The continuous-time kernels are contour determinants too, with residues
-at extended precision (mpmath).  One trapezoidal rule on the circle
-(``_trapezoid``, numpy complex floats) is the failure-independent
-cross-check of the discrete and the continuous entries alike.
+The continuous-time kernels are contour determinants too, over the same
+exact pole table: each root's residue is exact, weighted by e^{tp} in
+stdlib ``decimal``.  One trapezoidal rule on the circle (``_trapezoid``,
+numpy complex floats) is the failure-independent cross-check of the
+discrete and the continuous entries alike.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction as Frac
 from functools import cached_property
 from typing import Callable, Sequence
-
-import mpmath as mp
 
 from .exactalg import (add_x_letter, add_y_letter, det_exact, h_prefix, scale_letters,
                        theta_h_pair, unscale)
@@ -106,11 +106,11 @@ def _trapezoid(f: Callable, power: int, radius: float, points: int) -> float:
             if gap < QUADRATURE_TOL:
                 return val.real
             prev = val
-    head = f"trapezoidal rule not converged to {mp.nstr(mp.mpf(QUADRATURE_TOL), 2)}: the rule"
+    head = f"trapezoidal rule not converged to {QUADRATURE_TOL:.1e}: the rule"
     if not cmath.isfinite(prev):
         raise ValueError(f"{head} on {points} points is not finite")
     raise ValueError(
-        f"{head}s on {points // 2} and {points} points differ by {mp.nstr(mp.mpf(gap), 4)} "
+        f"{head}s on {points // 2} and {points} points differ by {gap:.3e} "
         f"at MAX_QUADRATURE_POINTS ({MAX_QUADRATURE_POINTS})"
     )
 
@@ -365,33 +365,26 @@ class PoleTable:
     from one set: the distinct roots, 0 first, told apart by equality (equal
     rates merge into poles of higher order).
 
-    A discrete table, which names the x letters ``xs`` it was built for
-    (``contour_poles``), is exact: its roots (ints, Fractions, floats taken
-    exactly) are held as ints R_k over Q, the lcm of their denominators
-    (``scale_letters``), so each gap p_k - p_l is the int g = R_k - R_l over
-    Q.  A continuous table (no ``xs``) holds its mpmath roots as they are,
-    with Q = 1.  Per root k the table keeps, formed once: the gaps g from
-    k; G_k, their lcm (1 for mpmath roots), and the letters -G_k/g (ints,
-    or -1/g), which only poles of order 2 and more read; and
-    ``taylor(p, m)``, F's Taylor series at p up to u^m, as (top, bottom,
-    C_k, [T_0..T_m]) with F(p + u) = top/bottom * sum_s T_s / C_k^s u^s,
-    taken again to a longer prefix only when an entry needs a higher order
-    (T_0..T_m do not depend on m).  ``add`` makes an entry's one value from
-    its residues' numerators and denominators.  The roots are the ones the
-    table was built with: its entries may read no other."""
+    The roots (ints, Fractions, floats taken exactly) are held as ints R_k
+    over Q, the lcm of their denominators (``scale_letters``), so each gap
+    p_k - p_l is the int g = R_k - R_l over Q.  Per root k the table keeps,
+    formed once: the gaps g from k; G_k, their lcm, and the int letters
+    -G_k/g, which only poles of order 2 and more read; and ``taylor(p, m)``,
+    F's Taylor series at p up to u^m, as ints (top, bottom, C_k, [T_0..T_m])
+    with F(p + u) = top/bottom * sum_s T_s / C_k^s u^s, taken again to a
+    longer prefix only when an entry needs a higher order.  A discrete table
+    names the x letters ``xs`` it was built for (``contour_poles``); the
+    continuous one names none.  The roots are the ones the table was built
+    with: its entries may read no other."""
 
     def __init__(self, roots: Sequence, taylor: Callable, xs: Sequence | None = None):
         self.roots, self.taylor, self.xs = [0], taylor, xs
-        self.exact = xs is not None
         self._held = list(roots)  # alive while the table is, so their ids stay theirs
         for c in self._held:
             if c not in self.roots:  # ``in`` tells roots apart by identity or equality
                 self.roots.append(c)
         self._ids = {id(c): self.roots.index(c) for c in self._held}
-        if self.exact:
-            (self.q,), (self._scaled,) = scale_letters([self.roots])
-        else:
-            self.q, self._scaled = 1, self.roots
+        (self.q,), (self._scaled,) = scale_letters([self.roots])
         self._coeffs: dict = {}
         self._gaps: dict = {}
         self._letters: dict = {}
@@ -422,36 +415,27 @@ class PoleTable:
         got = self._letters.get(k)
         if got is None:
             gaps = self.gaps(k)
-            if self.exact:
-                gk = math.lcm(*(g for g in gaps if g))
-                got = gk, [-gk // g if g else 0 for g in gaps]
-            else:
-                got = 1, [-1 / g if g else 0 for g in gaps]
-            self._letters[k] = got
+            gk = math.lcm(*(g for g in gaps if g))
+            got = self._letters[k] = gk, [-gk // g if g else 0 for g in gaps]
         return got
 
-    def add(self, terms):
-        """The sum of the fractions top/bottom of ``terms``: for an exact
-        table their ints are added over a common denominator and make one
-        Fraction, at the end."""
-        if not self.exact:
-            return sum((top / bottom for top, bottom in terms), 0)
+    @staticmethod
+    def add(residues) -> Frac:
+        """The sum of ``_residues``' top/bottom: their ints are added over a
+        common denominator and make one Fraction, at the end."""
         num, den = 0, 1
-        for top, bottom in terms:
+        for _, top, bottom in residues:
             num, den = num * bottom + top * den, den * bottom
         return Frac(num, den)
 
 
-def _residue_sum(num: Sequence, den: Sequence, power: int, poles: PoleTable):
-    """Sum of the residues of  F(w) prod(1 - a/w: num) / prod(1 - b/w: den)
+def _residues(num: Sequence, den: Sequence, power: int, poles: PoleTable) -> list:
+    """The residues of  F(w) prod(1 - a/w: num) / prod(1 - b/w: den)
     / w^(power+1)  at w = 0 and at each distinct root of ``den``, poles of
-    any order included.  ``poles`` holds the roots over one common
-    denominator Q, their gaps and letters, and F's Taylor series; F must be
-    analytic at the roots.
-
-    Each residue is a numerator and a denominator in the table's numbers
-    (ints for an exact table), and the table adds them (``PoleTable.add``):
-    an exact table divides once, at the end."""
+    any order included, each as (root index, int numerator, int
+    denominator).  ``poles`` holds the roots over one common denominator Q,
+    their gaps and letters, and F's Taylor series; F must be analytic at
+    the roots."""
     # (1 - c/w) = (w - c)/w, so the integrand is F(w) prod_r (w - r)^-order[r];
     # a root in both num and den, and a zero root, cancel out of ``order``.
     # ``at`` lists the table's roots in the order they first appear here
@@ -466,7 +450,7 @@ def _residue_sum(num: Sequence, den: Sequence, power: int, poles: PoleTable):
                 at.append(k)
                 order.append(e)
     q = poles.q
-    terms = []  # each residue as (numerator, denominator)
+    residues = []
     for a, (k, m) in enumerate(zip(at, order)):
         if m <= 0:
             continue
@@ -498,8 +482,8 @@ def _residue_sum(num: Sequence, den: Sequence, power: int, poles: PoleTable):
         if m > 1:
             top *= _pole_term(m - 1, taylor, xs, ys, ck * q, gk)
             bottom *= (ck * gk) ** (m - 1)
-        terms.append((top, bottom))
-    return poles.add(terms)
+        residues.append((k, top, bottom))
+    return residues
 
 
 def contour_poles(roots: Sequence, xs: Sequence) -> PoleTable:
@@ -547,7 +531,7 @@ def contour_entry_residue(
         poles = contour_poles([*num_roots, *den_roots], xs)
     elif poles.xs is not xs and list(poles.xs) != list(xs):
         raise ValueError("the pole table was built for other x letters")
-    return _residue_sum(num_roots, den_roots, power, poles)
+    return poles.add(_residues(num_roots, den_roots, power, poles))
 
 
 def mp_blocking_contour(query: MultiPointQuery, contour: ContourSpec | None = None):
@@ -612,6 +596,17 @@ def mp_value(query: MultiPointQuery, contour: ContourSpec | None = None, trunc: 
 # ---------------------------------------------------------------------------
 
 
+def _sequence(lam: Partition | Sequence[int], ell: int) -> list:
+    """lam's first ell rows as a list; a general integer sequence is padded
+    with zeros and taken as it is, partition or not."""
+    return list(lam.padded(ell)) if isinstance(lam, Partition) else list(lam) + [0] * (ell - len(lam))
+
+
+def _decimal(v: Frac) -> Decimal:
+    """v as a Decimal, rounded once to the context's precision."""
+    return Decimal(v.numerator) / v.denominator
+
+
 def continuous_kernel(
     case: CaseId,
     t,
@@ -622,14 +617,16 @@ def continuous_kernel(
     mode: str = "residue",
     quad_points: int = 256,
     dps: int = 50,
-):
+) -> Decimal:
     """Continuous-time transition probability via the determinant of
-    contour integrals.  Residue mode sums the finite residues at w = 0 and
-    the nonzero poles, of any order, with ``_residue_sum``, e^{t w} in
-    extended-precision floats; the entries share one ``PoleTable`` with
-    mpmath roots, whose Q, C and G are 1, whose letters are -1/g and whose
-    Taylor series at p is e^{tp} (its scale) times t^s/s!.  Case A reads
-    only the pole at 0, whose series is the table's at root 0.
+    contour integrals, as a Decimal at ``dps`` digits, with t and the rates
+    read exactly as Fraction(str(.)).  Residue mode sums each entry's
+    residues at w = 0 and the nonzero poles, of any order (``_residues``),
+    over one ``PoleTable`` whose series at p is e^{tp} times t^s/s!: for t =
+    a/b its C is b m!, so every T_s = C^s t^s/s! is an int and each residue
+    is exact but for its root's weight e^{tp}, which ``decimal`` takes with
+    the determinant and the overall factor.  Case A reads only the pole at
+    0, with its letters 1/pi_k over one common denominator.
     Quadrature mode is the cross-check: ``_trapezoid`` on e^{tw} times the
     entry's factors, in complex floats rather than at ``dps``, so its
     absolute error is about 1e-16 max|e^{tw}| on the circle |w| = 2
@@ -647,101 +644,94 @@ def continuous_kernel(
         # the entries read 1/pi_k for k < ell
         for k in range(1, ell):
             check_inverse_rate(k, rates[k - 1])
-    lam_seq = list(lam.padded(ell)) if isinstance(lam, Partition) else list(lam) + [0] * (ell - len(lam))
-    with mp.workdps(dps):
-        tt = mp.mpf(str(t))
-        rate = lambda j: mp.mpf(str(rates[j - 1]))
+    lam_seq = _sequence(lam, ell)
+    tt, pis = Frac(str(t)), [Frac(str(r)) for r in rates[:ell]]
+    a, b = tt.as_integer_ratio()
 
-        def taylor(p, k):
-            # e^{t(p + u)} = e^{tp} sum_s t^s/s! u^s
-            out = [mp.mpf(1)]
-            for s in range(1, k + 1):
-                out.append(out[-1] * tt / s)
-            return mp.e ** (tt * p), 1, 1, out
+    def taylor(p, m):
+        # e^{t(p + u)} = e^{tp} sum_s t^s/s! u^s; C = b m!, so C t = m! a
+        fact, out = math.factorial(m), [1]
+        for s in range(1, m + 1):
+            out.append(out[-1] * fact * a // s)
+        return 1, 1, b * fact, out
 
-        # case C's roots beta_k = pi_{k+1}; case A reads only the pole at 0
-        betas = [rate(k + 1) for k in range(1, ell)] if case is CaseId.C else []
-        poles = PoleTable(betas, taylor)
-        if mode == "quadrature":
-            import numpy as np  # only quadrature needs it, not the exact commands
-            tf, linear = float(tt), case is CaseId.A
+    # case C's roots beta_k = pi_{k+1}; case A reads only the pole at 0
+    betas = pis[1:] if case is CaseId.C else []
+    poles = PoleTable(betas, taylor)
+    (iq,), (inv,) = scale_letters([[1 / p for p in pis[:ell - 1]] if case is CaseId.A else []])
+    if mode == "quadrature":
+        import numpy as np  # only quadrature needs it, not the exact commands
+        tf, linear = float(tt), case is CaseId.A
+    with localcontext(Context(prec=dps)):
+        weights = [_decimal(tt * p).exp() for p in poles.roots]
         rows = []
         for i in range(1, ell + 1):
             row = []
             for j in range(1, ell + 1):
                 power = (lam_seq[i - 1] - i) - (mu.part(j) - j)
-                if case is CaseId.C:
-                    # (1 - beta_k / w) factors, poles at the beta_k inside
-                    num = betas[: i - 1]
-                    den = betas[: j - 1]
-                else:
-                    # (1 - w / pi_k) factors, only the w = 0 pole inside
-                    num = [1 / rate(k) for k in range(1, j)]
-                    den = [1 / rate(k) for k in range(1, i)]
                 if mode == "quadrature":
-                    if linear:  # a circle inside every pole 1/c
+                    if linear:  # (1 - w / pi_k) factors, a circle inside every pole pi_k
+                        num, den = [1 / p for p in pis[:j - 1]], [1 / p for p in pis[:i - 1]]
                         radius = 1 / max(map(abs, den)) / 2 if den else 1
-                    else:  # a circle around 0 and every beta_k
+                    else:  # (1 - beta_k / w) factors, a circle around 0 and every beta_k
+                        num, den = betas[: i - 1], betas[: j - 1]
                         radius = 2 * max([abs(c) for c in den] + [1])
-                    row.append(_trapezoid(
+                    row.append(Decimal(_trapezoid(
                         lambda w: np.exp(tf * w) * _factors(num, w, linear) / _factors(den, w, linear),
-                        power, float(radius), quad_points))
-                elif case is CaseId.C:
-                    row.append(_residue_sum(num, den, power, poles))
-                else:
-                    # [w^power] e^{tw} prod(1 - cw: num)/prod(1 - cw: den)
-                    row.append(
-                        _pole_term(power, poles.coeffs(0, power)[3], den, num)
-                        if power >= 0 else mp.mpf(0)
-                    )
+                        power, float(radius), quad_points)))
+                    continue
+                if case is CaseId.C:
+                    residues = _residues(betas[: i - 1], betas[: j - 1], power, poles)
+                else:  # [w^power] e^{tw} prod(1 - w/pi_k: k < j) / prod(1 - w/pi_k: k < i)
+                    _, _, c, series = poles.coeffs(0, max(power, 0))
+                    residues = [(0, _pole_term(power, series, inv[: i - 1], inv[: j - 1], c, iq),
+                                 (c * iq) ** power)] if power >= 0 else []
+                row.append(sum(weights[k] * top / bottom for k, top, bottom in residues))
             rows.append(row)
-        det = det_exact(rows)
-        pref = mp.mpf(1)
-        for j in range(1, ell + 1):
-            pref *= mp.e ** (-rate(j) * tt)
-            pref *= rate(j) ** (lam_seq[j - 1] - mu.part(j))
-        return pref * det
+        scale = _decimal(math.prod(p ** (lam_seq[j] - mu.part(j + 1)) for j, p in enumerate(pis)))
+        return scale * _decimal(-tt * sum(pis)).exp() * (det_exact(rows) if rows else 1)
 
 
 def master_equation_residual(
-    case: CaseId, t, mu: Partition, lam: Partition, ell: int, rates, h=None, dps: int = 50
-):
-    """Central-difference residual of
-    d/dt P = -sum_s pi_s P + sum_s pi_s P(lam - e_s)  (blocking) or the
-    pushing analog with the same equation."""
-    with mp.workdps(dps):
-        hh = mp.mpf(str(h)) if h is not None else mp.mpf("1e-4")
-        tt = mp.mpf(str(t))
-        P = lambda tau, target: continuous_kernel(case, tau, mu, target, ell, rates, dps=dps)
-        dPdt = (P(tt + hh, lam) - P(tt - hh, lam)) / (2 * hh)
-        rate = lambda j: mp.mpf(str(rates[j - 1]))
-        rhs = mp.mpf(0)
-        for s in range(1, ell + 1):
-            rhs -= rate(s) * P(tt, lam)
-            down = list(lam.padded(ell))
-            down[s - 1] -= 1
-            if down[s - 1] >= 0 and all(
-                down[i] >= down[i + 1] for i in range(ell - 1)
-            ):
-                rhs += rate(s) * P(tt, Partition(down))
+    case: CaseId, t, mu: Partition, lam: Partition | Sequence[int], ell: int, rates, h=None,
+    dps: int = 50,
+) -> Decimal:
+    """Central-difference residual, at step h (default 1e-4) in ``decimal``
+    at ``dps`` digits, of the free master equation
+    d/dt P(lam) = sum_s pi_s (P(lam - e_s) - P(lam)), which the determinant
+    solves for every integer sequence lam: each lam - e_s is evaluated as
+    it is, partition or not, in the blocking and the pushing case alike."""
+    tt, hh = Frac(str(t)), Frac(str(h if h is not None else "1e-4"))
+    lam_seq = _sequence(lam, ell)
+    P = lambda tau, target: continuous_kernel(case, tau, mu, target, ell, rates, dps=dps)
+    with localcontext(Context(prec=dps)):
+        here, rhs = P(tt, lam_seq), Decimal(0)
+        for s in range(ell):
+            down = lam_seq[:]
+            down[s] -= 1
+            rhs += _decimal(Frac(str(rates[s]))) * (P(tt, down) - here)
+        dPdt = (P(tt + hh, lam_seq) - P(tt - hh, lam_seq)) / _decimal(2 * hh)
         return abs(dPdt - rhs)
 
 
 def boundary_condition_gap(
-    case: CaseId, t, mu: Partition, lam: Partition, s: int, ell: int, rates, dps: int = 50
-):
+    case: CaseId, t, mu: Partition, lam: Partition | Sequence[int], s: int, ell: int, rates,
+    dps: int = 50,
+) -> Decimal:
     """Blocking: pi_s P(lam - e_s) - pi_{s+1} P(lam) when lam_s = lam_{s+1};
     pushing: pi_s P(lam + e_{s+1}) - pi_{s+1} P(lam).  Zero in exact
-    arithmetic; returned as a high-precision absolute value."""
-    if lam.part(s) != lam.part(s + 1):
+    arithmetic; returned as an absolute value in ``decimal`` at ``dps``
+    digits.  lam may be a general integer sequence."""
+    lam_seq = _sequence(lam, ell)
+    if lam_seq[s - 1] != lam_seq[s]:
         raise ValueError("boundary condition needs lam_s = lam_{s+1}")
-    with mp.workdps(dps):
-        rate = lambda j: mp.mpf(str(rates[j - 1]))
-        shifted = list(lam.padded(ell))
-        if case is CaseId.C:
-            shifted[s - 1] -= 1  # generally not a partition; evaluated as-is
-        else:
-            shifted[s] += 1
+    shifted = lam_seq[:]
+    if case is CaseId.C:
+        shifted[s - 1] -= 1  # generally not a partition; evaluated as-is
+    else:
+        shifted[s] += 1
+    with localcontext(Context(prec=dps)):
+        rate = lambda j: _decimal(Frac(str(rates[j - 1])))
         lhs = rate(s) * continuous_kernel(case, t, mu, shifted, ell, rates, dps=dps)
-        rhs = rate(s + 1) * continuous_kernel(case, t, mu, lam, ell, rates, dps=dps)
+        rhs = rate(s + 1) * continuous_kernel(case, t, mu, lam_seq, ell, rates, dps=dps)
         return abs(lhs - rhs)

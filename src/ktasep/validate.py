@@ -448,10 +448,17 @@ def _histogram(finals: np.ndarray) -> dict:
 
 def chi2_sf(stat: float, dof: int) -> float:
     """Chi-square survival function: the regularized upper incomplete
-    gamma function Q(dof/2, stat/2)."""
-    import mpmath
-
-    return float(mpmath.gammainc(dof / 2, stat / 2, regularized=True))
+    gamma function Q(dof/2, x), x = stat/2, in closed form: the terms x^b
+    e^-x / Gamma(b + 1) for b = 0, 1, .. < dof/2, each one exp of its log,
+    after erfc(sqrt x) with b = 1/2, 3/2, .. when dof is odd."""
+    x = stat / 2
+    if x <= 0:
+        return 1.0
+    total, b = (math.erfc(math.sqrt(x)), 0.5) if dof % 2 else (0.0, 0.0)
+    while b < dof / 2:
+        total += math.exp(b * math.log(x) - x - math.lgamma(b + 1))
+        b += 1
+    return total
 
 
 class _BiasedGenerator:

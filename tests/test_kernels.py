@@ -443,9 +443,9 @@ def test_closed_route_values_pinned():
 
 
 # The same shape of digest over wider tables: every case, n in {1, 2},
-# ell = 4, cap = 5, starts with len(mu) below, at and above ell, and the
-# seeded binding make_binding(n, seed=22).
-WIDE_CLOSED_ROUTE_DIGEST = "51a0f76b2dcc47b85fe0ea4ac837676c2e6d6a9ce6e7c7da7f99e41d86bbad67"
+# ell = 4, cap = 5, starts with len(mu) below and at ell, and the seeded
+# binding make_binding(n, seed=22).  A start with a row past ell is refused.
+WIDE_CLOSED_ROUTE_DIGEST = "450ded3bd8ec5f0cd1386c670563218df7b08244ca32b372b827eb0dea760982"
 
 
 def test_wide_closed_route_values_pinned():
@@ -455,10 +455,12 @@ def test_wide_closed_route_values_pinned():
     for case in CaseId:
         for n in (1, 2):
             b = make_binding(n, seed=22)
-            for mu in (P_([]), P_([1]), P_([2, 1]), P_([2, 2, 1]), P_([1, 1, 1, 1, 1])):
+            for mu in (P_([]), P_([1]), P_([2, 1]), P_([2, 2, 1])):
                 t = chain(case, n, mu, b, 4, 5)
                 out.append((sorted((lam, repr(p)) for lam, p in t.probs.items()), repr(t.tail)))
-    assert len(out) == 60
+            with pytest.raises(ValueError, match=r"start row 5 = 1 lies past ell = 4"):
+                chain(case, n, P_([1, 1, 1, 1, 1]), b, 4, 5)
+    assert len(out) == 48
     assert hashlib.sha256(repr(out).encode()).hexdigest() == WIDE_CLOSED_ROUTE_DIGEST
 
 

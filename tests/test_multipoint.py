@@ -1,8 +1,13 @@
 import hashlib
+import itertools
 import math
+import os
+import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -315,17 +320,86 @@ def test_continuous_delta_limit():
         assert abs(float(v) - 1.0) < 1e-4
 
 
+# every integer sequence lam in the 3-box, partition or not, from the
+# starts [] and [1], at distinct and equal rates
+CONTINUOUS_BOX = [(case, rates, P_(mu), list(lam))
+                  for case in (CaseId.C, CaseId.A)
+                  for rates in ([F(1), F(2, 3)], [F(1), F(1)], [F(1), F(2, 3), F(1, 3)])
+                  for mu in ([], [1])
+                  for lam in itertools.product(range(4), repeat=len(rates))]
+
+
 def test_continuous_master_equation():
-    for case in (CaseId.C, CaseId.A):
-        r = master_equation_residual(case, 1.0, P_([]), P_([2, 1]), 2, [F(1), F(2, 3)], h=1e-4)
-        assert float(r) < 1e-6, case
+    # the free master equation holds at every lam of the box, where the
+    # lam - e_s that are not partitions (a particle blocked, or at -1)
+    # enter as they are: dropping them reads 0.245 at case C, rates
+    # (1, 2/3), lam = []
+    for case, rates, mu, lam in CONTINUOUS_BOX:
+        r = master_equation_residual(case, 1.0, mu, lam, len(rates), rates, h=1e-12)
+        assert r < 1e-20, (case, rates, mu, lam)
 
 
 def test_continuous_boundary_conditions():
-    g = boundary_condition_gap(CaseId.C, 1.0, P_([]), P_([2, 2]), 1, 2, [F(1), F(2, 3)])
-    assert float(g) < 1e-12
-    g = boundary_condition_gap(CaseId.A, 1.0, P_([]), P_([2, 2]), 1, 2, [F(1), F(2, 3)])
-    assert float(g) < 1e-12
+    seen = 0
+    for case, rates, mu, lam in CONTINUOUS_BOX:
+        for s in range(1, len(rates)):
+            if lam[s - 1] == lam[s]:
+                g = boundary_condition_gap(case, 1.0, mu, lam, s, len(rates), rates)
+                assert g < 1e-40, (case, rates, mu, lam, s)
+                seen += 1
+    assert seen == 2 * 2 * (4 + 4 + 2 * 16)
+    with pytest.raises(ValueError, match="lam_s = lam_"):
+        boundary_condition_gap(CaseId.C, 1.0, P_([]), [2, 1], 1, 2, [F(1), F(2, 3)])
+
+
+# continuous_kernel at dps 50 against 50-digit values recorded from an
+# independent extended-precision (mpmath) evaluation of the same residues:
+# case A, case C, equal rates and non-partition lam
+CONTINUOUS_PINS = [
+    ((CaseId.C, 0.8, [], [2, 1], [F(1), F(2, 3)]),
+     "0.036947064240269995250928010806641970372918535765446"),
+    ((CaseId.A, 2, [1], [2, 1, 0], [F(1), F(2, 3), F(1, 3)]),
+     "0.048841703703291147449914723395309979231765513475935"),
+    ((CaseId.C, 1, [1], [3, 1, 1], [F(1), F(1), F(1)]),
+     "0.028720577174380812102812028596162382015558806149933"),
+    ((CaseId.C, 1, [1], [1, 3, 0], [F(1), F(2, 3), F(2, 3)]),
+     "-0.0094107513886334061017360884013259979535387363294812"),
+    ((CaseId.A, 5, [1, 1], [0, 2], [F(1), F(1)]),
+     "-0.000045399929762484851535591515560550610237918088866565"),
+    ((CaseId.C, 2, [2, 1], [3, 1, -1, 2], [F(2, 3), F(1), F(2, 3), F(1)]),
+     "0.025551095415667336886279830366185301957575949233712"),
+]
+
+
+def test_continuous_kernel_pinned():
+    for (case, t, mu, lam, rates), want in CONTINUOUS_PINS:
+        got = continuous_kernel(case, t, P_(mu), lam, len(rates), rates, dps=50)
+        assert type(got) is Decimal
+        assert abs(got - Decimal(want)) < Decimal("1e-45"), (case, t, mu, lam, rates)
+
+
+def test_continuous_kernel_needs_no_mpmath():
+    # the package, the continuous kernel in both modes and the chi-square
+    # tail run without mpmath
+    code = (
+        "import sys\n"
+        "from fractions import Fraction as F\n"
+        "import ktasep.cli\n"
+        "from ktasep.kernels import CaseId\n"
+        "from ktasep.multipoint import continuous_kernel\n"
+        "from ktasep.partitions import Partition\n"
+        "from ktasep.validate import chi2_sf\n"
+        "for mode in ('residue', 'quadrature'):\n"
+        "    v = continuous_kernel(CaseId.C, 0.8, Partition([]), [2, 1], 2, [F(1), F(2, 3)], mode=mode)\n"
+        "    assert abs(float(v) - 0.036947064240269995) < 1e-12, v\n"
+        "assert 0 < chi2_sf(3.5, 5) < 1\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_continuous_residue_vs_quadrature():
@@ -488,7 +562,7 @@ def _shared_contour_entries(n, ell, rates, start, thr):
     assert len({id(args[4]) for args, _ in calls}) == 1  # one table per determinant
     seen = []
     for (num, den, xs, power, poles), value in calls:
-        assert isinstance(poles, PoleTable) and poles.exact
+        assert isinstance(poles, PoleTable)
         fresh = contour_poles([*num, *den], xs)
         alone = contour_entry_residue(num, den, xs, power, fresh)
         assert repr(value) == repr(alone), (num, den, power)
@@ -531,20 +605,24 @@ def test_shared_pole_table_covers_orders_and_powers():
     [F(1), F(2, 3)], [F(1)] * 3, [F(1), F(2, 3), F(2, 3)], [F(2, 3), F(1), F(2, 3), F(1)],
 ])
 def test_continuous_shared_poles_equal_fresh_ones(rates):
-    # each case C entry with the kernel's shared table against the same
-    # residue sum over a table of its own, compared by repr
-    inner, seen = mpmod._residue_sum, []
+    # each case C entry's residues with the kernel's shared table against
+    # the same residues over a table of its own, as one Fraction per root
+    # keyed by the root's value
+    inner, seen = mpmod._residues, []
+
+    def per_root(residues, poles):
+        return {poles.roots[k]: F(top, bottom) for k, top, bottom in residues}
 
     def record(num, den, power, poles):
-        assert not poles.exact and poles.q == 1
-        value = inner(num, den, power, poles)
-        alone = inner(num, den, power, PoleTable([*num, *den], poles.taylor))
-        seen.append((repr(value), repr(alone), power))
-        return value
+        residues = inner(num, den, power, poles)
+        fresh = PoleTable([*num, *den], poles.taylor)
+        seen.append((per_root(residues, poles), per_root(inner(num, den, power, fresh), fresh),
+                     power))
+        return residues
 
     ell = len(rates)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mpmod, "_residue_sum", record)
+        patch.setattr(mpmod, "_residues", record)
         for mu, lam in ((P_([]), P_([2, 1])), (P_([2, 1]), P_([2, 1])), (P_([1]), [3, 0, -1])):
             continuous_kernel(CaseId.C, 0.8, mu, lam, ell, rates)
     assert len(seen) == 3 * ell * ell

@@ -275,6 +275,10 @@ def test_chi2_sf_closed_form():
     # two degrees of freedom: the survival function is exp(-x/2)
     for x in (0.0, 0.3, 1.0, 7.5, 40.0, 300.0):
         assert chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-14, abs=0)
+        # three: erfc(sqrt(x/2)) + sqrt(2x/pi) exp(-x/2); four: (1 + x/2) exp(-x/2)
+        odd = math.erfc(math.sqrt(x / 2)) + math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+        assert chi2_sf(x, 3) == pytest.approx(odd, rel=1e-13, abs=0)
+        assert chi2_sf(x, 4) == pytest.approx((1 + x / 2) * math.exp(-x / 2), rel=1e-13, abs=0)
 
 
 def test_mc_vs_exact_needs_no_scipy():
