@@ -326,9 +326,9 @@ def cmd_tableaux(args) -> int:
     elif family == "j":
         poly = tab.gen_j(shape, args.n)
     elif family == "G":
-        poly = tab.gen_G(shape, args.n, False, True)
+        poly = tab.gen_G(shape, args.n, tab.SET_VALUED)
     elif family == "Gds":
-        poly = tab.gen_G_doubleslash(outer, inner, args.n, False, True)
+        poly = tab.gen_G_doubleslash(outer, inner, args.n, tab.SET_VALUED)
     elif family == "flagged":
         poly = tab.gen_flagged_schur(outer, args.n)
     else:

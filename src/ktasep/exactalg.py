@@ -116,9 +116,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other):
         if isinstance(other, (int, Frac)):
             other = LaurentPoly.const(other)
@@ -241,34 +238,6 @@ class LaurentPoly:
             if sum(e for v, e in m if v.family == family) <= cap
         }
         return LaurentPoly(out)
-
-    def substitute(self, mapping: dict) -> "LaurentPoly | RationalFn | Frac":
-        """Replace variables by scalars/polynomials.  Unmapped variables stay."""
-        result: Scalar = LaurentPoly.zero()
-        for m, c in self.terms.items():
-            term: Scalar = Frac(c)
-            rest = []
-            for v, e in m:
-                if v in mapping:
-                    val = mapping[v]
-                    if e >= 0:
-                        for _ in range(e):
-                            term = term * val
-                    else:
-                        if isinstance(val, (int, Frac)):
-                            if val == 0:
-                                raise PoleError(f"substituting 0 into {v}^{e}")
-                            term = term * (Frac(1) / Frac(val)) ** (-e)
-                        else:
-                            inv = RationalFn.from_den_factor(as_poly(val))
-                            for _ in range(-e):
-                                term = term * inv
-                else:
-                    rest.append((v, e))
-            if rest:
-                term = term * LaurentPoly.monomial(rest)
-            result = term + result if isinstance(term, RationalFn) else result + term
-        return result
 
     def swap_vars(self, a: VarId, b: VarId) -> "LaurentPoly":
         out: dict = {}
@@ -510,9 +479,6 @@ class RationalFn:
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __eq__(self, other) -> bool:
         other = _coerce_rf(other)
@@ -821,7 +787,7 @@ class SchurExpansion:
     a stated total x-degree cap."""
 
     def __init__(self, coeffs: dict, n: int, degree_cap: int):
-        self.coeffs = {k: v for k, v in coeffs.items() if not is_zero_scalar(v)}
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
         self.n = n
         self.degree_cap = degree_cap
 
@@ -829,12 +795,7 @@ class SchurExpansion:
         if not isinstance(other, SchurExpansion):
             return NotImplemented
         keys = set(self.coeffs) | set(other.coeffs)
-        for k in keys:
-            a = self.coeffs.get(k, 0)
-            b = other.coeffs.get(k, 0)
-            if not _scalars_equal(a, b):
-                return False
-        return True
+        return all(self.coeffs.get(k, 0) == other.coeffs.get(k, 0) for k in keys)
 
     def __repr__(self):
         items = ", ".join(f"{k}: {v!r}" for k, v in sorted(self.coeffs.items()))
@@ -848,13 +809,6 @@ class SchurExpansion:
         return total
 
 
-def is_zero_scalar(v) -> bool:
-    """Zero test for numbers and for LaurentPoly/RationalFn values."""
-    if isinstance(v, (int, Frac, float)):
-        return v == 0
-    return v.is_zero()
-
-
 def reciprocal(v):
     """1/v, exact: a Fraction for rationals, else a RationalFn; a float
     gives a float, as float letters do in the other formulas."""
@@ -863,14 +817,6 @@ def reciprocal(v):
     if isinstance(v, float):
         return 1.0 / v
     return rf(1) / rf(v)
-
-
-def _scalars_equal(a, b) -> bool:
-    if isinstance(a, RationalFn):
-        return a == b
-    if isinstance(b, RationalFn):
-        return b == a
-    return a == b
 
 
 def _x_exponents(mono: Monomial, n: int) -> tuple | None:

@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .conventions import IndexConvention, PINNED_CONVENTIONS
-from .exactalg import Frac, LaurentPoly, Scalar, is_zero_scalar, reciprocal
+from .exactalg import Frac, LaurentPoly, Scalar, reciprocal
 from .operators import OpParams, PartitionVector, U_step, affine, resolvent, u_step
 from .partitions import Partition, SkewShape, conjugate, partitions_between
 from . import tableaux
@@ -139,7 +139,7 @@ def check_beta(k: int, b, xs, low):
 def check_inverse_rate(j: int, r) -> None:
     """The pushing formulas' letter 1/pi_j.  A zero rate is admissible (the
     particle is frozen), so its error is a ValueError, not a ConstraintError."""
-    if is_zero_scalar(r):
+    if not r:
         raise ValueError(f"pi_{j} = 0: the pushing formulas need 1/pi_{j}")
 
 
@@ -338,7 +338,7 @@ def single_step_table(
             return
         j = order[k]
         for target, mass in _row_options(case, mu, lam, j, xi, binding, cap):
-            if not is_zero_scalar(mass):
+            if mass:
                 lam[j] = target
                 place(k + 1, prefix * mass)
 
@@ -484,9 +484,9 @@ def operator_table(
     alpha/beta closures), as ``chain``'s steps do."""
     check_sizes(n=n, ell=ell)
     check_rate_count(ell, len(binding.rates))
-    if case is CaseId.CANONICAL_C and not is_zero_scalar(binding.alpha_of(0)):
+    if case is CaseId.CANONICAL_C and binding.alpha_of(0):
         raise ValueError("operator route for CanonicalC requires alpha(0) = 0")
-    if case is CaseId.CANONICAL_B and not is_zero_scalar(binding.beta_pos_of(0)):
+    if case is CaseId.CANONICAL_B and binding.beta_pos_of(0):
         raise ValueError("operator route for CanonicalB requires beta_pos(0) = 0")
     xs = tuple(binding.x_of(i) for i in range(1, n + 1))
     conj = case is CaseId.CANONICAL_B
@@ -634,21 +634,21 @@ def time_factor(case: CaseId, binding: ParamBinding, js, xs):
 # ---------------------------------------------------------------------------
 
 
-def _tableau_letters(case: CaseId, binding: ParamBinding, ell: int) -> tableaux.Letters:
-    """The binding's value of each letter the case's tableau sum reads.
-    Rates beyond the particle count read as zero."""
+def _tableau_letters(
+    case: CaseId, binding: ParamBinding, ell: int, convention: IndexConvention
+) -> tableaux.Letters:
+    """The binding's value of each letter the case's tableau sum reads,
+    under the index convention; None for the letters it does not read (no
+    alpha in A and C, no beta in B and D).  Rates beyond the particle count
+    read as zero."""
     rate = lambda j: binding.rate(j) if j <= ell else Frac(0)
     shifted = lambda j: rate(j + 1)
     inverse = binding.inverse_rate
-
-    def unread(j: int):
-        raise ValueError(f"case {case} reads no such tableau letter")
-
     alpha = {CaseId.D: inverse, CaseId.B: shifted, CaseId.CANONICAL_B: shifted,
-             CaseId.CANONICAL_C: binding.alpha_of}.get(case, unread)
+             CaseId.CANONICAL_C: binding.alpha_of}.get(case)
     beta = {CaseId.A: inverse, CaseId.C: shifted, CaseId.CANONICAL_C: shifted,
-            CaseId.CANONICAL_B: binding.beta_pos_of}.get(case, unread)
-    return tableaux.Letters(binding.x_of, alpha, beta)
+            CaseId.CANONICAL_B: binding.beta_pos_of}.get(case)
+    return tableaux.Letters(binding.x_of, alpha, beta, convention=convention)
 
 
 def tableau_table(
@@ -670,34 +670,34 @@ def tableau_table(
     row factors built once per table.
 
     ``sums`` holds the ``tableaux.Letters``, with the sums taken at them,
-    under (x_1..x_n).  One dict serves one (case, ell, rate list,
-    alpha/beta closures), as ``chain``'s steps do: calls that share it,
-    whatever their mu, targets, n, x values or convention, take each sum
-    once."""
+    under (x_1..x_n, convention).  One dict serves one (case, ell, rate
+    list, alpha/beta closures), as ``chain``'s steps do: calls that share
+    it, whatever their mu, targets, n, x values or convention, take each
+    sum once per convention."""
     check_sizes(n=n, ell=ell)
     check_rate_count(ell, len(binding.rates))
     xs = [binding.x_of(i) for i in range(1, n + 1)]
     alpha0 = binding.alpha_of(0) if case is CaseId.CANONICAL_C else Frac(0)
-    if n > 1 and not is_zero_scalar(alpha0):
+    if n > 1 and alpha0:
         raise ValueError("tableau route for CanonicalC with n>1 needs alpha(0)=0")
-    if case is CaseId.CANONICAL_B and not is_zero_scalar(binding.beta_pos_of(0)):
+    if case is CaseId.CANONICAL_B and binding.beta_pos_of(0):
         raise ValueError("tableau route for CanonicalB needs beta_pos(0)=0")
     js = range(1, ell + 1) if case.pushing else (1,)
     factor = time_factor(case, binding, js, xs)
-    if not is_zero_scalar(alpha0) and mu.length() < ell:
+    if alpha0 and mu.length() < ell:
         # the leading particle at position 0 (row len(mu) + 1) carries the
         # 1/(1 + alpha_0 x) of its start, which G// leaves out
         factor = factor * reciprocal(1 + alpha0 * xs[0])
     conj = case in (CaseId.B, CaseId.D, CaseId.CANONICAL_B)
     inner = conjugate(mu) if conj else mu
     sums = {} if sums is None else sums
-    letters = sums.get(tuple(xs))
+    key = (tuple(xs), convention)
+    letters = sums.get(key)
     if letters is None:
-        letters = sums[tuple(xs)] = _tableau_letters(case, binding, ell)
+        letters = sums[key] = _tableau_letters(case, binding, ell, convention)
     monomial = _RateRows(case, mu, binding, ell).monomial
-    alpha_on, beta_on = case is not CaseId.C, case is not CaseId.B
     if case not in (CaseId.A, CaseId.D):
-        expansion = tableaux.corner_expansion(inner, alpha_on, beta_on, convention, letters)
+        expansion = tableaux.corner_expansion(inner, letters)
     out = {}
     for lam in targets:
         if case.pushing and not lam.contains(mu):
@@ -705,14 +705,12 @@ def tableau_table(
             continue
         outer = conjugate(lam) if conj else lam
         if case is CaseId.A:
-            g = tableaux.gen_g(SkewShape(outer, inner), n, letters=letters)
+            g = tableaux.gen_g(SkewShape(outer, inner), n, letters)
         elif case is CaseId.D:
-            g = tableaux.gen_j(SkewShape(outer, inner), n, letters=letters)
+            g = tableaux.gen_j(SkewShape(outer, inner), n, letters)
         else:
-            g = tableaux.gen_G_expanded(
-                outer, expansion, n, alpha_on, beta_on, convention, letters=letters
-            )
-        out[lam] = g * factor if is_zero_scalar(g) else g * monomial(lam) * factor
+            g = tableaux.gen_G_expanded(outer, expansion, n, letters)
+        out[lam] = g * monomial(lam) * factor if g else g * factor
     return out
 
 
@@ -761,16 +759,16 @@ def normalization_identity(mu: Partition, n: int, degree_cap: int):
     with beta_j = pi_{j+1}, both sides expanded through total x-degree
     ``degree_cap``.  Returns the exact difference (zero iff identity holds
     through the cap)."""
-    from .exactalg import A as Avar, P as Pvar, X as Xvar
+    from .exactalg import P as Pvar, X as Xvar
 
-    letters = tableaux.Letters(Xvar, Avar, lambda j: Pvar(j + 1), LaurentPoly.const(1),
+    letters = tableaux.Letters(Xvar, None, lambda j: Pvar(j + 1), LaurentPoly.const(1),
                                LaurentPoly.zero())
     lhs = LaurentPoly.zero()
     rows, size = mu.length() + n, degree_cap + mu.size()
     for lam in partitions_between([mu.part(j) for j in range(1, rows + 1)], [size] * rows):
         if lam.size() > size:
             continue
-        g = tableaux.gen_G_doubleslash(lam, mu, n, False, True, PINNED_CONVENTIONS.index, letters)
+        g = tableaux.gen_G_doubleslash(lam, mu, n, letters)
         mono = LaurentPoly.const(1)
         for r in range(1, lam.length() + 1):
             mono = mono * Pvar(r) ** lam.part(r)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .exactalg import A, B, Frac, Scalar, is_zero_scalar, reciprocal
+from .exactalg import A, B, Frac, Scalar, reciprocal
 from .partitions import Partition, push_closure
 
 
@@ -25,7 +25,7 @@ class PartitionVector:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if not is_zero_scalar(v)}
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @classmethod
     def basis(cls, p: Partition) -> "PartitionVector":
@@ -34,7 +34,7 @@ class PartitionVector:
     def add_term(self, p: Partition, coeff) -> None:
         cur = self.terms.get(p)
         new = coeff if cur is None else cur + coeff
-        if is_zero_scalar(new):
+        if not new:
             self.terms.pop(p, None)
         else:
             self.terms[p] = new
@@ -52,7 +52,7 @@ class PartitionVector:
         return out
 
     def scale(self, c) -> "PartitionVector":
-        if is_zero_scalar(c):
+        if not c:
             return PartitionVector()
         return PartitionVector({p: cc * c for p, cc in self.terms.items()})
 
@@ -67,7 +67,7 @@ class PartitionVector:
             a = self.terms.get(k, Frac(0))
             b = other.terms.get(k, Frac(0))
             d = a - b
-            if not is_zero_scalar(d):
+            if d:
                 return False
         return True
 
@@ -93,7 +93,7 @@ class OpParams:
         d = self._neg_alpha.get(k)
         if d is None:
             a = self.alpha(k)
-            d = self._neg_alpha[k] = a if is_zero_scalar(a) else -a
+            d = self._neg_alpha[k] = -a if a else a
         return d
 
     @classmethod
@@ -104,7 +104,7 @@ class OpParams:
         )
 
     @classmethod
-    def symbolic_beta_only(cls) -> "OpParams":
+    def symbolic_zero_alpha(cls) -> "OpParams":
         return cls(alpha=lambda k: Frac(0), beta=lambda j: B(j))
 
     @classmethod
@@ -175,7 +175,7 @@ def apply_U(i: int, vec: PartitionVector, params: OpParams) -> PartitionVector:
         d, nxt, cc = U_step(i, lam, params)
         if nxt is not None:
             out.add_term(nxt, _times(c, cc))
-        if not is_zero_scalar(d):
+        if d:
             out.add_term(lam, c * d)
     return out
 
@@ -198,7 +198,7 @@ def resolvent(
     for lam, w in vec.terms.items():
         while True:
             d, nxt, c = step(j, lam, params)
-            if not is_zero_scalar(d):
+            if d:
                 w = w * reciprocal(1 - d * x)
             out.add_term(lam, w)
             if nxt is None or nxt.size() > size_cap or nxt.part(1) > width:
@@ -221,7 +221,7 @@ def affine(
     out = PartitionVector()
     for lam, w in vec.terms.items():
         d, nxt, c = step(j, lam, params)
-        out.add_term(lam, w if is_zero_scalar(d) else w * (1 + d * x))
+        out.add_term(lam, w * (1 + d * x) if d else w)
         if nxt is not None and nxt.size() <= size_cap and nxt.part(1) <= width:
             out.add_term(nxt, _times(w * x, c))
     return out
@@ -246,7 +246,7 @@ class PushEvaluator:
         if nu.size() <= self.cap:
             out[nu] = coeff
             a_val = self.params.alpha(mu.part(j) + 1)
-            if not is_zero_scalar(a_val):
+            if a_val:
                 for i in range(k, j + 1):
                     c: Scalar = a_val
                     for a in range(k, i):
@@ -257,7 +257,7 @@ class PushEvaluator:
                         for p, cc in self.apply_basis(i, nu).items():
                             cur = out.get(p)
                             new = c * cc if cur is None else cur + c * cc
-                            if is_zero_scalar(new):
+                            if not new:
                                 out.pop(p, None)
                             else:
                                 out[p] = new

@@ -6,7 +6,7 @@ semistandard tableaux.  All enumeration is depth-first over cells with
 entry bounds; generating functions are exact, never sampled.
 
 Arm entries (the multiset part of a hook) make the generating functions
-formal power series.  Two exact treatments are provided:
+formal power series.  Three treatments are provided:
 
 * ``arm_mode="off"``     -- no arms (set-valued / dual cases);
 * ``arm_mode="resummed"``-- arms enumerated by support, each support
@@ -15,17 +15,18 @@ formal power series.  Two exact treatments are provided:
 * ``arm_mode="series"``  -- raw multisets up to an explicit total-entry
   cutoff (power-series identity testing only).
 
-Every sum takes the value of each letter x_i, alpha_k and beta_j as a
-``Letters`` valuation.  The default, ``SYMBOLIC``, gives the letters
-themselves, so a sum is a polynomial or rational function; a kernel
-binding's numbers give that function's value there.  Each weight is a
-product of letters (and of -a*x/(1 + a*x) for a resummed arm), so
-specialising before summing gives the same value as evaluating the
-symbolic sum.
+Every sum reads its letters through a ``Letters`` valuation, which
+decides which letters exist (no alpha: no arms; no beta: no legs), which
+alpha_k and beta_j a cell reads (the index convention), and the value of
+each x_i, alpha_k and beta_j.  ``SYMBOLIC`` gives the letters themselves,
+so a sum is a polynomial or rational function; a kernel binding's numbers
+give that function's value there.  Each weight is a product of letters
+(and of -a*x/(1 + a*x) for a resummed arm), so specialising before
+summing gives the same value as evaluating the symbolic sum.
 
-Sums live with their letters (``Letters.sums``): nothing is kept at module
-level but ``SYMBOLIC``'s sums, which last for the process, as
-``exactalg.schur_poly``'s ``lru_cache`` does.
+Sums live with their valuation (``Letters.sums``): nothing is kept at
+module level but ``SYMBOLIC``'s and ``SET_VALUED``'s sums, which last for
+the process, as ``exactalg.schur_poly``'s ``lru_cache`` does.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from functools import cache
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .conventions import IndexConvention
-from .exactalg import A, B, Frac, LaurentPoly, Scalar, X, is_zero_scalar, reciprocal
+from .conventions import PINNED_CONVENTIONS, IndexConvention
+from .exactalg import A, B, Frac, LaurentPoly, Scalar, X, reciprocal
 from .partitions import Partition, SkewShape, corners
 
 
@@ -78,70 +79,66 @@ class HookTableau:
 
 
 class Letters:
-    """The value of each letter a tableau weight reads, ``x(i)``,
+    """The letters a tableau sum reads and the value of each, ``x(i)``,
     ``alpha(k)`` and ``beta(j)``, the one and zero of the ring the values
-    live in, and the sums taken at them.
+    live in, the index convention, and the sums taken at them.
 
-    Each letter is read from its function once and kept (a read that
-    raises keeps nothing).  ``sums`` holds every sum computed at these
-    letters, so its keys name only a shape, n and flags: a sum never meets
-    another valuation's or ring's.  A caller shares sums by sharing its
-    Letters (``kernels.tableau_table``'s ``sums``)."""
+    ``alpha`` or ``beta`` is None when the sum reads no such letter: no
+    alpha gives no arms (set-valued G, g), no beta no legs (J, j).  An
+    unrefined sum reads letter 1 at every index.  The convention decides
+    which alpha_k and beta_j a cell reads (``indices``).  Each letter is
+    read from its function once and kept (a read that raises keeps
+    nothing).  ``sums`` holds every sum computed at this valuation, so its
+    keys name only a shape, n and arm mode: a sum never meets another
+    valuation's or ring's.  A caller shares sums by sharing its Letters
+    (``kernels.tableau_table``'s ``sums``)."""
 
-    __slots__ = ("x", "alpha", "beta", "one", "zero", "sums")
+    __slots__ = ("x", "alpha", "beta", "one", "zero", "convention", "sums")
 
     def __init__(
         self,
         x: Callable[[int], Scalar],
-        alpha: Callable[[int], Scalar],
-        beta: Callable[[int], Scalar],
+        alpha: Callable[[int], Scalar] | None,
+        beta: Callable[[int], Scalar] | None,
         one: Scalar = Frac(1),
         zero: Scalar = Frac(0),
+        convention: IndexConvention = PINNED_CONVENTIONS.index,
     ):
-        self.x, self.alpha, self.beta = cache(x), cache(alpha), cache(beta)
-        self.one, self.zero = one, zero
+        self.x = cache(x)
+        self.alpha = None if alpha is None else cache(alpha)
+        self.beta = None if beta is None else cache(beta)
+        self.one, self.zero, self.convention = one, zero, convention
         self.sums: dict = {}
 
+    def indices(self, r: int, c: int) -> tuple[int, int]:
+        """(k, j) such that cell (r, c) reads alpha_k and beta_j: alpha by
+        column and beta by row, or the other way round."""
+        return (c, r) if self.convention is IndexConvention.ALPHA_BY_COLUMN else (r, c)
 
-# The letters themselves, over polynomial one and zero
+    def box(self, r: int, c: int) -> Scalar:
+        """alpha + beta of box (r, c), of the letters read."""
+        k, j = self.indices(r, c)
+        box = self.zero
+        if self.alpha is not None:
+            box = box + self.alpha(k)
+        if self.beta is not None:
+            box = box + self.beta(j)
+        return box
+
+
+# The letters themselves, over polynomial one and zero; without alpha, the
+# set-valued G's letters
 SYMBOLIC = Letters(X, A, B, LaurentPoly.const(1), LaurentPoly.zero())
+SET_VALUED = Letters(X, None, B, LaurentPoly.const(1), LaurentPoly.zero())
 
 
 def _memo(letters: Letters, key: tuple, compute: Callable[[], Scalar]) -> Scalar:
-    """compute(), kept in ``letters.sums`` under key: at fixed letters a
-    sum is a function of its shape, n and flags alone."""
+    """compute(), kept in ``letters.sums`` under key: at a fixed valuation
+    a sum is a function of its shape, n and arm mode alone."""
     sums = letters.sums
     if key not in sums:
         sums[key] = compute()
     return sums[key]
-
-
-def _letter_indices(r: int, c: int, convention: IndexConvention) -> tuple[int, int]:
-    """(k, j) such that cell (r, c) reads alpha_k and beta_j: alpha by
-    column and beta by row, or the other way round."""
-    return (c, r) if convention is IndexConvention.ALPHA_BY_COLUMN else (r, c)
-
-
-def _cell_letters(
-    letters: Letters, r: int, c: int, convention: IndexConvention, arms: bool, legs: bool
-) -> tuple:
-    """(alpha, beta) of cell (r, c); None for a letter whose flag is off,
-    which the cell never reads."""
-    k, j = _letter_indices(r, c, convention)
-    return (letters.alpha(k) if arms else None, letters.beta(j) if legs else None)
-
-
-def _box_weight(
-    letters: Letters, r: int, c: int, convention: IndexConvention, alpha_on: bool, beta_on: bool
-) -> Scalar:
-    """alpha + beta of box (r, c), each only when its flag is on."""
-    a, b = _cell_letters(letters, r, c, convention, alpha_on, beta_on)
-    box = letters.zero
-    if alpha_on:
-        box = box + a
-    if beta_on:
-        box = box + b
-    return box
 
 
 def _corner_floor(tops: dict, r: int, c: int) -> int:
@@ -254,57 +251,47 @@ def hook_entry_weight(
     return weight
 
 
-def hook_tableau_weight(
-    t: HookTableau,
-    convention: IndexConvention,
-    arm_mode: str,
-    letters: Letters = SYMBOLIC,
-) -> Scalar:
+def hook_tableau_weight(t: HookTableau, arm_mode: str, letters: Letters = SYMBOLIC) -> Scalar:
     """Weight of one hook tableau: the product of its cells' weights."""
     weight: Scalar = letters.one
     for (r, c), entry in t.cells:
-        a, b = _cell_letters(letters, r, c, convention, bool(entry.arm), bool(entry.leg))
+        k, j = letters.indices(r, c)
+        a = letters.alpha(k) if entry.arm else None
+        b = letters.beta(j) if entry.leg else None
         weight = weight * hook_entry_weight(entry, a, b, letters.x, arm_mode)
     return weight
 
 
-def _class_weights(
-    letters: Letters, k, j, n: int, lo: int, arm_mode: str, legs_on: bool
-) -> tuple:
+def _class_weights(letters: Letters, k, j, n: int, lo: int) -> tuple:
     """(m, W) pairs: W sums the weights of the cell fillings with corner
     >= lo and largest entry m, at alpha = alpha_k, beta = beta_j and x_1..x_n
-    of ``letters``; k is None without arms, j without legs.  A neighbouring
-    cell sees only m."""
+    of ``letters``; k is None without arms (else they are resummed), j
+    without legs.  A neighbouring cell sees only m."""
 
     def compute() -> tuple:
+        arm_mode = "off" if k is None else "resummed"
         a = None if k is None else letters.alpha(k)
         b = None if j is None else letters.beta(j)
         classes: dict = {}
-        for entry in hook_entries(lo, n, arm_mode, legs_on):
+        for entry in hook_entries(lo, n, arm_mode, j is not None):
             m = entry.max_entry()
             w = hook_entry_weight(entry, a, b, letters.x, arm_mode)
             classes[m] = w + classes[m] if m in classes else w
         return tuple(sorted(classes.items()))
 
-    return _memo(letters, ("classes", k, j, n, lo, arm_mode, legs_on), compute)
+    return _memo(letters, ("classes", k, j, n, lo), compute)
 
 
-def _class_sum(
-    shape: SkewShape,
-    n: int,
-    arm_mode: str,
-    legs_on: bool,
-    convention: IndexConvention,
-    letters: Letters,
-) -> Scalar:
-    """Sum of hook tableau weights at the letter values ``letters``,
-    branching per cell on the largest entry only: at most n^cells products
-    of class weights."""
+def _class_sum(shape: SkewShape, n: int, letters: Letters) -> Scalar:
+    """Sum of hook tableau weights at the valuation ``letters``, arms
+    resummed, branching per cell on the largest entry only: at most
+    n^cells products of class weights."""
 
     def compute() -> Scalar:
         cells = shape.cells()
-        index = [_letter_indices(r, c, convention) for r, c in cells]
-        index = [(k if arm_mode != "off" else None, j if legs_on else None) for k, j in index]
+        index = [letters.indices(r, c) for r, c in cells]
+        index = [(None if letters.alpha is None else k, None if letters.beta is None else j)
+                 for k, j in index]
         tops: dict = {}
         total: Scalar = letters.zero
 
@@ -315,7 +302,7 @@ def _class_sum(
                 return
             r, c = cells[i]
             lo = _corner_floor(tops, r, c)
-            for m, w in _class_weights(letters, *index[i], n, lo, arm_mode, legs_on):
+            for m, w in _class_weights(letters, *index[i], n, lo):
                 tops[(r, c)] = m
                 rec(i + 1, prefix * w)
             tops.pop((r, c), None)
@@ -323,23 +310,16 @@ def _class_sum(
         rec(0, letters.one)
         return total
 
-    return _memo(letters, ("G", shape, n, arm_mode, legs_on, convention), compute)
+    return _memo(letters, ("G", shape, n), compute)
 
 
 def gen_G(
-    shape: SkewShape,
-    n: int,
-    alpha_on: bool,
-    beta_on: bool,
-    convention: IndexConvention = IndexConvention.ALPHA_BY_COLUMN,
-    cutoff: int | None = None,
-    resummed: bool = True,
-    letters: Letters = SYMBOLIC,
+    shape: SkewShape, n: int, letters: Letters = SYMBOLIC, cutoff: int | None = None
 ) -> Scalar:
     """Canonical Grothendieck generating function of a skew shape in
-    x_1..x_n, at the letter values ``letters``.  With alpha_on=False this
-    is the set-valued G; with beta_on=False the multiset-valued J (a power
-    series: exact only in resummed mode or through the series cutoff).
+    x_1..x_n at the valuation ``letters``.  Without alpha this is the
+    set-valued G, without beta the multiset-valued J (a power series:
+    exact when resummed, or summed as a series through ``cutoff`` entries).
 
     Exact modes sum per-cell classes keyed by largest entry; series mode
     sums tableau by tableau, because its cutoff caps the whole tableau.
@@ -349,50 +329,38 @@ def gen_G(
     inner = shape.inner.padded(len(outer))
     if any(outer[r + n] > inner[r] for r in range(len(outer) - n)):
         return letters.zero
-    if not alpha_on:
-        return _class_sum(shape, n, "off", beta_on, convention, letters)
-    if resummed:
-        return _class_sum(shape, n, "resummed", beta_on, convention, letters)
+    if letters.alpha is None or cutoff is None:
+        return _class_sum(shape, n, letters)
     total: Scalar = letters.zero
-    for t in iter_hook_tableaux(shape, n, arm_mode="series", legs_on=beta_on, cutoff=cutoff):
-        total = hook_tableau_weight(t, convention, "series", letters) + total
+    for t in iter_hook_tableaux(shape, n, "series", letters.beta is not None, cutoff):
+        total = hook_tableau_weight(t, "series", letters) + total
     return total
 
 
 def gen_G_skew(
-    outer: Partition,
-    inner: Partition,
-    n: int,
-    alpha_on: bool,
-    beta_on: bool,
-    convention: IndexConvention = IndexConvention.ALPHA_BY_COLUMN,
-    letters: Letters = SYMBOLIC,
+    outer: Partition, inner: Partition, n: int, letters: Letters = SYMBOLIC
 ) -> Scalar:
     """Skew G extended to inner not contained in outer: boxes of the inner
     shape sticking out of the outer one contribute +(alpha+beta) factors
     against G of outer over the meet.  This extension is what makes the
     double-slash corner expansion vanish when inner is not contained."""
     if outer.contains(inner):
-        return gen_G(SkewShape(outer, inner), n, alpha_on, beta_on, convention, letters=letters)
+        return gen_G(SkewShape(outer, inner), n, letters)
     meet = Partition(
         [min(outer.part(i), inner.part(i)) for i in range(1, inner.length() + 1)]
     )
-    g = gen_G(SkewShape(outer, meet), n, alpha_on, beta_on, convention, letters=letters)
-    if is_zero_scalar(g):
+    g = gen_G(SkewShape(outer, meet), n, letters)
+    if not g:
         return g
     factor: Scalar = letters.one
     for r in range(1, inner.length() + 1):
         for c in range(outer.part(r) + 1, inner.part(r) + 1):
-            factor = factor * _box_weight(letters, r, c, convention, alpha_on, beta_on)
+            factor = factor * letters.box(r, c)
     return factor * g
 
 
 def corner_expansion(
-    inner: Partition,
-    alpha_on: bool,
-    beta_on: bool,
-    convention: IndexConvention = IndexConvention.ALPHA_BY_COLUMN,
-    letters: Letters = SYMBOLIC,
+    inner: Partition, letters: Letters = SYMBOLIC
 ) -> list[tuple[Partition, Scalar]]:
     """(nu, factor) for each set of corners of ``inner``, fewest removed
     first: nu is ``inner`` less those corners, and factor the product of
@@ -407,7 +375,7 @@ def corner_expansion(
                 parts[r - 1] -= 1
             factor: Scalar = letters.one
             for r, c in removed:
-                factor = factor * (-_box_weight(letters, r, c, convention, alpha_on, beta_on))
+                factor = factor * (-letters.box(r, c))
             out.append((Partition(parts), factor))
     return out
 
@@ -416,9 +384,6 @@ def gen_G_expanded(
     outer: Partition,
     expansion: list[tuple[Partition, Scalar]],
     n: int,
-    alpha_on: bool,
-    beta_on: bool,
-    convention: IndexConvention = IndexConvention.ALPHA_BY_COLUMN,
     letters: Letters = SYMBOLIC,
 ) -> Scalar:
     """The sum of factor * G_{outer/nu} (``gen_G_skew``) over the (nu,
@@ -426,26 +391,19 @@ def gen_G_expanded(
     not added."""
     total: Scalar = letters.zero
     for nu, factor in expansion:
-        g = gen_G_skew(outer, nu, n, alpha_on, beta_on, convention, letters)
-        if not is_zero_scalar(g):
+        g = gen_G_skew(outer, nu, n, letters)
+        if g:
             total = factor * g + total
     return total
 
 
 def gen_G_doubleslash(
-    outer: Partition,
-    inner: Partition,
-    n: int,
-    alpha_on: bool,
-    beta_on: bool,
-    convention: IndexConvention = IndexConvention.ALPHA_BY_COLUMN,
-    letters: Letters = SYMBOLIC,
+    outer: Partition, inner: Partition, n: int, letters: Letters = SYMBOLIC
 ) -> Scalar:
     """Corner-removal-corrected skew G: sum over partitions nu formed by
     removing corners of ``inner``, with factor -(alpha+beta) per removed
     box.  Vanishes whenever inner is not contained in outer."""
-    expansion = corner_expansion(inner, alpha_on, beta_on, convention, letters)
-    return gen_G_expanded(outer, expansion, n, alpha_on, beta_on, convention, letters)
+    return gen_G_expanded(outer, corner_expansion(inner, letters), n, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -482,32 +440,28 @@ def iter_rpp(shape: SkewShape, n: int) -> Iterator[dict]:
     return _fillings(shape, [n] * shape.outer.length(), strict_columns=False)
 
 
-def rpp_weight(
-    shape: SkewShape, filling: dict, refined: bool, letters: Letters = SYMBOLIC
-) -> Scalar:
+def rpp_weight(shape: SkewShape, filling: dict, letters: Letters = SYMBOLIC) -> Scalar:
     """x per box that is not merged with the box below; beta_row per
     merged box (same entry directly below)."""
     w = letters.one
     for (r, c), v in filling.items():
         below = filling.get((r + 1, c))
         if below is not None and below == v:
-            w = w * letters.beta(r if refined else 1)
+            w = w * letters.beta(r)
         else:
             w = w * letters.x(v)
     return w
 
 
-def gen_g(
-    shape: SkewShape, n: int, refined: bool = True, letters: Letters = SYMBOLIC
-) -> Scalar:
+def gen_g(shape: SkewShape, n: int, letters: Letters = SYMBOLIC) -> Scalar:
     """Dual Grothendieck generating function (reverse plane partitions) at
-    the letter values ``letters``."""
+    the valuation ``letters``."""
 
     def compute() -> Scalar:
-        weights = (rpp_weight(shape, f, refined, letters) for f in iter_rpp(shape, n))
+        weights = (rpp_weight(shape, f, letters) for f in iter_rpp(shape, n))
         return sum(weights, letters.zero)
 
-    return _memo(letters, ("g", shape, n, refined), compute)
+    return _memo(letters, ("g", shape, n), compute)
 
 
 def iter_ssyt(shape: SkewShape, n: int) -> Iterator[dict]:
@@ -516,9 +470,7 @@ def iter_ssyt(shape: SkewShape, n: int) -> Iterator[dict]:
     return _fillings(shape, [n] * shape.outer.length(), strict_columns=True)
 
 
-def vst_weight(
-    shape: SkewShape, filling: dict, refined: bool = True, letters: Letters = SYMBOLIC
-) -> Scalar:
+def vst_weight(shape: SkewShape, filling: dict, letters: Letters = SYMBOLIC) -> Scalar:
     """Valued-set weight summed over all row-merge choices.
 
     Each horizontally adjacent equal pair may merge or not; a box followed
@@ -530,23 +482,21 @@ def vst_weight(
     for (r, c), v in filling.items():
         right = filling.get((r, c + 1))
         if right is not None and right == v:
-            w = w * (letters.x(v) + letters.alpha(c if refined else 1))
+            w = w * (letters.x(v) + letters.alpha(c))
         else:
             w = w * letters.x(v)
     return w
 
 
-def gen_j(
-    shape: SkewShape, n: int, refined: bool = True, letters: Letters = SYMBOLIC
-) -> Scalar:
+def gen_j(shape: SkewShape, n: int, letters: Letters = SYMBOLIC) -> Scalar:
     """Dual weak Grothendieck generating function (valued-set tableaux) at
-    the letter values ``letters``."""
+    the valuation ``letters``."""
 
     def compute() -> Scalar:
-        weights = (vst_weight(shape, f, refined, letters) for f in iter_ssyt(shape, n))
+        weights = (vst_weight(shape, f, letters) for f in iter_ssyt(shape, n))
         return sum(weights, letters.zero)
 
-    return _memo(letters, ("j", shape, n, refined), compute)
+    return _memo(letters, ("j", shape, n), compute)
 
 
 # ---------------------------------------------------------------------------

@@ -264,9 +264,10 @@ def arbitrate_conventions(
     (index convention shows up in the corner factors; update order in the
     blocking caps).  The tableau value does not read the update order, so
     one ``tableau_table`` per (case, mu, index) serves both orders, the
-    tables of one case share their sums, and each (case, mu, update) oracle
-    step is built once and read under both index conventions.  A table
-    that raises ``ValueError`` rejects its convention pair."""
+    tables of one (case, index) share their sums, and each (case, mu,
+    update) oracle step is built once and read under both index
+    conventions.  A table that raises ``ValueError`` rejects its
+    convention pair."""
     if binding is None:
         binding = ParamBinding.numeric(
             x=[Frac(1, 5)],

@@ -255,7 +255,7 @@ def test_tableau_route_on_symbolic_binding():
                 want = single_step_closed_form(case, mu, lam, 1, b, 3)
                 got = kernel_tableau_route(case, 1, mu, lam, b, 3)
                 assert rf(got) == rf(want), (case, mu, lam)
-                compared += not rf(want).is_zero()
+                compared += bool(want)
         assert compared >= 4, case
 
 
@@ -272,10 +272,10 @@ def test_operator_table_width_bound_is_exact():
 
 
 def test_normalization_identity():
-    assert normalization_identity(P_([]), 1, 4).is_zero()
-    assert normalization_identity(P_([1]), 1, 4).is_zero()
+    assert not normalization_identity(P_([]), 1, 4)
+    assert not normalization_identity(P_([1]), 1, 4)
     # cap 0: both sides reduce to the constant pi^mu
-    assert normalization_identity(P_([2, 1]), 1, 0).is_zero()
+    assert not normalization_identity(P_([2, 1]), 1, 0)
 
 
 def test_query_hypothesis_check(b1):

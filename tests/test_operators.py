@@ -23,7 +23,7 @@ from ktasep.partitions import Partition, partitions_in_box
 
 P_ = Partition
 SYM = OpParams.symbolic()
-BETA_ONLY = OpParams.symbolic_beta_only()
+BETA_ONLY = OpParams.symbolic_zero_alpha()
 a1, a2, a3 = A(1), A(2), A(3)
 b1, b2, b3 = B(1), B(2), B(3)
 

@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
+import io
 import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import UNREFINED_G, UNREFINED_J, symbolic_letters
 
-from ktasep import tableaux
+from ktasep import cli, tableaux
 from ktasep.cli import _tableaux
 
 from ktasep.conventions import IndexConvention
@@ -16,7 +19,6 @@ from ktasep.exactalg import (
     P,
     VarId,
     X,
-    as_poly,
     omega_on_expansion,
     rf,
     schur_expand,
@@ -29,6 +31,7 @@ from ktasep.partitions import (
     subpartitions,
 )
 from ktasep.tableaux import (
+    SET_VALUED,
     HookEntry,
     gen_G,
     gen_G_doubleslash,
@@ -39,7 +42,6 @@ from ktasep.tableaux import (
     iter_hook_tableaux,
 )
 
-CONV = IndexConvention.ALPHA_BY_COLUMN
 P_ = Partition
 
 
@@ -63,27 +65,24 @@ def test_hook_entry_validation():
 
 def test_gen_G_examples():
     x1, x2, b1 = X(1), X(2), B(1)
-    assert gen_G(SkewShape(P_([1])), 1, False, False, CONV) == x1
-    assert gen_G(SkewShape(P_([1])), 2, False, True, CONV) == x1 + x2 - b1 * x1 * x2
-    assert gen_G(SkewShape(P_([2, 1]), P_([1, 1])), 1, False, True, CONV) == x1
+    assert gen_G(SkewShape(P_([1])), 1, symbolic_letters(False, False)) == x1
+    assert gen_G(SkewShape(P_([1])), 2, SET_VALUED) == x1 + x2 - b1 * x1 * x2
+    assert gen_G(SkewShape(P_([2, 1]), P_([1, 1])), 1, SET_VALUED) == x1
 
 
 def test_gen_G_doubleslash_examples():
     x1, b2 = X(1), B(2)
-    assert gen_G_doubleslash(P_([1, 1]), P_([1, 1]), 1, False, True, CONV) == 1 - b2 * x1
-    assert (
-        gen_G_doubleslash(P_([2, 1]), P_([1, 1]), 1, False, True, CONV)
-        == x1 - b2 * x1 * x1
-    )
+    assert gen_G_doubleslash(P_([1, 1]), P_([1, 1]), 1, SET_VALUED) == 1 - b2 * x1
+    assert gen_G_doubleslash(P_([2, 1]), P_([1, 1]), 1, SET_VALUED) == x1 - b2 * x1 * x1
 
 
 def test_vanishing_property():
     # G_{lam \\ mu} = 0 whenever mu is not contained in lam
     for lam, mu in [([1], [2]), ([1], [1, 1]), ([2], [1, 1]), ([2, 1], [3]), ([2, 2], [3, 1])]:
-        v = gen_G_doubleslash(P_(lam), P_(mu), 2, False, True, CONV)
-        assert (v.is_zero() if hasattr(v, "is_zero") else v == 0), (lam, mu, v)
-        v = gen_G_doubleslash(P_(lam), P_(mu), 1, True, True, CONV)
-        assert rf(v).is_zero(), (lam, mu)
+        v = gen_G_doubleslash(P_(lam), P_(mu), 2, SET_VALUED)
+        assert not v, (lam, mu, v)
+        v = gen_G_doubleslash(P_(lam), P_(mu), 1)
+        assert not v, (lam, mu)
 
 
 def test_gen_g_examples():
@@ -129,11 +128,10 @@ def test_omega_duality_schur_level():
     cases = [((2, 1), ()), ((2, 2), ()), ((3, 1), (1,)), ((2, 2, 1), (1,))]
     for lam_parts, mu_parts in cases:
         lam, mu = P_(lam_parts), P_(mu_parts)
-        g = gen_g(SkewShape(lam, mu), n, refined=False)
-        j = gen_j(SkewShape(conjugate(lam), conjugate(mu)), n, refined=False)
-        j2 = as_poly(j.substitute({VarId("A", 1): B(1)}))
+        g = gen_g(SkewShape(lam, mu), n, UNREFINED_G)
+        j = gen_j(SkewShape(conjugate(lam), conjugate(mu)), n, UNREFINED_J)
         eg = schur_expand(g, n, 9)
-        ej = schur_expand(j2, n, 9)
+        ej = schur_expand(j, n, 9)
         assert omega_on_expansion(eg) == ej, (lam, mu)
 
 
@@ -145,7 +143,7 @@ def test_monomial_signs():
         assert all(c > 0 for c in g.terms.values())
         j = gen_j(SkewShape(lam), 2)
         assert all(c > 0 for c in j.terms.values())
-        G = gen_G(SkewShape(lam), 2, False, True, CONV)
+        G = gen_G(SkewShape(lam), 2, SET_VALUED)
         if hasattr(G, "terms"):
             for mono, c in G.terms.items():
                 excess = sum(e for v, e in mono if v.family == "B")
@@ -162,10 +160,8 @@ def test_branching_g():
             for nu in subpartitions(lam):
                 if not nu.contains(mu):
                     continue
-                outer_piece = gen_g(SkewShape(lam, nu), 1).substitute(
-                    {VarId("X", 1): X(2)}
-                )
-                rhs = rhs + as_poly(outer_piece) * gen_g(SkewShape(nu, mu), 1)
+                outer_piece = gen_g(SkewShape(lam, nu), 1, symbolic_letters(shift=1))
+                rhs = rhs + outer_piece * gen_g(SkewShape(nu, mu), 1)
             assert lhs == rhs, (lam, mu)
 
 
@@ -174,25 +170,24 @@ def test_branching_G_doubleslash():
     for lam_parts in [(2, 1), (2, 2)]:
         lam = P_(lam_parts)
         for mu in subpartitions(lam):
-            lhs = gen_G_doubleslash(lam, mu, 2, False, True, CONV)
+            lhs = gen_G_doubleslash(lam, mu, 2, SET_VALUED)
             rhs = LaurentPoly.zero()
             for nu in subpartitions(lam):
                 if not nu.contains(mu):
                     continue
-                outer_piece = as_poly(
-                    gen_G_doubleslash(lam, nu, 1, False, True, CONV)
-                ).substitute({VarId("X", 1): X(2)})
-                inner_piece = gen_G_doubleslash(nu, mu, 1, False, True, CONV)
-                rhs = rhs + as_poly(outer_piece) * as_poly(inner_piece)
-            assert as_poly(lhs) == rhs, (lam, mu)
+                shifted = symbolic_letters(False, shift=1)
+                outer_piece = gen_G_doubleslash(lam, nu, 1, shifted)
+                inner_piece = gen_G_doubleslash(nu, mu, 1, SET_VALUED)
+                rhs = rhs + outer_piece * inner_piece
+            assert lhs == rhs, (lam, mu)
 
 
-def _per_tableau_sum(shape, n, alpha_on, beta_on, convention):
+def _per_tableau_sum(shape, n, letters):
     """Reference for gen_G's class sum: one weight per enumerated tableau."""
-    arm_mode = "resummed" if alpha_on else "off"
+    arm_mode = "off" if letters.alpha is None else "resummed"
     total = LaurentPoly.zero()
-    for t in iter_hook_tableaux(shape, n, arm_mode=arm_mode, legs_on=beta_on):
-        total = hook_tableau_weight(t, convention, arm_mode) + total
+    for t in iter_hook_tableaux(shape, n, arm_mode, letters.beta is not None):
+        total = hook_tableau_weight(t, arm_mode, letters) + total
     return total
 
 
@@ -203,11 +198,12 @@ def test_class_sum_matches_per_tableau_sum(convention):
     for outer, inner in shapes:
         shape = SkewShape(P_(outer), P_(inner))
         for n in (1, 2):
-            for alpha_on in (False, True):
-                for beta_on in (False, True):
-                    want = _per_tableau_sum(shape, n, alpha_on, beta_on, convention)
-                    got = gen_G(shape, n, alpha_on, beta_on, convention)
-                    key = (outer, inner, n, alpha_on, beta_on)
+            for alpha in (False, True):
+                for beta in (False, True):
+                    letters = symbolic_letters(alpha, beta, convention)
+                    want = _per_tableau_sum(shape, n, letters)
+                    got = gen_G(shape, n, letters)
+                    key = (outer, inner, n, alpha, beta)
                     assert type(got) is type(want), key
                     assert rf(got) == rf(want), key
 
@@ -223,7 +219,14 @@ def test_sums_at_letter_values_match_symbolic_eval(convention):
     # summing at the kernel route's letter values gives the value of the
     # symbolic sum there, on a seeded sample of the desk grid's shapes:
     # the G cases (conjugate shapes for B and CanonicalB), inner outside
-    # outer (the gen_G_skew box factors) and both index conventions
+    # outer (the gen_G_skew box factors) and both index conventions.  A
+    # case's letters hold no alpha exactly in A and C, no beta exactly in
+    # B and D
+    for case in CaseId:
+        letters = _tableau_letters(case, _desk_binding(1), 3, convention)
+        assert (letters.alpha is None) == (case in (CaseId.A, CaseId.C)), case
+        assert (letters.beta is None) == (case in (CaseId.B, CaseId.D)), case
+        assert letters.convention is convention
     rng = random.Random(12)
     grid = [
         (case, n, mu, lam)
@@ -234,22 +237,22 @@ def test_sums_at_letter_values_match_symbolic_eval(convention):
     ]
     seen = set()
     for case, n, mu, lam in rng.sample(grid, 60):
-        letters = _tableau_letters(case, _desk_binding(n), 3)
+        letters = _tableau_letters(case, _desk_binding(n), 3, convention)
         if case in (CaseId.B, CaseId.CANONICAL_B):
             lam, mu = conjugate(lam), conjugate(mu)
-        flags = (case is not CaseId.C, case is not CaseId.B)
-        got = gen_G_doubleslash(lam, mu, n, *flags, convention, letters=letters)
-        want = _symbolic_at(gen_G_doubleslash(lam, mu, n, *flags, convention), letters)
+        symbolic = symbolic_letters(letters.alpha is not None, letters.beta is not None, convention)
+        got = gen_G_doubleslash(lam, mu, n, letters)
+        want = _symbolic_at(gen_G_doubleslash(lam, mu, n, symbolic), letters)
         assert got == want, (case, n, mu, lam)
         seen.add((case, lam.contains(mu)))
     assert len(seen) == 8, seen
     # the duals of cases A and D, on their own shapes
     for lam in partitions_in_box(3, 3):
         shape = SkewShape(lam, P_([1]) if lam.contains(P_([1])) else P_([]))
-        letters = _tableau_letters(CaseId.A, _desk_binding(2), 3)
-        assert gen_g(shape, 2, letters=letters) == _symbolic_at(gen_g(shape, 2), letters)
-        letters = _tableau_letters(CaseId.D, _desk_binding(2), 3)
-        assert gen_j(shape, 2, letters=letters) == _symbolic_at(gen_j(shape, 2), letters)
+        letters = _tableau_letters(CaseId.A, _desk_binding(2), 3, convention)
+        assert gen_g(shape, 2, letters) == _symbolic_at(gen_g(shape, 2), letters)
+        letters = _tableau_letters(CaseId.D, _desk_binding(2), 3, convention)
+        assert gen_j(shape, 2, letters) == _symbolic_at(gen_j(shape, 2), letters)
     # summing at the letters and evaluating share the cell weights, so pin
     # the resummed arm factor on its own: one cell, no legs, sums to
     # sum_v x_v prod_{m >= v} 1 / (1 + alpha x_m)
@@ -260,7 +263,8 @@ def test_sums_at_letter_values_match_symbolic_eval(convention):
             for m in range(v, n + 1):
                 term = term / rf(1 + A(1) * X(m))
             want = want + term
-        assert rf(gen_G(SkewShape(P_([1])), n, True, False, convention)) == want, n
+        letters = symbolic_letters(True, False, convention)
+        assert rf(gen_G(SkewShape(P_([1])), n, letters)) == want, n
 
 
 def test_sum_memo_is_bounded():
@@ -269,13 +273,13 @@ def test_sum_memo_is_bounded():
     # and numeric tables add nothing to the process-wide SYMBOLIC sums
     for k in range(1, 6):
         letters = tableaux.Letters(lambda i: F(1, 10 + i), lambda k_: F(1, k + 3), lambda j: F(1, 7))
-        got = gen_G(SkewShape(P_([2, 1])), 2, True, True, CONV, letters=letters)
-        assert got == _symbolic_at(gen_G(SkewShape(P_([2, 1])), 2, True, True, CONV), letters)
-    symbolic = list(tableaux.SYMBOLIC.sums)
+        got = gen_G(SkewShape(P_([2, 1])), 2, letters)
+        assert got == _symbolic_at(gen_G(SkewShape(P_([2, 1])), 2), letters)
+    symbolic = [list(tableaux.SYMBOLIC.sums), list(SET_VALUED.sums)]
     for case in CaseId:
         tables = tableau_table(case, 2, P_([1]), partitions_in_box(3, 3), _desk_binding(2), 3)
         assert any(v != 0 for v in tables.values()), case
-    assert list(tableaux.SYMBOLIC.sums) == symbolic
+    assert [list(tableaux.SYMBOLIC.sums), list(SET_VALUED.sums)] == symbolic
 
 
 def test_sum_memo_keeps_rings_apart():
@@ -289,10 +293,11 @@ def test_sum_memo_keeps_rings_apart():
         pair = (rational, tableaux.SYMBOLIC)
         for letters in pair if rational_first else pair[::-1]:
             kind = F if letters is rational else LaurentPoly
-            for got in (gen_g(shape, 1, letters=letters), gen_j(shape, 1, letters=letters),
-                        gen_G(shape, 1, True, True, CONV, letters=letters)):
+            for got in (gen_g(shape, 1, letters), gen_j(shape, 1, letters),
+                        gen_G(shape, 1, letters)):
                 assert type(got) is kind and got == 1
-        assert type(gen_G(SkewShape(P_([1])), 1, False, True, CONV, letters=rational)) is LaurentPoly
+        set_valued = tableaux.Letters(X, None, B)
+        assert type(gen_G(SkewShape(P_([1])), 1, set_valued)) is LaurentPoly
 
 
 def test_tall_column_sums_to_zero_at_once():
@@ -309,7 +314,7 @@ def test_tall_column_sums_to_zero_at_once():
                 none = next(iter_hook_tableaux(shape, n, "resummed"), None) is None
                 assert none == (tallest > n), (lam, mu, n)
                 if none:
-                    assert gen_G(shape, n, True, True, CONV) == 0
+                    assert gen_G(shape, n) == 0
                 seen.add(none)
     assert seen == {True, False}
 
@@ -317,18 +322,20 @@ def test_tall_column_sums_to_zero_at_once():
 def test_corner_expansion_is_the_doubleslash_sum():
     # tableau_table sums one corner_expansion of mu over all its targets;
     # per target that sum is gen_G_doubleslash, term for term (same repr),
-    # for every mu with 0-3 corners, both conventions and all flag pairs
+    # for every mu with 0-3 corners, both conventions and every valuation
+    # with alpha, beta or both
     box = partitions_in_box(3, 3)
     corner_counts = set()
     for convention in IndexConvention:
         for flags in ((True, True), (True, False), (False, True)):
+            letters = symbolic_letters(*flags, convention)
             for mu in box:
-                expansion = tableaux.corner_expansion(mu, *flags, convention)
+                expansion = tableaux.corner_expansion(mu, letters)
                 assert len(expansion) == 2 ** len(tableaux.corners(mu))
                 corner_counts.add(len(tableaux.corners(mu)))
                 for lam in box:
-                    got = tableaux.gen_G_expanded(lam, expansion, 1, *flags, convention)
-                    want = gen_G_doubleslash(lam, mu, 1, *flags, convention)
+                    got = tableaux.gen_G_expanded(lam, expansion, 1, letters)
+                    want = gen_G_doubleslash(lam, mu, 1, letters)
                     assert repr(got) == repr(want), (convention, flags, mu, lam)
     assert corner_counts == {0, 1, 2, 3}
 
@@ -341,13 +348,33 @@ def test_series_mode_requires_cutoff():
 def test_multiset_series_matches_resummed():
     # J series through a cutoff approximates the resummed rational value
     shape = SkewShape(P_([2]), P_([]))
-    series = gen_G(shape, 1, True, False, CONV, cutoff=9, resummed=False)
-    resummed = rf(gen_G(shape, 1, True, False, CONV))
+    j_letters = symbolic_letters(True, False)
+    series = gen_G(shape, 1, j_letters, cutoff=9)
+    resummed = rf(gen_G(shape, 1, j_letters))
     bind = {VarId("X", 1): F(1, 5), VarId("A", 1): F(1, 3), VarId("A", 2): F(1, 4)}
     sv = series.eval(bind)
     rv = resummed.eval(bind)
     assert abs(sv - rv) < F(1, 10**4)
 
+
+
+def test_cutoff_sums_the_series():
+    # a cutoff selects the series arm mode: a polynomial holding every
+    # tableau with at most `cutoff` entries, one x per entry, so it is the
+    # next cutoff's series less its top degree, and each degree up to the
+    # cutoff is there
+    j_letters = symbolic_letters(True, False)
+    for shape in (SkewShape(P_([2])), SkewShape(P_([2, 1]), P_([1]))):
+        for cutoff in (3, 5):
+            series = gen_G(shape, 2, j_letters, cutoff=cutoff)
+            assert type(series) is LaurentPoly, (shape, cutoff)
+            longer = gen_G(shape, 2, j_letters, cutoff=cutoff + 1)
+            assert series == longer.truncate_family_degree("X", cutoff) != longer
+            degrees = {sum(e for v, e in m if v.family == "X") for m in series.terms}
+            assert degrees == set(range(shape.size(), cutoff + 1)), (shape, cutoff)
+    # without alpha there are no arms, so the cutoff has nothing to cap
+    shape = SkewShape(P_([2, 1]))
+    assert repr(gen_G(shape, 2, SET_VALUED, cutoff=3)) == repr(gen_G(shape, 2, SET_VALUED))
 
 # sha256 of repr() of the `tableaux --list` output (families g, j and G) and,
 # separately, of repr(gen_flagged_schur), on the shapes [2,1], [2,2] and
@@ -367,3 +394,24 @@ def test_listings_and_flagged_sums_pinned():
     assert sum(len(x) for x in listings) == 225
     assert hashlib.sha256(repr(listings).encode()).hexdigest() == LISTING_DIGEST
     assert hashlib.sha256(repr(flagged).encode()).hexdigest() == FLAGGED_DIGEST
+
+
+# sha256 of the stdout of `ktasep tableaux` for the families g, j, G, Gds
+# (inner [1]) and flagged, on the shapes [2,1], [2,2] and [3,1,1] with
+# n = 1, 2, 3: the generating functions' terms, which no other pin reads
+# for g, j, G or Gds
+TABLEAUX_COMMAND_DIGEST = "2e1ccf43c2cac8f5d9cc8382d9d80c3d0adbd6d5d94b8d90800cf4173fb18d8e"
+
+
+def test_tableaux_command_terms_pinned():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for family in ("g", "j", "G", "Gds", "flagged"):
+            for shape in ("[2,1]", "[2,2]", "[3,1,1]"):
+                for n in ("1", "2", "3"):
+                    argv = ["tableaux", "--family", family, "--shape", shape, "--n", n]
+                    if family == "Gds":
+                        argv += ["--inner", "[1]"]
+                    assert cli.main(argv) == 0, argv
+    assert out.getvalue().count("\n") == 45
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == TABLEAUX_COMMAND_DIGEST
