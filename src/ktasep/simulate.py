@@ -10,9 +10,11 @@ The discrete samplers and the brute-force oracle in ``validate`` share
 one update rule: particles move in ``update_order`` and each move is
 ``move``.  A discrete round takes one uniform per particle in that order,
 CanonicalC included (its jump by inverse CDF, ``_inhom_walk``), so ``run``
-draws its rounds in blocks (``_rounds``), picks the candidates, the draws
-that can jump, in one comparison per block, each round under the law of
-its x_i, and does Python work only for them.  Its ``Trajectory`` keeps
+draws its rounds in blocks of up to _BLOCK_DRAWS uniforms (``_rounds``),
+picks the candidates, the draws that can jump, in one comparison per
+block, each round under the law of its x_i, and does Python work only for
+them, deciding no jump for a blocked particle packed behind its
+neighbour.  Its ``Trajectory`` keeps
 the rounds in which something moved, each as a tuple of positions that
 becomes a ``Partition`` only when read, and ``run_final`` only the final
 state.  The batch sampler (``batch_final``) runs the same rounds over
@@ -152,11 +154,10 @@ class Trajectory:
         return [(t, [p.part(j) - j for j in range(1, ell + 1)]) for t, p in self.snapshots]
 
 
-def sample_geometric(q: float, u: float) -> int:
-    """Inverse-transform geometric: P(w = k) = (1-q) q^k, k >= 0."""
-    if q <= 0.0:
-        return 0
-    return int(math.floor(math.log1p(-u) / math.log(q)))
+def sample_geometric(log_q: float, u: float) -> int:
+    """Inverse-transform geometric from the law's log q (-inf for q = 0):
+    P(w = k) = (1-q) q^k, k >= 0."""
+    return math.floor(math.log1p(-u) / log_q)
 
 
 def _site_success(case: CaseId, site, rate, x):
@@ -278,8 +279,11 @@ def move(pos: list, j: int, w, pushing: bool) -> None:
 
 
 # Uniforms in one block of rounds, or ring gaps in one run of particles'
-# first blocks: a few tens of kilobytes, whatever ell is
-_BLOCK_DRAWS = 4096
+# first blocks: 128 kilobytes of floats, whatever ell is
+_BLOCK_DRAWS = 16384
+# CanonicalB's and CanonicalC's success bound reaches _REACH_DRAWS // ell
+# rounds past particle 1 at most, however long the block
+_REACH_DRAWS = 4096
 
 
 class _RoundTables:
@@ -337,7 +341,8 @@ class _RoundTables:
     def _law(self, xi: float) -> SimpleNamespace:
         """What the rounds at x_i read per particle i (in update order):
         its jump law ``jump[i]`` and its candidate threshold ``bar[i]``.  A
-        and C: jump[i] is q, and i can jump only if u >= bar[i], a floor;
+        and C: jump[i] is log q (-inf for q = 0), taken once per law for
+        ``sample_geometric``, and i can jump only if u >= bar[i], a floor;
         the exact rule u >= 1 - q rounds within a few ulps of |log q| <= 745
         in ``sample_geometric``, far inside the 1e-9 relative and 1e-15
         absolute slack, so the floor never excludes a jump.  CanonicalC and
@@ -348,7 +353,8 @@ class _RoundTables:
         if self.case.canonical:
             jump, bar = [self.successes[rate, xi] for rate in self.rate_list], -math.inf
         elif self.case.geometric:
-            jump, bar = v.tolist(), 1.0 - v * (1.0 + 1e-9) - 1e-15
+            jump = [math.log(q) if q > 0 else -math.inf for q in v.tolist()]
+            bar = 1.0 - v * (1.0 + 1e-9) - 1e-15
         else:
             jump, bar = None, v / (1.0 + v)
         return SimpleNamespace(x=xi, jump=jump, bar=bar, covered=0)
@@ -379,9 +385,12 @@ class _RoundTables:
         """Which uniforms of ``u``, rows of rounds with particles in update
         order along the last axis, can jump: row r under laws[index[r]],
         every row under a single law.  A candidate is below the success
-        bound over positions 0..hi (CanonicalC, CanonicalB), at or above
-        the floor (A, C) or below p_succ (B, D, whose candidates all
-        jump)."""
+        bound over positions 0..hi (CanonicalC, CanonicalB; ``_rounds``
+        keeps hi within _REACH_DRAWS // ell rounds of particle 1), at or
+        above the floor (A, C) or below p_succ (B, D, whose candidates all
+        jump unless blocked).  The test reads no position, so a candidate
+        may be a blocked particle packed behind its neighbour, which
+        ``_rounds`` passes over."""
         bars = [self.success_bound(law, hi) if self.case.canonical else law.bar for law in laws]
         bar = bars[0] if len(bars) == 1 else np.array(bars)[index]
         return u >= bar if self.floored else u < bar
@@ -411,21 +420,23 @@ def _rounds(pos: list, first: int, n: int, rng: np.random.Generator, tables: _Ro
     draw per particle would.  One numpy comparison
     (``_RoundTables.candidates``), each row against the law of its
     round's x_i (``_RoundTables.laws``), picks the candidates, the
-    (round, particle) draws that can jump, and the loop walks these, not
-    the rounds: it decides each with the scalar formulas of its round's
-    law (CanonicalC: ``_inhom_walk``) and ``move``s the ones that jump, so
-    a round without a candidate costs nothing.  Jump laws read a
-    particle's position at the start of the round: the position-dependent
-    cases (CanonicalB, CanonicalC) block, and a blocking move changes only
-    the particle that moves.
+    (round, particle) draws that can jump, and one loop walks these, not
+    the rounds, so a round without a candidate costs nothing.  A blocked
+    candidate packed behind its neighbour is passed over, since ``move``
+    would leave it where it is; every other one is decided with the
+    scalar formulas of its round's law (CanonicalC: ``_inhom_walk``) and
+    ``move``s if it jumps.  Jump laws read a particle's position at the
+    start of the round: the position-dependent cases (CanonicalB,
+    CanonicalC) block, and a blocking move changes only the particle that
+    moves.
 
     Their candidates are the draws below their particle's success bound
     over positions 0..hi, which covers the particle while particle 1, which
-    no particle passes, is at or below hi.  hi starts at particle 1's start
-    plus n, which CanonicalB, moving one site a round at most, never
-    passes.  When a round leaves CanonicalC's particle 1 past hi, hi
-    becomes its position plus the rounds left, and those are selected
-    again from the same draws."""
+    no particle passes, is at or below hi.  hi is particle 1's position
+    plus the rounds left, up to the reach of _REACH_DRAWS // ell rounds.
+    When a round leaves particle 1 past hi, hi is set again from its new
+    position, and the rounds left are selected again from the same
+    draws."""
     if not pos:
         return
     u = rng.random(n * len(pos)).reshape(n, -1)
@@ -436,33 +447,44 @@ def _rounds(pos: list, first: int, n: int, rng: np.random.Generator, tables: _Ro
     laws, index = tables.laws(first, n)
     # round r's jump laws: one list per round, shared when x_i does not change
     jumps = [laws[0].jump] * n if len(laws) == 1 else [laws[k].jump for k in index]
-    hi, r0 = pos[0] + n, 0
+    reach = max(1, _REACH_DRAWS // len(pos))
+
+    def ended(r: int) -> bool:
+        """Log round r, in which something moved; whether particle 1 has
+        passed hi."""
+        if out is not None:
+            out.append((first + r, tuple(pos)))
+        return bounded and pos[0] > hi
+
+    r0 = 0
     while r0 < n:
+        hi = pos[0] + min(reach, n - r0)
         rs, ps = tables.candidates(u[r0:], hi, laws, index[r0:]).nonzero()
         rs += r0
-        cands = zip(rs.tolist(), ps.tolist(), u[rs, ps].tolist())
-        r0 = n
-        for r, group in itertools.groupby(cands, operator.itemgetter(0)):
-            moved, jump = False, jumps[r]
-            for _, i, v in group:
-                j = order[i]
-                k = pos[j - 1]
-                if geometric:
-                    w = sample_geometric(jump[i], v)
-                elif canonical_c:
-                    w = _inhom_walk(jump[i], k, v, pos[j - 2] if j > 1 else math.inf) - k
-                elif canonical_b:
-                    w = v < jump[i][k]
-                else:
-                    w = 1
-                if w:
-                    move(pos, j, w, pushing)
-                    moved = moved or pos[j - 1] != k  # a blocked jump may not move
-            if moved and out is not None:
-                out.append((first + r, tuple(pos)))
-            if moved and bounded and pos[0] > hi:
-                hi, r0 = pos[0] + n - r - 1, r + 1
-                break
+        r0, moving = n, -1  # the last round in which something moved
+        for r, i, v in zip(rs.tolist(), ps.tolist(), u[rs, ps].tolist()):
+            j = order[i]
+            k = pos[j - 1]
+            if not pushing and j > 1 and k == pos[j - 2]:
+                continue  # packed behind its blocking neighbour
+            if geometric:
+                w = sample_geometric(jumps[r][i], v)
+            elif canonical_c:
+                w = _inhom_walk(jumps[r][i], k, v, pos[j - 2] if j > 1 else math.inf) - k
+            elif canonical_b:
+                w = v < jumps[r][i][k]
+            else:
+                w = 1
+            if w:  # moves j, which is not packed
+                if r != moving:
+                    if moving >= 0 and ended(moving):
+                        r0 = moving + 1
+                        break
+                    moving = r
+                move(pos, j, w, pushing)
+        else:
+            if moving >= 0 and ended(moving):
+                r0 = moving + 1
 
 
 def step_batch(tables: _RoundTables, pos: np.ndarray, time_index: int, rng) -> np.ndarray:
@@ -493,11 +515,10 @@ def step_batch(tables: _RoundTables, pos: np.ndarray, time_index: int, rng) -> n
             # the walk stops at the blocking neighbour, as in ``_rounds``
             row[b] = _walk_batch(jump[i], row[b], v[b], pos[j - 2, b] if j > 1 else None)
             continue
-        if case.geometric:  # A and C
-            q = jump[i]
-            if q > 0:  # sample_geometric, with math.log1p: numpy picks its kernel by CPU
-                logs = np.fromiter(map(math.log1p, (-v[b]).tolist()), float, len(b))
-                row[b] += np.floor(logs / math.log(q)).astype(np.int64)
+        if case.geometric:  # A and C: sample_geometric over the law's log q, with
+            # math.log1p, since numpy picks its kernel by CPU
+            logs = np.fromiter(map(math.log1p, (-v[b]).tolist()), float, len(b))
+            row[b] += np.floor(logs / jump[i]).astype(np.int64)
         elif case is CaseId.CANONICAL_B:  # the successes at positions 0..hi
             succ = np.fromiter(map(jump[i].__getitem__, range(hi + 1)), float, hi + 1)
             row[b] += v[b] < succ[row[b]]

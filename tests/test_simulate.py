@@ -2,6 +2,7 @@ import collections
 import functools
 import hashlib
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
@@ -26,7 +27,6 @@ from ktasep.simulate import (
     run_final,
     sample_batch_final,
     sample_continuous_final,
-    sample_geometric,
     sample_inhom_geometric,
     step_discrete,
     update_order,
@@ -374,7 +374,8 @@ def _scalar_round(case, state, time_index, config, rng):
     plain_geometric = case is CaseId.A or case is CaseId.C
     for j in update_order(case, config.ell, config.update):
         if plain_geometric:
-            w = sample_geometric(config.rate(j) * xi, rng.random())
+            q, u = config.rate(j) * xi, rng.random()
+            w = math.floor(math.log1p(-u) / math.log(q)) if q > 0 else 0
         elif case is CaseId.CANONICAL_C:
             # inverse CDF: the jump passes site k while u < the product of
             # the successes at the sites from pos[j - 1] to k
@@ -440,12 +441,14 @@ def _scalar_run(config):
 
 
 def test_run_matches_scalar_rounds_across_blocks(monkeypatch):
-    # x changes every third round, inside each block of rounds (409 rounds
-    # at ell = 10, 81 at ell = 50), and CanonicalB's candidate bound must
-    # cover the positions a block of 10 rounds at ell = 400 reaches
+    # x changes every third round, inside each block of rounds (1638 rounds
+    # at ell = 10, 327 at ell = 50), and CanonicalB's candidate bound must
+    # cover the positions its reach of _REACH_DRAWS // 400 = 10 rounds at
+    # ell = 400 reaches
     x = lambda i: (0.05, 0.3, 0.6)[(i // 3) % 3]
+    assert simulate._BLOCK_DRAWS // 10 < 1700 and simulate._BLOCK_DRAWS // 50 < 400
     for k, case in enumerate(CaseId):
-        for ell, steps in ((10, 900), (50, 200)):
+        for ell, steps in ((10, 1700), (50, 400)):
             cfg = SimConfig(case=case, ell=ell, steps=steps, x=x, seed=300 + k,
                             rates=lambda j: 0.3 + 0.1 * (j % 4),
                             alpha=lambda m: 0.15 * (m % 3), beta_pos=lambda m: 0.2 * (m % 4))
@@ -456,9 +459,10 @@ def test_run_matches_scalar_rounds_across_blocks(monkeypatch):
     assert snaps == _scalar_run(cfg)
     assert sum(a != b for (_, a), (_, b) in zip(snaps, snaps[1:])) == 35
     # CanonicalC's particle 1 jumps about 5 sites a round here, so it
-    # passes the first bound's reach (its start plus the 409 rounds of a
-    # block) inside the block, and the rounds left are selected again: the
-    # bound is then read at more reaches than there are blocks
+    # passes the first bound's reach (its start plus the _REACH_DRAWS // 10
+    # = 409 rounds at ell = 10) inside the block, and the rounds left are
+    # selected again: the bound is then read at more reaches than there
+    # are blocks
     reaches = []
     bound = simulate._RoundTables.success_bound
     monkeypatch.setattr(simulate._RoundTables, "success_bound",
@@ -481,12 +485,13 @@ WALL_RATES = [0.5, 0.3, 0.45, 0.3, 0.5, 0.4]
 @pytest.mark.parametrize("case", list(CaseId), ids=lambda c: c.value)
 def test_candidate_loop_matches_scalar_rounds(case, update):
     # The loop that walks candidates, against one scalar draw and ``move``
-    # per particle per round, over two blocks of rounds (682 at ell = 6):
+    # per particle per round, over two blocks of rounds (_BLOCK_DRAWS // 6
+    # = 2730 at ell = 6):
     # x from a list of three, so x_i changes every round and each block
     # reads a new x_i at every round, or from a callable; a frozen particle
     # (rate 0), except in CanonicalC, whose alpha_k + pi_j must stay >= 0;
     # and in CanonicalC sites where alpha = -pi.
-    base = dict(case=case, ell=6, steps=1000, update=update, start=P_([4, 2, 2]),
+    base = dict(case=case, ell=6, steps=3000, update=update, start=P_([4, 2, 2]),
                 beta_pos=lambda m: 0.2 * (m % 4))
     frozen = 0.2 if case is CaseId.CANONICAL_C else 0.0
     configs = [
@@ -495,6 +500,7 @@ def test_candidate_loop_matches_scalar_rounds(case, update):
         SimConfig(**base, seed=12, x=lambda i: 0.05 if i % 4 else 0.6, rates=WALL_RATES,
                   alpha=lambda m: -0.3 if m % 5 == 3 else 0.1),
     ]
+    assert simulate._BLOCK_DRAWS // 6 < base["steps"]
     for cfg in configs:
         snaps = run(cfg).snapshots
         assert snaps == _scalar_run(cfg), cfg.seed
@@ -509,9 +515,9 @@ def test_candidate_loop_matches_scalar_rounds(case, update):
 @pytest.mark.parametrize("update", list(UpdateOrder), ids=lambda u: u.name)
 def test_canonical_c_reselects_when_particle_1_outruns_the_bound(monkeypatch, update):
     # particle 1 jumps several sites a round, so it passes the first
-    # bound's reach (its start plus the 682 rounds of a block at ell = 6)
-    # inside the block, and the rounds left are selected again with a
-    # larger reach
+    # bound's reach (its start plus the _REACH_DRAWS // 6 = 682 rounds at
+    # ell = 6) inside the block, and the rounds left are selected again
+    # with a larger reach
     reaches = []
     bound = simulate._RoundTables.success_bound
     monkeypatch.setattr(simulate._RoundTables, "success_bound",
@@ -523,6 +529,78 @@ def test_canonical_c_reselects_when_particle_1_outruns_the_bound(monkeypatch, up
     assert snaps == _scalar_run(cfg)
     assert snaps[682][1].part(1) > 3 + 682
     assert len(set(reaches)) > 2
+
+
+def test_canonical_reach_does_not_grow_with_the_block(monkeypatch):
+    # CanonicalB's and CanonicalC's success bound reaches _REACH_DRAWS // ell
+    # rounds past particle 1 however long the block (1638 rounds at ell =
+    # 10), so no site past particle 1's final position plus the reach is
+    # read.  The last run's particle 1 moves in nearly every round, so it
+    # passes the reach (409 rounds at ell = 10) inside a block and the rounds
+    # left are selected again, as in CanonicalC
+    tables, reaches = [], []
+    init, bound = simulate._RoundTables.__init__, simulate._RoundTables.success_bound
+    monkeypatch.setattr(simulate._RoundTables, "__init__",
+                        lambda t, *args: tables.append(t) or init(t, *args))
+    monkeypatch.setattr(simulate._RoundTables, "success_bound",
+                        lambda t, law, hi: reaches.append(hi) or bound(t, law, hi))
+    reach = simulate._REACH_DRAWS // 10
+    assert reach < simulate._BLOCK_DRAWS // 10 < 3000
+    configs = [
+        SimConfig(case=CaseId.CANONICAL_B, ell=10, steps=3000, rates=lambda j: 1.0, x=[0.01],
+                  beta_pos=_sine, start=_fan_start(10), seed=3),
+        SimConfig(case=CaseId.CANONICAL_C, ell=10, steps=3000, rates=lambda j: 0.5, x=[0.2],
+                  alpha=_sine, start=_fan_start(10), seed=4),
+        SimConfig(case=CaseId.CANONICAL_B, ell=10, steps=2000, rates=lambda j: 20.0, x=[0.5],
+                  beta_pos=_sine, start=_fan_start(10), seed=5),
+    ]
+    for cfg in configs:
+        tables.clear()
+        reaches.clear()
+        final = run_final(cfg)
+        assert len(tables[0].sites) <= final.part(1) + reach + 1, cfg.case
+    assert run(cfg).snapshots == _scalar_run(cfg)
+    assert final.part(1) > cfg.start.part(1) + reach and len(set(reaches)) > 2
+
+
+@pytest.mark.parametrize("update", list(UpdateOrder), ids=lambda u: u.name)
+@pytest.mark.parametrize("case", [c for c in CaseId if not c.pushing], ids=lambda c: c.value)
+def test_packed_particle_reaches_no_jump_decision(monkeypatch, case, update):
+    # A blocked candidate packed behind its neighbour is passed over before
+    # its jump is decided, since ``move`` would leave it where it is: every
+    # geometric draw, CanonicalC walk and move is for a particle below its
+    # neighbour.  The runs start from the fan, where most particles are
+    # packed, and go on as the scalar rounds do
+    decided = []
+
+    def below(pos, j):
+        decided.append(j == 1 or pos[j - 1] < pos[j - 2])
+
+    def spy_geometric(log_q, u):
+        caller = sys._getframe(1).f_locals  # _rounds' positions and particle
+        below(caller["pos"], caller["j"])
+        return geometric(log_q, u)
+
+    def spy_walk(succ, k, u, stop=math.inf):
+        decided.append(k < stop)
+        return walk(succ, k, u, stop)
+
+    def spy_move(pos, j, w, pushing):
+        below(pos, j)
+        return move_(pos, j, w, pushing)
+
+    geometric, walk, move_ = simulate.sample_geometric, simulate._inhom_walk, simulate.move
+    monkeypatch.setattr(simulate, "sample_geometric", spy_geometric)
+    monkeypatch.setattr(simulate, "_inhom_walk", spy_walk)
+    monkeypatch.setattr(simulate, "move", spy_move)
+    for x in (0.05, 0.4):
+        cfg = SimConfig(case=case, ell=12, steps=400, rates=lambda j: 0.9, x=[x], update=update,
+                        alpha=_sine, beta_pos=_sine, start=_fan_start(12), seed=21)
+        decided.clear()
+        snaps = run(cfg).snapshots
+        assert len(decided) > 100 and all(decided), (x, decided.count(False))
+        assert snaps == _scalar_run(cfg)
+        assert sum(len(set(p.padded(12))) < 12 for _, p in snaps) > 300  # packed particles
 
 
 def test_laws_index_each_round_by_x_of():
@@ -543,9 +621,9 @@ def test_laws_index_each_round_by_x_of():
 
 
 def test_run_compares_once_per_block_when_x_alternates(monkeypatch):
-    # x changes every round, yet each block of 40 rounds (ell = 100) picks
-    # its candidates in one comparison, its rows read by the x_i of their
-    # round: 75 calls for 3000 rounds
+    # x changes every round, yet each block of _BLOCK_DRAWS // 100 rounds
+    # (ell = 100) picks its candidates in one comparison, its rows read by
+    # the x_i of their round: 19 calls for 3000 rounds of 163-round blocks
     calls = []
     candidates = simulate._RoundTables.candidates
     monkeypatch.setattr(simulate._RoundTables, "candidates",
@@ -553,7 +631,8 @@ def test_run_compares_once_per_block_when_x_alternates(monkeypatch):
     cfg = SimConfig(case=CaseId.C, ell=100, steps=3000, rates=[1.0] * 100, x=[0.01, 0.0101],
                     seed=1)
     run_final(cfg)
-    assert len(calls) == 75
+    block = simulate._BLOCK_DRAWS // 100
+    assert len(calls) == -(-3000 // block) > 1
 
 
 @pytest.mark.parametrize("case", list(CaseId), ids=lambda c: c.value)
