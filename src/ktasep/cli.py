@@ -21,7 +21,7 @@ from fractions import Fraction as Frac
 
 from . import __version__
 from .conventions import PINNED_CONVENTIONS
-from .exactalg import LaurentPoly, RationalFn
+from .exactalg import LaurentPoly
 from .kernels import (
     CaseId,
     ConstraintError,
@@ -124,7 +124,7 @@ def _rational_json(v):
         return {"num": _decimal(v), "den": "1"}
     if isinstance(v, float):
         return {"float": repr(v)}
-    if isinstance(v, (LaurentPoly, RationalFn)):
+    if isinstance(v, LaurentPoly):
         return v.to_json()
     return {"float": repr(float(v))}
 

@@ -188,24 +188,6 @@ class LaurentPoly:
             k >>= 1
         return result
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Frac)):
-            c = Frac(other)
-            return LaurentPoly({m: cc / c for m, cc in self.terms.items()})
-        if isinstance(other, LaurentPoly):
-            mono = other.as_monomial()
-            if mono is not None:
-                m, c = mono
-                inv = tuple((v, -e) for v, e in m)
-                return self * LaurentPoly({inv: 1 / c})
-            return RationalFn.from_poly(self) / RationalFn.from_poly(other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Frac)):
-            return LaurentPoly.const(other) / self
-        return NotImplemented
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Frac)):
             other = LaurentPoly.const(other)
@@ -451,9 +433,6 @@ class RationalFn:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return _coerce_rf(other) * self.inverse()
-
     def inverse(self) -> "RationalFn":
         if not self.num:
             raise ZeroDivisionError("inverting zero")
@@ -468,14 +447,6 @@ class RationalFn:
             return RationalFn(num * inv_mono)
         scale, norm = _factor_canonical(self.num)
         return RationalFn(num * LaurentPoly.const(Frac(1) / scale), ((norm, 1),))
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = RationalFn(ONE)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __bool__(self):
         return bool(self.num)
@@ -508,12 +479,6 @@ class RationalFn:
         for p, _ in self.den:
             out.update(p.variables())
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "num": self.num.to_json(),
-            "den": [{"factor": p.to_json(), "mult": m} for p, m in self.den],
-        }
 
     def __repr__(self):
         if not self.den:

@@ -182,11 +182,12 @@ class ParamBinding:
 
     @classmethod
     def numeric(cls, x, rates, alpha=None, beta_pos=None) -> "ParamBinding":
+        """x and rates as Fractions; ``alpha`` and ``beta_pos`` each None, a
+        callable of position, or a sequence of values at positions 0, 1,
+        ..., with 0 past its end."""
         def closure(src):
             if src is None or callable(src):
                 return src
-            if isinstance(src, dict):
-                return lambda k: Frac(src.get(k, 0))
             return lambda k: Frac(src[k]) if k < len(src) else Frac(0)
 
         return cls(
@@ -196,12 +197,11 @@ class ParamBinding:
             closure(beta_pos),
         )
 
-    def check_admissible(self, case: CaseId, ell: int, positions: range | None = None):
+    def check_admissible(self, case: CaseId, ell: int):
         """Raise ConstraintError naming the violated inequality: ell rates
         for ell particles, the parameter rules at every x_i and rate, and
         CanonicalC's alpha rule or CanonicalB's beta rule at each position
-        of ``positions`` (0..63 by default).  A negative ell is a
-        ValueError (``check_sizes``)."""
+        0..63.  A negative ell is a ValueError (``check_sizes``)."""
         check_sizes(ell=ell)
         check_rate_count(ell, len(self.rates))
         rates = [(j, self.rate(j)) for j in range(1, ell + 1)]
@@ -212,7 +212,7 @@ class ParamBinding:
                        CaseId.CANONICAL_B: (check_beta, self.beta_pos)}.get(case, (None, None))
         if site is not None:
             low = min(rates, key=itemgetter(1), default=(0, 0))
-            for k in positions or range(0, 64):
+            for k in range(64):
                 check(k, site(k), xs, low)
 
 
@@ -721,10 +721,10 @@ def kernel_tableau_route(
     lam: Partition,
     binding: ParamBinding,
     ell: int,
-    convention: IndexConvention = PINNED_CONVENTIONS.index,
 ):
-    """Kernel via the tableau sums: one entry of ``tableau_table``."""
-    return tableau_table(case, n, mu, [lam], binding, ell, convention)[lam]
+    """Kernel via the tableau sums under the pinned index convention: one
+    entry of ``tableau_table``."""
+    return tableau_table(case, n, mu, [lam], binding, ell)[lam]
 
 
 # ---------------------------------------------------------------------------

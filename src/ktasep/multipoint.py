@@ -694,17 +694,16 @@ def continuous_kernel(
 
 def master_equation_residual(
     case: CaseId, t, mu: Partition, lam: Partition | Sequence[int], ell: int, rates, h=None,
-    dps: int = 50,
 ) -> Decimal:
     """Central-difference residual, at step h (default 1e-4) in ``decimal``
-    at ``dps`` digits, of the free master equation
+    at 50 digits, of the free master equation
     d/dt P(lam) = sum_s pi_s (P(lam - e_s) - P(lam)), which the determinant
     solves for every integer sequence lam: each lam - e_s is evaluated as
     it is, partition or not, in the blocking and the pushing case alike."""
     tt, hh = Frac(str(t)), Frac(str(h if h is not None else "1e-4"))
     lam_seq = _sequence(lam, ell)
-    P = lambda tau, target: continuous_kernel(case, tau, mu, target, ell, rates, dps=dps)
-    with localcontext(Context(prec=dps)):
+    P = lambda tau, target: continuous_kernel(case, tau, mu, target, ell, rates)
+    with localcontext(Context(prec=50)):
         here, rhs = P(tt, lam_seq), Decimal(0)
         for s in range(ell):
             down = lam_seq[:]
@@ -716,11 +715,10 @@ def master_equation_residual(
 
 def boundary_condition_gap(
     case: CaseId, t, mu: Partition, lam: Partition | Sequence[int], s: int, ell: int, rates,
-    dps: int = 50,
 ) -> Decimal:
     """Blocking: pi_s P(lam - e_s) - pi_{s+1} P(lam) when lam_s = lam_{s+1};
     pushing: pi_s P(lam + e_{s+1}) - pi_{s+1} P(lam).  Zero in exact
-    arithmetic; returned as an absolute value in ``decimal`` at ``dps``
+    arithmetic; returned as an absolute value in ``decimal`` at 50
     digits.  lam may be a general integer sequence."""
     lam_seq = _sequence(lam, ell)
     if lam_seq[s - 1] != lam_seq[s]:
@@ -730,8 +728,8 @@ def boundary_condition_gap(
         shifted[s - 1] -= 1  # generally not a partition; evaluated as-is
     else:
         shifted[s] += 1
-    with localcontext(Context(prec=dps)):
+    with localcontext(Context(prec=50)):
         rate = lambda j: _decimal(Frac(str(rates[j - 1])))
-        lhs = rate(s) * continuous_kernel(case, t, mu, shifted, ell, rates, dps=dps)
-        rhs = rate(s + 1) * continuous_kernel(case, t, mu, lam_seq, ell, rates, dps=dps)
+        lhs = rate(s) * continuous_kernel(case, t, mu, shifted, ell, rates)
+        rhs = rate(s + 1) * continuous_kernel(case, t, mu, lam_seq, ell, rates)
         return abs(lhs - rhs)

@@ -109,16 +109,13 @@ class OpParams:
 
     @classmethod
     def bound(cls, alpha_vals, beta_vals) -> "OpParams":
-        """alpha_vals / beta_vals: callables or dicts of exact values."""
+        """alpha_vals / beta_vals: callables of exact values, or None for
+        0 everywhere."""
 
-        def mk(src, default):
-            if callable(src):
-                return src
-            if src is None:
-                return lambda i: default
-            return lambda i: src.get(i, default) if isinstance(src, dict) else src[i]
+        def mk(src):
+            return src if src is not None else lambda i: _ZERO
 
-        return cls(alpha=mk(alpha_vals, Frac(0)), beta=mk(beta_vals, Frac(0)))
+        return cls(alpha=mk(alpha_vals), beta=mk(beta_vals))
 
 
 _ZERO, _ONE = Frac(0), Frac(1)

@@ -70,18 +70,12 @@ class Partition:
             raise ValueError(f"cannot pad {self} to shorter length {n}")
         return self.parts + (0,) * (n - len(self.parts))
 
-    # -- containment and cells -------------------------------------------
+    # -- containment -------------------------------------------------------
 
     def contains(self, other: "Partition") -> bool:
         """Componentwise containment (zero padding)."""
         mine, theirs = self.parts, other.parts
         return len(mine) >= len(theirs) and all(a >= b for a, b in zip(mine, theirs))
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """All (row, col) cells, 1-indexed, row-major."""
-        for r, p in enumerate(self.parts, start=1):
-            for c in range(1, p + 1):
-                yield (r, c)
 
     # -- value semantics ---------------------------------------------------
 

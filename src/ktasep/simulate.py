@@ -75,11 +75,16 @@ def _rate_floats(ell: int, rates: Rates) -> list:
 
 @dataclass
 class SimConfig:
+    """A discrete run's settings.  ``x`` is a list that repeats: x_i is
+    x[(i - 1) % len(x)].  ``rates`` gives pi_1, ..., pi_ell as a list or a
+    callable of j; ``alpha`` (CanonicalC) and ``beta_pos`` (CanonicalB)
+    are callables of position, 0 when None."""
+
     case: CaseId
     ell: int
     steps: int = 0
     rates: Sequence[float] | Callable[[int], float] = (1.0,)
-    x: Sequence[float] | Callable[[int], float] = (1.0,)
+    x: Sequence[float] = (1.0,)
     alpha: Callable[[int], float] | None = None
     beta_pos: Callable[[int], float] | None = None
     seed: int = 0
@@ -96,8 +101,6 @@ class SimConfig:
         return float(self.rates[j - 1])
 
     def x_of(self, i: int) -> float:
-        if callable(self.x):
-            return float(self.x(i))
         return float(self.x[(i - 1) % len(self.x)])
 
     def alpha_of(self, k: int) -> float:
@@ -296,7 +299,8 @@ class _RoundTables:
     read: a new x_i (``laws``) against every rate and every position read
     so far, a new position (``site``) against every x_i read so far.  The
     tables change as a run goes on, so two threads must not run rounds
-    with one of them at once."""
+    with one of them at once.  Nothing they hold refers back to them, so
+    they are freed when the run that built them returns."""
 
     def __init__(self, case: CaseId, config: SimConfig):
         self.case = case
@@ -306,35 +310,48 @@ class _RoundTables:
         self.low = min(self.indexed, key=operator.itemgetter(1), default=(0, 0.0))
         self.rates = np.array(rates)[[j - 1 for j in self.order]]
         self.rate_list = self.rates.tolist()
-        self.check, self.site_of = ((check_alpha, config.alpha_of) if case is CaseId.CANONICAL_C
-                                    else (check_beta, config.beta_pos_of))
-        self.sites: list = []
-        self.xs: dict = {}  # x_i -> (i, x_i) at its first step i, for each x_i read so far
+        self.check = check = check_alpha if case is CaseId.CANONICAL_C else check_beta
+        site_of = config.alpha_of if case is CaseId.CANONICAL_C else config.beta_pos_of
+        self.sites = sites = []
+        self.xs = xs = {}  # x_i -> (i, x_i) at its first step i, for each x_i read so far
+        low = self.low
+
+        def site(k: int) -> float:
+            """alpha_k (CanonicalC) or beta_pos_k (CanonicalB); a position
+            read for the first time is checked against every x_i read so
+            far and the smallest rate (``check_alpha``, ``check_beta``)."""
+            for m in range(len(sites), k + 1):
+                sites.append(check(m, site_of(m), xs.values(), low))
+            return sites[k]
+
+        # a closure, not a method: the success maps below hold it, and
+        # nothing they hold may refer back to the tables
+        self.site = site
         # (pi_j, x_i) -> site k -> success, shared by the particles of one
         # rate and kept across changes of x_i
-        self.successes = _Lazy(lambda key: _Lazy(lambda k: _site_success(case, self.site(k), *key)))
-        self.kept = _Lazy(self._law)  # x_i -> its law
+        self.successes = _Lazy(lambda key: _Lazy(lambda k: _site_success(case, site(k), *key)))
+        self.kept: dict = {}  # x_i -> its law (``_law``)
         self.x_of = config.x_of
-        self.period = None if callable(config.x) else len(config.x)
+        self.period = len(config.x)
         self.floored = case in (CaseId.A, CaseId.C)  # candidates at or above a floor
 
     def laws(self, first: int, n: int) -> tuple:
         """The laws (``_law``) of the distinct x_i that rounds first, ...,
         first + n - 1 read, in first-read order, and each round's index
-        into them.  A list x repeats, so one period of it is read; a
-        callable x is read once per round.  An x_i not read before is
-        checked at its first round i: pi_j x_i for every particle
-        (``check_rate_x``), then the site rule at every position read so
-        far."""
+        into them.  x repeats, so one period of it is read.  An x_i not
+        read before is checked at its first round i: pi_j x_i for every
+        particle (``check_rate_x``), then the site rule at every position
+        read so far; then its law is built and kept."""
         seen: dict = {}
         index = []
-        for i in range(first, first + min(n, self.period or n)):
+        for i in range(first, first + min(n, self.period)):
             xi = self.x_of(i)
             if xi not in self.xs:
                 check_rate_x(self.case, i, xi, self.indexed)
                 for k, site in enumerate(self.sites):
                     self.check(k, site, [(i, xi)], self.low)
                 self.xs[xi] = (i, xi)
+                self.kept[xi] = self._law(xi)
             index.append(seen.setdefault(xi, len(seen)))
         return [self.kept[xi] for xi in seen], (index * -(-n // len(index)))[:n]
 
@@ -358,14 +375,6 @@ class _RoundTables:
         else:
             jump, bar = None, v / (1.0 + v)
         return SimpleNamespace(x=xi, jump=jump, bar=bar, covered=0)
-
-    def site(self, k: int) -> float:
-        """alpha_k (CanonicalC) or beta_pos_k (CanonicalB); a position read
-        for the first time is checked against every x_i read so far and
-        the smallest rate (``check_alpha``, ``check_beta``)."""
-        for m in range(len(self.sites), k + 1):
-            self.sites.append(self.check(m, self.site_of(m), self.xs.values(), self.low))
-        return self.sites[k]
 
     def success_bound(self, law: SimpleNamespace, hi: int) -> np.ndarray:
         """Each particle's (in update order) largest site success
@@ -560,10 +569,10 @@ def _run(config: SimConfig, run_index: int, out: list | None) -> list:
     return pos
 
 
-def sample_batch_final(config: SimConfig, samples: int, seed: int,
-                       batch_run_index: int = 0) -> np.ndarray:
-    """Vectorized: final positions (samples x ell) after config.steps."""
-    return batch_final(config, samples, rng_for(seed, batch_run_index))
+def sample_batch_final(config: SimConfig, samples: int, seed: int) -> np.ndarray:
+    """Vectorized: final positions (samples x ell) after config.steps, drawn
+    from run 0's stream of ``seed``."""
+    return batch_final(config, samples, rng_for(seed))
 
 
 def batch_final(config: SimConfig, samples: int, rng) -> np.ndarray:

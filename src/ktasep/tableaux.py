@@ -504,25 +504,17 @@ def gen_j(shape: SkewShape, n: int, letters: Letters = SYMBOLIC) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def gen_flagged_schur(
-    lam: Partition, n: int, flags: list[int] | None = None
-) -> LaurentPoly:
+def gen_flagged_schur(lam: Partition, n: int) -> LaurentPoly:
     """Flagged Schur generating function over the ordered alphabet
     x_1 < ... < x_n < b_1 < b_2 < ...; entries in row i are bounded by the
-    flag letter b_{flags[i-1]}.  Default flags are (1, 2, ..., len(lam)).
+    flag letter b_i.
 
     Letters are encoded as integers 1..n (x's) and n+1, n+2, ... (b's).
     """
     ell = lam.length()
     if ell == 0:
         return LaurentPoly.const(1)
-    if flags is None:
-        flags = list(range(1, ell + 1))
-    if len(flags) < ell:
-        raise ValueError("need one flag per row")
-    if any(flags[i] > flags[i + 1] for i in range(ell - 1)):
-        raise ValueError("flags must be weakly increasing")
-    hi = [n + f for f in flags[:ell]]
+    hi = list(range(n + 1, n + ell + 1))  # row i's flag letter b_i
     total = LaurentPoly.zero()
     for filling in _fillings(SkewShape(lam), hi, strict_columns=True):
         weight = LaurentPoly.const(1)

@@ -178,7 +178,6 @@ class OracleReport:
     case: CaseId
     mu: Partition
     n: int
-    conventions: Conventions
     rows: list = field(default_factory=list)
     tail: Frac = Frac(0)
 
@@ -219,13 +218,13 @@ def route_agreement(
     ell: int,
     targets: list[Partition],
     cap: int,
-    conventions: Conventions = PINNED_CONVENTIONS,
     cache: RouteCache | None = None,
 ) -> OracleReport:
     """Compare oracle, closed-form chain, operator, and tableau values for
-    every target partition; exact rational comparisons.  The operator
-    values come from one ``operator_table`` just large and wide enough to
-    hold every target, the tableau values from one ``tableau_table``.  A
+    every target partition under the pinned conventions; exact rational
+    comparisons.  The operator values come from one ``operator_table``
+    just large and wide enough to hold every target, the tableau values
+    from one ``tableau_table``.  A
     route table that raises ``ValueError`` leaves ``None`` in its slot of
     every row, and those rows are skipped, never counted as agreeing.
     ``cache`` shares steps and evolutions between the calls of one grid
@@ -233,7 +232,8 @@ def route_agreement(
     afresh."""
     cache = RouteCache() if cache is None else cache
     targets = [lam for lam in targets if lam.length() <= ell and lam.part(1) <= ell]
-    oracle = brute_force_table(case, n, mu, binding, ell, cap, conventions.update, cache.oracle)
+    oracle = brute_force_table(case, n, mu, binding, ell, cap, PINNED_CONVENTIONS.update,
+                               cache.oracle)
     closed = chain(case, n, mu, binding, ell, cap, cache.closed)
     size_cap = max([mu.size()] + [lam.size() for lam in targets])
     width = max((lam.part(1) for lam in targets), default=0)
@@ -242,11 +242,11 @@ def route_agreement(
     except ValueError:
         operator = None
     try:
-        tableau = tableau_table(case, n, mu, targets, binding, ell, conventions.index,
+        tableau = tableau_table(case, n, mu, targets, binding, ell, PINNED_CONVENTIONS.index,
                                 cache.tableau)
     except ValueError:
         tableau = None
-    report = OracleReport(case, mu, n, conventions, tail=oracle.tail)
+    report = OracleReport(case, mu, n, tail=oracle.tail)
     for lam in targets:
         p = None if operator is None else operator.get(lam, Frac(0))
         t = None if tableau is None else tableau[lam]
@@ -254,11 +254,10 @@ def route_agreement(
     return report
 
 
-def arbitrate_conventions(
-    binding: ParamBinding | None = None, ell: int = 3, verbose: bool = False
-) -> list[Conventions]:
+def arbitrate_conventions(verbose: bool = False) -> list[Conventions]:
     """Run tableau-vs-dynamics agreement over a small discriminating grid
-    for each candidate convention pair; return the surviving pairs.
+    for each candidate convention pair, at one fixed binding with ell = 3;
+    return the surviving pairs.
 
     The discriminating observables: Case C and CanonicalC single steps
     (index convention shows up in the corner factors; update order in the
@@ -268,13 +267,13 @@ def arbitrate_conventions(
     update) oracle step is built once and read under both index
     conventions.  A table that raises ``ValueError`` rejects its
     convention pair."""
-    if binding is None:
-        binding = ParamBinding.numeric(
-            x=[Frac(1, 5)],
-            rates=[Frac(1, 2), Frac(1, 3), Frac(1, 7)],
-            alpha=lambda k: Frac(1, 4 + k) if k >= 1 else Frac(0),
-            beta_pos=lambda k: Frac(1, 6 + k) if k >= 1 else Frac(0),
-        )
+    ell = 3
+    binding = ParamBinding.numeric(
+        x=[Frac(1, 5)],
+        rates=[Frac(1, 2), Frac(1, 3), Frac(1, 7)],
+        alpha=lambda k: Frac(1, 4 + k) if k >= 1 else Frac(0),
+        beta_pos=lambda k: Frac(1, 6 + k) if k >= 1 else Frac(0),
+    )
     mus = partitions_in_box(2, 2)
     lams = partitions_in_box(3, 3)
     tables: dict = {}
@@ -350,16 +349,15 @@ def mc_vs_exact(
     ell: int,
     samples: int,
     seed: int,
-    cap: int = 12,
     rng_bias: float | None = None,
 ) -> StatReport:
     """Sample the process with the batch sampler and compare against the
-    exact kernel table (``compare_counts``).  ``rng_bias`` is the
-    documented fault injection: uniforms are raised to that power before
-    use."""
+    exact kernel table up to a cap of 12 (``compare_counts``).
+    ``rng_bias`` is the documented fault injection: uniforms are raised to
+    that power before use."""
     if samples <= 0:
         raise ValueError("samples must be positive")
-    exact = chain(case, n, mu, binding, ell, cap)
+    exact = chain(case, n, mu, binding, ell, 12)
     config = SimConfig(
         case=case,
         ell=ell,

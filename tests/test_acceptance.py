@@ -3,6 +3,7 @@ line.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import collections
+import hashlib
 import json
 import math
 import subprocess
@@ -516,20 +517,32 @@ def test_criterion_9_figure_pipelines(tmp_path):
 def test_criterion_10_determinism(tmp_path):
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"x": ["1/5", "1/4"], "pi": ["1/2", "1/3", "1/7", "1/5"]}))
+    # (command, sha256 of its stdout), so that a change to a printed value
+    # fails even when two runs agree
     pinned = [
-        ["kernel", "--case", "A", "--n", "1", "--mu", "[]", "--lambda", "[1]", "--ell", "3", "--params", str(params)],
-        ["kernel", "--case", "B", "--n", "1", "--mu", "[1,1]", "--lambda", "[2,1]", "--ell", "3", "--params", str(params)],
-        ["kernel", "--case", "C", "--n", "2", "--mu", "[1]", "--cap", "3", "--ell", "3", "--params", str(params)],
-        ["kernel", "--case", "D", "--n", "2", "--mu", "[]", "--cap", "3", "--ell", "3", "--params", str(params)],
-        ["kernel", "--case", "CanonicalC", "--n", "1", "--mu", "[]", "--cap", "3", "--ell", "2", "--params", str(params)],
-        ["multipoint", "--case", "C", "--dir", "ge", "--thresholds", "[1,1]", "--start", "[]", "--n", "1", "--ell", "2", "--params", str(params)],
-        ["multipoint", "--case", "A", "--dir", "le", "--thresholds", "[2,1]", "--start", "[]", "--n", "1", "--ell", "2", "--params", str(params)],
-        ["op", "--word", "U2 U1 U1", "--start", "[1,1]"],
-        ["tableaux", "--family", "g", "--shape", "[2,1]", "--n", "2"],
-        ["sample", "--case", "A", "--ell", "4", "--n", "3", "--seed", "42"],
+        (["kernel", "--case", "A", "--n", "1", "--mu", "[]", "--lambda", "[1]", "--ell", "3", "--params", str(params)],
+         "8503b1da7ebd45338557f6e58ebcd82830dfbc66f8e9182bd3e23642b6602dc5"),
+        (["kernel", "--case", "B", "--n", "1", "--mu", "[1,1]", "--lambda", "[2,1]", "--ell", "3", "--params", str(params)],
+         "53e92a0282dcce8d9683e9971ff8f6064da3828b8a5d7e3edcb8df7f08b02c1a"),
+        (["kernel", "--case", "C", "--n", "2", "--mu", "[1]", "--cap", "3", "--ell", "3", "--params", str(params)],
+         "4b6d4da3250d1bee743a232ffa3e53889fe9fa14fce5bcef5e00b6f2c3284b84"),
+        (["kernel", "--case", "D", "--n", "2", "--mu", "[]", "--cap", "3", "--ell", "3", "--params", str(params)],
+         "017df527a11dc1c8fd1946f9f5f41ff6bcd61daf87c2ce6bce0a585a2f3d99aa"),
+        (["kernel", "--case", "CanonicalC", "--n", "1", "--mu", "[]", "--cap", "3", "--ell", "2", "--params", str(params)],
+         "4ff17ea107ccf6b68cf4473283af167d034cea61a156df83555a267e76e04005"),
+        (["multipoint", "--case", "C", "--dir", "ge", "--thresholds", "[1,1]", "--start", "[]", "--n", "1", "--ell", "2", "--params", str(params)],
+         "e5fe3d8efbca26e56d71c2f7d2dce09591b4e2c8830a827b13fa70c57655ad4b"),
+        (["multipoint", "--case", "A", "--dir", "le", "--thresholds", "[2,1]", "--start", "[]", "--n", "1", "--ell", "2", "--params", str(params)],
+         "e810a1a860f3f9ac3f0f3ef565d158273ac2899fba692fb0987c15644a62ad2c"),
+        (["op", "--word", "U2 U1 U1", "--start", "[1,1]"],
+         "219c4e973004a0217552fc449e3bd4495dda29ba8658dd3dd90ed8a935db316f"),
+        (["tableaux", "--family", "g", "--shape", "[2,1]", "--n", "2"],
+         "4dc28e6248da3e713d5c7e02edeeb8bb0358508f0918d33b056c85abc6f4d3b3"),
+        (["sample", "--case", "A", "--ell", "4", "--n", "3", "--seed", "42"],
+         "033c9987b4eba0b26b51ec6458efbb99bf3c8ebd2068abe1b7085d1f53ec774d"),
     ]
     ok = True
-    for cmd in pinned:
+    for cmd, digest in pinned:
         outs = []
         for _ in range(2):
             proc = subprocess.run(
@@ -539,6 +552,6 @@ def test_criterion_10_determinism(tmp_path):
             if proc.returncode != 0:
                 ok = False
             outs.append(proc.stdout)
-        if outs[0] != outs[1]:
+        if outs[0] != outs[1] or hashlib.sha256(outs[0].encode()).hexdigest() != digest:
             ok = False
-    report(10, ok, f"{len(pinned)} pinned commands byte-identical across runs")
+    report(10, ok, f"{len(pinned)} pinned commands byte-identical across runs and as pinned")

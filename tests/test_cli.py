@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -483,17 +484,29 @@ def test_version_prints_convention_fingerprint():
     assert "alpha_by_column+geometric_descending" in proc.stdout
 
 
+# (command, sha256 of its stdout): a change to any printed value fails
+# here, where two runs compared only with each other would agree
 PINNED = [
-    ["kernel", "--case", "A", "--n", "1", "--mu", "[]", "--lambda", "[1]", "--ell", "3"],
-    ["kernel", "--case", "B", "--n", "1", "--mu", "[1,1]", "--lambda", "[2,1]", "--ell", "3"],
-    ["kernel", "--case", "C", "--n", "2", "--mu", "[1]", "--cap", "3", "--ell", "3"],
-    ["kernel", "--case", "D", "--n", "2", "--mu", "[]", "--cap", "3", "--ell", "3"],
-    ["multipoint", "--case", "C", "--dir", "ge", "--thresholds", "[1,1]", "--start", "[]", "--n", "1", "--ell", "2"],
-    ["multipoint", "--case", "A", "--dir", "le", "--thresholds", "[2,1]", "--start", "[]", "--n", "1", "--ell", "2"],
-    ["op", "--word", "U2 U1 U1", "--start", "[1,1]"],
-    ["op", "--word", "u1", "--start", "[]", "--cap", "4"],
-    ["tableaux", "--family", "g", "--shape", "[2,1]", "--n", "2"],
-    ["sample", "--case", "A", "--ell", "4", "--n", "3", "--seed", "42"],
+    (["kernel", "--case", "A", "--n", "1", "--mu", "[]", "--lambda", "[1]", "--ell", "3"],
+     "8503b1da7ebd45338557f6e58ebcd82830dfbc66f8e9182bd3e23642b6602dc5"),
+    (["kernel", "--case", "B", "--n", "1", "--mu", "[1,1]", "--lambda", "[2,1]", "--ell", "3"],
+     "53e92a0282dcce8d9683e9971ff8f6064da3828b8a5d7e3edcb8df7f08b02c1a"),
+    (["kernel", "--case", "C", "--n", "2", "--mu", "[1]", "--cap", "3", "--ell", "3"],
+     "4b6d4da3250d1bee743a232ffa3e53889fe9fa14fce5bcef5e00b6f2c3284b84"),
+    (["kernel", "--case", "D", "--n", "2", "--mu", "[]", "--cap", "3", "--ell", "3"],
+     "017df527a11dc1c8fd1946f9f5f41ff6bcd61daf87c2ce6bce0a585a2f3d99aa"),
+    (["multipoint", "--case", "C", "--dir", "ge", "--thresholds", "[1,1]", "--start", "[]", "--n", "1", "--ell", "2"],
+     "e5fe3d8efbca26e56d71c2f7d2dce09591b4e2c8830a827b13fa70c57655ad4b"),
+    (["multipoint", "--case", "A", "--dir", "le", "--thresholds", "[2,1]", "--start", "[]", "--n", "1", "--ell", "2"],
+     "e810a1a860f3f9ac3f0f3ef565d158273ac2899fba692fb0987c15644a62ad2c"),
+    (["op", "--word", "U2 U1 U1", "--start", "[1,1]"],
+     "219c4e973004a0217552fc449e3bd4495dda29ba8658dd3dd90ed8a935db316f"),
+    (["op", "--word", "u1", "--start", "[]", "--cap", "4"],
+     "1907fce404877739df07dd73c161cf7a275451d99e422da893d184ab9881d4ae"),
+    (["tableaux", "--family", "g", "--shape", "[2,1]", "--n", "2"],
+     "4dc28e6248da3e713d5c7e02edeeb8bb0358508f0918d33b056c85abc6f4d3b3"),
+    (["sample", "--case", "A", "--ell", "4", "--n", "3", "--seed", "42"],
+     "033c9987b4eba0b26b51ec6458efbb99bf3c8ebd2068abe1b7085d1f53ec774d"),
 ]
 
 
@@ -502,9 +515,10 @@ def needs_params(cmd):
 
 
 def test_pinned_commands_byte_stable(params_file):
-    # fixed seed => byte-identical output across runs
-    for cmd in PINNED:
+    # fixed seed => byte-identical output across runs, and the pinned bytes
+    for cmd, digest in PINNED:
         full = list(cmd) + (["--params", params_file] if needs_params(cmd) else [])
         out1 = run_cli(*full).stdout
         out2 = run_cli(*full).stdout
         assert out1 == out2, cmd
+        assert hashlib.sha256(out1.encode()).hexdigest() == digest, cmd

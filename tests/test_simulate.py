@@ -1,9 +1,11 @@
 import collections
 import functools
+import gc
 import hashlib
 import math
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -235,7 +237,7 @@ def _block_outputs():
     """(label, output) per case, then per continuous run its positions and
     the draw that follows."""
     out = []
-    x = lambda i: 0.1 if i % 7 else 0.3
+    x = [0.1] * 6 + [0.3]
     for k, case in enumerate(CaseId):
         cfg = SimConfig(
             case=case, ell=400, steps=35, rates=lambda j: 0.8 + 0.2 * (j % 3), x=x,
@@ -445,7 +447,7 @@ def test_run_matches_scalar_rounds_across_blocks(monkeypatch):
     # at ell = 10, 327 at ell = 50), and CanonicalB's candidate bound must
     # cover the positions its reach of _REACH_DRAWS // 400 = 10 rounds at
     # ell = 400 reaches
-    x = lambda i: (0.05, 0.3, 0.6)[(i // 3) % 3]
+    x = [0.05] * 2 + [0.3] * 3 + [0.6] * 3 + [0.05]
     assert simulate._BLOCK_DRAWS // 10 < 1700 and simulate._BLOCK_DRAWS // 50 < 400
     for k, case in enumerate(CaseId):
         for ell, steps in ((10, 1700), (50, 400)):
@@ -468,7 +470,7 @@ def test_run_matches_scalar_rounds_across_blocks(monkeypatch):
     monkeypatch.setattr(simulate._RoundTables, "success_bound",
                         lambda tables, law, hi: reaches.append(hi) or bound(tables, law, hi))
     cfg = SimConfig(case=CaseId.CANONICAL_C, ell=10, steps=900, seed=9,
-                    x=lambda i: (0.8, 0.95, 0.6)[(i // 3) % 3], rates=lambda j: 0.9,
+                    x=[0.8] * 2 + [0.95] * 3 + [0.6] * 3 + [0.8], rates=lambda j: 0.9,
                     alpha=lambda m: 0.15 * (m % 3) - 0.1, start=P_([5, 2]))
     snaps = run(cfg).snapshots
     assert snaps == _scalar_run(cfg)
@@ -488,7 +490,7 @@ def test_candidate_loop_matches_scalar_rounds(case, update):
     # per particle per round, over two blocks of rounds (_BLOCK_DRAWS // 6
     # = 2730 at ell = 6):
     # x from a list of three, so x_i changes every round and each block
-    # reads a new x_i at every round, or from a callable; a frozen particle
+    # reads a new x_i at every round, or from a list of four; a frozen particle
     # (rate 0), except in CanonicalC, whose alpha_k + pi_j must stay >= 0;
     # and in CanonicalC sites where alpha = -pi.
     base = dict(case=case, ell=6, steps=3000, update=update, start=P_([4, 2, 2]),
@@ -497,7 +499,7 @@ def test_candidate_loop_matches_scalar_rounds(case, update):
     configs = [
         SimConfig(**base, seed=11, x=[0.05, 0.3, 0.6], rates=[0.5, frozen, 0.4, 0.5, 0.3, 0.45],
                   alpha=lambda m: 0.15 * (m % 3)),
-        SimConfig(**base, seed=12, x=lambda i: 0.05 if i % 4 else 0.6, rates=WALL_RATES,
+        SimConfig(**base, seed=12, x=[0.05, 0.05, 0.05, 0.6], rates=WALL_RATES,
                   alpha=lambda m: -0.3 if m % 5 == 3 else 0.1),
     ]
     assert simulate._BLOCK_DRAWS // 6 < base["steps"]
@@ -563,6 +565,32 @@ def test_canonical_reach_does_not_grow_with_the_block(monkeypatch):
     assert final.part(1) > cfg.start.part(1) + reach and len(set(reaches)) > 2
 
 
+@pytest.mark.parametrize("physics", LONG_PHYSICS, ids=lambda p: p[0].value)
+def test_round_tables_are_freed_when_the_run_returns(monkeypatch, physics):
+    # nothing the tables hold refers back to them (the success maps read
+    # positions through a closure, not a bound method), so with the cyclic
+    # collector off they are freed as soon as the run that built them
+    # returns, not at the next collection
+    case, rate, x, alpha, beta = physics
+    refs = []
+    init = simulate._RoundTables.__init__
+    monkeypatch.setattr(simulate._RoundTables, "__init__",
+                        lambda t, *args: refs.append(weakref.ref(t)) or init(t, *args))
+    cfg = SimConfig(case=case, ell=10, steps=300, rates=lambda j: rate, x=[x, 2 * x],
+                    alpha=alpha, beta_pos=beta, seed=6,
+                    start=P_([]) if case.pushing else _fan_start(10))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for sampler in (run, run_final, lambda c: sample_batch_final(c, 50, 1)):
+            refs.clear()
+            sampler(cfg)
+            assert len(refs) == 1 and refs[0]() is None, sampler
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize("update", list(UpdateOrder), ids=lambda u: u.name)
 @pytest.mark.parametrize("case", [c for c in CaseId if not c.pushing], ids=lambda c: c.value)
 def test_packed_particle_reaches_no_jump_decision(monkeypatch, case, update):
@@ -606,9 +634,8 @@ def test_packed_particle_reaches_no_jump_decision(monkeypatch, case, update):
 def test_laws_index_each_round_by_x_of():
     # a block's laws are its distinct x_i in first-read order, and round
     # first + r reads the law at x_of(first + r), from any first round and
-    # block length, whether x is a list (one period read) or a callable
-    xs = ([0.1], [0.1, 0.2], [0.1, 0.1, 0.3], [0.2, 0.3, 0.2], [0.4, 0.4, 0.4, 0.1],
-          lambda i: (0.05, 0.3, 0.6)[(i // 3) % 3])
+    # block length, one period of x read
+    xs = ([0.1], [0.1, 0.2], [0.1, 0.1, 0.3], [0.2, 0.3, 0.2], [0.4, 0.4, 0.4, 0.1])
     for x in xs:
         cfg = SimConfig(case=CaseId.A, ell=2, steps=50, rates=[0.5, 0.5], x=x)
         tables = simulate._RoundTables(CaseId.A, cfg)
@@ -917,13 +944,13 @@ def test_batch_rate_calls_bounded_by_positions():
 def test_one_sample_batch_is_run(case, update):
     # The batch's rounds read run's tables and draw run's stream, so sample
     # 0 of a one-sample batch from rng_for(seed, r) is run_final(config, r):
-    # under a list x and a callable x, with a zero rate (pi_3; CanonicalC
+    # under x lists of two and of three, with a zero rate (pi_3; CanonicalC
     # needs alpha_k + pi_j >= 0, so its rates stay positive), alpha_6 = -pi
     # (a site of success 0) and CanonicalC at pi x = 0.95, where particle 1
     # outruns the reach its first candidates were picked for
     canonical_c = case is CaseId.CANONICAL_C
     rates = [0.5] * 4 if canonical_c else [0.6, 0.5, 0.0, 0.4]
-    xs = [[0.5, 0.3], lambda i: 0.5 if i % 3 else 0.3] + ([[1.9]] if canonical_c else [])
+    xs = [[0.5, 0.3], [0.5, 0.5, 0.3]] + ([[1.9]] if canonical_c else [])
     outran = 0
     for x in xs:
         for wall in (False, True) if canonical_c else (False,):
@@ -1008,22 +1035,19 @@ def test_walk_batch_is_the_scalar_walk():
 @pytest.mark.parametrize("update", list(UpdateOrder), ids=lambda u: u.name)
 def test_canonical_c_batch_walk_reads_what_the_scalar_walk_reads(monkeypatch, update):
     # CanonicalC batches with the array walk and with one _inhom_walk per
-    # candidate: the same finals, and the same farthest site read from
-    # _RoundTables.site, so no site rule is checked before a walk reaches
-    # it.  Particle 1 jumps about 3 sites a round past a wall at sites
-    # 3 mod 7 for the rate-0.3 particles, so the walks outrun the sites
-    # that success_bound has read
+    # candidate: the same finals, and the same farthest site read, through
+    # the config's alpha (the tables read each position from it once), so
+    # no site rule is checked before a walk reaches it.  Particle 1 jumps
+    # about 3 sites a round past a wall at sites 3 mod 7 for the rate-0.3
+    # particles, so the walks outrun the sites that success_bound has read
     cfg = SimConfig(case=CaseId.CANONICAL_C, ell=4, steps=6, seed=3, x=[1.2, 0.9],
-                    rates=[0.6, 0.3, 0.6, 0.45], alpha=lambda m: -0.3 if m % 7 == 3 else 0.2,
-                    update=update, start=P_([3, 1]))
-    site = simulate._RoundTables.site
+                    rates=[0.6, 0.3, 0.6, 0.45], update=update, start=P_([3, 1]))
 
     def batch(walk):
         reads = []
         monkeypatch.setattr(simulate, "_walk_batch", walk)
-        monkeypatch.setattr(simulate._RoundTables, "site",
-                            lambda tables, k: reads.append(k) or site(tables, k))
-        return sample_batch_final(cfg, 2000, 4), max(reads)
+        alpha = lambda m: reads.append(m) or (-0.3 if m % 7 == 3 else 0.2)
+        return sample_batch_final(replace(cfg, alpha=alpha), 2000, 4), max(reads)
 
     finals, farthest = batch(simulate._walk_batch)
     want, scalar_farthest = batch(_per_draw_walks)
@@ -1095,7 +1119,7 @@ def test_rate_x_checked_at_every_step():
     # pi x = 1.5 only from step 10 on, so each sampler must check pi_j x_i
     # where it reads a new x_i
     cfg = SimConfig(case=CaseId.A, ell=2, steps=20, rates=[0.5, 0.5],
-                    x=lambda i: 0.5 if i < 10 else 3.0, seed=1)
+                    x=[0.5] * 9 + [3.0] * 11, seed=1)
     for sampler in SAMPLERS.values():
         with pytest.raises(ConstraintError, match=r"pi_1\*x_10 = 1.5 outside \[0, 1\)"):
             sampler(cfg)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ktasep.conventions import IndexConvention, PINNED_CONVENTIONS, UpdateOrder
+from ktasep.conventions import Conventions, IndexConvention, PINNED_CONVENTIONS, UpdateOrder
 from ktasep.kernels import (
     CaseId,
     ConstraintError,
@@ -25,9 +25,11 @@ from ktasep.kernels import (
     single_step_table,
     tableau_table,
 )
-from ktasep.multipoint import MultiPointQuery, mp_pushing
-from ktasep.partitions import Partition, partitions_in_box
-from ktasep.simulate import SimConfig, move, run, update_order
+from ktasep.multipoint import MultiPointQuery, continuous_kernel, mp_pushing
+from ktasep.operators import OpParams, U_step
+from ktasep.partitions import Partition, SkewShape, partitions_in_box
+from ktasep.simulate import SimConfig, move, rng_for, run, sample_continuous_final, update_order
+from ktasep.tableaux import iter_hook_tableaux
 from ktasep import validate
 from ktasep.validate import (
     RouteCache,
@@ -523,3 +525,52 @@ def test_oracle_matches_update_order_alternative():
         CaseId.C, P_([2, 1]), b, 3, cap=4, update=UpdateOrder.GEOMETRIC_ASCENDING
     )
     assert t1.probs != t2.probs
+
+
+def _arbitrated(monkeypatch, survivors):
+    monkeypatch.setattr(validate, "arbitrate_conventions", lambda: survivors)
+    check_pinned_conventions()
+
+
+# (label, call given monkeypatch, exception, message): guards whose inputs
+# no other test passes
+GUARDS = [
+    ("no continuous samples",
+     lambda mp: sample_continuous_final(2, 1.0, 1.0, 0, rng_for(1)),
+     ValueError, "samples must be >= 1"),
+    ("cap below mu_1",
+     lambda mp: single_step_table(CaseId.C, P_([3, 1]), 1, binding(), 3, 2),
+     ValueError, "cap 2 smaller than mu_1 = 3"),
+    ("continuous case B",
+     lambda mp: continuous_kernel(CaseId.B, 1, P_([]), P_([1]), 2, [1, 1]),
+     ValueError, "continuous limit implemented for cases A and C"),
+    ("unknown arm mode",
+     lambda mp: list(iter_hook_tableaux(SkewShape(P_([1])), 1, arm_mode="bogus")),
+     ValueError, "unknown arm_mode bogus"),
+    ("encode case C",
+     lambda mp: encode_trajectory(CaseId.C, [(0, P_([])), (1, P_([1]))]),
+     ValueError, "encode_trajectory is defined for case A"),
+    ("pad to fewer parts",
+     lambda mp: P_([2, 1]).padded(1),
+     ValueError, "cannot pad"),
+    ("part 0",
+     lambda mp: P_([2, 1]).part(0),
+     IndexError, "parts are 1-indexed"),
+    ("inner outside outer",
+     lambda mp: SkewShape(P_([1]), P_([2])),
+     ValueError, "not contained in outer"),
+    ("U_0",
+     lambda mp: U_step(0, P_([1]), OpParams.symbolic()),
+     ValueError, "row index must be >= 1"),
+    ("arbitration singles out another pair",
+     lambda mp: _arbitrated(mp, [Conventions(IndexConvention.ALPHA_BY_ROW,
+                                             PINNED_CONVENTIONS.update)]),
+     AssertionError, "arbitrated alpha_by_row\\+geometric_descending != pinned"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [g[1:] for g in GUARDS],
+                         ids=[g[0] for g in GUARDS])
+def test_guards_raise(monkeypatch, call, error, message):
+    with pytest.raises(error, match=message):
+        call(monkeypatch)
